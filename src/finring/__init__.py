@@ -77,7 +77,6 @@ from .modules import (
     is_projective,
     kernel,
     minimal_generators,
-    module_from_presentation,
     quotient_by_ideal,
     regular_module,
 )

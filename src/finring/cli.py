@@ -230,7 +230,15 @@ def _run_decompose(args) -> int:
 # module sgp / resolve
 
 
-def _verdict_payload(verdict, include_resolution=True) -> dict:
+def _periodic_resolution(witness):
+    """The witness's periodic resolution and its exactness report."""
+    res = strongly_complete_resolution(witness)
+    return res, check_complete_resolution(res)
+
+
+def _verdict_payload(verdict, periodic=None) -> dict:
+    """JSON fields of a verdict; ``periodic`` reuses a prebuilt
+    :func:`_periodic_resolution` of its witness."""
     payload = {
         "sgp": verdict.decision,
         "rank": verdict.witness.rank if verdict.witness else None,
@@ -248,26 +256,21 @@ def _verdict_payload(verdict, include_resolution=True) -> dict:
             [_fmt(ring, ring.elements[c]) for c in img]
             for img in verdict.witness.embedding.images
         ]
-        if include_resolution:
-            res = strongly_complete_resolution(verdict.witness)
-            report = check_complete_resolution(res)
-            payload["resolution"] = {
-                "rank": res.rank,
-                "map": [
-                    [_fmt(ring, ring.elements[c]) for c in img]
-                    for img in res.map.images
-                ],
-                "forward_exact": report.forward_exact,
-                "dual_exact": report.dual_exact,
-                "image_order": report.image_order,
-                "kernel_order": report.kernel_order,
-                "dual_image_order": report.dual_image_order,
-                "dual_kernel_order": report.dual_kernel_order,
-            }
+        res, report = periodic or _periodic_resolution(verdict.witness)
+        payload["resolution"] = {
+            "rank": res.rank,
+            "map": [
+                [_fmt(ring, ring.elements[c]) for c in img] for img in res.map.images
+            ],
+            "forward_exact": report.forward_exact,
+            "dual_exact": report.dual_exact,
+            "image_order": report.image_order,
+            "kernel_order": report.kernel_order,
+            "dual_image_order": report.dual_image_order,
+            "dual_kernel_order": report.dual_kernel_order,
+        }
     if verdict.components is not None:
-        payload["factors"] = [
-            _verdict_payload(v, include_resolution) for v in verdict.components
-        ]
+        payload["factors"] = [_verdict_payload(v) for v in verdict.components]
     return payload
 
 
@@ -275,11 +278,12 @@ def _run_module_sgp(args) -> int:
     ring = build_ring(parse_ring_spec(args.ring), _guards(args))
     module = Module(parse_presentation(ring, args.rel))
     verdict = is_strongly_gorenstein_projective(module)
+    periodic = _periodic_resolution(verdict.witness) if verdict.witness else None
     payload = {
         "schema_version": SCHEMA_VERSION,
         "spec": ring.describe(),
         "presentation": args.rel,
-        **_verdict_payload(verdict),
+        **_verdict_payload(verdict, periodic),
     }
     lines = [
         f"ring {ring.describe()}, module on {module.k} generator(s), "
@@ -294,7 +298,7 @@ def _run_module_sgp(args) -> int:
         )
         lines.append(f"witness rank: {w.rank}; embedding {images}")
         lines.append(f"Ext^1(M, R) order: {verdict.ext.order} ({EXT_NOTE})")
-        rep = check_complete_resolution(strongly_complete_resolution(w))
+        rep = periodic[1]
         lines.append(
             f"periodic map on R^{w.rank}: image order {rep.image_order} = "
             f"kernel order {rep.kernel_order}; dual exact: "

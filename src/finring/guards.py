@@ -8,7 +8,9 @@ module or search derived from it inherits them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -25,6 +27,12 @@ class Guards:
     axiom_sample_count: int = 512
     #: fixed seed for that sampling; reports stay reproducible
     axiom_seed: int = 1729
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.startswith("max_") and value < 1:
+                raise ValidationError(f"guard {f.name} must be at least 1, got {value}")
 
     def with_overrides(self, **kwargs) -> "Guards":
         kwargs = {k: v for k, v in kwargs.items() if v is not None}

@@ -385,10 +385,9 @@ def dual_hom(h: ModuleHom) -> ModuleHom:
     free = h.source
     if free is not h.target or free.relation_columns:
         raise ValidationError("dualization expects an endomorphism of a free module")
+    # every raw tuple of a free module is its own representative
     n = free.k
-    images = tuple(
-        free.rep_of[tuple(h.images[j][i] for j in range(n))] for i in range(n)
-    )
+    images = tuple(tuple(h.images[j][i] for j in range(n)) for i in range(n))
     return ModuleHom(free, free, images)
 
 

@@ -1,10 +1,16 @@
 """Finitely presented modules over a finite ring.
 
-A module is R^k modulo the span of the columns of a relation matrix.  Its
-elements are enumerated as cosets, each carried by its lexicographically
-least representative.  Representatives are tuples of *element indices* into
-``ring.elements`` (so the canonical order on module elements is plain tuple
-order); ``Presentation`` holds element values, the public-facing form.
+A module is R^k modulo the span of the columns of a relation matrix.  A raw
+vector x in R^k is a tuple of *element indices* into ``ring.elements``; it is
+stored as the mixed-radix integer code sum_i x_i * n^(k-1-i), with n = |R|
+and the first coordinate most significant, so code order is tuple order.
+Every coset is carried by its least code, i.e. its lexicographically least
+tuple, and the module's elements are these representatives in ascending
+code order: code order is the canonical order of module elements.
+``Module.rep`` maps each raw code to the position of its coset, so addition
+and scalar multiplication are table lookups: apply the ring table to each
+coordinate, then look the resulting code up in ``rep``.  ``Presentation``
+holds element values, the public-facing form.
 
 Everything here is immutable after construction and deterministic: greedy
 generator searches pick the least candidate in canonical order, hom sets are
@@ -14,7 +20,11 @@ enumerated lexicographically by generator-image tuples.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
+from math import prod
+
+import numpy as np
 
 from .errors import (
     ConsistencyError,
@@ -33,6 +43,9 @@ from .ideals import (
     unique_maximal_ideal,
 )
 from .rings import Ring
+
+# entries per temporary array in the vectorised loops (int64: 256 KiB)
+_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -54,6 +67,69 @@ class Presentation:
                     raise ValidationError(f"{v!r} is not an element of the ring")
 
 
+def _span_rows(add, mul, zero: int, columns, weights, raw: int) -> np.ndarray:
+    """The R-span of ``columns`` in R^k as index rows, sorted by code.
+
+    ``add`` and ``mul`` are the ring's index tables, ``zero`` the index of 0.
+    """
+    n, k = len(add), len(weights)
+    member = np.zeros(raw, dtype=bool)
+    rows = np.full((1, k), zero, dtype=np.intp)
+    member[rows @ weights] = True
+    for col in columns:
+        code = 0
+        for c in col:
+            code = code * n + c
+        if member[code]:
+            continue  # R * col already lies in the span
+        rows = add[rows[:, None, :], mul[:, col][None, :, :]].reshape(-1, k)
+        member[rows @ weights] = True
+        rows = member.nonzero()[0][:, None] // weights % n
+    return rows
+
+
+def _label_cosets(add, span: np.ndarray, weights, raw: int):
+    """(rep, codes): the coset position of every raw code, and each coset's
+    least code in ascending order.
+
+    The loop runs over the smaller of the span and the quotient, whose sizes
+    multiply to |R|^k.
+    """
+    n, k = len(add), span.shape[1]
+    if len(span) ** 2 <= raw:
+        # label[x] = least code of x + s over the span, a few span rows at once
+        label = np.arange(raw)
+        shifted = add[:, span] * weights  # [x_i, s, i] -> w_i * (x_i + s_i)
+        step = max(1, _CHUNK // raw)
+        for lo in range(0, len(span), step):
+            part = shifted[:, lo : lo + step]
+            # outer sum over the coordinates: acc[s, x] = code of x + s
+            acc = np.zeros((part.shape[1], 1), dtype=np.intp)
+            for i in range(k):
+                acc = (acc[:, :, None] + part[:, :, i].T[:, None, :]).reshape(
+                    len(acc), -1
+                )
+            np.minimum(label, acc.min(axis=0), out=label)
+        codes = (label == np.arange(raw)).nonzero()[0]
+        pos = np.empty(raw, dtype=np.intp)
+        pos[codes] = np.arange(len(codes))
+        return pos[label], codes
+    # the least unlabelled code is the least element of its coset
+    rep = np.full(raw, -1, dtype=np.intp)
+    columns = np.ascontiguousarray(span.T)
+    wl = weights.tolist()
+    codes = []
+    code = 0
+    while True:
+        digits = [code // w % n for w in wl]
+        rep[weights @ add[np.array(digits)[:, None], columns]] = len(codes)
+        codes.append(code)
+        step = int(rep[code:].argmin())
+        if rep[code + step] >= 0:
+            return rep, np.array(codes, dtype=np.intp)
+        code += step
+
+
 class Module:
     """Enumerated cosets of R^k modulo the relation-column span."""
 
@@ -61,44 +137,33 @@ class Module:
         ring = presentation.ring
         k = presentation.generators
         n = ring.order
-        if n**k > ring.guards.max_module_raw:
+        raw = n**k
+        if raw > ring.guards.max_module_raw:
             raise GuardExceeded(
                 f"module over {ring.describe()} with {k} generators needs "
-                f"{n ** k} raw tuples (guard {ring.guards.max_module_raw})"
+                f"{raw} raw tuples (guard {ring.guards.max_module_raw})"
             )
-        addl, mull, negl = ring.tables_list()
         self.ring = ring
         self.presentation = presentation
         self.k = k
-        self._addl, self._mull, self._negl = addl, mull, negl
-        zero_idx = ring.index[ring.zero]
+        self._n = n
+        self._addl, self._mull, self._negl = ring.tables_list()
         self.relation_columns = [
             tuple(ring.index[v] for v in col) for col in presentation.relations
         ]
-        zero_tuple = (zero_idx,) * k
-        span = {zero_tuple}
-        for col in self.relation_columns:
-            multiples = {tuple(mull[r][c] for c in col) for r in range(n)}
-            span = {
-                tuple(addl[a][b] for a, b in zip(s, m))
-                for s in span
-                for m in multiples
-            }
-        self.span = frozenset(span)
-        rep_of: dict = {}
-        elements = []
-        for raw in itertools.product(range(n), repeat=k):
-            if raw in rep_of:
-                continue
-            elements.append(raw)
-            for s in span:
-                rep_of[tuple(addl[a][b] for a, b in zip(raw, s))] = raw
-        self.rep_of = rep_of
-        self.elements = elements
-        self.index = {e: i for i, e in enumerate(elements)}
-        self.zero = zero_tuple if k else ()
+        self._weights = np.array([n ** (k - 1 - i) for i in range(k)], dtype=np.intp)
+        add, mul, _ = ring.tables()
+        zero = ring.index[ring.zero]
+        span = _span_rows(add, mul, zero, self.relation_columns, self._weights, raw)
+        self.span = span @ self._weights
+        self.rep, codes = _label_cosets(add, span, self._weights, raw)
+        self._rep = memoryview(self.rep)
+        self._digits = codes[:, None] // self._weights % n
+        self.elements = list(map(tuple, self._digits.tolist()))
+        self.index = dict(zip(self.elements, range(len(self.elements))))
+        self.zero = (zero,) * k
         self._cache: dict = {}
-        if len(elements) * len(span) != n**k:
+        if len(self.elements) * len(self.span) != raw:
             raise ConsistencyError("coset count times span size misses |R|^k")
 
     # -- structure -----------------------------------------------------------
@@ -113,30 +178,36 @@ class Module:
             f"{self.cardinality} elements>"
         )
 
+    def _locate(self, rows) -> np.ndarray:
+        """Element positions of the cosets of raw index rows (last axis k)."""
+        return self.rep[rows @ self._weights]
+
     def add(self, a, b):
-        return self.rep_of[tuple(self._addl[x][y] for x, y in zip(a, b))]
+        addl, n = self._addl, self._n
+        code = 0
+        for x, y in zip(a, b):
+            code = code * n + addl[x][y]
+        return self.elements[self._rep[code]]
 
     def neg(self, a):
-        return self.rep_of[tuple(self._negl[x] for x in a)]
+        negl, n = self._negl, self._n
+        code = 0
+        for x in a:
+            code = code * n + negl[x]
+        return self.elements[self._rep[code]]
 
     def scal(self, r_idx: int, a):
-        return self.rep_of[tuple(self._mull[r_idx][x] for x in a)]
-
-    def scal_value(self, r_value, a):
-        return self.scal(self.ring.index[r_value], a)
+        row, n = self._mull[r_idx], self._n
+        code = 0
+        for x in a:
+            code = code * n + row[x]
+        return self.elements[self._rep[code]]
 
     def generator_images(self) -> list:
         """Classes of the standard basis vectors of R^k."""
-        zero_idx = self.ring.index[self.ring.zero]
-        one_idx = self.ring.index[self.ring.one]
-        out = []
-        for j in range(self.k):
-            raw = tuple(one_idx if t == j else zero_idx for t in range(self.k))
-            out.append(self.rep_of[raw])
-        return out
-
-    def element_values(self, el) -> tuple:
-        return tuple(self.ring.elements[i] for i in el)
+        units = np.full((self.k, self.k), self.ring.index[self.ring.zero])
+        np.fill_diagonal(units, self.ring.index[self.ring.one])
+        return [self.elements[p] for p in self._locate(units).tolist()]
 
     def annihilator_index_set(self) -> frozenset:
         """Ring elements (as indices) killing the whole module."""
@@ -156,10 +227,6 @@ class Module:
             for r in range(self.ring.order)
             if r != zero_idx
         )
-
-
-def module_from_presentation(presentation: Presentation) -> Module:
-    return Module(presentation)
 
 
 def free_module(ring: Ring, rank: int) -> Module:
@@ -408,13 +475,7 @@ def cokernel(h: ModuleHom):
     extra = tuple(tuple(ring.elements[i] for i in g) for g in img_gens)
     pres = Presentation(ring, t.k, tuple(t.presentation.relations) + extra)
     coker = Module(pres)
-    images = []
-    zero_idx = ring.index[ring.zero]
-    one_idx = ring.index[ring.one]
-    for j in range(t.k):
-        raw = tuple(one_idx if i == j else zero_idx for i in range(t.k))
-        images.append(coker.rep_of[raw])
-    proj = ModuleHom(t, coker, tuple(images))
+    proj = ModuleHom(t, coker, tuple(coker.generator_images()))
     return coker, proj
 
 
@@ -523,56 +584,62 @@ def _verify_decomposition(m: Module, dec: IdempotentDecomposition, comps) -> Non
     are verified exhaustively for modules of at most 64 elements and on a
     fixed-seed sample of pairs above that, mirroring the ring axiom checks.
     """
-    import random
-
     ring = m.ring
-    mull = ring.tables_list()[1]
+    add, mul, _ = ring.tables()
+    # projections[i][r]: index of e_i * r in the i-th factor ring
     projections = []
     for e_val, fring in zip(dec.idempotents, dec.factor_rings):
-        row = mull[ring.index[e_val]]
-        projections.append([fring.index[ring.elements[j]] for j in row])
-
-    def phi(x):
-        return tuple(
-            comp.rep_of[tuple(proj[c] for c in x)]
-            for comp, proj in zip(comps, projections)
-        )
-
-    size = 1
-    for comp in comps:
-        size *= comp.cardinality
-    phi_of = {x: phi(x) for x in m.elements}
-    if len(set(phi_of.values())) != m.cardinality or size != m.cardinality:
+        row = mul[ring.index[e_val]].tolist()
+        projections.append(np.array([fring.index[ring.elements[j]] for j in row]))
+    # phi[i][x]: position in comps[i] of e_i x, for every element x of m
+    phi = [c._locate(p[m._digits]) for c, p in zip(comps, projections)]
+    flat = np.zeros(m.cardinality, dtype=np.intp)
+    for c, ph in zip(comps, phi):
+        flat = flat * c.cardinality + ph
+    if (
+        prod(c.cardinality for c in comps) != m.cardinality
+        or len(np.unique(flat)) != m.cardinality
+    ):
         raise ConsistencyError("module does not re-sum to its product decomposition")
 
-    def additive(x, y):
-        want = tuple(
-            c.add(a, b) for c, a, b in zip(comps, phi_of[x], phi_of[y])
-        )
-        return phi_of[m.add(x, y)] == want
+    factor_tables = [c.ring.tables() for c in comps]
 
-    def equivariant(r_idx, x):
-        want = tuple(
-            c.scal(p[r_idx], a) for c, p, a in zip(comps, projections, phi_of[x])
-        )
-        return phi_of[m.scal(r_idx, x)] == want
+    def laws_hold(xs, ys, rs, zs) -> bool:
+        # phi(x + y) = phi(x) + phi(y) and phi(r z) = (e_i r) phi(z), per factor
+        sums = m._locate(add[m._digits[xs], m._digits[ys]])
+        prods = m._locate(mul[rs[:, None], m._digits[zs]])
+        for c, p, ph, (fadd, fmul, _) in zip(comps, projections, phi, factor_tables):
+            want_sums = c._locate(fadd[c._digits[ph[xs]], c._digits[ph[ys]]])
+            want_prods = c._locate(fmul[p[rs][:, None], c._digits[ph[zs]]])
+            if (ph[sums] != want_sums).any() or (ph[prods] != want_prods).any():
+                return False
+        return True
 
-    if m.cardinality <= 64:
-        ok = all(additive(x, y) for x in m.elements for y in m.elements) and all(
-            equivariant(r, x) for r in range(ring.order) for x in m.elements
-        )
+    size = m.cardinality
+    if size <= 64:
+        # every pair (x, y) and every (r, z), numbered and taken a chunk at a time
+        n_pairs, n_scaled = size * size, ring.order * size
+        step = max(1, _CHUNK // max(m.k, 1))
+
+        def chunk_holds(lo) -> bool:
+            pairs = np.arange(lo, min(lo + step, n_pairs))
+            scaled = np.arange(lo, min(lo + step, n_scaled))
+            return laws_hold(pairs // size, pairs % size, scaled // size, scaled % size)
+
+        ok = all(chunk_holds(lo) for lo in range(0, max(n_pairs, n_scaled), step))
     else:
+        # the fixed-seed draws, in the order x, y, r, z for each sample
         rnd = random.Random(ring.guards.axiom_seed)
-        ok = all(
-            additive(
-                m.elements[rnd.randrange(m.cardinality)],
-                m.elements[rnd.randrange(m.cardinality)],
-            )
-            and equivariant(
-                rnd.randrange(ring.order), m.elements[rnd.randrange(m.cardinality)]
+        draws = [
+            (
+                rnd.randrange(size),
+                rnd.randrange(size),
+                rnd.randrange(ring.order),
+                rnd.randrange(size),
             )
             for _ in range(ring.guards.axiom_sample_count)
-        )
+        ]
+        ok = laws_hold(*np.array(draws, dtype=np.intp).reshape(-1, 4).T)
     if not ok:
         raise ConsistencyError("componentwise map does not preserve the module laws")
 

@@ -135,3 +135,23 @@ def test_catalog_contents():
         assert spec_order(parse_ring_spec(text)) <= 256
     with pytest.raises(ValueError):
         catalog_specs("nope")
+
+
+def test_residue_memo_tells_rings_with_equal_mul_tables_apart():
+    import sys
+
+    memo = sys.modules["finring.classify"]._RESIDUE_SGP_MEMO
+    z4 = _ring("Z/4")
+    dual_numbers = _ring("SC(2;2;0,0,1,0,1,0,0,1;0,1)")
+    # same multiplication index table, different addition table
+    assert (z4.tables()[1] == dual_numbers.tables()[1]).all()
+    assert not (z4.tables()[0] == dual_numbers.tables()[0]).all()
+    saved = dict(memo)
+    memo.clear()
+    try:
+        classify(z4)
+        classify(dual_numbers)
+        assert len(memo) == 2
+    finally:
+        memo.clear()
+        memo.update(saved)

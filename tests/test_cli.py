@@ -164,3 +164,35 @@ def test_sc_control_classification_via_cli(capsys):
     payload = json.loads(out)
     assert payload["quasi_frobenius"] is False
     assert payload["certificates"]["quasi_frobenius"]["ideal"]["order"] == 2
+
+
+@pytest.mark.parametrize(
+    "flag", ["--max-ring-size", "--max-module-size", "--max-hom-enumeration"]
+)
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_guard_override_below_one_is_invalid_input(capsys, flag, value):
+    code, out, err = run_cli(capsys, "classify", "Z/4", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid input:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_module_sgp_builds_the_periodic_resolution_once(capsys, monkeypatch, json_flag):
+    import finring.cli as cli
+
+    calls = []
+    build = cli.strongly_complete_resolution
+
+    def counting(witness):
+        calls.append(witness)
+        return build(witness)
+
+    monkeypatch.setattr(cli, "strongly_complete_resolution", counting)
+    code, _, _ = run_cli(
+        capsys, "module", "sgp", "--ring", "Z/8", "--rel", "2,0;0,4", *json_flag
+    )
+    assert code == 0
+    assert len(calls) == 1

@@ -1,7 +1,13 @@
+import copy
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finring.classify import SQUARE_ZERO_PAIR
 from finring.errors import (
+    ConsistencyError,
     GuardExceeded,
     NonLocalRingError,
     PreconditionError,
@@ -25,6 +31,7 @@ from finring.modules import (
     image,
     is_isomorphic,
     is_projective,
+    _verify_decomposition,
     kernel,
     minimal_generators,
     quotient_by_ideal,
@@ -262,3 +269,89 @@ def test_compose_and_identity():
     m = _mod(z4, "2")
     ident = identity_hom(m)
     assert compose(ident, ident).images == ident.images
+
+
+def _swap_classes(comp, a, b):
+    """A copy of ``comp`` whose coset table sends classes a and b to each
+    other's positions: still a bijection, but no longer additive."""
+    bad = copy.copy(comp)
+    perm = np.arange(comp.cardinality)
+    perm[[a, b]] = [b, a]
+    bad.rep = perm[comp.rep]
+    return bad
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        pytest.param(regular_module(_ring("Z/12")), id="exhaustive-12"),
+        pytest.param(free_module(_ring("Z/12"), 2), id="sampled-144"),
+    ],
+)
+def test_decomposition_check_rejects_a_wrong_component(m):
+    dec = idempotent_decomposition(m.ring)
+    comps = decompose_over_product(m, dec)
+    _verify_decomposition(m, dec, comps)
+    # the Z/4 part: classes 1 and 2 are (0,..,0,1) and (0,..,0,2)
+    four = next(i for i, f in enumerate(dec.factor_rings) if f.order == 4)
+    bad = list(comps)
+    bad[four] = _swap_classes(comps[four], 1, 2)
+    with pytest.raises(ConsistencyError):
+        _verify_decomposition(m, dec, bad)
+    # a component too small to re-sum: the first coordinate killed
+    f = dec.factor_rings[four]
+    killed = Module(Presentation(f, m.k, ((f.one,) + (f.zero,) * (m.k - 1),)))
+    small = list(comps)
+    small[four] = killed
+    with pytest.raises(ConsistencyError):
+        _verify_decomposition(m, dec, small)
+
+
+_PROPERTY_RINGS = {
+    text: _ring(text) for text in ("Z/4", "Z/8", "Z/9", "GF(2)[x]/(x^2)")
+}
+
+
+@st.composite
+def _presentations(draw):
+    ring = _PROPERTY_RINGS[draw(st.sampled_from(sorted(_PROPERTY_RINGS)))]
+    k = draw(st.integers(0, 3 if ring.order < 9 else 2))
+    entry = st.integers(0, ring.order - 1)
+    cols = draw(st.lists(st.tuples(*[entry] * k), max_size=3))
+    return ring, k, cols
+
+
+def _reference_span(ring, k, cols):
+    addl, mull, _ = ring.tables_list()
+    span = {(0,) * k}
+    for col in cols:
+        span = {
+            tuple(addl[s][mull[r][c]] for s, c in zip(vec, col))
+            for vec in span
+            for r in range(ring.order)
+        }
+    return span
+
+
+@settings(max_examples=60, deadline=None)
+@given(_presentations(), st.data())
+def test_module_arithmetic_matches_brute_force(pres, data):
+    ring, k, cols = pres
+    addl, mull, negl = ring.tables_list()
+    span = _reference_span(ring, k, cols)
+
+    def least(raw):
+        return min(tuple(addl[x][s] for x, s in zip(raw, vec)) for vec in span)
+
+    m = Module(Presentation(ring, k, tuple(tuple(ring.elements[i] for i in c) for c in cols)))
+    assert m.cardinality * len(span) == ring.order**k
+    pick = st.sampled_from(m.elements)
+    a, b = data.draw(pick), data.draw(pick)
+    r = data.draw(st.integers(0, ring.order - 1))
+    assert least(a) == a
+    assert m.add(a, b) == least(tuple(addl[x][y] for x, y in zip(a, b)))
+    assert m.scal(r, a) == least(tuple(mull[r][x] for x in a))
+    assert m.neg(a) == least(tuple(negl[x] for x in a))
+    if ring.order**k <= 64:
+        reps = {least(raw) for raw in np.ndindex(*(ring.order,) * k)}
+        assert m.elements == sorted(reps)
