@@ -9,7 +9,8 @@ Commands::
     finring resolve --ring SPEC --rel MATRIX --length N
     finring verify-paper [--catalog NAME] [--inject-fault]
 
-Exit codes: 0 success, 1 property violation / negative verification,
+Exit codes: 0 success, 1 property violation / negative verification (or
+an internal consistency failure, printed as one ``internal error:`` line),
 2 parse error, 3 guard exceeded.  ``--json`` switches every command to a
 stable JSON report (fixed key order, canonical element literals, so equal
 inputs give byte-identical output).
@@ -23,6 +24,7 @@ import sys
 
 from .classify import classify
 from .errors import (
+    ConsistencyError,
     GuardExceeded,
     NonLocalRingError,
     ParseError,
@@ -452,6 +454,9 @@ def main(argv=None) -> int:
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return 3
+    except ConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
 
 
 def console_main() -> None:

@@ -113,14 +113,21 @@ def _verify_resolution_exactness(covers, diffs) -> None:
         downstream = covers[i] if i == 0 else diffs[i - 1]
         if i > 0 and not compose(downstream, upstream).is_zero():
             raise ConsistencyError("consecutive differentials do not compose to zero")
-        im_set = {upstream.apply(el) for el in upstream.source.elements}
-        ker_set = {
-            el
-            for el in downstream.source.elements
-            if downstream.apply(el) == downstream.target.zero
-        }
-        if im_set != ker_set:
+        if not _exactness(upstream, downstream)[0]:
             raise ConsistencyError(f"resolution is not exact at stage {i}")
+
+
+def _exactness(f: ModuleHom, g: ModuleHom):
+    """(image f == kernel g, |image f|, |kernel g|) for maps A -f-> B -g-> C."""
+    if f.target is not g.source:
+        raise ConsistencyError("exactness needs maps through one middle module")
+    in_image = f.image_mask()
+    in_kernel = g.table == g.target.index[g.target.zero]
+    return (
+        bool((in_image == in_kernel).all()),
+        int(in_image.sum()),
+        int(in_kernel.sum()),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +268,7 @@ def _validate_witness(w: SgpWitness) -> None:
         raise ConsistencyError("witness embedding is not injective")
     if not w.projection.is_surjective():
         raise ConsistencyError("witness projection is not surjective")
-    free = w.embedding.target
-    im = {w.embedding.apply(el) for el in w.module.elements}
-    ker = {el for el in free.elements if w.projection.apply(el) == w.module.zero}
-    if im != ker:
+    if not _exactness(w.embedding, w.projection)[0]:
         raise ConsistencyError("witness sequence is not exact in the middle")
 
 
@@ -348,22 +352,18 @@ class StronglyCompleteResolution:
     ring: object
     rank: int
     map: ModuleHom
-    window: int = 1
 
 
 def strongly_complete_resolution(w: SgpWitness) -> StronglyCompleteResolution:
     """Splice a witness into its periodic map f = embedding . projection."""
     f = compose(w.embedding, w.projection)
-    free = w.embedding.target
-    im = {f.apply(el) for el in free.elements}
-    ker = {el for el in free.elements if f.apply(el) == free.zero}
-    if im != ker:
+    if not _exactness(f, f)[0]:
         raise ConsistencyError("periodic map is not exact")
     image_module, _ = image(f)
     found, _ = is_isomorphic(image_module, w.module)
     if not found:
         raise ConsistencyError("periodic map image is not the witnessed module")
-    return StronglyCompleteResolution(w.module.ring, w.rank, f, 1)
+    return StronglyCompleteResolution(w.module.ring, w.rank, f)
 
 
 @dataclass(frozen=True)
@@ -401,16 +401,14 @@ def check_complete_resolution(res) -> CompleteResolutionReport:
     free = hom.source
     if free is not hom.target:
         raise ValidationError("periodic check expects an endomorphism")
-    im = {hom.apply(el) for el in free.elements}
-    ker = {el for el in free.elements if hom.apply(el) == free.zero}
     dual = dual_hom(hom)
-    dual_im = {dual.apply(el) for el in free.elements}
-    dual_ker = {el for el in free.elements if dual.apply(el) == free.zero}
+    exact, im, ker = _exactness(hom, hom)
+    dual_exact, dual_im, dual_ker = _exactness(dual, dual)
     return CompleteResolutionReport(
-        forward_exact=im == ker,
-        dual_exact=dual_im == dual_ker,
-        image_order=len(im),
-        kernel_order=len(ker),
-        dual_image_order=len(dual_im),
-        dual_kernel_order=len(dual_ker),
+        forward_exact=exact,
+        dual_exact=dual_exact,
+        image_order=im,
+        kernel_order=ker,
+        dual_image_order=dual_im,
+        dual_kernel_order=dual_ker,
     )

@@ -63,9 +63,6 @@ class Ideal:
     def __contains__(self, value) -> bool:
         return self.contains(value)
 
-    def same_as(self, other: "Ideal") -> bool:
-        return self.ring is other.ring and self.indices == other.indices
-
     def __repr__(self):
         gens = ", ".join(repr(g) for g in self.generators)
         return f"<ideal ({gens}) of order {self.order}>"
@@ -277,14 +274,13 @@ class IdempotentFactorRing(Ring):
 class IdempotentDecomposition:
     """Primitive orthogonal idempotents summing to 1, with their factor rings.
 
-    ``embeddings[i]`` maps each element of ``factor_rings[i]`` to its image in
-    the parent ring (the identity inclusion of eR into R).
+    Each factor ring e_i R keeps the parent's element values, so it sits
+    inside the parent ring by the identity inclusion.
     """
 
     ring: Ring
     idempotents: tuple
     factor_rings: tuple
-    embeddings: tuple
 
     @property
     def is_trivial(self) -> bool:
@@ -340,10 +336,7 @@ def idempotent_decomposition(ring: Ring) -> IdempotentDecomposition:
             raise ConsistencyError(f"factor {f.describe()} is not local")
     if n <= 64:
         _check_componentwise_bijection(ring, atoms)
-    embeddings = tuple({x: x for x in f.elements} for f in factors)
-    dec = IdempotentDecomposition(
-        ring, tuple(els[e] for e in atoms), factors, embeddings
-    )
+    dec = IdempotentDecomposition(ring, tuple(els[e] for e in atoms), factors)
     ring._cache["idempotent_decomposition"] = dec
     return dec
 

@@ -12,6 +12,14 @@ and scalar multiplication are table lookups: apply the ring table to each
 coordinate, then look the resulting code up in ``rep``.  ``Presentation``
 holds element values, the public-facing form.
 
+Everything above the element level works on these positions as well.  A
+submodule is a boolean mask over positions, grown by one greedy span
+primitive (``_greedy_span``); a hom carries the target position of every
+source element (``ModuleHom.table``); and the exhaustive searches -- the
+relations among a submodule's generators, the relation test of every
+candidate hom -- evaluate all their linear combinations at once as a
+broadcast outer sum through the ring tables (``_outer_sums``).
+
 Everything here is immutable after construction and deterministic: greedy
 generator searches pick the least candidate in canonical order, hom sets are
 enumerated lexicographically by generator-image tuples.
@@ -22,6 +30,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -67,25 +76,109 @@ class Presentation:
                     raise ValidationError(f"{v!r} is not an element of the ring")
 
 
-def _span_rows(add, mul, zero: int, columns, weights, raw: int) -> np.ndarray:
-    """The R-span of ``columns`` in R^k as index rows, sorted by code.
+# ---------------------------------------------------------------------------
+# positions, spans and outer sums
+#
+# A *space* is R^k (``_Free``: a raw code is its own position) or a module
+# (positions of its elements).  Both offer ``ring``, ``_rows`` (positions ->
+# raw index rows, last axis k), ``_locate`` (raw rows -> positions) and
+# ``_zero_pos``; raw rows need not be representatives.
 
-    ``add`` and ``mul`` are the ring's index tables, ``zero`` the index of 0.
+
+class _Free:
+    """R^k with raw codes as positions."""
+
+    def __init__(self, ring: Ring, k: int):
+        weights = [ring.order ** (k - 1 - i) for i in range(k)]
+        self.ring = ring
+        self._tables = ring.tables()
+        self.weights = np.array(weights, dtype=np.intp)
+        self._zero_pos = ring.index[ring.zero] * sum(weights)
+
+    def _rows(self, codes) -> np.ndarray:
+        return np.asarray(codes)[..., None] // self.weights % self.ring.order
+
+    def _locate(self, rows) -> np.ndarray:
+        return rows @ self.weights
+
+
+def _grow(space, member: np.ndarray, gen) -> None:
+    """Mark the span of ``member`` plus R * ``gen`` in ``member``.
+
+    ``member`` is a mask over the positions of ``space`` that holds a
+    submodule and ``gen`` a raw index row; every sum s + r * gen is formed on
+    raw rows, a chunk of span rows at a time, and located back to its
+    position.
     """
-    n, k = len(add), len(weights)
-    member = np.zeros(raw, dtype=bool)
-    rows = np.full((1, k), zero, dtype=np.intp)
-    member[rows @ weights] = True
-    for col in columns:
-        code = 0
-        for c in col:
-            code = code * n + c
-        if member[code]:
-            continue  # R * col already lies in the span
-        rows = add[rows[:, None, :], mul[:, col][None, :, :]].reshape(-1, k)
-        member[rows @ weights] = True
-        rows = member.nonzero()[0][:, None] // weights % n
-    return rows
+    add, mul, _ = space._tables
+    multiples = mul[:, gen]  # raw row of r * gen for every r
+    span = member.nonzero()[0]
+    step = max(1, _CHUNK // max(multiples.size, 1))
+    for lo in range(0, len(span), step):
+        rows = space._rows(span[lo : lo + step])
+        member[space._locate(add[rows[:, None, :], multiples[None]])] = True
+
+
+def _greedy_span(space, target: np.ndarray, member=None):
+    """(picks, span): least-first generators of the positions in ``target``.
+
+    Starting from the submodule ``member`` (default: zero alone), repeatedly
+    take the least position of ``target`` outside the span so far and add
+    its multiples.  The span mask returned is a new array.
+    """
+    if member is None:
+        member = np.zeros(len(target), dtype=bool)
+        member[space._zero_pos] = True
+    else:
+        member = member.copy()
+    picks = []
+    while True:
+        pick = int((target > member).argmax())
+        if not target[pick] or member[pick]:
+            return picks, member
+        picks.append(pick)
+        _grow(space, member, space._rows(pick))
+
+
+def _submodule_generators(space, target: np.ndarray) -> list:
+    """Greedy canonical generators of the submodule marked by ``target``."""
+    picks, span = _greedy_span(space, target)
+    if not np.array_equal(span, target):
+        raise ConsistencyError("subset is not a submodule")
+    return picks
+
+
+def _outer_sums(add, terms, zero: np.ndarray):
+    """Raw rows of terms[0][i_0] + ... + terms[-1][i_last] for every index
+    tuple, in mixed-radix order (i_0 most significant), a chunk at a time.
+
+    Each term is an array of raw rows whose first axis is the choice; the
+    trailing axes have ``zero``'s shape (the sum of no terms).  The trailing
+    terms whose outer sum fits in ``_CHUNK`` entries are summed once, and
+    each chunk adds a run of leading choices to that block.
+    """
+    width = max(zero.size, 1)
+    block = zero[None]
+    split = len(terms)
+    while split and len(block) * len(terms[split - 1]) * width <= _CHUNK:
+        split -= 1
+        block = add[terms[split][:, None], block[None]]
+        block = block.reshape(block.shape[0] * block.shape[1], *zero.shape)
+    heads = terms[:split]
+    if not heads:
+        yield block
+        return
+    count = prod(len(t) for t in heads)
+    step = max(1, _CHUNK // (len(block) * width))
+    for lo in range(0, count, step):
+        codes = np.arange(lo, min(lo + step, count))
+        acc = None
+        for t in reversed(heads):  # least significant first
+            term = t[codes % len(t)]
+            acc = term if acc is None else add[acc, term]
+            codes = codes // len(t)
+        rows = add[acc[:, None], block[None]]
+        yield rows.reshape(len(acc) * len(block), *zero.shape)
 
 
 def _label_cosets(add, span: np.ndarray, weights, raw: int):
@@ -151,17 +244,28 @@ class Module:
         self.relation_columns = [
             tuple(ring.index[v] for v in col) for col in presentation.relations
         ]
-        self._weights = np.array([n ** (k - 1 - i) for i in range(k)], dtype=np.intp)
-        add, mul, _ = ring.tables()
-        zero = ring.index[ring.zero]
-        span = _span_rows(add, mul, zero, self.relation_columns, self._weights, raw)
-        self.span = span @ self._weights
-        self.rep, codes = _label_cosets(add, span, self._weights, raw)
+        free = _Free(ring, k)
+        self._tables = free._tables
+        self._weights = free.weights
+        # the span of the relation columns, as a mask over raw codes
+        member = np.zeros(raw, dtype=bool)
+        member[free._zero_pos] = True
+        for col in self.relation_columns:
+            code = 0
+            for c in col:
+                code = code * n + c
+            if not member[code]:  # else R * col already lies in the span
+                _grow(free, member, list(col))
+        self.span = member.nonzero()[0]
+        self.rep, codes = _label_cosets(
+            self._tables[0], free._rows(self.span), self._weights, raw
+        )
         self._rep = memoryview(self.rep)
-        self._digits = codes[:, None] // self._weights % n
+        self._digits = free._rows(codes)
         self.elements = list(map(tuple, self._digits.tolist()))
         self.index = dict(zip(self.elements, range(len(self.elements))))
-        self.zero = (zero,) * k
+        self.zero = (ring.index[ring.zero],) * k
+        self._zero_pos = self.index[self.zero]
         self._cache: dict = {}
         if len(self.elements) * len(self.span) != raw:
             raise ConsistencyError("coset count times span size misses |R|^k")
@@ -177,6 +281,10 @@ class Module:
             f"<module over {self.ring.describe()} on {self.k} generators, "
             f"{self.cardinality} elements>"
         )
+
+    def _rows(self, positions) -> np.ndarray:
+        """Raw index rows of the elements at ``positions``."""
+        return self._digits[positions]
 
     def _locate(self, rows) -> np.ndarray:
         """Element positions of the cosets of raw index rows (last axis k)."""
@@ -212,21 +320,21 @@ class Module:
     def annihilator_index_set(self) -> frozenset:
         """Ring elements (as indices) killing the whole module."""
         if "ann" not in self._cache:
-            self._cache["ann"] = frozenset(
-                r
-                for r in range(self.ring.order)
-                if all(self.scal(r, x) == self.zero for x in self.elements)
-            )
+            _, mul, _ = self._tables
+            step = max(1, _CHUNK // max(self._digits.size, 1))
+            kills = []  # kills[r]: r * x == 0 for every element x
+            for lo in range(0, self.ring.order, step):
+                products = self._locate(mul[lo : lo + step, self._digits])
+                kills.append((products == self._zero_pos).all(axis=1))
+            ann = np.concatenate(kills).nonzero()[0]
+            self._cache["ann"] = frozenset(ann.tolist())
         return self._cache["ann"]
 
     def element_annihilator_is_zero(self, el) -> bool:
         """True iff no nonzero ring element kills ``el``."""
-        zero_idx = self.ring.index[self.ring.zero]
-        return all(
-            self.scal(r, el) != self.zero
-            for r in range(self.ring.order)
-            if r != zero_idx
-        )
+        _, mul, _ = self._tables
+        killed = self._locate(mul[:, list(el)]) == self._zero_pos
+        return int(killed.sum()) == 1  # only r = 0
 
 
 def free_module(ring: Ring, rank: int) -> Module:
@@ -291,37 +399,39 @@ class ModuleHom:
             if acc != t.zero:
                 raise ValidationError("images do not satisfy the source relations")
 
-    def apply(self, el):
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The target position of every source element, in source order."""
         t = self.target
-        zero_idx = self.source.ring.index[self.source.ring.zero]
-        acc = t.zero
-        for coeff, im in zip(el, self.images):
-            if coeff != zero_idx:
-                acc = t.add(acc, t.scal(coeff, im))
-        return acc
+        coeffs = self.source._digits
+        if not self.images:
+            return np.full(len(coeffs), t._zero_pos)
+        add, mul, _ = t._tables
+        rows = np.array(self.images, dtype=np.intp).reshape(len(self.images), t.k)
+        acc = mul[coeffs[:, :1], rows[0]]
+        for j in range(1, len(rows)):
+            acc = add[acc, mul[coeffs[:, j, None], rows[j]]]
+        return t._locate(acc)
+
+    def image_mask(self) -> np.ndarray:
+        """Boolean mask over the target positions: which lie in the image."""
+        mask = np.zeros(self.target.cardinality, dtype=bool)
+        mask[self.table] = True
+        return mask
+
+    def apply(self, el):
+        """The image of ``el``, an element of the source."""
+        return self.target.elements[self.table[self.source.index[el]]]
 
     def image_elements(self) -> list:
-        seen = set()
-        out = []
-        for el in self.source.elements:
-            y = self.apply(el)
-            if y not in seen:
-                seen.add(y)
-                out.append(y)
-        out.sort(key=self.target.index.__getitem__)
-        return out
+        els = self.target.elements
+        return [els[p] for p in self.image_mask().nonzero()[0].tolist()]
 
     def is_injective(self) -> bool:
-        seen = set()
-        for el in self.source.elements:
-            y = self.apply(el)
-            if y in seen:
-                return False
-            seen.add(y)
-        return True
+        return np.count_nonzero(self.image_mask()) == self.source.cardinality
 
     def is_surjective(self) -> bool:
-        return len(self.image_elements()) == self.target.cardinality
+        return bool(self.image_mask().all())
 
     def is_bijective(self) -> bool:
         return (
@@ -347,7 +457,14 @@ def zero_hom(m1: Module, m2: Module) -> ModuleHom:
 
 
 def iter_homs(m1: Module, m2: Module):
-    """All homs m1 -> m2 in lexicographic generator-image order."""
+    """All homs m1 -> m2 in lexicographic generator-image order.
+
+    Candidates are tuples of m2 elements, numbered in mixed radix |m2|.  The
+    relations are tested a chunk of candidates at a time: for relation
+    column c, sum_j c_j * t_j is an outer sum over the generators of the
+    scaled target elements c_j * t.  Homs are built and yielded lazily, so a
+    caller that stops early scans the same prefix of candidates.
+    """
     if m1.ring is not m2.ring:
         raise RingMismatchError("hom set needs modules over the same ring")
     guards = m1.ring.guards
@@ -357,20 +474,26 @@ def iter_homs(m1: Module, m2: Module):
             f"hom enumeration would scan {count} candidates "
             f"(guard {guards.max_hom_candidates})"
         )
-    rels = m1.relation_columns
-    zero_idx = m1.ring.index[m1.ring.zero]
-    for images in itertools.product(m2.elements, repeat=m1.k):
-        ok = True
-        for col in rels:
-            acc = m2.zero
-            for coeff, im in zip(col, images):
-                if coeff != zero_idx:
-                    acc = m2.add(acc, m2.scal(coeff, im))
-            if acc != m2.zero:
-                ok = False
-                break
-        if ok:
+    if not m1.relation_columns:  # every candidate is a hom
+        for images in itertools.product(m2.elements, repeat=m1.k):
             yield ModuleHom(m1, m2, images)
+        return
+    add, mul, _ = m2._tables
+    cols = np.array(m1.relation_columns)
+    # terms[j][t, c] = raw row of cols[c, j] * (element t of m2)
+    terms = [
+        mul[cols[:, j, None, None], m2._digits[None]].swapaxes(0, 1)
+        for j in range(m1.k)
+    ]
+    zero = np.full((len(cols), m2.k), m1.ring.index[m1.ring.zero])
+    strides = m2.cardinality ** np.arange(m1.k - 1, -1, -1)
+    lo = 0
+    for rows in _outer_sums(add, terms, zero):
+        ok = (m2._locate(rows) == m2._zero_pos).all(axis=1)
+        accepted = lo + ok.nonzero()[0]
+        for pos in (accepted[:, None] // strides % m2.cardinality).tolist():
+            yield ModuleHom(m1, m2, tuple(m2.elements[p] for p in pos))
+        lo += len(rows)
 
 
 def hom_set(m1: Module, m2: Module) -> list:
@@ -381,84 +504,50 @@ def hom_set(m1: Module, m2: Module) -> list:
 # submodules, kernels, images, cokernels
 
 
-def _greedy_submodule_generators(ambient: Module, subset) -> list:
-    """Least-element-first generators of a submodule given as an element list."""
-    ring = ambient.ring
-    target = set(subset)
-    span = {ambient.zero}
-    gens = []
-    for el in subset:
-        if len(span) == len(target):
-            break
-        if el in span:
-            continue
-        gens.append(el)
-        multiples = {ambient.scal(r, el) for r in range(ring.order)}
-        span = {ambient.add(a, b) for a in span for b in multiples}
-    if span != target:
-        raise ConsistencyError("subset is not a submodule")
-    return gens
-
-
 def submodule(ambient: Module, subset, gens=None):
     """Present a submodule (given by its element list) and return (module, embedding).
 
-    Generators default to the greedy canonical choice; relations are found by
-    exhaustively evaluating R^k onto the generators.
+    Generators default to the greedy canonical choice: the least element
+    outside the span of the earlier picks.  The relations are found by an
+    exhaustive search: every coefficient vector a in R^k is evaluated at once
+    as sum_j a_j * g_j, an outer sum over the generators' multiples, and the
+    vectors landing on zero form the relation submodule of R^k, presented by
+    its own greedy generators.
     """
     ring = ambient.ring
-    subset = sorted(set(subset), key=ambient.index.__getitem__)
+    target = np.zeros(ambient.cardinality, dtype=bool)
+    target[[ambient.index[el] for el in subset]] = True
     if gens is None:
-        gens = _greedy_submodule_generators(ambient, subset)
+        gens = [ambient.elements[p] for p in _submodule_generators(ambient, target)]
     k = len(gens)
     n = ring.order
     if n**k > ring.guards.max_module_raw:
         raise GuardExceeded(
             f"relation search over {n ** k} tuples exceeds the module guard"
         )
-    rel_subset = []
-    for a in itertools.product(range(n), repeat=k):
-        acc = ambient.zero
-        for coeff, g in zip(a, gens):
-            acc = ambient.add(acc, ambient.scal(coeff, g))
-        if acc == ambient.zero:
-            rel_subset.append(a)
-    rel_gens = _greedy_free_generators(ring, k, rel_subset)
-    cols = tuple(tuple(ring.elements[i] for i in col) for col in rel_gens)
+    add, mul, _ = ambient._tables
+    multiples = [mul[:, list(g)] for g in gens]
+    zero = np.array(ambient.zero, dtype=np.intp)
+    relations = np.concatenate(
+        [
+            ambient._locate(rows) == ambient._zero_pos
+            for rows in _outer_sums(add, multiples, zero)
+        ]
+    )
+    coefficients = _Free(ring, k)
+    rel_gens = coefficients._rows(_submodule_generators(coefficients, relations))
+    cols = tuple(tuple(ring.elements[i] for i in col) for col in rel_gens.tolist())
     mod = Module(Presentation(ring, k, cols))
-    if mod.cardinality != len(subset):
+    if mod.cardinality != int(target.sum()):
         raise ConsistencyError("recovered presentation has the wrong cardinality")
     embedding = ModuleHom(mod, ambient, tuple(gens))
     return mod, embedding
 
 
-def _greedy_free_generators(ring: Ring, k: int, subset) -> list:
-    """Greedy generators of a submodule of R^k given as raw index tuples."""
-    addl, mull, _ = ring.tables_list()
-    zero_idx = ring.index[ring.zero]
-    zero = (zero_idx,) * k
-    target = set(subset)
-    span = {zero}
-    gens = []
-    for a in sorted(subset):
-        if len(span) == len(target):
-            break
-        if a in span:
-            continue
-        gens.append(a)
-        multiples = {tuple(mull[r][c] for c in a) for r in range(ring.order)}
-        span = {
-            tuple(addl[s][t] for s, t in zip(u, m)) for u in span for m in multiples
-        }
-    if span != target:
-        raise ConsistencyError("relation subset is not a submodule of R^k")
-    return gens
-
-
 def kernel(h: ModuleHom):
     """Kernel as a presented module plus its embedding into the source."""
-    subset = [el for el in h.source.elements if h.apply(el) == h.target.zero]
-    return submodule(h.source, subset)
+    in_kernel = (h.table == h.target._zero_pos).tolist()
+    return submodule(h.source, list(itertools.compress(h.source.elements, in_kernel)))
 
 
 def image(h: ModuleHom):
@@ -470,8 +559,7 @@ def cokernel(h: ModuleHom):
     """Cokernel as a presented module plus the projection from the target."""
     t = h.target
     ring = t.ring
-    img = h.image_elements()
-    img_gens = _greedy_submodule_generators(t, img)
+    img_gens = t._rows(_submodule_generators(t, h.image_mask())).tolist()
     extra = tuple(tuple(ring.elements[i] for i in g) for g in img_gens)
     pres = Presentation(ring, t.k, tuple(t.presentation.relations) + extra)
     coker = Module(pres)
@@ -520,34 +608,21 @@ def minimal_generators(m: Module):
             "minimal generators are only well-behaved over local rings; decompose first"
         )
     max_ideal = unique_maximal_ideal(ring)
-    products = {m.scal(r, x) for r in max_ideal.indices for x in m.elements}
-    mm = _additive_closure(m, products)
-    span_plus = set(mm)
-    gens = []
-    while len(span_plus) < m.cardinality:
-        x = next(el for el in m.elements if el not in span_plus)
-        gens.append(x)
-        multiples = {m.scal(r, x) for r in range(ring.order)}
-        span_plus = {m.add(a, b) for a in span_plus for b in multiples}
+    # mM is the span of g * e_i over the generators g of m and the basis e_i
+    k = m.k
+    rows = np.full((len(max_ideal.generator_indices), k, k), ring.index[ring.zero])
+    rows[:, range(k), range(k)] = np.array(max_ideal.generator_indices)[:, None]
+    products = np.zeros(m.cardinality, dtype=bool)
+    products[m._locate(rows)] = True
+    _, mm = _greedy_span(m, products)
+    # the least element outside the span of the picks so far plus mM
+    picks, _ = _greedy_span(m, np.ones(m.cardinality, dtype=bool), mm)
+    gens = [m.elements[p] for p in picks]
     q = ring.order // max_ideal.order
-    if len(mm) * q ** len(gens) != m.cardinality:
+    if int(mm.sum()) * q ** len(gens) != m.cardinality:
         raise ConsistencyError("generator count disagrees with dim M/mM")
     m._cache["minimal"] = (len(gens), gens)
     return m._cache["minimal"]
-
-
-def _additive_closure(m: Module, seed) -> set:
-    closure = {m.zero}
-    for p in sorted(seed):
-        if p in closure:
-            continue
-        cyc = [p]
-        cur = m.add(p, p)
-        while cur != p:
-            cyc.append(cur)
-            cur = m.add(cur, p)
-        closure = {m.add(a, b) for a in closure for b in cyc}
-    return closure
 
 
 def is_projective(m: Module) -> bool:

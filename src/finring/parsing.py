@@ -8,6 +8,12 @@ Ring specs (whitespace insignificant)::
     SC(2;3;<27 ints>;1,0,0)    structure constants over Z/2, table row-major
     Z/4 x Z/3                  direct product, flattened left-to-right
 
+A quotient tower may be at most ``MAX_QUOTIENT_DEPTH`` levels deep (GF(q)
+sugar counts as one level).  Every level of degree >= 2 at least doubles
+the order, so a deeper tower of such levels exceeds any constructible ring
+anyway, and levels of degree 1 add nothing; deeper nesting is a parse
+error, raised before any ring is built.
+
 Element literals: integers for Z/n (reduced mod n), polynomials
 ``a0+a1*x+...`` for quotients (coefficients are integers, or parenthesized
 base literals over a non-prime base), combinations of ``b0..b{d-1}`` for
@@ -65,6 +71,9 @@ def _prime_power(q: int):
             return (p, k) if m == 1 else None
         p += 1
     return (q, 1)
+
+
+MAX_QUOTIENT_DEPTH = 64
 
 
 class _Cursor:
@@ -140,9 +149,16 @@ def _parse_product(cur: _Cursor) -> RingSpec:
 
 def _parse_atom(cur: _Cursor) -> RingSpec:
     spec = _parse_base(cur)
+    depth = int(isinstance(spec, PolyQuotient))
     while True:
         save = cur.pos
         if cur.eat("["):
+            depth += 1
+            if depth > MAX_QUOTIENT_DEPTH:
+                cur.pos = save
+                raise cur.error(
+                    f"quotient tower deeper than {MAX_QUOTIENT_DEPTH} levels"
+                )
             cur.expect("x")
             cur.expect("]")
             cur.expect("/")
@@ -475,6 +491,7 @@ def parse_presentation(ring: Ring, text: str):
 
 __all__ = [
     "GF_MODULI",
+    "MAX_QUOTIENT_DEPTH",
     "format_element",
     "parse_element",
     "parse_presentation",

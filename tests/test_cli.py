@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import finring
 from finring.cli import main
 from finring.classify import SQUARE_ZERO_PAIR
 
@@ -149,10 +151,14 @@ def test_verify_paper_json(capsys):
 
 
 def test_console_entry_point_subprocess():
+    # the child imports the same finring as this test, installed or not
+    src = os.path.dirname(os.path.dirname(finring.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "finring", "classify", "Z/4", "--json"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["sg_semisimple"] is True
@@ -196,3 +202,39 @@ def test_module_sgp_builds_the_periodic_resolution_once(capsys, monkeypatch, jso
     )
     assert code == 0
     assert len(calls) == 1
+
+
+def _tower(depth):
+    return "Z/2" + "[x]/(x+1)" * depth
+
+
+@pytest.mark.parametrize("depth", [1500, 10000])
+def test_deep_quotient_tower_is_a_parse_error(capsys, depth):
+    code, out, err = run_cli(capsys, "classify", _tower(depth))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: quotient tower deeper than 64 levels")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_twenty_level_quotient_tower_still_builds(capsys):
+    code, out, _ = run_cli(capsys, "classify", _tower(20), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["order"] == 2
+    assert payload["semisimple"] is True
+
+
+def test_consistency_error_is_one_internal_error_line(capsys, monkeypatch):
+    import finring.cli as cli
+    from finring.errors import ConsistencyError
+
+    def broken(_args):
+        raise ConsistencyError("coset count times span size misses |R|^k")
+
+    monkeypatch.setattr(cli, "_run_classify", broken)
+    code, out, err = run_cli(capsys, "classify", "Z/4")
+    assert code == 1
+    assert out == ""
+    assert err == "internal error: coset count times span size misses |R|^k\n"

@@ -1,9 +1,11 @@
 """Byte-identity of the JSON reports.
 
 Each digest is the sha256 of the ``--json`` output of one command, recorded
-before the module layer moved to mixed-radix element codes.  A change that
-alters any of these bytes changes a witness, an ordering or a number in the
-report, which the canonical-order contract forbids.
+with the scalar code before a refactor of the module layer: the first four
+before the move to mixed-radix element codes, the last two before
+submodules and homs moved to position arrays.  A change that alters any of
+these bytes changes a witness, an ordering or a number in the report, which
+the canonical-order contract forbids.
 """
 
 import hashlib
@@ -28,6 +30,14 @@ GOLDEN = [
     (
         ["resolve", "--ring", "GF(2)[x]/(x^4)", "--rel", "x,0;0,x^3"],
         "ed526f1a9f589af3e4383763b48d310d42de8914da035e46236541a77820ca28",
+    ),
+    (
+        ["module", "sgp", "--ring", "GF(2)[x]/(x^4)", "--rel", "x,0;0,x^3"],
+        "5e14f876644959450c8fe3e2191700421e51ad1bdc51908e2e61cc90c566b2f5",
+    ),
+    (
+        ["module", "sgp", "--ring", "Z/4", "--rel", "2,2,2;2,0,2;0,2,2"],
+        "c5cece21e4990b2b8acf597931268c0d23a29295dd12268e2106253441d1266c",
     ),
 ]
 

@@ -1,4 +1,5 @@
 import copy
+import itertools
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from finring.errors import (
     PreconditionError,
     RingMismatchError,
 )
+from finring import modules
 from finring.guards import Guards
 from finring.ideals import ideal_generated, idempotent_decomposition
 from finring.modules import (
@@ -31,6 +33,7 @@ from finring.modules import (
     image,
     is_isomorphic,
     is_projective,
+    iter_homs,
     _verify_decomposition,
     kernel,
     minimal_generators,
@@ -355,3 +358,113 @@ def test_module_arithmetic_matches_brute_force(pres, data):
     if ring.order**k <= 64:
         reps = {least(raw) for raw in np.ndindex(*(ring.order,) * k)}
         assert m.elements == sorted(reps)
+
+
+# -- brute-force references for submodules, kernels, images and hom sets -----
+#
+# These are the scalar loops the array code replaced: greedy generators over
+# Python sets, the relation search over every coefficient tuple, and the hom
+# filter over every tuple of images.
+
+
+def _ref_greedy(add, scal, order, zero, subset):
+    """Least-first generators of a submodule given as an ascending element list."""
+    target = set(subset)
+    span = {zero}
+    gens = []
+    for el in subset:
+        if len(span) == len(target):
+            break
+        if el in span:
+            continue
+        gens.append(el)
+        multiples = {scal(r, el) for r in range(order)}
+        span = {add(a, b) for a in span for b in multiples}
+    assert span == target
+    return gens
+
+
+def _ref_combination(m, coeffs, images):
+    acc = m.zero
+    for coeff, im in zip(coeffs, images):
+        acc = m.add(acc, m.scal(coeff, im))
+    return acc
+
+
+def _ref_submodule(ambient, subset):
+    """(generators, relation columns, cardinality) of the presented submodule."""
+    ring = ambient.ring
+    subset = sorted(set(subset), key=ambient.index.__getitem__)
+    gens = _ref_greedy(ambient.add, ambient.scal, ring.order, ambient.zero, subset)
+    relations = [
+        a
+        for a in itertools.product(range(ring.order), repeat=len(gens))
+        if _ref_combination(ambient, a, gens) == ambient.zero
+    ]
+    addl, mull, _ = ring.tables_list()
+    rel_gens = _ref_greedy(
+        lambda u, v: tuple(addl[s][t] for s, t in zip(u, v)),
+        lambda r, u: tuple(mull[r][c] for c in u),
+        ring.order,
+        (ring.index[ring.zero],) * len(gens),
+        sorted(relations),
+    )
+    cols = tuple(tuple(ring.elements[i] for i in col) for col in rel_gens)
+    return gens, cols, len(subset)
+
+
+def _ref_homs(m1, m2):
+    return [
+        images
+        for images in itertools.product(m2.elements, repeat=m1.k)
+        if all(
+            _ref_combination(m2, col, images) == m2.zero for col in m1.relation_columns
+        )
+    ]
+
+
+@st.composite
+def _hom_pairs(draw):
+    ring = _PROPERTY_RINGS[draw(st.sampled_from(sorted(_PROPERTY_RINGS)))]
+    entry = st.integers(0, ring.order - 1)
+
+    def module():
+        k = draw(st.integers(0, 2))
+        cols = draw(st.lists(st.tuples(*[entry] * k), max_size=3))
+        values = tuple(tuple(ring.elements[i] for i in c) for c in cols)
+        return Module(Presentation(ring, k, values))
+
+    return module(), module()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_hom_pairs(), st.sampled_from([None, 7]), st.data())
+def test_submodules_and_homs_match_brute_force(pair, chunk, data):
+    m1, m2 = pair
+    saved = modules._CHUNK
+    # a tiny chunk runs every chunked loop over many small pieces
+    modules._CHUNK = chunk or saved
+    try:
+        homs = list(iter_homs(m1, m2))
+        assert [h.images for h in homs] == _ref_homs(m1, m2)
+        h = data.draw(st.sampled_from(homs))  # never empty: the zero hom
+        values = [_ref_combination(m2, el, h.images) for el in m1.elements]
+        assert [h.apply(el) for el in m1.elements] == values
+        kernel_subset = [el for el, v in zip(m1.elements, values) if v == m2.zero]
+        for (mod, emb), ambient, subset in (
+            (kernel(h), m1, kernel_subset),
+            (image(h), m2, values),
+            (submodule(m2, values), m2, values),
+        ):
+            gens, cols, size = _ref_submodule(ambient, subset)
+            assert list(emb.images) == gens
+            assert mod.presentation.relations == cols
+            assert mod.cardinality == size
+        coker, _ = cokernel(h)
+        img = sorted(set(values), key=m2.index.__getitem__)
+        extra = _ref_greedy(m2.add, m2.scal, m2.ring.order, m2.zero, img)
+        assert coker.presentation.relations == tuple(m2.presentation.relations) + tuple(
+            tuple(m2.ring.elements[i] for i in g) for g in extra
+        )
+    finally:
+        modules._CHUNK = saved
