@@ -88,7 +88,6 @@ from .rings import (
     RingSpec,
     StructureConstants,
     Zmod,
-    arithmetic,
     build_ring,
     spec_text,
     unit_or_zero_divisor,

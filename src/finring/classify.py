@@ -120,8 +120,9 @@ def _residue_sgp_decision(factor: Ring) -> bool:
 
 def classify(ring: Ring) -> ClassificationReport:
     """Full report with certificates, implication-chain and route checks."""
-    dec = idempotent_decomposition(ring)
+    # first, so the lattice guard is checked before any operation table is built
     ss, ss_cert = is_semisimple(ring)
+    dec = idempotent_decomposition(ring)
     qf, qf_cert = is_quasi_frobenius(ring)
     sg, sg_cert = is_sg_semisimple(ring)
     if (ss and not sg) or (sg and not qf):
@@ -246,9 +247,3 @@ def catalog_rings(name: str = "default", guards: Guards | None = None):
     guards = guards or DEFAULT_GUARDS
     for label, text in catalog_specs(name):
         yield label, build_ring(parse_ring_spec(text), guards)
-
-
-def local_catalog_rings(name: str = "default", guards: Guards | None = None):
-    for label, ring in catalog_rings(name, guards):
-        if is_local(ring):
-            yield label, ring

@@ -6,10 +6,20 @@ class FinringError(Exception):
 
 
 class ParseError(FinringError):
-    """Malformed ring-spec, element literal, or presentation text."""
+    """Malformed ring-spec, element literal, or presentation text.
+
+    The message quotes the text, or an excerpt of at most ``EXCERPT``
+    characters around the position when the text is longer.
+    """
+
+    EXCERPT = 80
 
     def __init__(self, message, text, position):
-        super().__init__(f"{message} (at position {position} in {text!r})")
+        lo = max(0, min(position - self.EXCERPT // 2, len(text) - self.EXCERPT))
+        hi = lo + self.EXCERPT
+        quoted = repr(text[lo:hi])
+        quoted = ("..." if lo else "") + quoted + ("..." if hi < len(text) else "")
+        super().__init__(f"{message} (at position {position} in {quoted})")
         self.text = text
         self.position = position
 

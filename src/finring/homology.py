@@ -22,9 +22,10 @@ per-factor verdicts instead.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from math import prod
+
+import numpy as np
 
 from .errors import (
     ConsistencyError,
@@ -33,10 +34,11 @@ from .errors import (
     RingMismatchError,
     ValidationError,
 )
-from .ideals import idempotent_decomposition, is_local, wrap_ideal
+from .ideals import ideal_generated, idempotent_decomposition, is_local, wrap_ideal
 from .modules import (
     Module,
     ModuleHom,
+    _relation_values,
     compose,
     cokernel,
     decompose_over_product,
@@ -151,8 +153,12 @@ class ExtGroup:
 def ext1(m: Module, q: Module) -> ExtGroup:
     """Ext^1(m, q) = ker Hom(d2, q) / im Hom(d1, q), computed by enumeration.
 
-    Over a product ring both modules are decomposed and the component Ext
-    groups are combined (Ext is additive over finite ring products).
+    Hom(F_i, q) is q^{g_i}, numbered by mixed-radix codes, and Hom(d, q)
+    evaluates the columns of d on every tuple (``_relation_values``): the
+    image of Hom(d1, q) and the kernel of Hom(d2, q) are boolean masks over
+    the codes of q^{g1}.  Over a product ring both modules are decomposed
+    and the component Ext groups are combined (Ext is additive over finite
+    ring products).
     """
     if m.ring is not q.ring:
         raise RingMismatchError("ext needs modules over the same ring")
@@ -162,18 +168,11 @@ def ext1(m: Module, q: Module) -> ExtGroup:
         mcomps = decompose_over_product(m, dec)
         qcomps = decompose_over_product(q, dec)
         parts = [ext1(mc, qc) for mc, qc in zip(mcomps, qcomps)]
-        ann_values = set()
-        for combo in itertools.product(
-            *(p.annihilator.sorted_elements() for p in parts)
-        ):
-            acc = ring.zero
-            for v in combo:
-                acc = ring.add(acc, v)
-            ann_values.add(acc)
-        ann = wrap_ideal(ring, {ring.index[v] for v in ann_values})
+        # the factor annihilators are ideals of the parent ring; Ext's is their sum
+        gens = [g for p in parts for g in p.annihilator.generators]
         return ExtGroup(
             prod(p.order for p in parts),
-            ann,
+            wrap_ideal(ring, ideal_generated(ring, gens).indices),
             prod(p.kernel_order for p in parts),
             prod(p.image_order for p in parts),
         )
@@ -185,45 +184,31 @@ def ext1(m: Module, q: Module) -> ExtGroup:
         q.cardinality**g1 > guards.max_hom_candidates
     ):
         raise GuardExceeded("ext enumeration exceeds the hom guard")
-    zero_idx = ring.index[ring.zero]
-
-    def transpose_apply(columns, w):
-        out = []
-        for col in columns:
-            acc = q.zero
-            for coeff, wi in zip(col, w):
-                if coeff != zero_idx:
-                    acc = q.add(acc, q.scal(coeff, wi))
-            out.append(acc)
-        return tuple(out)
-
-    cols1 = d1.images  # g1 columns over F0
-    cols2 = d2.images  # g2 columns over F1
-    image_set = {
-        transpose_apply(cols1, w)
-        for w in itertools.product(q.elements, repeat=g0)
-    }
-    zero_vec = (q.zero,) * len(cols2)
-    kernel_list = [
-        v
-        for v in itertools.product(q.elements, repeat=g1)
-        if transpose_apply(cols2, v) == zero_vec
-    ]
-    kernel_set = set(kernel_list)
-    if not image_set <= kernel_set:
+    strides = q.cardinality ** np.arange(g1 - 1, -1, -1)
+    in_image = np.zeros(q.cardinality**g1, dtype=bool)
+    for values in _relation_values(q, d1.images, g0):
+        in_image[values @ strides] = True
+    in_kernel = np.concatenate(
+        [(v == q._zero_pos).all(axis=1) for v in _relation_values(q, d2.images, g1)]
+    )
+    if (in_image > in_kernel).any():
         raise ConsistencyError("Hom-dual image is not inside the Hom-dual kernel")
-    if len(kernel_list) % len(image_set):
+    kernel_order, image_order = int(in_kernel.sum()), int(in_image.sum())
+    if kernel_order % image_order:
         raise ConsistencyError("Ext quotient size is not integral")
+    # r kills Ext iff r * v lies in the image for every v in the kernel
+    scaled = q._locate(q._tables[1][:, q._digits])  # [r, x]: position of r * x
+    kernel_tuples = in_kernel.nonzero()[0][:, None] // strides % q.cardinality
     ann_indices = [
         r
         for r in range(ring.order)
-        if all(tuple(q.scal(r, vc) for vc in v) in image_set for v in kernel_list)
+        if in_image[scaled[r, kernel_tuples] @ strides].all()
     ]
     return ExtGroup(
-        len(kernel_list) // len(image_set),
+        kernel_order // image_order,
         wrap_ideal(ring, ann_indices),
-        len(kernel_list),
-        len(image_set),
+        kernel_order,
+        image_order,
     )
 
 

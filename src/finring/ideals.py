@@ -286,20 +286,6 @@ class IdempotentDecomposition:
     def is_trivial(self) -> bool:
         return len(self.idempotents) == 1
 
-    def project(self, i: int, x):
-        """Component of x in the i-th factor: e_i * x."""
-        return self.ring.mul(self.idempotents[i], x)
-
-    def components(self, x) -> tuple:
-        return tuple(self.project(i, x) for i in range(len(self.idempotents)))
-
-    def combine(self, comps) -> object:
-        """Inverse of ``components``: sum the factor elements inside the parent."""
-        acc = self.ring.zero
-        for c in comps:
-            acc = self.ring.add(acc, c)
-        return acc
-
 
 def idempotent_decomposition(ring: Ring) -> IdempotentDecomposition:
     """Split the ring into local factors along its primitive idempotents."""

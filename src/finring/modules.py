@@ -16,9 +16,10 @@ Everything above the element level works on these positions as well.  A
 submodule is a boolean mask over positions, grown by one greedy span
 primitive (``_greedy_span``); a hom carries the target position of every
 source element (``ModuleHom.table``); and the exhaustive searches -- the
-relations among a submodule's generators, the relation test of every
-candidate hom -- evaluate all their linear combinations at once as a
-broadcast outer sum through the ring tables (``_outer_sums``).
+relations among a submodule's generators, and, through the one relation
+evaluator ``_relation_values``, the relation test of every candidate hom and
+the Hom(F, Q) maps of ``ext1`` -- evaluate all their linear combinations at
+once as a broadcast outer sum through the ring tables (``_outer_sums``).
 
 Everything here is immutable after construction and deterministic: greedy
 generator searches pick the least candidate in canonical order, hom sets are
@@ -456,13 +457,33 @@ def zero_hom(m1: Module, m2: Module) -> ModuleHom:
     return ModuleHom(m1, m2, (m2.zero,) * m1.k)
 
 
+def _relation_values(target: Module, columns, k: int):
+    """Target positions of sum_j c_j * t_j for every column c (k entries,
+    ring indices) and every k-tuple t of target elements.
+
+    Tuples run in mixed-radix order |target| (t_0 most significant), a chunk
+    at a time: each array yielded has one row per tuple and one entry per
+    column.  The sum is an outer sum over j of the scaled target elements
+    c_j * t.
+    """
+    add, mul, _ = target._tables
+    cols = np.array(columns, dtype=np.intp).reshape(len(columns), k)
+    # terms[j][t, c] = raw row of cols[c, j] * (element t of target)
+    terms = [
+        mul[cols[:, j, None, None], target._digits[None]].swapaxes(0, 1)
+        for j in range(k)
+    ]
+    zero = np.full((len(cols), target.k), target.ring.index[target.ring.zero])
+    for rows in _outer_sums(add, terms, zero):
+        yield target._locate(rows)
+
+
 def iter_homs(m1: Module, m2: Module):
     """All homs m1 -> m2 in lexicographic generator-image order.
 
-    Candidates are tuples of m2 elements, numbered in mixed radix |m2|.  The
-    relations are tested a chunk of candidates at a time: for relation
-    column c, sum_j c_j * t_j is an outer sum over the generators of the
-    scaled target elements c_j * t.  Homs are built and yielded lazily, so a
+    Candidates are tuples of m2 elements, numbered in mixed radix |m2|; a
+    candidate is a hom when every relation column of m1 evaluates to zero
+    on it (``_relation_values``).  Homs are built and yielded lazily, so a
     caller that stops early scans the same prefix of candidates.
     """
     if m1.ring is not m2.ring:
@@ -478,22 +499,13 @@ def iter_homs(m1: Module, m2: Module):
         for images in itertools.product(m2.elements, repeat=m1.k):
             yield ModuleHom(m1, m2, images)
         return
-    add, mul, _ = m2._tables
-    cols = np.array(m1.relation_columns)
-    # terms[j][t, c] = raw row of cols[c, j] * (element t of m2)
-    terms = [
-        mul[cols[:, j, None, None], m2._digits[None]].swapaxes(0, 1)
-        for j in range(m1.k)
-    ]
-    zero = np.full((len(cols), m2.k), m1.ring.index[m1.ring.zero])
     strides = m2.cardinality ** np.arange(m1.k - 1, -1, -1)
     lo = 0
-    for rows in _outer_sums(add, terms, zero):
-        ok = (m2._locate(rows) == m2._zero_pos).all(axis=1)
-        accepted = lo + ok.nonzero()[0]
+    for values in _relation_values(m2, m1.relation_columns, m1.k):
+        accepted = lo + (values == m2._zero_pos).all(axis=1).nonzero()[0]
         for pos in (accepted[:, None] // strides % m2.cardinality).tolist():
             yield ModuleHom(m1, m2, tuple(m2.elements[p] for p in pos))
-        lo += len(rows)
+        lo += len(values)
 
 
 def hom_set(m1: Module, m2: Module) -> list:

@@ -211,9 +211,6 @@ class Ring:
     def order(self) -> int:
         return len(self.elements)
 
-    def contains(self, value) -> bool:
-        return value in self.index
-
     def describe(self) -> str:
         if self.spec is not None:
             return spec_text(self.spec)
@@ -570,17 +567,6 @@ def verify_ring_axioms(ring: Ring) -> None:
 # element-level queries
 
 
-def arithmetic(ring: Ring, op: str, x, y=None):
-    """Dispatch helper for the three ambient operations."""
-    if op == "add":
-        return ring.add(x, y)
-    if op == "mul":
-        return ring.mul(x, y)
-    if op == "neg":
-        return ring.neg(x)
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def unit_or_zero_divisor(ring: Ring, x) -> str:
     """Classify x as ``"unit"``, ``"zero_divisor"`` or ``"zero"``.
 
@@ -590,10 +576,7 @@ def unit_or_zero_divisor(ring: Ring, x) -> str:
     """
     if x == ring.zero:
         return "zero"
-    for y in ring.elements:
-        if ring.mul(x, y) == ring.one:
-            return "unit"
-    return "zero_divisor"
+    return "unit" if units_mask(ring)[ring.index[x]] else "zero_divisor"
 
 
 def units_mask(ring: Ring) -> np.ndarray:

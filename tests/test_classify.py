@@ -11,6 +11,7 @@ from finring.classify import (
     is_sg_semisimple,
     residue_field_sgp,
 )
+from finring.errors import GuardExceeded
 from finring.ideals import annihilator, enumerate_ideals, is_local
 from finring.parsing import parse_ring_spec
 from finring.rings import build_ring, spec_order
@@ -155,3 +156,10 @@ def test_residue_memo_tells_rings_with_equal_mul_tables_apart():
     finally:
         memo.clear()
         memo.update(saved)
+
+
+def test_classify_checks_the_lattice_guard_before_building_tables():
+    ring = _ring("GF(2)[x]/(x^11)")  # order 2048 > max_lattice_order 1024
+    with pytest.raises(GuardExceeded, match="lattice guard"):
+        classify(ring)
+    assert ring._tables is None

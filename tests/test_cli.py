@@ -215,6 +215,7 @@ def test_deep_quotient_tower_is_a_parse_error(capsys, depth):
     assert out == ""
     assert err.startswith("parse error: quotient tower deeper than 64 levels")
     assert err.count("\n") == 1
+    assert len(err) < 200  # an excerpt of the spec, not all of it
     assert "Traceback" not in err
 
 

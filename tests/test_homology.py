@@ -1,5 +1,11 @@
-import pytest
+import itertools
+from math import prod
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from finring import modules
 from finring.classify import SQUARE_ZERO_PAIR
 from finring.errors import NonLocalRingError, ValidationError
 from finring.homology import (
@@ -14,10 +20,16 @@ from finring.homology import (
     is_strongly_gorenstein_projective,
     strongly_complete_resolution,
 )
-from finring.ideals import ideal_generated, unique_maximal_ideal
+from finring.ideals import (
+    ideal_generated,
+    idempotent_decomposition,
+    unique_maximal_ideal,
+)
 from finring.modules import (
     Module,
     ModuleHom,
+    Presentation,
+    decompose_over_product,
     direct_sum,
     free_module,
     ideal_as_module,
@@ -268,3 +280,106 @@ def test_periodic_map_over_z8_witness():
     report = check_complete_resolution(res)
     assert report.passed
     assert report.image_order == 8 and report.kernel_order == 8
+
+
+# -- the scalar Ext^1 loops the array code replaced, kept as the reference ----
+
+
+def _ref_ext1(m, q):
+    """(order, kernel order, image order, annihilator values) of Ext^1(m, q)."""
+    ring = m.ring
+    dec = idempotent_decomposition(ring)
+    if not dec.is_trivial:
+        parts = [
+            _ref_ext1(mc, qc)
+            for mc, qc in zip(
+                decompose_over_product(m, dec), decompose_over_product(q, dec)
+            )
+        ]
+        ann = set()
+        for combo in itertools.product(*(p[3] for p in parts)):
+            acc = ring.zero
+            for v in combo:
+                acc = ring.add(acc, v)
+            ann.add(acc)
+        return (*(prod(p[i] for p in parts) for i in range(3)), ann)
+    res = free_resolution(m, 3)
+    d1, d2 = res.differentials
+    g0, g1, _ = res.ranks
+
+    def transpose_apply(columns, w):
+        out = []
+        for col in columns:
+            acc = q.zero
+            for coeff, wi in zip(col, w):
+                acc = q.add(acc, q.scal(coeff, wi))
+            out.append(acc)
+        return tuple(out)
+
+    image_set = {
+        transpose_apply(d1.images, w) for w in itertools.product(q.elements, repeat=g0)
+    }
+    zero_vec = (q.zero,) * len(d2.images)
+    kernel_list = [
+        v
+        for v in itertools.product(q.elements, repeat=g1)
+        if transpose_apply(d2.images, v) == zero_vec
+    ]
+    assert image_set <= set(kernel_list)
+    ann = {
+        ring.elements[r]
+        for r in range(ring.order)
+        if all(tuple(q.scal(r, vc) for vc in v) in image_set for v in kernel_list)
+    }
+    return len(kernel_list) // len(image_set), len(kernel_list), len(image_set), ann
+
+
+_EXT_RINGS = {
+    text: _ring(text)
+    for text in (
+        "Z/4",
+        "Z/8",
+        "Z/9",
+        "GF(2)[x]/(x^2)",
+        SQUARE_ZERO_PAIR,  # nonzero Ext
+        f"Z/2 x {SQUARE_ZERO_PAIR}",
+    )
+}
+
+
+@st.composite
+def _ext_presentations(draw):
+    text = draw(st.sampled_from(sorted(_EXT_RINGS)))
+    order = _EXT_RINGS[text].order
+    k = draw(st.integers(0, 2 if order < 16 else 1))
+    cols = draw(st.lists(st.tuples(*[st.integers(0, order - 1)] * k), max_size=2))
+    return text, k, cols
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@settings(max_examples=40, deadline=None)
+@given(_ext_presentations())
+@example(("Z/8", 2, []))  # free: g1 = 0
+@example(("Z/8", 0, []))  # zero module: g0 = 0
+@example(("Z/8", 2, [(2, 0), (0, 4)]))  # Z/2 + Z/4: F1 -> F0 not symmetric
+@example((f"Z/2 x {SQUARE_ZERO_PAIR}", 1, [(1,), (2,)]))  # Ext nonzero on a factor
+def test_ext1_matches_scalar_loops(chunk, pres):
+    text, k, cols = pres
+    ring = _EXT_RINGS[text]
+    values = tuple(tuple(ring.elements[i] for i in c) for c in cols)
+    m = Module(Presentation(ring, k, values))
+    q = regular_module(ring)
+    saved = modules._CHUNK
+    # a tiny chunk runs every chunked loop over many small pieces
+    modules._CHUNK = chunk or saved
+    try:
+        ext = ext1(m, q)
+    finally:
+        modules._CHUNK = saved
+    order, kernel_order, image_order, ann = _ref_ext1(m, q)
+    assert (ext.order, ext.kernel_order, ext.image_order) == (
+        order,
+        kernel_order,
+        image_order,
+    )
+    assert ext.annihilator.indices == tuple(sorted(ring.index[v] for v in ann))

@@ -13,6 +13,7 @@ from finring.errors import (
     NonLocalRingError,
     PreconditionError,
     RingMismatchError,
+    ValidationError,
 )
 from finring import modules
 from finring.guards import Guards
@@ -265,6 +266,14 @@ def test_module_guard():
     ring = build_ring(Zmod(8), guards)
     with pytest.raises(GuardExceeded):
         free_module(ring, 2)
+
+
+def test_hom_rejects_images_that_break_a_relation():
+    z4 = _ring("Z/4")
+    # g0 -> 1 in Z/4 would need 2 * 1 = 0
+    with pytest.raises(ValidationError, match="do not satisfy the source relations"):
+        ModuleHom(_mod(z4, "2"), regular_module(z4), ((1,),))
+    assert ModuleHom(_mod(z4, "2"), regular_module(z4), ((2,),)).images == ((2,),)
 
 
 def test_compose_and_identity():
