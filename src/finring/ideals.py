@@ -57,12 +57,6 @@ class Ideal:
     def is_proper(self) -> bool:
         return self.order < self.ring.order
 
-    def contains(self, value) -> bool:
-        return self.ring.index[value] in set(self.indices)
-
-    def __contains__(self, value) -> bool:
-        return self.contains(value)
-
     def __repr__(self):
         gens = ", ".join(repr(g) for g in self.generators)
         return f"<ideal ({gens}) of order {self.order}>"
@@ -230,44 +224,41 @@ class IdempotentFactorRing(Ring):
     """The factor eR of a ring at an idempotent e, with unit e.
 
     The carrier is a subset of the parent's elements; the embedding back
-    into the parent is the identity on values.
+    into the parent is the identity on values.  A position is an index into
+    the sorted parent positions of the carrier, and the arithmetic is the
+    parent's.
     """
 
     def __init__(self, parent: Ring, e):
         super().__init__(parent.guards)
         self.parent = parent
         self.idempotent = e
-        members = sorted(
-            {parent.mul(e, x) for x in parent.elements}, key=parent.index.__getitem__
-        )
-        self.elements = members
-        self.index = {x: i for i, x in enumerate(members)}
+        sub = np.unique(parent._mul(parent.index[e], np.arange(parent.order)))
+        self._sub = sub
+        self._pos = np.full(parent.order, -1, dtype=np.int64)
+        self._pos[sub] = np.arange(len(sub))
+        self.elements = [parent.elements[p] for p in sub.tolist()]
+        self.index = {x: i for i, x in enumerate(self.elements)}
         self.zero = parent.zero
         self.one = e
-
-    def add(self, x, y):
-        return self.parent.add(x, y)
-
-    def mul(self, x, y):
-        return self.parent.mul(x, y)
-
-    def neg(self, x):
-        return self.parent.neg(x)
 
     def _describe(self):
         return f"factor of {self.parent.describe()} at idempotent {self.idempotent!r}"
 
-    def _build_tables(self):
-        p_add, p_mul, p_neg = self.parent.tables()
-        sub = np.array([self.parent.index[x] for x in self.elements], dtype=np.int64)
-        pos = np.full(self.parent.order, -1, dtype=np.int32)
-        pos[sub] = np.arange(len(sub), dtype=np.int32)
-        add = pos[p_add[np.ix_(sub, sub)]]
-        mul = pos[p_mul[np.ix_(sub, sub)]]
-        neg = pos[p_neg[sub]]
-        if (add < 0).any() or (mul < 0).any() or (neg < 0).any():
+    def _back(self, parent_positions):
+        pos = self._pos[parent_positions]
+        if np.any(pos < 0):
             raise ConsistencyError("factor ring carrier is not closed under operations")
-        return add, mul, neg
+        return pos
+
+    def _add(self, i, j):
+        return self._back(self.parent._add(self._sub[i], self._sub[j]))
+
+    def _mul(self, i, j):
+        return self._back(self.parent._mul(self._sub[i], self._sub[j]))
+
+    def _neg(self, i):
+        return self._back(self.parent._neg(self._sub[i]))
 
 
 @dataclass(frozen=True)
@@ -292,17 +283,14 @@ def idempotent_decomposition(ring: Ring) -> IdempotentDecomposition:
     if "idempotent_decomposition" in ring._cache:
         return ring._cache["idempotent_decomposition"]
     _, mul_np, _ = ring.tables()
-    mull = ring.tables_list()[1]
     n = ring.order
     zero = ring.index[ring.zero]
-    diag = mul_np[np.arange(n), np.arange(n)]
-    idems = [i for i in range(n) if diag[i] == i]
-    nonzero = [i for i in idems if i != zero]
-    atoms = [
-        e
-        for e in nonzero
-        if not any(f != e and mull[f][e] == f for f in nonzero)
-    ]
+    ar = np.arange(n)
+    nonzero = ar[(mul_np[ar, ar] == ar) & (ar != zero)]
+    # f lies below e when f*e == f; the atoms are the minimal nonzero idempotents
+    below = mul_np[np.ix_(nonzero, nonzero)] == nonzero[:, None]
+    np.fill_diagonal(below, False)
+    atoms = nonzero[~below.any(axis=0)].tolist()
     els = ring.elements
     # laws: pairwise orthogonal, summing to 1
     total = ring.zero
@@ -312,9 +300,12 @@ def idempotent_decomposition(ring: Ring) -> IdempotentDecomposition:
         raise ConsistencyError("primitive idempotents do not sum to 1")
     for a in range(len(atoms)):
         for b in range(a + 1, len(atoms)):
-            if mull[atoms[a]][atoms[b]] != zero:
+            if mul_np[atoms[a], atoms[b]] != zero:
                 raise ConsistencyError("primitive idempotents are not orthogonal")
-    factors = tuple(IdempotentFactorRing(ring, els[e]) for e in atoms)
+    if len(atoms) == 1:
+        factors = (ring,)  # a local ring is its own factor, lattice and all
+    else:
+        factors = tuple(IdempotentFactorRing(ring, els[e]) for e in atoms)
     if prod(f.order for f in factors) != n:
         raise ConsistencyError("factor cardinalities do not multiply to the ring order")
     for f in factors:

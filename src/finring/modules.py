@@ -241,7 +241,7 @@ class Module:
         self.presentation = presentation
         self.k = k
         self._n = n
-        self._addl, self._mull, self._negl = ring.tables_list()
+        self._addl, self._mull, _ = ring.tables_list()
         self.relation_columns = [
             tuple(ring.index[v] for v in col) for col in presentation.relations
         ]
@@ -296,13 +296,6 @@ class Module:
         code = 0
         for x, y in zip(a, b):
             code = code * n + addl[x][y]
-        return self.elements[self._rep[code]]
-
-    def neg(self, a):
-        negl, n = self._negl, self._n
-        code = 0
-        for x in a:
-            code = code * n + negl[x]
         return self.elements[self._rep[code]]
 
     def scal(self, r_idx: int, a):

@@ -19,6 +19,14 @@ vectors and tuples lexicographic).  All "first found" choices elsewhere in
 the package -- generators, witnesses, certificates -- are taken in this
 order, which makes every output of the library deterministic.
 
+An element's position is its index in that order, and it is a mixed-radix
+number with the first coordinate most significant: base-ring digits for a
+quotient, residues mod n for structure constants, factor positions for a
+product.  Each ring class defines its arithmetic exactly once, as ``_add``,
+``_mul`` and ``_neg`` on positions, which may be Python ints or whole numpy
+arrays at once.  Value-level arithmetic, the operation tables and the
+axiom check are all derived from those three in :class:`Ring`.
+
 Ring values are immutable after construction and operations are pure, so
 rings can be shared freely across threads.
 """
@@ -186,14 +194,20 @@ def spec_text(spec: RingSpec) -> str:
 # ---------------------------------------------------------------------------
 # realized rings
 
+# entries per block of the table builder's temporaries
+_CHUNK = 1 << 16
+
 
 class Ring:
     """A realized finite commutative ring.
 
     Subclasses fill in ``elements`` (canonically sorted values), ``index``
-    (value -> position), ``zero``, ``one`` and the structural operations
-    ``add``, ``mul``, ``neg`` on values.  The base class provides cached
-    index-level operation tables used by the exhaustive searches.
+    (value -> position), ``zero`` and ``one``, and define the arithmetic
+    once, as ``_add``, ``_mul`` and ``_neg`` on element positions.  Those
+    take Python ints or numpy integer arrays that broadcast together, and
+    position 0 is always zero.  The base class derives the rest: the
+    value-level ``add``, ``mul``, ``neg`` and the cached index-level
+    operation tables used by the exhaustive searches.
     """
 
     spec: RingSpec | None = None
@@ -225,13 +239,13 @@ class Ring:
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, x, y):
-        raise NotImplementedError
+        return self.elements[self._add(self.index[x], self.index[y])]
 
     def mul(self, x, y):
-        raise NotImplementedError
+        return self.elements[self._mul(self.index[x], self.index[y])]
 
     def neg(self, x):
-        raise NotImplementedError
+        return self.elements[self._neg(self.index[x])]
 
     def sub(self, x, y):
         return self.add(x, self.neg(y))
@@ -273,20 +287,22 @@ class Ring:
         return self._tables_list
 
     def _build_tables(self):
+        # the position ops over the whole grid, a block of rows at a time
         n = self.order
-        idx = self.index
-        els = self.elements
+        ar = np.arange(n, dtype=np.int64)
         add = np.empty((n, n), dtype=np.int32)
         mul = np.empty((n, n), dtype=np.int32)
-        for i, x in enumerate(els):
-            for j, y in enumerate(els):
-                add[i, j] = idx[self.add(x, y)]
-                mul[i, j] = idx[self.mul(x, y)]
-        neg = np.array([idx[self.neg(x)] for x in els], dtype=np.int32)
-        return add, mul, neg
+        step = max(1, _CHUNK // n)
+        for s in range(0, n, step):
+            rows = ar[s : s + step, None]
+            add[s : s + step] = self._add(rows, ar)
+            mul[s : s + step] = self._mul(rows, ar)
+        return add, mul, self._neg(ar).astype(np.int32)
 
 
 class ZmodRing(Ring):
+    """Positions are the residues themselves."""
+
     def __init__(self, spec: Zmod, guards: Guards):
         super().__init__(guards)
         self.spec = spec
@@ -296,25 +312,44 @@ class ZmodRing(Ring):
         self.zero = 0
         self.one = 1 % self.n
 
-    def add(self, x, y):
-        return (x + y) % self.n
+    def _add(self, i, j):
+        return (i + j) % self.n
 
-    def mul(self, x, y):
-        return (x * y) % self.n
+    def _mul(self, i, j):
+        return (i * j) % self.n
 
-    def neg(self, x):
-        return (-x) % self.n
-
-    def _build_tables(self):
-        r = np.arange(self.n, dtype=np.int32)
-        add = (r[:, None] + r[None, :]) % self.n
-        mul = (r[:, None].astype(np.int64) * r[None, :]) % self.n
-        neg = (-r) % self.n
-        return add.astype(np.int32), mul.astype(np.int32), neg.astype(np.int32)
+    def _neg(self, i):
+        return -i % self.n
 
 
-class PolyQuotientRing(Ring):
-    """base[x]/(f) with f monic: elements are coefficient tuples of length deg f."""
+class _DigitRing(Ring):
+    """Positions are digit strings, one position of ``_parts[t]`` per digit t,
+    the first digit most significant; addition and negation act digitwise."""
+
+    def _split(self, p):
+        digits = []
+        for part in reversed(self._parts):
+            p, digit = divmod(p, part.order)
+            digits.append(digit)
+        return digits[::-1]
+
+    def _join(self, digits):
+        p = 0
+        for part, digit in zip(self._parts, digits):
+            p = p * part.order + digit
+        return p
+
+    def _add(self, i, j):
+        pairs = zip(self._parts, self._split(i), self._split(j))
+        return self._join([f._add(a, b) for f, a, b in pairs])
+
+    def _neg(self, i):
+        return self._join([f._neg(a) for f, a in zip(self._parts, self._split(i))])
+
+
+class PolyQuotientRing(_DigitRing):
+    """base[x]/(f) with f monic: elements are coefficient tuples of length deg f,
+    positions one base digit per coefficient, the constant term first."""
 
     def __init__(self, spec: PolyQuotient, base: Ring, guards: Guards):
         super().__init__(guards)
@@ -326,57 +361,43 @@ class PolyQuotientRing(Ring):
         if modulus[-1] != base.one:
             raise ValidationError("quotient modulus must be monic over the base ring")
         self.modulus = modulus
-        # x^d = -(m0 + m1 x + ... + m_{d-1} x^{d-1}); extend to degree 2d-2
-        xd = tuple(base.neg(c) for c in modulus[:-1])
+        self._parts = (base,) * d
+        # base positions of x^d = -(m0 + ... + m_{d-1} x^{d-1}), then of
+        # x^(d+1) .. x^(2d-2)
+        xd = [base._neg(base.index[c]) for c in modulus[:-1]]
         pows = [xd]
         for _ in range(d - 2):
             prev = pows[-1]
-            lead = prev[-1]
-            shifted = (base.zero,) + prev[:-1]
-            pows.append(
-                tuple(base.add(s, base.mul(lead, c)) for s, c in zip(shifted, xd))
-            )
+            shifted = [0] + prev[:-1]
+            pows.append([base._add(s, base._mul(prev[-1], c)) for s, c in zip(shifted, xd)])
         self._pows = pows
         self.elements = list(itertools.product(base.elements, repeat=d))
         self.index = {x: i for i, x in enumerate(self.elements)}
         self.zero = (base.zero,) * d
         self.one = (base.one,) + (base.zero,) * (d - 1)
 
-    def add(self, x, y):
-        base = self.base
-        return tuple(base.add(a, b) for a, b in zip(x, y))
-
-    def neg(self, x):
-        base = self.base
-        return tuple(base.neg(a) for a in x)
-
-    def mul(self, x, y):
-        base = self.base
-        d = self.deg
-        conv = [base.zero] * (2 * d - 1)
-        for i, a in enumerate(x):
-            if a == base.zero:
-                continue
-            for j, b in enumerate(y):
-                if b == base.zero:
-                    continue
-                k = i + j
-                conv[k] = base.add(conv[k], base.mul(a, b))
+    def _mul(self, i, j):
+        base, d = self.base, self.deg
+        x, y = self._split(i), self._split(j)
+        conv = [0] * (2 * d - 1)  # base position 0 is zero
+        for s, a in enumerate(x):
+            for t, b in enumerate(y):
+                conv[s + t] = base._add(conv[s + t], base._mul(a, b))
         res = conv[:d]
-        for t in range(d - 1):
-            c = conv[d + t]
-            if c != base.zero:
-                p = self._pows[t]
-                res = [base.add(r, base.mul(c, pc)) for r, pc in zip(res, p)]
-        return tuple(res)
+        for c, p in zip(conv[d:], self._pows):
+            res = [base._add(v, base._mul(c, pc)) for v, pc in zip(res, p)]
+        return self._join(res)
 
 
-class StructureConstantRing(Ring):
+class StructureConstantRing(_DigitRing):
+    """Positions are coefficient vectors, one Z/n digit per basis vector, b0 first."""
+
     def __init__(self, spec: StructureConstants, guards: Guards):
         super().__init__(guards)
         self.spec = spec
         self.n = spec.n
         self.dim = spec.dim
+        self._parts = (ZmodRing(Zmod(spec.n), guards),) * spec.dim
         terms = {}
         for i in range(spec.dim):
             for j in range(spec.dim):
@@ -390,23 +411,14 @@ class StructureConstantRing(Ring):
         self.one = spec.unit
         self._check_basis_laws()
 
-    def add(self, x, y):
-        n = self.n
-        return tuple((a + b) % n for a, b in zip(x, y))
-
-    def neg(self, x):
-        n = self.n
-        return tuple((-a) % n for a in x)
-
-    def mul(self, x, y):
-        n = self.n
+    def _mul(self, i, j):
+        x, y = self._split(i), self._split(j)
         res = [0] * self.dim
-        for (i, j), ks in self._terms.items():
-            c = (x[i] * y[j]) % n
-            if c:
-                for k, tc in ks:
-                    res[k] = (res[k] + c * tc) % n
-        return tuple(res)
+        for (a, b), ks in self._terms.items():
+            c = x[a] * y[b]
+            for k, tc in ks:
+                res[k] = res[k] + c * tc
+        return self._join([v % self.n for v in res])
 
     def _check_basis_laws(self):
         # bilinearity makes basis-level checks exhaustive for the whole ring
@@ -436,42 +448,22 @@ class StructureConstantRing(Ring):
                         )
 
 
-class ProductRing(Ring):
+class ProductRing(_DigitRing):
+    """Positions are digit strings of factor positions; all three ops act digitwise."""
+
     def __init__(self, spec: Product, factors: list[Ring], guards: Guards):
         super().__init__(guards)
         self.spec = spec
         self.factors = tuple(factors)
+        self._parts = self.factors
         self.elements = list(itertools.product(*(f.elements for f in factors)))
         self.index = {x: i for i, x in enumerate(self.elements)}
         self.zero = tuple(f.zero for f in factors)
         self.one = tuple(f.one for f in factors)
 
-    def add(self, x, y):
-        return tuple(f.add(a, b) for f, a, b in zip(self.factors, x, y))
-
-    def mul(self, x, y):
-        return tuple(f.mul(a, b) for f, a, b in zip(self.factors, x, y))
-
-    def neg(self, x):
-        return tuple(f.neg(a) for f, a in zip(self.factors, x))
-
-    def _build_tables(self):
-        # the product carrier is ordered row-major over the factors, so the
-        # tables compose by index arithmetic
-        add, mul, neg = (t.astype(np.int64) for t in self.factors[0].tables())
-        size = self.factors[0].order
-        for f in self.factors[1:]:
-            a2, m2, n2 = (t.astype(np.int64) for t in f.tables())
-            n = f.order
-            add = (add[:, None, :, None] * n + a2[None, :, None, :]).reshape(
-                size * n, size * n
-            )
-            mul = (mul[:, None, :, None] * n + m2[None, :, None, :]).reshape(
-                size * n, size * n
-            )
-            neg = (neg[:, None] * n + n2[None, :]).reshape(size * n)
-            size *= n
-        return add.astype(np.int32), mul.astype(np.int32), neg.astype(np.int32)
+    def _mul(self, i, j):
+        pairs = zip(self._parts, self._split(i), self._split(j))
+        return self._join([f._mul(a, b) for f, a, b in pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -511,56 +503,66 @@ def build_ring(spec: RingSpec, guards: Guards | None = None) -> Ring:
     return _construct(spec, guards)
 
 
+def _ring_laws(add, mul, neg, a, b, c, x, z, e):
+    """(message, lhs, rhs) for each ring law, over triples a, b, c and elements x."""
+    yield "addition is not commutative", add(a, b), add(b, a)
+    yield "multiplication is not commutative", mul(a, b), mul(b, a)
+    yield "addition is not associative", add(add(a, b), c), add(a, add(b, c))
+    yield "multiplication is not associative", mul(mul(a, b), c), mul(a, mul(b, c))
+    yield "zero is not an additive identity", add(z, x), x
+    yield "negation is not an additive inverse", add(x, neg(x)), z
+    yield "one is not a multiplicative identity", mul(e, x), x
+    yield (
+        "multiplication does not distribute over addition",
+        mul(a, add(b, c)),
+        add(mul(a, b), mul(a, c)),
+    )
+
+
+def _grid_lookup(table, first, last):
+    """``table[x, y]`` for the exhaustive triple grid.
+
+    ``first`` and ``last`` span the whole first and last axes, so a lookup
+    with either is a gather of whole rows (``table[:, y]``, ``table[x]``),
+    about twice as fast as 2-D fancy indexing over all n^3 triples.
+    """
+
+    def lookup(x, y):
+        if x is first and y.shape[0] == 1:
+            return table[:, y[0]]
+        if y is last and x.shape[-1] == 1:
+            return table[x[..., 0]]
+        return table[x, y]
+
+    return lookup
+
+
 def verify_ring_axioms(ring: Ring) -> None:
+    """Check the ring laws on element positions.
+
+    Up to order 64 every triple is checked, read through the operation
+    tables.  Above that no table is built: ``axiom_sample_count`` triples
+    drawn from ``Random(axiom_seed)`` (a, b, c per sample) go through the
+    ring's position ops, and so do the identity, zero and negation laws on
+    every element.
+    """
     n = ring.order
     if ring.zero not in ring.index or ring.one not in ring.index:
         raise AxiomViolation("zero or one is not a canonical element")
+    z, e = ring.index[ring.zero], ring.index[ring.one]
+    x = np.arange(n)
     if n <= 64:
         add, mul, neg = ring.tables()
-        ar = np.arange(n)
-        z = ring.index[ring.zero]
-        e = ring.index[ring.one]
-        if not (add == add.T).all():
-            raise AxiomViolation("addition is not commutative")
-        if not (mul == mul.T).all():
-            raise AxiomViolation("multiplication is not commutative")
-        if not (add[add] == add[:, add]).all():
-            raise AxiomViolation("addition is not associative")
-        if not (mul[mul] == mul[:, mul]).all():
-            raise AxiomViolation("multiplication is not associative")
-        if not (add[z] == ar).all():
-            raise AxiomViolation("zero is not an additive identity")
-        if not (add[ar, neg] == z).all():
-            raise AxiomViolation("negation is not an additive inverse")
-        if not (mul[e] == ar).all():
-            raise AxiomViolation("one is not a multiplicative identity")
-        if not (mul[:, add] == add[mul[:, :, None], mul[:, None, :]]).all():
-            raise AxiomViolation("multiplication does not distribute over addition")
-        return
-    els = ring.elements
-    z, e = ring.zero, ring.one
-    for x in els:
-        if ring.mul(e, x) != x:
-            raise AxiomViolation("one is not a multiplicative identity")
-        if ring.add(z, x) != x:
-            raise AxiomViolation("zero is not an additive identity")
-        if ring.add(x, ring.neg(x)) != z:
-            raise AxiomViolation("negation is not an additive inverse")
-    rnd = random.Random(ring.guards.axiom_seed)
-    for _ in range(ring.guards.axiom_sample_count):
-        a = els[rnd.randrange(n)]
-        b = els[rnd.randrange(n)]
-        c = els[rnd.randrange(n)]
-        if ring.add(a, b) != ring.add(b, a):
-            raise AxiomViolation("addition is not commutative")
-        if ring.mul(a, b) != ring.mul(b, a):
-            raise AxiomViolation("multiplication is not commutative")
-        if ring.add(ring.add(a, b), c) != ring.add(a, ring.add(b, c)):
-            raise AxiomViolation("addition is not associative")
-        if ring.mul(ring.mul(a, b), c) != ring.mul(a, ring.mul(b, c)):
-            raise AxiomViolation("multiplication is not associative")
-        if ring.mul(a, ring.add(b, c)) != ring.add(ring.mul(a, b), ring.mul(a, c)):
-            raise AxiomViolation("multiplication does not distribute over addition")
+        a, b, c = x[:, None, None], x[None, :, None], x[None, None, :]
+        ops = (_grid_lookup(add, a, c), _grid_lookup(mul, a, c), neg.__getitem__)
+    else:
+        rnd = random.Random(ring.guards.axiom_seed)
+        draws = [rnd.randrange(n) for _ in range(3 * ring.guards.axiom_sample_count)]
+        a, b, c = np.array(draws, dtype=np.int64).reshape(-1, 3).T
+        ops = (ring._add, ring._mul, ring._neg)
+    for message, lhs, rhs in _ring_laws(*ops, a, b, c, x, z, e):
+        if not np.all(lhs == rhs):
+            raise AxiomViolation(message)
 
 
 # ---------------------------------------------------------------------------

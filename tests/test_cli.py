@@ -164,6 +164,27 @@ def test_console_entry_point_subprocess():
     assert json.loads(proc.stdout)["sg_semisimple"] is True
 
 
+def test_closed_stdout_pipe_exits_1_without_traceback():
+    # the lattice of (Z/2)^7 prints about 80 KB, more than a pipe buffer
+    src = os.path.dirname(os.path.dirname(finring.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    spec = " x ".join(["Z/2"] * 7)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "finring", "ideals", spec, "--json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
 def test_sc_control_classification_via_cli(capsys):
     code, out, _ = run_cli(capsys, "classify", SQUARE_ZERO_PAIR, "--json")
     assert code == 0

@@ -1,9 +1,11 @@
 """Byte-identity of the JSON reports.
 
 Each digest is the sha256 of the ``--json`` output of one command, recorded
-with the scalar code before a refactor of the module layer: the first four
-before the move to mixed-radix element codes, the last two before
-submodules and homs moved to position arrays.  A change that alters any of
+with the scalar code before a refactor: the first four before the move of
+the module layer to mixed-radix element codes, the next two before
+submodules and homs moved to position arrays, the last five (the ring
+layer: ideals, classify, decompose) before the ring arithmetic moved to
+element positions.  A change that alters any of
 these bytes changes a witness, an ordering or a number in the report, which
 the canonical-order contract forbids.
 """
@@ -12,6 +14,7 @@ import hashlib
 
 import pytest
 
+from finring.classify import SQUARE_ZERO_PAIR
 from finring.cli import main
 
 GOLDEN = [
@@ -38,6 +41,26 @@ GOLDEN = [
     (
         ["module", "sgp", "--ring", "Z/4", "--rel", "2,2,2;2,0,2;0,2,2"],
         "c5cece21e4990b2b8acf597931268c0d23a29295dd12268e2106253441d1266c",
+    ),
+    (
+        ["ideals", "GF(2)[x]/(x^2)[x]/(x^2+1)"],
+        "b9deef48d1e66bf5b822ca96348e02c8f82a68550f1a033f1075a7e3e521eeb7",
+    ),
+    (
+        ["classify", SQUARE_ZERO_PAIR],
+        "3e46e08488e140d619386012006b3ad6f8b2a8fbb2ecf92f12ad279856414f92",
+    ),
+    (
+        ["classify", "GF(2)[x]/(x^7)"],
+        "bd3b08b28b9f5c987b6f0a91906af9f8f689c999f3fb032a2a43152b241a1302",
+    ),
+    (
+        ["decompose", "GF(8) x Z/16"],
+        "fb58f1c6f4603f46f34f2c42d781bf36074b2666ce7118dfaf733a68feff26d1",
+    ),
+    (
+        ["decompose", "Z/8"],
+        "6069844d5504b6b3bfccc836a0f67daa11eda8d14cb0f835e1b5a588e2cc280c",
     ),
 ]
 

@@ -152,6 +152,13 @@ def test_decomposition_components_round_trip():
         assert total == x
 
 
+def test_local_ring_is_its_own_factor():
+    z8 = _ring("Z/8")
+    dec = idempotent_decomposition(z8)
+    assert dec.factor_rings == (z8,)
+    assert enumerate_ideals(dec.factor_rings[0]) is enumerate_ideals(z8)
+
+
 def test_factor_rings_behave_as_rings():
     ring = _ring("Z/12")
     dec = idempotent_decomposition(ring)

@@ -349,7 +349,7 @@ def _reference_span(ring, k, cols):
 @given(_presentations(), st.data())
 def test_module_arithmetic_matches_brute_force(pres, data):
     ring, k, cols = pres
-    addl, mull, negl = ring.tables_list()
+    addl, mull, _ = ring.tables_list()
     span = _reference_span(ring, k, cols)
 
     def least(raw):
@@ -363,7 +363,6 @@ def test_module_arithmetic_matches_brute_force(pres, data):
     assert least(a) == a
     assert m.add(a, b) == least(tuple(addl[x][y] for x, y in zip(a, b)))
     assert m.scal(r, a) == least(tuple(mull[r][x] for x in a))
-    assert m.neg(a) == least(tuple(negl[x] for x in a))
     if ring.order**k <= 64:
         reps = {least(raw) for raw in np.ndindex(*(ring.order,) * k)}
         assert m.elements == sorted(reps)

@@ -1,16 +1,26 @@
 import itertools
+import random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from finring.classify import SQUARE_ZERO_PAIR
 from finring.errors import AxiomViolation, GuardExceeded, ValidationError
+from finring.guards import DEFAULT_GUARDS
+from finring.ideals import idempotent_decomposition
 from finring.parsing import parse_ring_spec
 from finring.rings import (
+    PolyQuotient,
+    Product,
     StructureConstants,
     Zmod,
+    ZmodRing,
     build_ring,
     spec_char,
     spec_order,
     unit_or_zero_divisor,
+    verify_ring_axioms,
 )
 
 
@@ -128,3 +138,213 @@ def test_nested_quotient_tower():
     tower = build_ring(parse_ring_spec("GF(2)[x]/(x^2)[x]/(x^2+1)"))
     assert tower.order == 16
     assert tower.mul(tower.one, tower.elements[5]) == tower.elements[5]
+
+
+# ---------------------------------------------------------------------------
+# reference arithmetic: the value-level recipes, written out per spec
+
+
+def reference(spec):
+    """zero, one, add, mul, neg on element values, straight from the recipe."""
+    if isinstance(spec, Zmod):
+        n = spec.n
+        return SimpleNamespace(
+            zero=0,
+            one=1 % n,
+            add=lambda x, y: (x + y) % n,
+            mul=lambda x, y: (x * y) % n,
+            neg=lambda x: -x % n,
+        )
+    if isinstance(spec, StructureConstants):
+        n, d, tab = spec.n, spec.dim, spec.table
+
+        def sc_mul(x, y):
+            res = [0] * d
+            for i, j, k in itertools.product(range(d), repeat=3):
+                res[k] += x[i] * y[j] * tab[i][j][k]
+            return tuple(r % n for r in res)
+
+        return SimpleNamespace(
+            zero=(0,) * d,
+            one=spec.unit,
+            add=lambda x, y: tuple((a + b) % n for a, b in zip(x, y)),
+            mul=sc_mul,
+            neg=lambda x: tuple(-a % n for a in x),
+        )
+    if isinstance(spec, Product):
+        parts = [reference(f) for f in spec.factors]
+        return SimpleNamespace(
+            zero=tuple(p.zero for p in parts),
+            one=tuple(p.one for p in parts),
+            add=lambda x, y: tuple(p.add(a, b) for p, a, b in zip(parts, x, y)),
+            mul=lambda x, y: tuple(p.mul(a, b) for p, a, b in zip(parts, x, y)),
+            neg=lambda x: tuple(p.neg(a) for p, a in zip(parts, x)),
+        )
+    if isinstance(spec, PolyQuotient):
+        b = reference(spec.base)
+        d = spec.degree
+
+        def scalar(c):
+            value = b.zero
+            for _ in range(c):
+                value = b.add(value, b.one)
+            return value
+
+        modulus = [scalar(c) for c in spec.modulus]
+
+        def poly_mul(x, y):
+            # convolution, then long division by the monic modulus from the top
+            conv = [b.zero] * (2 * d - 1)
+            for i, j in itertools.product(range(d), repeat=2):
+                conv[i + j] = b.add(conv[i + j], b.mul(x[i], y[j]))
+            for top in range(2 * d - 2, d - 1, -1):
+                c = conv[top]
+                for t in range(d):
+                    conv[top - d + t] = b.add(
+                        conv[top - d + t], b.neg(b.mul(c, modulus[t]))
+                    )
+            return tuple(conv[:d])
+
+        return SimpleNamespace(
+            zero=(b.zero,) * d,
+            one=(b.one,) + (b.zero,) * (d - 1),
+            add=lambda x, y: tuple(b.add(p, q) for p, q in zip(x, y)),
+            mul=poly_mul,
+            neg=lambda x: tuple(b.neg(p) for p in x),
+        )
+    raise TypeError(spec)
+
+
+def assert_matches_reference(ring, ref, pairs):
+    for x, y in pairs:
+        assert ring.add(x, y) == ref.add(x, y)
+        assert ring.mul(x, y) == ref.mul(x, y)
+    for x in {x for pair in pairs for x in pair}:
+        assert ring.neg(x) == ref.neg(x)
+
+
+REFERENCE_SPECS = [
+    "Z/12",
+    "Z/2",
+    "GF(4)",
+    "GF(9)",
+    "GF(8)",
+    "GF(2)[x]/(x^2)[x]/(x^2+1)",
+    SQUARE_ZERO_PAIR,
+    "Z/4 x GF(4) x Z/3",
+]
+
+
+@pytest.mark.parametrize("text", REFERENCE_SPECS)
+def test_arithmetic_and_tables_match_reference(text):
+    spec = parse_ring_spec(text)
+    ring = build_ring(spec)
+    ref = reference(spec)
+    els, idx = ring.elements, ring.index
+    assert (ring.zero, ring.one) == (ref.zero, ref.one)
+    pairs = list(itertools.product(els, repeat=2))
+    assert_matches_reference(ring, ref, pairs)
+    add, mul, neg = ring.tables()
+    assert add.dtype == mul.dtype == neg.dtype == np.int32
+    assert add.tolist() == [[idx[ref.add(x, y)] for y in els] for x in els]
+    assert mul.tolist() == [[idx[ref.mul(x, y)] for y in els] for x in els]
+    assert neg.tolist() == [idx[ref.neg(x)] for x in els]
+
+
+def test_idempotent_factor_matches_parent_reference():
+    text = "Z/4 x GF(2)[x]/(x^2)"
+    ring = build_ring(parse_ring_spec(text))
+    ref = reference(parse_ring_spec(text))
+    dec = idempotent_decomposition(ring)
+    assert len(dec.factor_rings) == 2
+    for factor in dec.factor_rings:
+        els, idx = factor.elements, factor.index
+        assert els == [x for x in ring.elements if ref.mul(factor.one, x) == x]
+        assert_matches_reference(factor, ref, list(itertools.product(els, repeat=2)))
+        add, mul, neg = factor.tables()
+        assert add.tolist() == [[idx[ref.add(x, y)] for y in els] for x in els]
+        assert mul.tolist() == [[idx[ref.mul(x, y)] for y in els] for x in els]
+        assert neg.tolist() == [idx[ref.neg(x)] for x in els]
+
+
+def test_large_quotient_matches_reference_without_tables():
+    spec = parse_ring_spec("GF(2)[x]/(x^7)")
+    ring = build_ring(spec)
+    assert ring._tables is None  # the sampled axiom check builds no table
+    ref = reference(spec)
+    rnd = random.Random(7)
+    pairs = [(rnd.choice(ring.elements), rnd.choice(ring.elements)) for _ in range(300)]
+    assert_matches_reference(ring, ref, pairs)
+    assert ring._tables is None
+
+
+# ---------------------------------------------------------------------------
+# fault injection: each ring breaks exactly one law of verify_ring_axioms
+
+
+def _skip_one(p):
+    # a permutation of the positions fixing 0 and 1 that is not additive
+    return np.where(p >= 2, p ^ 1, p)
+
+
+FAULTS = {
+    "addition is not commutative": dict(add=lambda r, i, j: (i + 2 * j) % r.n),
+    "multiplication is not commutative": dict(mul=lambda r, i, j: (i * j + i) % r.n),
+    "addition is not associative": dict(add=lambda r, i, j: -(i + j) % r.n),
+    "multiplication is not associative": dict(mul=lambda r, i, j: (i * j + 1) % r.n),
+    "zero is not an additive identity": dict(add=lambda r, i, j: (i + j + 1) % r.n),
+    "negation is not an additive inverse": dict(neg=lambda r, i: i),
+    "one is not a multiplicative identity": dict(mul=lambda r, i, j: 2 * i * j % r.n),
+    "multiplication does not distribute over addition": dict(
+        mul=lambda r, i, j: _skip_one(_skip_one(i) * _skip_one(j) % r.n)
+    ),
+}
+
+
+def _faulty_zmod(n, add=None, mul=None, neg=None):
+    class Faulty(ZmodRing):
+        def _add(self, i, j):
+            return add(self, i, j) if add else super()._add(i, j)
+
+        def _mul(self, i, j):
+            return mul(self, i, j) if mul else super()._mul(i, j)
+
+        def _neg(self, i):
+            return neg(self, i) if neg else super()._neg(i)
+
+    return Faulty(Zmod(n), DEFAULT_GUARDS)
+
+
+@pytest.mark.parametrize("n", [8, 128], ids=["exhaustive", "sampled"])
+@pytest.mark.parametrize("message", list(FAULTS))
+def test_verify_ring_axioms_names_the_broken_law(n, message):
+    ring = _faulty_zmod(n, **FAULTS[message])
+    with pytest.raises(AxiomViolation) as info:
+        verify_ring_axioms(ring)
+    assert str(info.value) == message
+    # the sampled path reads no table
+    assert (ring._tables is None) == (n > 64)
+
+
+def test_verify_ring_axioms_accepts_the_unbroken_ring():
+    for n in (8, 128):
+        verify_ring_axioms(_faulty_zmod(n))
+
+
+def test_sampled_axiom_check_uses_the_seeded_draws():
+    calls = []
+
+    class Recording(ZmodRing):
+        def _add(self, i, j):
+            calls.append((np.asarray(i).tolist(), np.asarray(j).tolist()))
+            return super()._add(i, j)
+
+    n, guards = 128, DEFAULT_GUARDS
+    verify_ring_axioms(Recording(Zmod(n), guards))
+    rnd = random.Random(guards.axiom_seed)
+    triples = [[rnd.randrange(n) for _ in range(3)] for _ in range(guards.axiom_sample_count)]
+    a, b, c = (list(t) for t in zip(*triples))
+    assert calls[0] == (a, b)  # add(a, b)
+    assert calls[3][1] == c  # add(add(a, b), c), after its inner add
+    # the zero law runs on every element
+    assert (0, list(range(n))) in calls
