@@ -62,13 +62,20 @@ def _emit(args, payload: dict, text_lines: list) -> None:
             print(line)
 
 
+# the command-line override of each guard; the lattice guard has none
+GUARD_FLAGS = {
+    "max_ring_order": "--max-ring-size",
+    "max_module_raw": "--max-module-size",
+    "max_hom_candidates": "--max-hom-enumeration",
+}
+
+
 def _guards(args):
-    return DEFAULT_GUARDS.with_overrides(
-        max_ring_order=getattr(args, "max_ring_size", None),
-        max_module_raw=getattr(args, "max_module_size", None),
-        max_hom_candidates=getattr(args, "max_hom_enumeration", None),
-        axiom_seed=getattr(args, "seed", None),
-    )
+    overrides = {
+        guard: getattr(args, flag[2:].replace("-", "_"), None)
+        for guard, flag in GUARD_FLAGS.items()
+    }
+    return DEFAULT_GUARDS.with_overrides(axiom_seed=getattr(args, "seed", None), **overrides)
 
 
 def _fmt(ring, value) -> str:
@@ -386,10 +393,8 @@ def _run_verify(args) -> int:
 
 def _add_common(parser):
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    parser.add_argument("--max-ring-size", type=int, metavar="N")
-    parser.add_argument("--max-module-size", type=int, metavar="N")
-    parser.add_argument("--max-hom-enumeration", type=int, metavar="N")
-    parser.add_argument("--seed", type=int, metavar="N")
+    for flag in (*GUARD_FLAGS.values(), "--seed"):
+        parser.add_argument(flag, type=int, metavar="N")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -453,7 +458,9 @@ def main(argv=None) -> int:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     except GuardExceeded as exc:
-        print(f"guard exceeded: {exc}", file=sys.stderr)
+        flag = GUARD_FLAGS.get(exc.guard)
+        hint = f"raise it with {flag}" if flag else "this guard has no override flag"
+        print(f"guard exceeded: {exc}; {hint}", file=sys.stderr)
         return 3
     except ConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

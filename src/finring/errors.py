@@ -33,7 +33,15 @@ class AxiomViolation(ValidationError):
 
 
 class GuardExceeded(FinringError):
-    """A resource guard was hit.  Never silently truncate; always raise."""
+    """A resource guard was hit.  Never silently truncate; always raise.
+
+    ``guard`` names the :class:`~finring.guards.Guards` field that was hit,
+    ``requested`` the size the operation needed and ``limit`` the guard.
+    """
+
+    def __init__(self, message, guard, requested, limit):
+        super().__init__(message)
+        self.guard, self.requested, self.limit = guard, requested, limit
 
 
 class NonLocalRingError(FinringError):

@@ -180,10 +180,13 @@ def ext1(m: Module, q: Module) -> ExtGroup:
     d1, d2 = res.differentials
     g0, g1, _ = res.ranks
     guards = ring.guards
-    if q.cardinality**g0 > guards.max_hom_candidates or (
-        q.cardinality**g1 > guards.max_hom_candidates
-    ):
-        raise GuardExceeded("ext enumeration exceeds the hom guard")
+    scan = q.cardinality ** max(g0, g1)
+    if scan > guards.max_hom_candidates:
+        raise GuardExceeded(
+            f"ext enumeration would scan {scan} candidates "
+            f"(guard {guards.max_hom_candidates})",
+            "max_hom_candidates", scan, guards.max_hom_candidates,
+        )
     strides = q.cardinality ** np.arange(g1 - 1, -1, -1)
     in_image = np.zeros(q.cardinality**g1, dtype=bool)
     for values in _relation_values(q, d1.images, g0):

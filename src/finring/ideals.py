@@ -1,10 +1,15 @@
 """Ideal-theoretic data: lattices, annihilators, radicals, idempotent splitting.
 
-Internally everything runs on element indices against the ring's cached
-operation tables; the public :class:`Ideal` exposes element values.  Ideal
-enumeration starts from all principal ideals and closes under pairwise ideal
-sums, which is complete for finite rings because every ideal is a finite sum
-of principal ideals.
+Internally an ideal is a Python-int bitset over element positions (bit p set
+when position p belongs to it), read off the ring's cached operation tables;
+the public :class:`Ideal` exposes sorted positions and element values.  Every
+principal ideal xR, and the annihilator of every element, comes from one
+pass over the multiplication table.  I + J is I translated over coset
+representatives of I inside J, |I + J| table reads in all.  The lattice is
+the closure of the zero ideal under adding principal ideals, which is
+complete for finite rings because every ideal is a finite sum of principal
+ideals.  Canonical generators are greedy: adjoin the least position not yet
+generated, the rule of ``modules._greedy_span``.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import ConsistencyError, GuardExceeded, ValidationError
+from .errors import ConsistencyError, GuardExceeded, NonLocalRingError, ValidationError
 from .rings import Ring, units_mask
 
 
@@ -62,31 +67,85 @@ class Ideal:
         return f"<ideal ({gens}) of order {self.order}>"
 
 
-def _greedy_generator_indices(ring: Ring, indices) -> tuple:
-    """Canonical generators: repeatedly adjoin the least element not yet generated."""
-    addl, mull, _ = ring.tables_list()
-    zero = ring.index[ring.zero]
-    target = set(indices)
-    span = {zero}
-    gens = []
-    for i in indices:  # ascending
-        if len(span) == len(target):
-            break
-        if i in span:
-            continue
-        gens.append(i)
-        row = set(mull[i])
-        span = {addl[a][b] for a in span for b in row}
-    if span != target:
-        raise ConsistencyError("generator search failed to span the ideal")
-    return tuple(gens)
+def _low(bits: int) -> int:
+    return (bits & -bits).bit_length() - 1  # the least set position
+
+
+class _Bitsets:
+    """A ring's ideals as bitsets over element positions, with memos."""
+
+    def __init__(self, ring: Ring):
+        add, mul, _ = ring.tables()
+        n, zero = ring.order, ring.index[ring.zero]
+        self.add, self.nbytes, self.zero = add, (n + 7) // 8, 1 << zero
+        rows = np.zeros((n, n), dtype=bool)
+        rows[np.arange(n)[:, None], mul] = True
+        self.principal = self._ints(rows)  # [x]: the bits of xR
+        self.killers = self._ints(mul.T == zero)  # [x]: the bits of Ann(x)
+        self._members, self._sums = {}, {}  # queries recur across a ring's checks
+
+    def _ints(self, masks) -> list:
+        packed = np.packbits(masks, axis=-1, bitorder="little")
+        return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+    def bits(self, positions) -> int:
+        mask = np.zeros(8 * self.nbytes, dtype=bool)
+        mask[positions] = True
+        return self._ints(mask[None])[0]
+
+    def positions(self, bits: int) -> np.ndarray:
+        if bits not in self._members:
+            raw = np.frombuffer(bits.to_bytes(self.nbytes, "little"), dtype=np.uint8)
+            self._members[bits] = np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+        return self._members[bits]
+
+    def plus(self, a: int, b: int) -> int:
+        """The ideal sum a + b: cosets of the larger one over the other's elements."""
+        if b & ~a == 0 or a & ~b == 0:
+            return a | b
+        if a.bit_count() < b.bit_count():
+            a, b = b, a
+        if (a, b) not in self._sums:
+            members, total, rest = self.positions(a), a, b & ~a
+            while rest:
+                total |= self.bits(self.add[members, _low(rest)])
+                rest &= ~total
+            self._sums[a, b] = total
+        return self._sums[a, b]
+
+    def generators(self, target: int) -> tuple:
+        """Canonical generators: repeatedly adjoin the least position not yet generated."""
+        span, gens = self.zero, []
+        while target & ~span:
+            gens.append(_low(target & ~span))
+            span = self.plus(span, self.principal[gens[-1]])
+        if span != target:
+            raise ConsistencyError("generator search failed to span the ideal")
+        return tuple(gens)
+
+
+def _bitsets(ring: Ring) -> _Bitsets:
+    if "ideal_bitsets" not in ring._cache:
+        ring._cache["ideal_bitsets"] = _Bitsets(ring)
+    return ring._cache["ideal_bitsets"]
+
+
+def _ideal_of(ring: Ring, bits: int, generator_indices=None) -> Ideal:
+    """The ideal with these bits: the lattice's own object when the lattice
+    is cached, else a new one, with greedy generators unless given."""
+    b = _bitsets(ring)
+    if generator_indices is None:
+        known = ring._cache.get("ideal_index", {}).get(bits)
+        if known is not None:
+            return known
+        generator_indices = b.generators(bits)
+    indices = tuple(b.positions(bits).tolist())
+    return Ideal(ring, indices, tuple(int(g) for g in generator_indices))
 
 
 def wrap_ideal(ring: Ring, indices, generator_indices=None) -> Ideal:
-    idx = tuple(sorted(int(i) for i in set(indices)))
-    if generator_indices is None:
-        generator_indices = _greedy_generator_indices(ring, idx)
-    return Ideal(ring, idx, tuple(int(g) for g in generator_indices))
+    bits = _bitsets(ring).bits(np.fromiter(indices, dtype=np.intp))
+    return _ideal_of(ring, bits, generator_indices)
 
 
 def ideal_generated(ring: Ring, gens) -> Ideal:
@@ -94,86 +153,53 @@ def ideal_generated(ring: Ring, gens) -> Ideal:
     for g in gens:
         if g not in ring.index:
             raise ValidationError(f"{g!r} is not an element of {ring.describe()}")
-    addl, mull, _ = ring.tables_list()
-    zero = ring.index[ring.zero]
-    span = {zero}
+    b = _bitsets(ring)
     gen_idx = [ring.index[g] for g in gens]
-    for gi in gen_idx:
-        row = set(mull[gi])  # gi * R is already an additive subgroup
-        span = {addl[a][b] for a in span for b in row}
-    return wrap_ideal(ring, span, tuple(gen_idx))
+    span = b.zero
+    for g in gen_idx:
+        span = b.plus(span, b.principal[g])
+    return _ideal_of(ring, span, gen_idx)
 
 
 def enumerate_ideals(ring: Ring) -> list:
-    """The complete ideal lattice, sorted by cardinality then element list.
-
-    All principal ideals are collected first, then the set is closed under
-    pairwise ideal sums to a fixpoint.  Includes the zero ideal and the ring.
-    """
+    """The complete ideal lattice, sorted by cardinality then element list:
+    the closure of the zero ideal under adding principal ideals."""
     if "ideal_lattice" in ring._cache:
         return ring._cache["ideal_lattice"]
     if ring.order > ring.guards.max_lattice_order:
         raise GuardExceeded(
             f"ideal enumeration over a ring of order {ring.order} exceeds the "
-            f"lattice guard ({ring.guards.max_lattice_order})"
+            f"lattice guard ({ring.guards.max_lattice_order})",
+            "max_lattice_order", ring.order, ring.guards.max_lattice_order,
         )
-    add_np, mul_np, _ = ring.tables()
-    known: dict[tuple, np.ndarray] = {}
-    for i in range(ring.order):
-        row = np.unique(mul_np[i])
-        known.setdefault(tuple(row.tolist()), row)
-    # close under pairwise sums
-    done_pairs: set = set()
-    while True:
-        keys = list(known)
-        new = {}
-        for a in range(len(keys)):
-            for b in range(a + 1, len(keys)):
-                pair = (keys[a], keys[b])
-                if pair in done_pairs:
-                    continue
-                done_pairs.add(pair)
-                ka, kb = pair
-                if set(ka) <= set(kb) or set(kb) <= set(ka):
-                    continue
-                arr = np.unique(
-                    add_np[np.ix_(known[ka], known[kb])].ravel()
-                )
-                key = tuple(arr.tolist())
-                if key not in known:
-                    new[key] = arr
-        if not new:
-            break
-        known.update(new)
-    ordered = sorted(known, key=lambda t: (len(t), t))
-    lattice = [wrap_ideal(ring, t) for t in ordered]
-    ring._cache["ideal_lattice"] = lattice
-    return lattice
+    b = _bitsets(ring)
+    principal, found = set(b.principal), [b.zero]
+    for ideal in found:  # grows while it is scanned
+        found += {b.plus(ideal, p) for p in principal}.difference(found)
+    keyed = sorted((tuple(b.positions(a).tolist()), a) for a in found)
+    keyed.sort(key=lambda kb: len(kb[0]))
+    index = {a: Ideal(ring, idx, b.generators(a)) for idx, a in keyed}
+    ring._cache["ideal_index"] = index
+    ring._cache["ideal_lattice"] = list(index.values())
+    return ring._cache["ideal_lattice"]
 
 
 def annihilator(ring: Ring, ideal: Ideal) -> Ideal:
     """Ann(I) = {x : x*g = 0 for every g in I}; generators suffice."""
-    _, mul_np, _ = ring.tables()
-    zero = ring.index[ring.zero]
-    mask = np.ones(ring.order, dtype=bool)
+    bits = -1
     for g in ideal.generator_indices:
-        mask &= mul_np[:, g] == zero
-    return wrap_ideal(ring, np.nonzero(mask)[0])
+        bits &= _bitsets(ring).killers[g]
+    return _ideal_of(ring, bits & ((1 << ring.order) - 1))
 
 
 def maximal_ideals(ring: Ring) -> list:
-    if "maximal_ideals" in ring._cache:
-        return ring._cache["maximal_ideals"]
-    lattice = enumerate_ideals(ring)
-    proper = [i for i in lattice if i.is_proper]
-    sets = [set(i.indices) for i in proper]
-    maximal = [
-        ideal
-        for k, ideal in enumerate(proper)
-        if not any(j != k and sets[k] < sets[j] for j in range(len(proper)))
-    ]
-    ring._cache["maximal_ideals"] = maximal
-    return maximal
+    if "maximal_ideals" not in ring._cache:
+        enumerate_ideals(ring)
+        proper = [(a, i) for a, i in ring._cache["ideal_index"].items() if i.is_proper]
+        ring._cache["maximal_ideals"] = [
+            ideal for a, ideal in proper if not any(a != b and a & ~b == 0 for b, _ in proper)
+        ]
+    return ring._cache["maximal_ideals"]
 
 
 def is_local(ring: Ring) -> bool:
@@ -200,8 +226,6 @@ def is_local(ring: Ring) -> bool:
 
 
 def unique_maximal_ideal(ring: Ring) -> Ideal:
-    from .errors import NonLocalRingError
-
     if not is_local(ring):
         raise NonLocalRingError(f"{ring.describe()} is not local")
     return maximal_ideals(ring)[0]
@@ -209,11 +233,10 @@ def unique_maximal_ideal(ring: Ring) -> Ideal:
 
 def jacobson_radical(ring: Ring) -> Ideal:
     """Intersection of all maximal ideals."""
-    mats = maximal_ideals(ring)
-    common = set(mats[0].indices)
-    for m in mats[1:]:
-        common &= set(m.indices)
-    return wrap_ideal(ring, common)
+    common = -1
+    for ideal in maximal_ideals(ring):
+        common &= _bitsets(ring).bits(list(ideal.indices))
+    return _ideal_of(ring, common)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +256,7 @@ class IdempotentFactorRing(Ring):
         super().__init__(parent.guards)
         self.parent = parent
         self.idempotent = e
-        sub = np.unique(parent._mul(parent.index[e], np.arange(parent.order)))
+        sub = np.unique(parent._prod(parent.index[e], np.arange(parent.order)))
         self._sub = sub
         self._pos = np.full(parent.order, -1, dtype=np.int64)
         self._pos[sub] = np.arange(len(sub))
@@ -252,10 +275,10 @@ class IdempotentFactorRing(Ring):
         return pos
 
     def _add(self, i, j):
-        return self._back(self.parent._add(self._sub[i], self._sub[j]))
+        return self._back(self.parent._sum(self._sub[i], self._sub[j]))
 
     def _mul(self, i, j):
-        return self._back(self.parent._mul(self._sub[i], self._sub[j]))
+        return self._back(self.parent._prod(self._sub[i], self._sub[j]))
 
     def _neg(self, i):
         return self._back(self.parent._neg(self._sub[i]))

@@ -235,7 +235,8 @@ class Module:
         if raw > ring.guards.max_module_raw:
             raise GuardExceeded(
                 f"module over {ring.describe()} with {k} generators needs "
-                f"{raw} raw tuples (guard {ring.guards.max_module_raw})"
+                f"{raw} raw tuples (guard {ring.guards.max_module_raw})",
+                "max_module_raw", raw, ring.guards.max_module_raw,
             )
         self.ring = ring
         self.presentation = presentation
@@ -486,7 +487,8 @@ def iter_homs(m1: Module, m2: Module):
     if count > guards.max_hom_candidates:
         raise GuardExceeded(
             f"hom enumeration would scan {count} candidates "
-            f"(guard {guards.max_hom_candidates})"
+            f"(guard {guards.max_hom_candidates})",
+            "max_hom_candidates", count, guards.max_hom_candidates,
         )
     if not m1.relation_columns:  # every candidate is a hom
         for images in itertools.product(m2.elements, repeat=m1.k):
@@ -528,7 +530,9 @@ def submodule(ambient: Module, subset, gens=None):
     n = ring.order
     if n**k > ring.guards.max_module_raw:
         raise GuardExceeded(
-            f"relation search over {n ** k} tuples exceeds the module guard"
+            f"relation search over {n ** k} tuples exceeds the module guard "
+            f"({ring.guards.max_module_raw})",
+            "max_module_raw", n**k, ring.guards.max_module_raw,
         )
     add, mul, _ = ambient._tables
     multiples = [mul[:, list(g)] for g in gens]

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import weakref
 from dataclasses import dataclass
 from math import gcd, lcm, prod
 
@@ -211,6 +212,7 @@ class Ring:
     """
 
     spec: RingSpec | None = None
+    _parts: tuple = ()
 
     def __init__(self, guards: Guards):
         self.guards = guards
@@ -239,13 +241,21 @@ class Ring:
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, x, y):
-        return self.elements[self._add(self.index[x], self.index[y])]
+        return self.elements[self._sum(self.index[x], self.index[y])]
 
     def mul(self, x, y):
-        return self.elements[self._mul(self.index[x], self.index[y])]
+        return self.elements[self._prod(self.index[x], self.index[y])]
 
     def neg(self, x):
         return self.elements[self._neg(self.index[x])]
+
+    # ``+`` and ``*`` on positions as other code reads them: a lookup in the
+    # cached table once there is one, else the defining op (building nothing)
+    def _sum(self, i, j):
+        return self._add(i, j) if self._tables is None else self._tables[0][i, j]
+
+    def _prod(self, i, j):
+        return self._mul(i, j) if self._tables is None else self._tables[1][i, j]
 
     def sub(self, x, y):
         return self.add(x, self.neg(y))
@@ -287,7 +297,10 @@ class Ring:
         return self._tables_list
 
     def _build_tables(self):
-        # the position ops over the whole grid, a block of rows at a time
+        # the position ops over the whole grid, a block of rows at a time;
+        # the parts' tables are smaller, so read them instead of their ops
+        for part in set(self._parts):
+            part.tables()
         n = self.order
         ar = np.arange(n, dtype=np.int64)
         add = np.empty((n, n), dtype=np.int32)
@@ -324,7 +337,10 @@ class ZmodRing(Ring):
 
 class _DigitRing(Ring):
     """Positions are digit strings, one position of ``_parts[t]`` per digit t,
-    the first digit most significant; addition and negation act digitwise."""
+    the first digit most significant; addition and negation act digitwise.
+    Parts are shared, verified sub-rings (see :func:`build_ring`); the ops read
+    their tables when built, and only a table build here builds them.
+    """
 
     def _split(self, p):
         digits = []
@@ -341,7 +357,7 @@ class _DigitRing(Ring):
 
     def _add(self, i, j):
         pairs = zip(self._parts, self._split(i), self._split(j))
-        return self._join([f._add(a, b) for f, a, b in pairs])
+        return self._join([f._sum(a, b) for f, a, b in pairs])
 
     def _neg(self, i):
         return self._join([f._neg(a) for f, a in zip(self._parts, self._split(i))])
@@ -382,10 +398,10 @@ class PolyQuotientRing(_DigitRing):
         conv = [0] * (2 * d - 1)  # base position 0 is zero
         for s, a in enumerate(x):
             for t, b in enumerate(y):
-                conv[s + t] = base._add(conv[s + t], base._mul(a, b))
+                conv[s + t] = base._sum(conv[s + t], base._prod(a, b))
         res = conv[:d]
         for c, p in zip(conv[d:], self._pows):
-            res = [base._add(v, base._mul(c, pc)) for v, pc in zip(res, p)]
+            res = [base._sum(v, base._prod(c, pc)) for v, pc in zip(res, p)]
         return self._join(res)
 
 
@@ -463,23 +479,33 @@ class ProductRing(_DigitRing):
 
     def _mul(self, i, j):
         pairs = zip(self._parts, self._split(i), self._split(j))
-        return self._join([f._mul(a, b) for f, a, b in pairs])
+        return self._join([f._prod(a, b) for f, a, b in pairs])
 
 
 # ---------------------------------------------------------------------------
 # construction and verification
 
 
+# verified bases and factors, shared while alive: one ring per (spec, guards)
+_SUBRINGS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _subring(spec: RingSpec, guards: Guards) -> Ring:
+    ring = _SUBRINGS.get((spec, guards))
+    if ring is None:
+        ring = _SUBRINGS[spec, guards] = _construct(spec, guards)
+    return ring
+
+
 def _construct(spec: RingSpec, guards: Guards) -> Ring:
     if isinstance(spec, Zmod):
         ring = ZmodRing(spec, guards)
     elif isinstance(spec, PolyQuotient):
-        base = _construct(spec.base, guards)
-        ring = PolyQuotientRing(spec, base, guards)
+        ring = PolyQuotientRing(spec, _subring(spec.base, guards), guards)
     elif isinstance(spec, StructureConstants):
         ring = StructureConstantRing(spec, guards)
     elif isinstance(spec, Product):
-        factors = [_construct(f, guards) for f in spec.factors]
+        factors = [_subring(f, guards) for f in spec.factors]
         ring = ProductRing(spec, factors, guards)
     else:
         raise TypeError(f"not a ring spec: {spec!r}")
@@ -492,13 +518,17 @@ def build_ring(spec: RingSpec, guards: Guards | None = None) -> Ring:
 
     Exhaustive verification for order <= 64; for larger rings a fixed-seed
     sample of triples plus exhaustive identity/zero/negation rows.
+    Each call returns a new ring, distinct from every other (modules over
+    two builds do not mix), but its bases and factors are shared: while a
+    sub-ring of equal spec and guards is alive, it is reused, verified once.
     """
     guards = guards or DEFAULT_GUARDS
     order = spec_order(spec)
     if order > guards.max_ring_order:
         raise GuardExceeded(
             f"ring of order {order} exceeds the construction guard "
-            f"({guards.max_ring_order})"
+            f"({guards.max_ring_order})",
+            "max_ring_order", order, guards.max_ring_order,
         )
     return _construct(spec, guards)
 

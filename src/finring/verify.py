@@ -80,7 +80,9 @@ def _catalog(name, guards):
 
 
 # ---------------------------------------------------------------------------
-# checks; each takes (rings, flags) and returns a CheckResult
+# checks; each takes (rings, flags) and returns a CheckResult.  ``flags``
+# holds ``inject_fault`` and the run's ``guards``, which every ring a check
+# builds itself must carry
 
 
 def check_ring_axioms(rings, _flags):
@@ -162,9 +164,9 @@ def check_idempotent_splitting(rings, _flags):
     )
 
 
-def check_zmod_quasi_frobenius(rings, _flags):
+def check_zmod_quasi_frobenius(rings, flags):
     for n in range(2, 65):
-        ring = build_ring(parse_ring_spec(f"Z/{n}"))
+        ring = build_ring(parse_ring_spec(f"Z/{n}"), flags["guards"])
         report = classify(ring)
         if not report.quasi_frobenius:
             return CheckResult(
@@ -325,7 +327,7 @@ def check_resolution_exactness(rings, _flags):
     return CheckResult("resolution-exactness", True, f"{checked} resolutions verified")
 
 
-def check_qf_ext_vanishing(rings, _flags):
+def check_qf_ext_vanishing(rings, flags):
     checked = 0
     for label, ring in rings:
         if ring.order > 27:
@@ -342,7 +344,7 @@ def check_qf_ext_vanishing(rings, _flags):
                         f"{label} {name}: Ext^1(M, R) has order {ext.order}",
                     )
                 checked += 1
-    control = build_ring(parse_ring_spec(SQUARE_ZERO_PAIR))
+    control = build_ring(parse_ring_spec(SQUARE_ZERO_PAIR), flags["guards"])
     ext = ext1(
         quotient_by_ideal(control, unique_maximal_ideal(control)),
         regular_module(control),
@@ -408,8 +410,8 @@ def check_sgp_sum_closure(rings, _flags):
     return CheckResult("sgp-sum-closure", True, f"{checked} direct sums stayed SGP")
 
 
-def check_sgp_summand_asymmetry(rings, _flags):
-    ring = build_ring(parse_ring_spec("Z/8"))
+def check_sgp_summand_asymmetry(rings, flags):
+    ring = build_ring(parse_ring_spec("Z/8"), flags["guards"])
     small = Module(Presentation(ring, 1, ((2,),)))
     medium = Module(Presentation(ring, 1, ((4,),)))
     total = direct_sum(small, medium)
@@ -558,7 +560,7 @@ def check_sg_route_agreement(rings, flags):
     )
 
 
-def check_landmark_classifications(rings, _flags):
+def check_landmark_classifications(rings, flags):
     expected = [
         ("Z/4", False, True, True),
         ("Z/8", False, True, False),
@@ -574,7 +576,7 @@ def check_landmark_classifications(rings, _flags):
         (SQUARE_ZERO_PAIR, False, False, False),
     ]
     for text, ss, qf, sg in expected:
-        report = classify(build_ring(parse_ring_spec(text)))
+        report = classify(build_ring(parse_ring_spec(text), flags["guards"]))
         got = (report.semisimple, report.quasi_frobenius, report.sg_semisimple)
         if got != (ss, qf, sg):
             return CheckResult(
@@ -619,7 +621,7 @@ def run_verification(
 ) -> list:
     guards = guards or DEFAULT_GUARDS
     rings = _catalog(catalog, guards)
-    flags = {"inject_fault": inject_fault}
+    flags = {"inject_fault": inject_fault, "guards": guards}
     results = []
     for check in CHECKS:
         try:

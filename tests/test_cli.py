@@ -1,13 +1,23 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import finring
 from finring.cli import main
 from finring.classify import SQUARE_ZERO_PAIR
+from finring.errors import GuardExceeded
+from finring.guards import Guards
+from finring.homology import ext1
+from finring.ideals import enumerate_ideals
+from finring.modules import Module, Presentation, hom_set, regular_module, submodule
+from finring.rings import Zmod, build_ring
 
 
 def run_cli(capsys, *argv):
@@ -260,3 +270,136 @@ def test_consistency_error_is_one_internal_error_line(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "internal error: coset count times span size misses |R|^k\n"
+
+
+# -- structured guard errors: one case per raise site --------------------------
+
+
+def _z(n, **guards):
+    return build_ring(Zmod(n), Guards(**guards))
+
+
+GUARD_SITES = {
+    "build_ring": (lambda: build_ring(Zmod(5000)), ("max_ring_order", 5000, 4096)),
+    "enumerate_ideals": (
+        lambda: enumerate_ideals(_z(12, max_lattice_order=8)),
+        ("max_lattice_order", 12, 8),
+    ),
+    "Module": (
+        lambda: Module(Presentation(_z(8, max_module_raw=10), 2, ())),
+        ("max_module_raw", 64, 10),
+    ),
+    "iter_homs": (
+        lambda: hom_set(*[regular_module(_z(8, max_hom_candidates=5))] * 2),
+        ("max_hom_candidates", 8, 5),
+    ),
+    "submodule": (
+        lambda: submodule(
+            m := regular_module(_z(8, max_module_raw=10)), m.elements, m.elements[2:4]
+        ),
+        ("max_module_raw", 64, 10),
+    ),
+    "ext1": (
+        lambda: ext1(
+            Module(Presentation(r := _z(4, max_hom_candidates=3), 1, ((2,),))),
+            regular_module(r),
+        ),
+        ("max_hom_candidates", 4, 3),
+    ),
+}
+
+
+@pytest.mark.parametrize("site", list(GUARD_SITES))
+def test_guard_exceeded_names_guard_request_and_limit(site):
+    call, (guard, requested, limit) = GUARD_SITES[site]
+    with pytest.raises(GuardExceeded) as info:
+        call()
+    exc = info.value
+    assert (exc.guard, exc.requested, exc.limit) == (guard, requested, limit)
+    assert f"{requested}" in str(exc) and f"{limit}" in str(exc)
+
+
+@pytest.mark.parametrize(
+    "argv,hint",
+    [
+        (["classify", "Z/5000"], "raise it with --max-ring-size"),
+        (["classify", "GF(2)[x]/(x^11)"], "this guard has no override flag"),
+        (
+            ["module", "sgp", "--ring", "Z/8", "--rel", "2,0;0,4", "--max-module-size", "10"],
+            "raise it with --max-module-size",
+        ),
+        (
+            ["module", "sgp", "--ring", "Z/32", "--rel", "4,0;0,8"],
+            "raise it with --max-hom-enumeration",
+        ),
+    ],
+)
+def test_guard_message_names_the_override_flag(capsys, argv, hint):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("guard exceeded: ")
+    assert err.rstrip("\n").endswith(hint)
+    assert err.count("\n") == 1
+
+
+# -- a bounded fuzz of the command line, on small rings only -------------------
+
+_FUZZ_GOOD_SPECS = ["Z/4", "Z/6", "Z/8", "GF(4)", "Z/2 x Z/3", "GF(2)[x]/(x^2)", SQUARE_ZERO_PAIR]
+_FUZZ_BAD_SPECS = [
+    "Z/5000", "Z/", "Z/1", "Z/0", "Z/-3", "GF(6)", "GF(128)", "Z/4[x]/(2*x^2+1)",
+    "Z/4 x", "x", "", "Q", "SC(2;1;1;1)", "SC(2;1;1;0)", "SC(2;2;1;1,0)",
+    "Z/2[x]/(x+1" , "Z/2[x]/(x^2)[x]/", "Z/9 junk", "Z/99999999999999999999",
+]
+_FUZZ_GOOD_RELS = ["2,0;0,4", "2", "4", "", "0;0", "x", "1+x", "(1,0)", "(1,2),(0,1)"]
+_FUZZ_BAD_RELS = [
+    "2,0;4", "1,2;3", ";", "2;;", "a", "b1", "((1))", "2,", "-3", "99999999999999999999",
+]
+_FUZZ_VALUES = ["-1", "0", "1", "5", "100", "5000", "x", "1e3", ""]
+_FUZZ_FLAGS = [
+    "--json", "--max-ring-size", "--max-module-size", "--max-hom-enumeration",
+    "--seed", "--length", "--catalog", "--bogus", "-h",
+]
+
+
+@st.composite
+def _argv(draw):
+    # well-formed inputs twice as often as malformed ones
+    spec = draw(st.sampled_from(_FUZZ_GOOD_SPECS * 2 + _FUZZ_BAD_SPECS))
+    rel = draw(st.sampled_from(_FUZZ_GOOD_RELS * 2 + _FUZZ_BAD_RELS))
+    head = draw(
+        st.sampled_from(
+            [
+                ["classify", spec],
+                ["ideals", spec],
+                ["decompose", spec],
+                ["module", "sgp", "--ring", spec, "--rel", rel],
+                ["resolve", "--ring", spec, "--rel", rel],
+                ["module", "frobnicate"],
+                ["verify-paper", "--catalog", "bogus"],
+                [],
+                [spec],
+            ]
+        )
+    )
+    # mostly well-formed options, sometimes a stray or unknown token
+    option = st.tuples(st.sampled_from(_FUZZ_FLAGS[1:5]), st.sampled_from(_FUZZ_VALUES))
+    stray = st.sampled_from(_FUZZ_FLAGS + _FUZZ_VALUES).map(lambda t: (t,))
+    tail = draw(st.lists(st.one_of(option, option, st.just(("--json",)), stray), max_size=3))
+    flat = [token for item in tail for token in item]
+    if head[:1] == ["resolve"]:
+        flat += ["--length", draw(st.sampled_from(["-1", "0", "1", "2", "x"]))]
+    return head + flat
+
+
+@settings(max_examples=80, deadline=None)
+@given(_argv())
+def test_cli_fuzz_exit_codes_and_no_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv itself
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue() + out.getvalue()

@@ -1,11 +1,14 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from finring.classify import SQUARE_ZERO_PAIR
 from finring.errors import GuardExceeded
 from finring.guards import Guards
 from finring.ideals import (
+    IdempotentFactorRing,
     annihilator,
     enumerate_ideals,
     ideal_generated,
@@ -14,6 +17,7 @@ from finring.ideals import (
     jacobson_radical,
     maximal_ideals,
     unique_maximal_ideal,
+    wrap_ideal,
 )
 from finring.parsing import parse_ring_spec
 from finring.rings import Zmod, build_ring
@@ -175,3 +179,153 @@ def test_lattice_guard():
     ring = build_ring(Zmod(12), guards)
     with pytest.raises(GuardExceeded):
         enumerate_ideals(ring)
+
+
+# -- the set-based ideal code the bitsets replaced, kept as the reference -----
+# Each returns (indices, generator_indices), the two fields of an Ideal.
+
+
+def _ref_greedy_generator_indices(ring, indices):
+    addl, mull, _ = ring.tables_list()
+    zero = ring.index[ring.zero]
+    target = set(indices)
+    span = {zero}
+    gens = []
+    for i in indices:  # ascending
+        if len(span) == len(target):
+            break
+        if i in span:
+            continue
+        gens.append(i)
+        row = set(mull[i])
+        span = {addl[a][b] for a in span for b in row}
+    assert span == target, "generator search failed to span the ideal"
+    return tuple(gens)
+
+
+def _ref_wrap(ring, indices, generator_indices=None):
+    idx = tuple(sorted(int(i) for i in set(indices)))
+    if generator_indices is None:
+        generator_indices = _ref_greedy_generator_indices(ring, idx)
+    return idx, tuple(int(g) for g in generator_indices)
+
+
+def _ref_ideal_generated(ring, gen_idx):
+    addl, mull, _ = ring.tables_list()
+    span = {ring.index[ring.zero]}
+    for gi in gen_idx:
+        row = set(mull[gi])
+        span = {addl[a][b] for a in span for b in row}
+    return _ref_wrap(ring, span, gen_idx)
+
+
+def _ref_enumerate_ideals(ring):
+    """Principal ideals closed under pairwise sums to a fixpoint."""
+    addl, mull, _ = ring.tables_list()
+    known = {tuple(sorted(set(mull[i]))) for i in range(ring.order)}
+    while True:
+        new = {
+            tuple(sorted({addl[a][b] for a in ka for b in kb}))
+            for ka, kb in itertools.combinations(sorted(known), 2)
+            if not (set(ka) <= set(kb) or set(kb) <= set(ka))
+        } - known
+        if not new:
+            break
+        known |= new
+    return [_ref_wrap(ring, t) for t in sorted(known, key=lambda t: (len(t), t))]
+
+
+def _ref_annihilator(ring, generator_indices):
+    _, mull, _ = ring.tables_list()
+    zero = ring.index[ring.zero]
+    return _ref_wrap(
+        ring,
+        [x for x in range(ring.order) if all(mull[x][g] == zero for g in generator_indices)],
+    )
+
+
+def _ref_maximal_ideals(ring, lattice):
+    proper = [i for i in lattice if len(i[0]) < ring.order]
+    return [i for i in proper if not any(set(i[0]) < set(j[0]) for j in proper)]
+
+
+def _fields(ideal):
+    return ideal.indices, ideal.generator_indices
+
+
+def _factor(text, k):
+    """A fresh factor ring of a non-local ring at its k-th primitive idempotent."""
+    ring = _ring(text)
+    return IdempotentFactorRing(ring, idempotent_decomposition(ring).idempotents[k])
+
+
+# Z/n, GF(q), quotient towers, the non-QF control, products (some above order
+# 64, whose tables are read from their factors' tables) and idempotent factors
+_REF_RINGS = {
+    **{f"Z/{n}": lambda n=n: _ring(f"Z/{n}") for n in (2, 6, 8, 12, 16, 27, 30, 36)},
+    **{t: lambda t=t: _ring(t) for t in ("GF(4)", "GF(9)", "GF(16)")},
+    **{
+        t: lambda t=t: _ring(t)
+        for t in (
+            "GF(2)[x]/(x^3)",
+            "Z/4[x]/(x^2+2)",
+            "GF(2)[x]/(x^2)[x]/(x^2+1)",
+            SQUARE_ZERO_PAIR,
+            "Z/4 x Z/3",
+            "Z/2 x GF(2)[x]/(x^2)",
+            f"Z/2 x {SQUARE_ZERO_PAIR}",
+            "Z/4 x GF(9) x Z/2",
+            "GF(4) x GF(4) x Z/6",
+        )
+    },
+    "factor 0 of Z/4 x GF(2)[x]/(x^2)": lambda: _factor("Z/4 x GF(2)[x]/(x^2)", 0),
+    "factor 1 of Z/4 x GF(2)[x]/(x^2)": lambda: _factor("Z/4 x GF(2)[x]/(x^2)", 1),
+    "factor 1 of Z/4 x GF(9) x Z/2": lambda: _factor("Z/4 x GF(9) x Z/2", 1),
+    "factor 0 of Z/36": lambda: _factor("Z/36", 0),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_REF_RINGS)), st.data())
+@example("Z/12", [4, 3])
+@example(SQUARE_ZERO_PAIR, [2, 4])
+def test_bitset_ideals_match_set_reference(name, data):
+    ring = _REF_RINGS[name]()  # a fresh ring: nothing cached yet
+    gens = data if isinstance(data, list) else data.draw(
+        st.lists(st.integers(0, ring.order - 1), max_size=3)
+    )
+    els = ring.elements
+    # before the lattice exists: new Ideals with greedy generators
+    generated = ideal_generated(ring, [els[g] for g in gens])
+    assert _fields(generated) == _ref_ideal_generated(ring, gens)
+    ann = annihilator(ring, generated)
+    assert _fields(ann) == _ref_annihilator(ring, generated.generator_indices)
+    assert "ideal_lattice" not in ring._cache
+    # the lattice: element sets, generator tuples and order
+    lattice = enumerate_ideals(ring)
+    reference = _ref_enumerate_ideals(ring)
+    assert [_fields(i) for i in lattice] == reference
+    for ideal in lattice:
+        assert _fields(annihilator(ring, ideal)) == _ref_annihilator(
+            ring, ideal.generator_indices
+        )
+        assert _fields(wrap_ideal(ring, ideal.indices)) == _ref_wrap(ring, ideal.indices)
+    # after it: the same answers, now the lattice's own objects
+    assert annihilator(ring, generated) in lattice
+    assert _fields(annihilator(ring, generated)) == _fields(ann)
+    again = ideal_generated(ring, [els[g] for g in gens])
+    assert _fields(again) == _fields(generated)
+    maximal = maximal_ideals(ring)
+    assert [_fields(i) for i in maximal] == _ref_maximal_ideals(ring, reference)
+    common = set(range(ring.order))
+    for idx, _ in _ref_maximal_ideals(ring, reference):
+        common &= set(idx)
+    assert _fields(jacobson_radical(ring)) == _ref_wrap(ring, common)
+
+
+def test_annihilator_returns_the_lattice_ideal():
+    ring = _ring("Z/36")
+    lattice = enumerate_ideals(ring)
+    for ideal in lattice:
+        ann = annihilator(ring, ideal)
+        assert any(ann is other for other in lattice)

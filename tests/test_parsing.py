@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finring.errors import ParseError
 from finring.parsing import (
@@ -13,6 +15,7 @@ from finring.rings import (
     StructureConstants,
     Zmod,
     build_ring,
+    spec_char,
     spec_text,
 )
 
@@ -89,6 +92,44 @@ def test_validation_errors():
 )
 def test_printer_round_trip(text):
     spec = parse_ring_spec(text)
+    assert parse_ring_spec(spec_text(spec)) == spec
+
+
+@st.composite
+def _structure_constants(draw):
+    n, dim = draw(st.integers(2, 9)), draw(st.integers(1, 2))
+    entry = st.integers(-2 * n, 2 * n)  # reduced mod n by the spec
+    table = draw(st.lists(entry, min_size=dim**3, max_size=dim**3))
+    unit = draw(st.lists(entry, min_size=dim, max_size=dim).filter(lambda u: any(c % n for c in u)))
+    nested = tuple(
+        tuple(tuple(table[(i * dim + j) * dim + k] for k in range(dim)) for j in range(dim))
+        for i in range(dim)
+    )
+    return StructureConstants(n, dim, nested, tuple(unit))
+
+
+@st.composite
+def _quotient(draw, base):
+    base = draw(base)
+    char = spec_char(base)
+    lower = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=3))
+    lead = 1 + char * draw(st.integers(0, 2))  # reduces to a monic leading 1
+    return PolyQuotient(base, (*lower, lead))
+
+
+_ATOMS = st.recursive(
+    st.one_of(st.integers(2, 10**6).map(Zmod), _structure_constants()),
+    _quotient,
+    max_leaves=3,
+)
+_SPECS = st.one_of(
+    _ATOMS, st.lists(_ATOMS, min_size=2, max_size=3).map(lambda fs: Product(tuple(fs)))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SPECS)
+def test_printer_round_trip_property(spec):
     assert parse_ring_spec(spec_text(spec)) == spec
 
 

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from types import SimpleNamespace
@@ -7,7 +8,8 @@ import pytest
 
 from finring.classify import SQUARE_ZERO_PAIR
 from finring.errors import AxiomViolation, GuardExceeded, ValidationError
-from finring.guards import DEFAULT_GUARDS
+from finring import rings
+from finring.guards import DEFAULT_GUARDS, Guards
 from finring.ideals import idempotent_decomposition
 from finring.parsing import parse_ring_spec
 from finring.rings import (
@@ -232,6 +234,7 @@ REFERENCE_SPECS = [
     "GF(2)[x]/(x^2)[x]/(x^2+1)",
     SQUARE_ZERO_PAIR,
     "Z/4 x GF(4) x Z/3",
+    "Z/4 x GF(9) x Z/2",  # order 72: sampled check, table read from the factors'
 ]
 
 
@@ -348,3 +351,60 @@ def test_sampled_axiom_check_uses_the_seeded_draws():
     assert calls[3][1] == c  # add(add(a, b), c), after its inner add
     # the zero law runs on every element
     assert (0, list(range(n))) in calls
+
+
+# ---------------------------------------------------------------------------
+# shared sub-rings and tables read from part tables
+
+
+def test_sampled_product_builds_no_table_on_it_or_its_large_part():
+    ring = build_ring(parse_ring_spec("Z/2 x GF(2)[x]/(x^11)"))
+    small, large = ring.factors
+    assert (ring.order, large.order) == (4096, 2048)
+    assert ring._tables is None and large._tables is None
+    # parts of order <= 64 (Z/2 here) are verified exhaustively, on their own tables
+    assert small._tables is not None and large.base is small
+
+
+def test_table_build_reads_the_part_tables():
+    ring = build_ring(parse_ring_spec("Z/4 x GF(9) x Z/5"))
+    gf9 = ring.factors[1]
+    assert ring._tables is None
+    ring.tables()
+    assert all(f._tables is not None for f in ring.factors)
+    # the same tables as each factor's defining ops give, digit by digit
+    add, mul, _ = ring.tables()
+    x = np.arange(ring.order)
+    xs, ys = ring._split(x[:, None]), ring._split(x[None, :])
+    for table, op in ((add, "_add"), (mul, "_mul")):
+        parts = [getattr(f, op)(a, b) for f, a, b in zip(ring.factors, xs, ys)]
+        assert np.array_equal(table, ring._join(parts))
+    assert gf9.mul((1, 2), (2, 2)) == gf9.elements[gf9._mul(5, 8)]
+
+
+def test_products_share_identical_factors_while_alive(monkeypatch):
+    verified = []
+    real = rings.verify_ring_axioms
+    monkeypatch.setattr(rings, "verify_ring_axioms", lambda r: (verified.append(r), real(r)))
+    first = build_ring(parse_ring_spec("Z/59 x GF(49)"))
+    verified.clear()
+    second = build_ring(parse_ring_spec("GF(49) x Z/59"))
+    # the factors are the same verified objects; only the new product is checked
+    assert second.factors[0] is first.factors[1]
+    assert second.factors[1] is first.factors[0]
+    assert verified == [second]
+    # quotient bases are shared the same way
+    tower = build_ring(parse_ring_spec("GF(49)[x]/(x^2)"))
+    assert tower.base is first.factors[1]
+    # the top level is a new ring on every call, and other guards build their own
+    assert build_ring(parse_ring_spec("Z/59 x GF(49)")) is not first
+    seeded = build_ring(parse_ring_spec("Z/59 x GF(49)"), Guards(axiom_seed=7))
+    assert seeded.factors[1] is not first.factors[1]
+    assert seeded.factors[1].guards == Guards(axiom_seed=7)
+    # an entry lives only as long as some ring holds it
+    key = (parse_ring_spec("Z/59"), DEFAULT_GUARDS)
+    assert key in rings._SUBRINGS
+    del first, second, tower
+    verified.clear()
+    gc.collect()
+    assert key not in rings._SUBRINGS

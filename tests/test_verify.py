@@ -1,3 +1,6 @@
+import importlib
+
+from finring.guards import Guards
 from finring.verify import CHECKS, run_verification
 
 
@@ -21,3 +24,31 @@ def test_check_names_are_unique():
     results = run_verification("quick")
     names = [r.name for r in results]
     assert len(names) == len(set(names))
+
+
+def _with_parts(ring):
+    yield ring
+    for part in set(getattr(ring, "_parts", ())):
+        yield from _with_parts(part)
+
+
+def test_checks_build_every_ring_with_the_run_guards(monkeypatch):
+    from finring import rings, verify
+
+    classify = importlib.import_module("finring.classify")  # the package exports a function of that name
+    built = []
+    real = rings.build_ring
+
+    def spy(spec, guards=None):
+        ring = real(spec, guards)
+        built.append(ring)
+        return ring
+
+    monkeypatch.setattr(verify, "build_ring", spy)
+    monkeypatch.setattr(classify, "build_ring", spy)
+    guards = Guards(axiom_seed=7)
+    results = run_verification("quick", guards=guards)
+    assert all(r.passed for r in results)
+    # the catalog plus the rings the checks build themselves, Z/125 among them
+    assert {"Z/125", "Z/8", "Z/64"} <= {r.describe() for r in built}
+    assert all(part.guards == guards for ring in built for part in _with_parts(ring))
