@@ -7,19 +7,21 @@ and the first coordinate most significant, so code order is tuple order.
 Every coset is carried by its least code, i.e. its lexicographically least
 tuple, and the module's elements are these representatives in ascending
 code order: code order is the canonical order of module elements.
-``Module.rep`` maps each raw code to the position of its coset, so addition
-and scalar multiplication are table lookups: apply the ring table to each
-coordinate, then look the resulting code up in ``rep``.  ``Presentation``
-holds element values, the public-facing form.
+``Module.rep`` maps each raw code to the position of its coset, so sums and
+scalar multiples are array lookups: the ring tables on each coordinate, then
+``rep`` (``Module._locate``).  ``Presentation`` holds element values, the
+public-facing form.
 
 Everything above the element level works on these positions as well.  A
 submodule is a boolean mask over positions, grown by one greedy span
 primitive (``_greedy_span``); a hom carries the target position of every
-source element (``ModuleHom.table``); and the exhaustive searches -- the
-relations among a submodule's generators, and, through the one relation
-evaluator ``_relation_values``, the relation test of every candidate hom and
-the Hom(F, Q) maps of ``ext1`` -- evaluate all their linear combinations at
-once as a broadcast outer sum through the ring tables (``_outer_sums``).
+source element (``ModuleHom.table``, from the one combination evaluator
+``_combine``, which also checks its relations); and the exhaustive searches
+-- the relations among a submodule's generators, and, through the one
+relation evaluator ``_relation_values``, the relation test of every
+candidate hom and the Hom(F, Q) maps of ``ext1`` -- evaluate all their
+linear combinations at once as a broadcast outer sum through the ring
+tables (``_outer_sums``).
 
 Everything here is immutable after construction and deterministic: greedy
 generator searches pick the least candidate in canonical order, hom sets are
@@ -29,7 +31,6 @@ enumerated lexicographically by generator-image tuples.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
@@ -52,7 +53,7 @@ from .ideals import (
     quasi_frobenius_certificate,
     unique_maximal_ideal,
 )
-from .rings import Ring
+from .rings import Ring, _sample_draws
 
 # entries per temporary array in the vectorised loops (int64: 256 KiB)
 _CHUNK = 1 << 15
@@ -241,8 +242,6 @@ class Module:
         self.ring = ring
         self.presentation = presentation
         self.k = k
-        self._n = n
-        self._addl, self._mull, _ = ring.tables_list()
         self.relation_columns = [
             tuple(ring.index[v] for v in col) for col in presentation.relations
         ]
@@ -262,7 +261,6 @@ class Module:
         self.rep, codes = _label_cosets(
             self._tables[0], free._rows(self.span), self._weights, raw
         )
-        self._rep = memoryview(self.rep)
         self._digits = free._rows(codes)
         self.elements = list(map(tuple, self._digits.tolist()))
         self.index = dict(zip(self.elements, range(len(self.elements))))
@@ -291,20 +289,6 @@ class Module:
     def _locate(self, rows) -> np.ndarray:
         """Element positions of the cosets of raw index rows (last axis k)."""
         return self.rep[rows @ self._weights]
-
-    def add(self, a, b):
-        addl, n = self._addl, self._n
-        code = 0
-        for x, y in zip(a, b):
-            code = code * n + addl[x][y]
-        return self.elements[self._rep[code]]
-
-    def scal(self, r_idx: int, a):
-        row, n = self._mull[r_idx], self._n
-        code = 0
-        for x in a:
-            code = code * n + row[x]
-        return self.elements[self._rep[code]]
 
     def generator_images(self) -> list:
         """Classes of the standard basis vectors of R^k."""
@@ -370,9 +354,27 @@ def direct_sum(m1: Module, m2: Module) -> Module:
 # homomorphisms
 
 
+def _combine(target: Module, images, coeffs: np.ndarray) -> np.ndarray:
+    """Target positions of sum_j c_j * images[j] for every row c of
+    ``coeffs`` (ring indices, one column per image)."""
+    if not images:
+        return np.full(len(coeffs), target._zero_pos)
+    add, mul, _ = target._tables
+    rows = np.array(images, dtype=np.intp).reshape(len(images), target.k)
+    acc = mul[coeffs[:, :1], rows[0]]
+    for j in range(1, len(rows)):
+        acc = add[acc, mul[coeffs[:, j, None], rows[j]]]
+    return target._locate(acc)
+
+
 @dataclass(frozen=True)
 class ModuleHom:
-    """A hom determined by generator images; well-definedness checked on build."""
+    """A hom determined by generator images.
+
+    Building one checks the images against every source relation through
+    ``_combine``.  ``iter_homs`` builds the homs its own relation test
+    accepted through ``_accepted``, which does not check them again.
+    """
 
     source: Module
     target: Module
@@ -386,27 +388,23 @@ class ModuleHom:
         for im in self.images:
             if im not in self.target.index:
                 raise ValidationError("hom image is not a target element")
-        t = self.target
-        for col in self.source.relation_columns:
-            acc = t.zero
-            for coeff, im in zip(col, self.images):
-                acc = t.add(acc, t.scal(coeff, im))
-            if acc != t.zero:
+        cols = self.source.relation_columns
+        if cols:
+            values = _combine(self.target, self.images, np.array(cols, dtype=np.intp))
+            if (values != self.target._zero_pos).any():
                 raise ValidationError("images do not satisfy the source relations")
+
+    @classmethod
+    def _accepted(cls, source: Module, target: Module, images: tuple) -> ModuleHom:
+        """A hom whose images already passed ``iter_homs``' relation test."""
+        hom = object.__new__(cls)
+        hom.__dict__.update(source=source, target=target, images=images)
+        return hom
 
     @cached_property
     def table(self) -> np.ndarray:
         """The target position of every source element, in source order."""
-        t = self.target
-        coeffs = self.source._digits
-        if not self.images:
-            return np.full(len(coeffs), t._zero_pos)
-        add, mul, _ = t._tables
-        rows = np.array(self.images, dtype=np.intp).reshape(len(self.images), t.k)
-        acc = mul[coeffs[:, :1], rows[0]]
-        for j in range(1, len(rows)):
-            acc = add[acc, mul[coeffs[:, j, None], rows[j]]]
-        return t._locate(acc)
+        return _combine(self.target, self.images, self.source._digits)
 
     def image_mask(self) -> np.ndarray:
         """Boolean mask over the target positions: which lie in the image."""
@@ -490,16 +488,15 @@ def iter_homs(m1: Module, m2: Module):
             f"(guard {guards.max_hom_candidates})",
             "max_hom_candidates", count, guards.max_hom_candidates,
         )
-    if not m1.relation_columns:  # every candidate is a hom
-        for images in itertools.product(m2.elements, repeat=m1.k):
-            yield ModuleHom(m1, m2, images)
-        return
     strides = m2.cardinality ** np.arange(m1.k - 1, -1, -1)
     lo = 0
     for values in _relation_values(m2, m1.relation_columns, m1.k):
         accepted = lo + (values == m2._zero_pos).all(axis=1).nonzero()[0]
-        for pos in (accepted[:, None] // strides % m2.cardinality).tolist():
-            yield ModuleHom(m1, m2, tuple(m2.elements[p] for p in pos))
+        # decoded a slice at a time, as callers often stop after a few homs
+        for s in range(0, len(accepted), 256):
+            digits = accepted[s : s + 256, None] // strides % m2.cardinality
+            for pos in digits.tolist():
+                yield ModuleHom._accepted(m1, m2, tuple(m2.elements[p] for p in pos))
         lo += len(values)
 
 
@@ -713,17 +710,7 @@ def _verify_decomposition(m: Module, dec: IdempotentDecomposition, comps) -> Non
         ok = all(chunk_holds(lo) for lo in range(0, max(n_pairs, n_scaled), step))
     else:
         # the fixed-seed draws, in the order x, y, r, z for each sample
-        rnd = random.Random(ring.guards.axiom_seed)
-        draws = [
-            (
-                rnd.randrange(size),
-                rnd.randrange(size),
-                rnd.randrange(ring.order),
-                rnd.randrange(size),
-            )
-            for _ in range(ring.guards.axiom_sample_count)
-        ]
-        ok = laws_hold(*np.array(draws, dtype=np.intp).reshape(-1, 4).T)
+        ok = laws_hold(*_sample_draws(ring.guards, (size, size, ring.order, size)).T)
     if not ok:
         raise ConsistencyError("componentwise map does not preserve the module laws")
 

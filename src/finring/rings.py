@@ -33,6 +33,7 @@ rings can be shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import weakref
@@ -217,7 +218,6 @@ class Ring:
     def __init__(self, guards: Guards):
         self.guards = guards
         self._tables = None
-        self._tables_list = None
         self._int_images = None
         self._cache: dict = {}
 
@@ -288,13 +288,6 @@ class Ring:
         if self._tables is None:
             self._tables = self._build_tables()
         return self._tables
-
-    def tables_list(self):
-        """Same tables as nested Python lists, faster for scalar loops."""
-        if self._tables_list is None:
-            add, mul, neg = self.tables()
-            self._tables_list = (add.tolist(), mul.tolist(), neg.tolist())
-        return self._tables_list
 
     def _build_tables(self):
         # the position ops over the whole grid, a block of rows at a time;
@@ -567,6 +560,18 @@ def _grid_lookup(table, first, last):
     return lookup
 
 
+@functools.lru_cache(maxsize=128)
+def _sample_draws(guards: Guards, bounds: tuple) -> np.ndarray:
+    """``axiom_sample_count`` rows of fixed-seed draws for the sampled law
+    checks, from one ``Random(axiom_seed)`` row by row: ``randrange(b)`` for
+    each bound b.  Cached and read-only: checks of one size share it."""
+    rnd = random.Random(guards.axiom_seed)
+    draws = [rnd.randrange(b) for _ in range(guards.axiom_sample_count) for b in bounds]
+    out = np.array(draws, dtype=np.int64).reshape(guards.axiom_sample_count, len(bounds))
+    out.flags.writeable = False
+    return out
+
+
 def verify_ring_axioms(ring: Ring) -> None:
     """Check the ring laws on element positions.
 
@@ -586,9 +591,7 @@ def verify_ring_axioms(ring: Ring) -> None:
         a, b, c = x[:, None, None], x[None, :, None], x[None, None, :]
         ops = (_grid_lookup(add, a, c), _grid_lookup(mul, a, c), neg.__getitem__)
     else:
-        rnd = random.Random(ring.guards.axiom_seed)
-        draws = [rnd.randrange(n) for _ in range(3 * ring.guards.axiom_sample_count)]
-        a, b, c = np.array(draws, dtype=np.int64).reshape(-1, 3).T
+        a, b, c = _sample_draws(ring.guards, (n, n, n)).T
         ops = (ring._add, ring._mul, ring._neg)
     for message, lhs, rhs in _ring_laws(*ops, a, b, c, x, z, e):
         if not np.all(lhs == rhs):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from brute_force import BruteModule
 from finring import modules
 from finring.classify import SQUARE_ZERO_PAIR
 from finring.errors import NonLocalRingError, ValidationError
@@ -306,15 +307,10 @@ def _ref_ext1(m, q):
     res = free_resolution(m, 3)
     d1, d2 = res.differentials
     g0, g1, _ = res.ranks
+    ref = BruteModule.of(q)
 
     def transpose_apply(columns, w):
-        out = []
-        for col in columns:
-            acc = q.zero
-            for coeff, wi in zip(col, w):
-                acc = q.add(acc, q.scal(coeff, wi))
-            out.append(acc)
-        return tuple(out)
+        return tuple(ref.combination(col, w) for col in columns)
 
     image_set = {
         transpose_apply(d1.images, w) for w in itertools.product(q.elements, repeat=g0)
@@ -329,7 +325,7 @@ def _ref_ext1(m, q):
     ann = {
         ring.elements[r]
         for r in range(ring.order)
-        if all(tuple(q.scal(r, vc) for vc in v) in image_set for v in kernel_list)
+        if all(tuple(ref.scal(r, vc) for vc in v) in image_set for v in kernel_list)
     }
     return len(kernel_list) // len(image_set), len(kernel_list), len(image_set), ann
 

@@ -3,9 +3,10 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from brute_force import BruteModule
 from finring.classify import SQUARE_ZERO_PAIR
 from finring.errors import (
     ConsistencyError,
@@ -111,12 +112,13 @@ def test_homs_are_linear_exhaustively():
     z9 = _ring("Z/9")
     m1 = _mod(z9, "3")
     m2 = regular_module(z9)
+    ref1, ref2 = BruteModule.of(m1), BruteModule.of(m2)
     for h in hom_set(m1, m2):
         for a in m1.elements:
             for b in m1.elements:
-                assert h.apply(m1.add(a, b)) == m2.add(h.apply(a), h.apply(b))
+                assert h.apply(ref1.add(a, b)) == ref2.add(h.apply(a), h.apply(b))
             for r in range(z9.order):
-                assert h.apply(m1.scal(r, a)) == m2.scal(r, h.apply(a))
+                assert h.apply(ref1.scal(r, a)) == ref2.scal(r, h.apply(a))
 
 
 def test_kernel_image_cokernel():
@@ -179,16 +181,17 @@ def test_isomorphism_is_equivalence_on_a_catalog():
 def test_minimal_generators():
     z8 = _ring("Z/8")
     m = _mod(z8, "2,0;0,4")
+    ref = BruteModule.of(m)
     # oracle: |M/mM| = 4 = 2^2 over the residue field GF(2)
     mm = set()
     for r in [0, 2, 4, 6]:
         for x in m.elements:
-            mm.add(m.scal(z8.index[r], x))
+            mm.add(ref.scal(z8.index[r], x))
     closure = {m.zero}
     for p in mm:
-        closure |= {m.add(a, p) for a in closure}
+        closure |= {ref.add(a, p) for a in closure}
     while True:
-        bigger = {m.add(a, b) for a in closure for b in closure}
+        bigger = {ref.add(a, b) for a in closure for b in closure}
         if bigger == closure:
             break
         closure = bigger
@@ -333,36 +336,23 @@ def _presentations(draw):
     return ring, k, cols
 
 
-def _reference_span(ring, k, cols):
-    addl, mull, _ = ring.tables_list()
-    span = {(0,) * k}
-    for col in cols:
-        span = {
-            tuple(addl[s][mull[r][c]] for s, c in zip(vec, col))
-            for vec in span
-            for r in range(ring.order)
-        }
-    return span
-
-
 @settings(max_examples=60, deadline=None)
 @given(_presentations(), st.data())
 def test_module_arithmetic_matches_brute_force(pres, data):
     ring, k, cols = pres
-    addl, mull, _ = ring.tables_list()
-    span = _reference_span(ring, k, cols)
-
-    def least(raw):
-        return min(tuple(addl[x][s] for x, s in zip(raw, vec)) for vec in span)
-
+    ref = BruteModule(ring, k, cols)
+    least, addl, mull = ref.least, ref.addl, ref.mull
     m = Module(Presentation(ring, k, tuple(tuple(ring.elements[i] for i in c) for c in cols)))
-    assert m.cardinality * len(span) == ring.order**k
+    assert m.cardinality * len(ref.span) == ring.order**k
     pick = st.sampled_from(m.elements)
     a, b = data.draw(pick), data.draw(pick)
     r = data.draw(st.integers(0, ring.order - 1))
     assert least(a) == a
-    assert m.add(a, b) == least(tuple(addl[x][y] for x, y in zip(a, b)))
-    assert m.scal(r, a) == least(tuple(mull[r][x] for x in a))
+    # a + b and r * a on positions: digitwise table lookups, then the coset
+    add, mul, _ = ring.tables()
+    da, db = m._digits[m.index[a]], m._digits[m.index[b]]
+    assert m._locate(add[da, db]) == m.index[least(tuple(addl[x][y] for x, y in zip(a, b)))]
+    assert m._locate(mul[r, da]) == m.index[least(tuple(mull[r][x] for x in a))]
     if ring.order**k <= 64:
         reps = {least(raw) for raw in np.ndindex(*(ring.order,) * k)}
         assert m.elements == sorted(reps)
@@ -392,42 +382,29 @@ def _ref_greedy(add, scal, order, zero, subset):
     return gens
 
 
-def _ref_combination(m, coeffs, images):
-    acc = m.zero
-    for coeff, im in zip(coeffs, images):
-        acc = m.add(acc, m.scal(coeff, im))
-    return acc
-
-
 def _ref_submodule(ambient, subset):
     """(generators, relation columns, cardinality) of the presented submodule."""
     ring = ambient.ring
     subset = sorted(set(subset), key=ambient.index.__getitem__)
-    gens = _ref_greedy(ambient.add, ambient.scal, ring.order, ambient.zero, subset)
+    ref = BruteModule.of(ambient)
+    gens = _ref_greedy(ref.add, ref.scal, ring.order, ambient.zero, subset)
     relations = [
         a
         for a in itertools.product(range(ring.order), repeat=len(gens))
-        if _ref_combination(ambient, a, gens) == ambient.zero
+        if ref.combination(a, gens) == ambient.zero
     ]
-    addl, mull, _ = ring.tables_list()
-    rel_gens = _ref_greedy(
-        lambda u, v: tuple(addl[s][t] for s, t in zip(u, v)),
-        lambda r, u: tuple(mull[r][c] for c in u),
-        ring.order,
-        (ring.index[ring.zero],) * len(gens),
-        sorted(relations),
-    )
+    free = BruteModule(ring, len(gens))
+    rel_gens = _ref_greedy(free.add, free.scal, ring.order, free.zero, sorted(relations))
     cols = tuple(tuple(ring.elements[i] for i in col) for col in rel_gens)
     return gens, cols, len(subset)
 
 
 def _ref_homs(m1, m2):
+    ref = BruteModule.of(m2)
     return [
         images
         for images in itertools.product(m2.elements, repeat=m1.k)
-        if all(
-            _ref_combination(m2, col, images) == m2.zero for col in m1.relation_columns
-        )
+        if all(ref.combination(col, images) == m2.zero for col in m1.relation_columns)
     ]
 
 
@@ -445,6 +422,40 @@ def _hom_pairs(draw):
     return module(), module()
 
 
+@settings(max_examples=40, deadline=None)
+@given(_hom_pairs())
+def test_building_a_hom_accepts_exactly_the_enumerated_homs(pair):
+    # the two relation paths: iter_homs' outer-sum test, and the check on
+    # building a hom from given images
+    m1, m2 = pair
+    assume(m2.cardinality**m1.k <= 729)
+    homs = {h.images: h for h in hom_set(m1, m2)}
+    for images in itertools.product(m2.elements, repeat=m1.k):
+        if images in homs:
+            built = ModuleHom(m1, m2, images)
+            assert built == homs[images]
+            assert np.array_equal(built.table, homs[images].table)
+        else:
+            with pytest.raises(ValidationError, match="source relations"):
+                ModuleHom(m1, m2, images)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_presentations(), st.integers(0, 2), st.sampled_from([None, 7]))
+def test_homs_from_a_free_module_are_all_image_tuples(pres, k, chunk):
+    ring, g, cols = pres
+    m = Module(Presentation(ring, g, tuple(tuple(ring.elements[i] for i in c) for c in cols)))
+    assume(m.cardinality**k <= 6561)
+    saved = modules._CHUNK
+    modules._CHUNK = chunk or saved
+    try:
+        images = [h.images for h in hom_set(free_module(ring, k), m)]
+    finally:
+        modules._CHUNK = saved
+    # a source without relations: every tuple of images is a hom
+    assert images == list(itertools.product(m.elements, repeat=k))
+
+
 @settings(max_examples=60, deadline=None)
 @given(_hom_pairs(), st.sampled_from([None, 7]), st.data())
 def test_submodules_and_homs_match_brute_force(pair, chunk, data):
@@ -456,7 +467,8 @@ def test_submodules_and_homs_match_brute_force(pair, chunk, data):
         homs = list(iter_homs(m1, m2))
         assert [h.images for h in homs] == _ref_homs(m1, m2)
         h = data.draw(st.sampled_from(homs))  # never empty: the zero hom
-        values = [_ref_combination(m2, el, h.images) for el in m1.elements]
+        ref2 = BruteModule.of(m2)
+        values = [ref2.combination(el, h.images) for el in m1.elements]
         assert [h.apply(el) for el in m1.elements] == values
         kernel_subset = [el for el, v in zip(m1.elements, values) if v == m2.zero]
         for (mod, emb), ambient, subset in (
@@ -470,7 +482,7 @@ def test_submodules_and_homs_match_brute_force(pair, chunk, data):
             assert mod.cardinality == size
         coker, _ = cokernel(h)
         img = sorted(set(values), key=m2.index.__getitem__)
-        extra = _ref_greedy(m2.add, m2.scal, m2.ring.order, m2.zero, img)
+        extra = _ref_greedy(ref2.add, ref2.scal, m2.ring.order, m2.zero, img)
         assert coker.presentation.relations == tuple(m2.presentation.relations) + tuple(
             tuple(m2.ring.elements[i] for i in g) for g in extra
         )

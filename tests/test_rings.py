@@ -353,6 +353,35 @@ def test_sampled_axiom_check_uses_the_seeded_draws():
     assert (0, list(range(n))) in calls
 
 
+def test_sample_draws_repeat_the_seeded_sequences():
+    guards = DEFAULT_GUARDS
+    count = guards.axiom_sample_count
+    rnd = random.Random(guards.axiom_seed)
+    triples = [[rnd.randrange(128) for _ in range(3)] for _ in range(count)]
+    rnd = random.Random(guards.axiom_seed)
+    size, order = 100, 8
+    quads = [
+        [rnd.randrange(size), rnd.randrange(size), rnd.randrange(order), rnd.randrange(size)]
+        for _ in range(count)
+    ]
+    for bounds, want in (((128, 128, 128), triples), ((size, size, order, size), quads)):
+        draws = rings._sample_draws(guards, bounds)
+        assert draws.dtype == np.int64 and draws.shape == (count, len(bounds))
+        assert draws.tolist() == want
+        assert not draws.flags.writeable
+        with pytest.raises(ValueError):
+            draws[0, 0] = 0
+
+
+def test_rings_of_one_order_share_the_sampled_draws():
+    guards = Guards(axiom_seed=31)  # a key no other test draws with
+    before = rings._sample_draws.cache_info()
+    build_ring(parse_ring_spec("Z/2 x Z/64"), guards)
+    build_ring(parse_ring_spec("Z/128"), guards)
+    after = rings._sample_draws.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
+
 # ---------------------------------------------------------------------------
 # shared sub-rings and tables read from part tables
 

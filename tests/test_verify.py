@@ -1,7 +1,9 @@
 import importlib
 
+from finring.classify import catalog_rings
 from finring.guards import Guards
-from finring.verify import CHECKS, run_verification
+from finring.parsing import parse_ring_spec
+from finring.verify import CHECKS, check_zmod_quasi_frobenius, run_verification
 
 
 def test_quick_catalog_all_pass():
@@ -18,6 +20,26 @@ def test_fault_injection_is_caught_and_named():
     assert failing[0].name == "sg-route-agreement"
     assert "counterexample" in failing[0].detail
     assert "Z/" in failing[0].detail  # names the offending ring
+
+
+def test_zmod_check_builds_only_the_rings_the_catalog_lacks(monkeypatch):
+    from finring import verify
+
+    guards = Guards()
+    rings = list(catalog_rings("quick", guards))
+    built = []
+    real = verify.build_ring
+
+    def spy(spec, guards=None):
+        built.append(spec)
+        return real(spec, guards)
+
+    monkeypatch.setattr(verify, "build_ring", spy)
+    result = check_zmod_quasi_frobenius(rings, {"inject_fault": False, "guards": guards})
+    assert result.passed and result.detail == "Z/n quasi-Frobenius for n=2..64"
+    held = {label for label, _ in rings}
+    assert "Z/8" in held and "Z/64" not in held
+    assert built == [parse_ring_spec(f"Z/{n}") for n in range(2, 65) if f"Z/{n}" not in held]
 
 
 def test_check_names_are_unique():
