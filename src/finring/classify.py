@@ -84,15 +84,17 @@ def is_quasi_frobenius(ring: Ring):
     return (True, None) if bad is None else (False, bad)
 
 
+def nonzero_proper_ideals(ring: Ring) -> list:
+    """The ideals strictly between 0 and R, in lattice order.  A local ring
+    is SG-semisimple exactly when there is at most one of them."""
+    return [i for i in enumerate_ideals(ring) if i.is_proper and not i.is_zero]
+
+
 def is_sg_semisimple(ring: Ring):
     """(verdict, certificate): every local factor has <= 1 nonzero proper ideal."""
     dec = idempotent_decomposition(ring)
     for fi, factor in enumerate(dec.factor_rings):
-        nonzero_proper = [
-            ideal
-            for ideal in enumerate_ideals(factor)
-            if ideal.is_proper and not ideal.is_zero
-        ]
+        nonzero_proper = nonzero_proper_ideals(factor)
         if len(nonzero_proper) > 1:
             return False, SgCertificate(fi, nonzero_proper[0], nonzero_proper[1])
     return True, None
@@ -136,9 +138,7 @@ def classify(ring: Ring) -> ClassificationReport:
         max_ideal = maximal_ideals(factor)[0]
         factors.append(FactorSummary(factor.order, len(lattice), max_ideal.order))
         if factor.order <= 64:
-            ideal_route = (
-                sum(1 for i in lattice if i.is_proper and not i.is_zero) <= 1
-            )
+            ideal_route = len(nonzero_proper_ideals(factor)) <= 1
             module_route = _residue_sgp_decision(factor)
             if ideal_route != module_route:
                 raise ConsistencyError(

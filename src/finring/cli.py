@@ -365,25 +365,21 @@ def _run_verify(args) -> int:
         catalog=args.catalog, inject_fault=args.inject_fault, guards=_guards(args)
     )
     all_passed = all(r.passed for r in results)
-    if args.json:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "catalog": args.catalog,
-            "fault_injected": args.inject_fault,
-            "all_passed": all_passed,
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail}
-                for r in results
-            ],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for r in results:
-            print(f"{'PASS' if r.passed else 'FAIL'} {r.name} -- {r.detail}")
-        print(
-            f"{'all checks passed' if all_passed else 'verification FAILED'} "
-            f"({sum(r.passed for r in results)}/{len(results)})"
-        )
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "catalog": args.catalog,
+        "fault_injected": args.inject_fault,
+        "all_passed": all_passed,
+        "checks": [
+            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
+        ],
+    }
+    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name} -- {r.detail}" for r in results]
+    lines.append(
+        f"{'all checks passed' if all_passed else 'verification FAILED'} "
+        f"({sum(r.passed for r in results)}/{len(results)})"
+    )
+    _emit(args, payload, lines)
     return 0 if all_passed else 1
 
 

@@ -27,6 +27,8 @@ R^2 / <(2,0), (0,4)>.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .errors import ParseError, ValidationError
 from .rings import (
     PolyQuotient,
@@ -239,39 +241,41 @@ def _parse_base(cur: _Cursor) -> RingSpec:
     raise cur.error("expected a ring spec (Z/n, GF(q), SC(...) or a quotient)")
 
 
-def _parse_int_poly(cur: _Cursor) -> list[int]:
-    """Polynomial in x with integer coefficients; ascending coefficient list."""
-    coeffs: dict[int, int] = {}
-    sign = 1
-    if cur.eat("-"):
-        sign = -1
+def _signed_terms(cur: _Cursor, term):
+    """Yield ``(sign, term(cur))`` for each term of ``[-] term (+|- term)*``."""
+    sign = -1 if cur.eat("-") else 1
     while True:
-        coef, power = _parse_int_term(cur)
-        coeffs[power] = coeffs.get(power, 0) + sign * coef
+        yield sign, term(cur)
         if cur.eat("+"):
             sign = 1
         elif cur.eat("-"):
             sign = -1
         else:
-            break
+            return
+
+
+def _power(cur: _Cursor) -> int:
+    """The exponent k of an ``x`` or ``x^k`` factor."""
+    cur.expect("x")
+    return cur.integer() if cur.eat("^") else 1
+
+
+def _parse_int_poly(cur: _Cursor) -> list[int]:
+    """Polynomial in x with integer coefficients; ascending coefficient list."""
+    coeffs: dict[int, int] = {}
+    for sign, (coef, power) in _signed_terms(cur, _parse_int_term):
+        coeffs[power] = coeffs.get(power, 0) + sign * coef
     degree = max(coeffs)
     return [coeffs.get(k, 0) for k in range(degree + 1)]
 
 
 def _parse_int_term(cur: _Cursor):
-    cur.skip_ws()
     ch = cur.peek()
     if ch.isdigit():
         coef = cur.integer()
-        if cur.eat("*") or cur.peek() == "x":
-            cur.expect("x")
-            power = cur.integer() if cur.eat("^") else 1
-            return coef, power
-        return coef, 0
+        return coef, _power(cur) if cur.eat("*") or cur.peek() == "x" else 0
     if ch == "x":
-        cur.expect("x")
-        power = cur.integer() if cur.eat("^") else 1
-        return 1, power
+        return 1, _power(cur)
     raise cur.error("expected a polynomial term")
 
 
@@ -302,9 +306,9 @@ def _parse_element(ring: Ring, cur: _Cursor):
         cur.expect(")")
         return tuple(parts)
     if isinstance(ring, PolyQuotientRing):
-        return _parse_poly_literal(ring, cur)
+        return _signed_sum(ring, cur, partial(_parse_poly_term, ring, _x(ring)))
     if isinstance(ring, StructureConstantRing):
-        return _parse_sc_literal(ring, cur)
+        return _signed_sum(ring, cur, partial(_parse_sc_term, ring))
     if isinstance(ring, IdempotentFactorRing):
         value = _parse_element(ring.parent, cur)
         if value not in ring.index:
@@ -313,27 +317,20 @@ def _parse_element(ring: Ring, cur: _Cursor):
     raise cur.error(f"no literal syntax for {type(ring).__name__}")
 
 
-def _parse_poly_literal(ring: PolyQuotientRing, cur: _Cursor):
+def _signed_sum(ring: Ring, cur: _Cursor, term):
+    """The ring value of a literal ``[-] term (+|- term)*``."""
+    result = ring.zero
+    for sign, value in _signed_terms(cur, term):
+        result = ring.add(result, value) if sign == 1 else ring.sub(result, value)
+    return result
+
+
+def _x(ring: PolyQuotientRing):
+    """The class of x in the quotient; in degree 1, x itself reduces to -m0."""
     base = ring.base
     if ring.deg >= 2:
-        x = (base.zero, base.one) + (base.zero,) * (ring.deg - 2)
-    else:
-        # deg 1: x itself reduces to -m0
-        x = (base.neg(ring.modulus[0]),)
-    result = ring.zero
-    sign = 1
-    if cur.eat("-"):
-        sign = -1
-    while True:
-        term = _parse_poly_term(ring, x, cur)
-        result = ring.add(result, term) if sign == 1 else ring.sub(result, term)
-        if cur.eat("+"):
-            sign = 1
-        elif cur.eat("-"):
-            sign = -1
-        else:
-            break
-    return result
+        return (base.zero, base.one) + (base.zero,) * (ring.deg - 2)
+    return (base.neg(ring.modulus[0]),)
 
 
 def _parse_poly_term(ring: PolyQuotientRing, x, cur: _Cursor):
@@ -348,15 +345,10 @@ def _parse_poly_term(ring: PolyQuotientRing, x, cur: _Cursor):
     elif ch.isdigit() or ch in "+-":
         coeff = base.scalar_from_int(cur.integer())
     if coeff is not None:
-        if cur.eat("*") or cur.peek() == "x":
-            cur.expect("x")
-            power = cur.integer() if cur.eat("^") else 1
-            return _embed_coeff_times_power(ring, coeff, x, power)
-        return _embed_coeff_times_power(ring, coeff, x, 0)
+        power = _power(cur) if cur.eat("*") or cur.peek() == "x" else 0
+        return _embed_coeff_times_power(ring, coeff, x, power)
     if ch == "x":
-        cur.expect("x")
-        power = cur.integer() if cur.eat("^") else 1
-        return _embed_coeff_times_power(ring, base.one, x, power)
+        return _embed_coeff_times_power(ring, base.one, x, _power(cur))
     raise cur.error("expected a polynomial element term")
 
 
@@ -369,42 +361,22 @@ def _embed_coeff_times_power(ring: PolyQuotientRing, coeff, x, power: int):
     return result
 
 
-def _parse_sc_literal(ring: StructureConstantRing, cur: _Cursor):
-    result = ring.zero
-    sign = 1
-    if cur.eat("-"):
-        sign = -1
-    while True:
-        term = _parse_sc_term(ring, cur)
-        result = ring.add(result, term) if sign == 1 else ring.sub(result, term)
-        if cur.eat("+"):
-            sign = 1
-        elif cur.eat("-"):
-            sign = -1
-        else:
-            break
-    return result
-
-
 def _parse_sc_term(ring: StructureConstantRing, cur: _Cursor):
     n, dim = ring.n, ring.dim
     ch = cur.peek()
     if ch.isdigit() or ch in "+-":
         coef = cur.integer()
-        if cur.eat("*") or cur.peek() == "b":
-            cur.expect("b")
-            i = cur.integer()
-            if not 0 <= i < dim:
-                raise cur.error(f"basis name b{i} out of range (dimension {dim})")
-            return tuple((coef % n) if t == i else 0 for t in range(dim))
-        return ring.scalar_from_int(coef)
-    if ch == "b":
-        cur.expect("b")
-        i = cur.integer()
-        if not 0 <= i < dim:
-            raise cur.error(f"basis name b{i} out of range (dimension {dim})")
-        return tuple(1 if t == i else 0 for t in range(dim))
-    raise cur.error("expected a structure-constant element term")
+        if not (cur.eat("*") or cur.peek() == "b"):
+            return ring.scalar_from_int(coef)
+    elif ch == "b":
+        coef = 1
+    else:
+        raise cur.error("expected a structure-constant element term")
+    cur.expect("b")
+    i = cur.integer()
+    if not 0 <= i < dim:
+        raise cur.error(f"basis name b{i} out of range (dimension {dim})")
+    return tuple((coef % n) if t == i else 0 for t in range(dim))
 
 
 def format_element(ring: Ring, value) -> str:

@@ -9,6 +9,7 @@ that it catches violations; it must make the suite exit nonzero.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ from .classify import (
     SQUARE_ZERO_PAIR,
     catalog_rings,
     classify,
+    nonzero_proper_ideals,
     residue_field_sgp,
 )
 from .errors import FinringError
@@ -41,13 +43,11 @@ from .modules import (
     Presentation,
     direct_sum,
     decompose_over_product,
-    free_module,
     free_summand_split,
     hom_set,
     ideal_as_module,
     image,
     is_isomorphic,
-    iter_homs,
     kernel,
     cokernel,
     quotient_by_ideal,
@@ -64,53 +64,80 @@ class CheckResult:
     detail: str
 
 
+class _Counterexample(Exception):
+    """Raised by a check body at its first counterexample; the text is the detail."""
+
+
+def _check(name):
+    """Declare a check's report name once.
+
+    The decorated body returns its summary detail when the law holds and
+    raises ``_Counterexample`` at the first violation; either way the check
+    returns a ``CheckResult`` under ``name``, which ``run_verification``
+    also gives to an internal error.
+    """
+
+    def declare(body):
+        @functools.wraps(body)
+        def check(rings, flags):
+            try:
+                detail, passed = body(rings, flags), True
+            except _Counterexample as found:
+                detail, passed = str(found), False
+            return CheckResult(name, passed, detail)
+
+        check.report_name = name
+        return check
+
+    return declare
+
+
 def _sample_modules(ring, include_sums=False):
     """Small canonical test modules: R, the quotients R/I, optionally a sum."""
     mods = [("R", regular_module(ring))]
-    for ideal in enumerate_ideals(ring):
-        if ideal.is_proper and not ideal.is_zero:
-            gens = ",".join(map(repr, ideal.generators))
-            mods.append((f"R/({gens})", quotient_by_ideal(ring, ideal)))
+    for ideal in nonzero_proper_ideals(ring):
+        gens = ",".join(map(repr, ideal.generators))
+        mods.append((f"R/({gens})", quotient_by_ideal(ring, ideal)))
     if include_sums and len(mods) > 1:
         name, m = mods[1]
         mods.append((f"{name}+R", direct_sum(m, regular_module(ring))))
     return mods
 
 
-def _catalog(name, guards):
-    return list(catalog_rings(name, guards))
+def _local(rings, max_order):
+    """The (label, ring) pairs of the local rings of order at most ``max_order``."""
+    for label, ring in rings:
+        if ring.order <= max_order and is_local(ring):
+            yield label, ring
 
 
 # ---------------------------------------------------------------------------
-# checks; each takes (rings, flags) and returns a CheckResult.  ``flags``
-# holds ``inject_fault`` and the run's ``guards``, which every ring a check
-# builds itself must carry
+# checks; each takes (rings, flags) and, through ``_check``, returns a
+# CheckResult.  ``flags`` holds ``inject_fault`` and the run's ``guards``,
+# which every ring a check builds itself must carry
 
 
+@_check("ring-axioms")
 def check_ring_axioms(rings, _flags):
     # construction re-verifies the axioms; arriving here means they all held
-    return CheckResult(
-        "ring-axioms", True, f"{len(rings)} catalog rings built and verified"
-    )
+    return f"{len(rings)} catalog rings built and verified"
 
 
+@_check("double-annihilator-containment")
 def check_double_annihilator_containment(rings, _flags):
     count = 0
     for label, ring in rings:
         for ideal in enumerate_ideals(ring):
             back = annihilator(ring, annihilator(ring, ideal))
             if not set(ideal.indices) <= set(back.indices):
-                return CheckResult(
-                    "double-annihilator-containment",
-                    False,
-                    f"{label}: I is not inside Ann(Ann(I)) for I of order {ideal.order}",
+                raise _Counterexample(
+                    f"{label}: I is not inside Ann(Ann(I)) for I of order {ideal.order}"
                 )
             count += 1
-    return CheckResult(
-        "double-annihilator-containment", True, f"{count} ideals checked"
-    )
+    return f"{count} ideals checked"
 
 
+@_check("ideal-lattice-fixpoint")
 def check_ideal_lattice_fixpoint(rings, _flags):
     checked = 0
     for label, ring in rings:
@@ -120,84 +147,63 @@ def check_ideal_lattice_fixpoint(rings, _flags):
         keys = {ideal.indices for ideal in lattice}
         for x in ring.elements:
             if ideal_generated(ring, [x]).indices not in keys:
-                return CheckResult(
-                    "ideal-lattice-fixpoint", False, f"{label}: missing principal ideal"
-                )
+                raise _Counterexample(f"{label}: missing principal ideal")
         for a in lattice:
             for b in lattice:
                 total = ideal_generated(ring, list(a.generators) + list(b.generators))
                 if total.indices not in keys:
-                    return CheckResult(
-                        "ideal-lattice-fixpoint", False, f"{label}: missing ideal sum"
-                    )
+                    raise _Counterexample(f"{label}: missing ideal sum")
         checked += 1
-    return CheckResult(
-        "ideal-lattice-fixpoint", True, f"{checked} lattices closed under sums"
-    )
+    return f"{checked} lattices closed under sums"
 
 
+@_check("idempotent-splitting")
 def check_idempotent_splitting(rings, _flags):
     for label, ring in rings:
         dec = idempotent_decomposition(ring)
         total = ring.zero
         for e in dec.idempotents:
             if ring.mul(e, e) != e or e == ring.zero:
-                return CheckResult(
-                    "idempotent-splitting", False, f"{label}: non-idempotent atom"
-                )
+                raise _Counterexample(f"{label}: non-idempotent atom")
             total = ring.add(total, e)
         if total != ring.one:
-            return CheckResult(
-                "idempotent-splitting", False, f"{label}: atoms do not sum to 1"
-            )
+            raise _Counterexample(f"{label}: atoms do not sum to 1")
         size = 1
         for f in dec.factor_rings:
             if not is_local(f):
-                return CheckResult(
-                    "idempotent-splitting", False, f"{label}: non-local factor"
-                )
+                raise _Counterexample(f"{label}: non-local factor")
             size *= f.order
         if size != ring.order:
-            return CheckResult(
-                "idempotent-splitting", False, f"{label}: factor sizes do not multiply"
-            )
-    return CheckResult(
-        "idempotent-splitting", True, f"{len(rings)} decompositions validated"
-    )
+            raise _Counterexample(f"{label}: factor sizes do not multiply")
+    return f"{len(rings)} decompositions validated"
 
 
+@_check("zmod-quasi-frobenius")
 def check_zmod_quasi_frobenius(rings, flags):
     held = dict(rings)  # build only the Z/n the catalog lacks
     for n in range(2, 65):
         label = f"Z/{n}"
         ring = held.get(label) or build_ring(parse_ring_spec(label), flags["guards"])
-        report = classify(ring)
-        if not report.quasi_frobenius:
-            return CheckResult(
-                "zmod-quasi-frobenius", False, f"Z/{n} failed the double-annihilator test"
-            )
-    return CheckResult("zmod-quasi-frobenius", True, "Z/n quasi-Frobenius for n=2..64")
+        if not classify(ring).quasi_frobenius:
+            raise _Counterexample(f"Z/{n} failed the double-annihilator test")
+    return "Z/n quasi-Frobenius for n=2..64"
 
 
+@_check("module-counting-laws")
 def check_module_counting_laws(rings, _flags):
     count = 0
-    for label, ring in rings:
-        if ring.order > 16 or not is_local(ring):
-            continue
+    for label, ring in _local(rings, 16):
         for name, m in _sample_modules(ring, include_sums=True):
             if m.cardinality * len(m.span) != ring.order**m.k:
-                return CheckResult(
-                    "module-counting-laws", False, f"{label} {name}: |M|*|span| != |R|^k"
-                )
+                raise _Counterexample(f"{label} {name}: |M|*|span| != |R|^k")
             count += 1
-    return CheckResult("module-counting-laws", True, f"{count} presentations counted")
+    return f"{count} presentations counted"
 
 
+@_check("hom-linearity")
 def check_hom_sets_are_exactly_the_linear_maps(rings, _flags):
     pairs = 0
-    for label, ring in rings:
-        if ring.order > 9 or not is_local(ring):
-            continue
+    for label, ring in _local(rings, 9):
         add, mul, _ = ring.tables()
         r = np.arange(ring.order)[:, None, None]
         mods = _sample_modules(ring)[:3]
@@ -211,22 +217,17 @@ def check_hom_sets_are_exactly_the_linear_maps(rings, _flags):
                 for h in homs:
                     d2 = m2._digits[h.table]  # the image of every element of m1
                     if (h.table[sums] != m2._locate(add[d2[:, None], d2[None]])).any():
-                        return CheckResult(
-                            "hom-linearity", False, f"{label}: non-additive hom"
-                        )
+                        raise _Counterexample(f"{label}: non-additive hom")
                     if (h.table[scaled] != m2._locate(mul[r, d2[None]])).any():
-                        return CheckResult(
-                            "hom-linearity", False, f"{label}: non-equivariant hom"
-                        )
+                        raise _Counterexample(f"{label}: non-equivariant hom")
                 pairs += 1
-    return CheckResult("hom-linearity", True, f"{pairs} hom sets re-verified elementwise")
+    return f"{pairs} hom sets re-verified elementwise"
 
 
+@_check("kernel-image-counts")
 def check_kernel_image_counts(rings, _flags):
     checked = 0
-    for label, ring in rings:
-        if ring.order > 9 or not is_local(ring):
-            continue
+    for label, ring in _local(rings, 9):
         mods = _sample_modules(ring)[:3]
         for _, m1 in mods:
             for _, m2 in mods:
@@ -235,17 +236,14 @@ def check_kernel_image_counts(rings, _flags):
                     img, _ = image(h)
                     cok, _ = cokernel(h)
                     if ker.cardinality * img.cardinality != m1.cardinality:
-                        return CheckResult(
-                            "kernel-image-counts", False, f"{label}: |ker|*|im| != |M|"
-                        )
+                        raise _Counterexample(f"{label}: |ker|*|im| != |M|")
                     if cok.cardinality * img.cardinality != m2.cardinality:
-                        return CheckResult(
-                            "kernel-image-counts", False, f"{label}: |coker| != |N|/|im|"
-                        )
+                        raise _Counterexample(f"{label}: |coker| != |N|/|im|")
                     checked += 1
-    return CheckResult("kernel-image-counts", True, f"{checked} homs counted")
+    return f"{checked} homs counted"
 
 
+@_check("iso-equivalence")
 def check_isomorphism_is_equivalence(rings, _flags):
     for label, ring in rings:
         if ring.order != 8 or not is_local(ring):
@@ -255,23 +253,20 @@ def check_isomorphism_is_equivalence(rings, _flags):
         rel = [[is_isomorphic(mods[i], mods[j])[0] for j in range(n)] for i in range(n)]
         for i in range(n):
             if not rel[i][i]:
-                return CheckResult("iso-equivalence", False, f"{label}: not reflexive")
+                raise _Counterexample(f"{label}: not reflexive")
             for j in range(n):
                 if rel[i][j] != rel[j][i]:
-                    return CheckResult("iso-equivalence", False, f"{label}: not symmetric")
+                    raise _Counterexample(f"{label}: not symmetric")
                 for k in range(n):
                     if rel[i][j] and rel[j][k] and not rel[i][k]:
-                        return CheckResult(
-                            "iso-equivalence", False, f"{label}: not transitive"
-                        )
-    return CheckResult("iso-equivalence", True, "reflexive, symmetric, transitive")
+                        raise _Counterexample(f"{label}: not transitive")
+    return "reflexive, symmetric, transitive"
 
 
+@_check("free-summand-split")
 def check_free_summand_split(rings, _flags):
     checked = 0
-    for label, ring in rings:
-        if ring.order > 9 or not is_local(ring):
-            continue
+    for label, ring in _local(rings, 9):
         if classify(ring).quasi_frobenius:
             for name, m in _sample_modules(ring, include_sums=True):
                 rank, rest = free_summand_split(m)
@@ -280,20 +275,17 @@ def check_free_summand_split(rings, _flags):
                     resum = direct_sum(regular_module(ring), resum)
                 ok, _ = is_isomorphic(resum, m)
                 if not ok:
-                    return CheckResult(
-                        "free-summand-split", False, f"{label} {name}: re-sum failed"
-                    )
+                    raise _Counterexample(f"{label} {name}: re-sum failed")
                 for el in rest.elements:
                     if el != rest.zero and rest.element_annihilator_is_zero(el):
-                        return CheckResult(
-                            "free-summand-split",
-                            False,
-                            f"{label} {name}: complement has a free element",
+                        raise _Counterexample(
+                            f"{label} {name}: complement has a free element"
                         )
                 checked += 1
-    return CheckResult("free-summand-split", True, f"{checked} splits re-summed")
+    return f"{checked} splits re-summed"
 
 
+@_check("product-decomposition")
 def check_product_decomposition(rings, _flags):
     checked = 0
     for label, ring in rings:
@@ -306,18 +298,15 @@ def check_product_decomposition(rings, _flags):
             for c in comps:
                 size *= c.cardinality
             if size != m.cardinality:
-                return CheckResult(
-                    "product-decomposition", False, f"{label} {name}: sizes disagree"
-                )
+                raise _Counterexample(f"{label} {name}: sizes disagree")
             checked += 1
-    return CheckResult("product-decomposition", True, f"{checked} modules decomposed")
+    return f"{checked} modules decomposed"
 
 
+@_check("resolution-exactness")
 def check_resolution_exactness(rings, _flags):
     checked = 0
-    for label, ring in rings:
-        if ring.order > 16 or not is_local(ring):
-            continue
+    for label, ring in _local(rings, 16):
         for name, m in _sample_modules(ring):
             res = free_resolution(m, 3)  # construction verifies im = ker per stage
             for i in range(len(res.differentials) - 1):
@@ -327,13 +316,12 @@ def check_resolution_exactness(rings, _flags):
                     for el in pair[i + 1].source.elements
                 )
                 if not composed_is_zero:
-                    return CheckResult(
-                        "resolution-exactness", False, f"{label} {name}: d.d != 0"
-                    )
+                    raise _Counterexample(f"{label} {name}: d.d != 0")
             checked += 1
-    return CheckResult("resolution-exactness", True, f"{checked} resolutions verified")
+    return f"{checked} resolutions verified"
 
 
+@_check("qf-ext-vanishing")
 def check_qf_ext_vanishing(rings, flags):
     checked = 0
     for label, ring in rings:
@@ -345,10 +333,8 @@ def check_qf_ext_vanishing(rings, flags):
             for name, m in _sample_modules(ring):
                 ext = ext1(m, reg)
                 if not ext.is_zero:
-                    return CheckResult(
-                        "qf-ext-vanishing",
-                        False,
-                        f"{label} {name}: Ext^1(M, R) has order {ext.order}",
+                    raise _Counterexample(
+                        f"{label} {name}: Ext^1(M, R) has order {ext.order}"
                     )
                 checked += 1
     control = build_ring(parse_ring_spec(SQUARE_ZERO_PAIR), flags["guards"])
@@ -357,42 +343,27 @@ def check_qf_ext_vanishing(rings, flags):
         regular_module(control),
     )
     if ext.is_zero:
-        return CheckResult(
-            "qf-ext-vanishing", False, "non-QF control has vanishing Ext^1(R/m, R)"
-        )
-    return CheckResult(
-        "qf-ext-vanishing",
-        True,
-        f"{checked} modules over QF rings; control Ext order {ext.order}",
-    )
+        raise _Counterexample("non-QF control has vanishing Ext^1(R/m, R)")
+    return f"{checked} modules over QF rings; control Ext order {ext.order}"
 
 
+@_check("sgp-witness-cardinality")
 def check_sgp_witness_cardinality(rings, _flags):
     found = 0
-    for label, ring in rings:
-        if ring.order > 27 or not is_local(ring):
-            continue
+    for label, ring in _local(rings, 27):
         for name, m in _sample_modules(ring):
             verdict = is_strongly_gorenstein_projective(m)
             if verdict.decision and verdict.witness is not None:
-                w = verdict.witness
-                if ring.order**w.rank != m.cardinality**2:
-                    return CheckResult(
-                        "sgp-witness-cardinality",
-                        False,
-                        f"{label} {name}: |R|^n != |M|^2",
-                    )
+                if ring.order**verdict.witness.rank != m.cardinality**2:
+                    raise _Counterexample(f"{label} {name}: |R|^n != |M|^2")
                 found += 1
-    return CheckResult(
-        "sgp-witness-cardinality", True, f"{found} witnesses satisfy |R|^n = |M|^2"
-    )
+    return f"{found} witnesses satisfy |R|^n = |M|^2"
 
 
+@_check("sgp-sum-closure")
 def check_sgp_sum_closure(rings, _flags):
     checked = 0
-    for label, ring in rings:
-        if ring.order > 9 or not is_local(ring):
-            continue
+    for label, ring in _local(rings, 9):
         sgps = []
         for name, m in _sample_modules(ring):
             if m.k <= 1 and is_strongly_gorenstein_projective(m).decision:
@@ -408,15 +379,14 @@ def check_sgp_sum_closure(rings, _flags):
                     continue  # witness search too wide for the suite's budget
                 total = direct_sum(m1, m2)
                 if not is_strongly_gorenstein_projective(total).decision:
-                    return CheckResult(
-                        "sgp-sum-closure",
-                        False,
-                        f"{label}: {name1} + {name2} lost the SGP property",
+                    raise _Counterexample(
+                        f"{label}: {name1} + {name2} lost the SGP property"
                     )
                 checked += 1
-    return CheckResult("sgp-sum-closure", True, f"{checked} direct sums stayed SGP")
+    return f"{checked} direct sums stayed SGP"
 
 
+@_check("sgp-summand-asymmetry")
 def check_sgp_summand_asymmetry(rings, flags):
     ring = build_ring(parse_ring_spec("Z/8"), flags["guards"])
     small = Module(Presentation(ring, 1, ((2,),)))
@@ -433,23 +403,14 @@ def check_sgp_summand_asymmetry(rings, flags):
         and v_total.witness.rank == 2
     )
     if not ok:
-        return CheckResult(
-            "sgp-summand-asymmetry",
-            False,
+        raise _Counterexample(
             f"Z/8: expected (False, False, True), got "
-            f"({v_small.decision}, {v_medium.decision}, {v_total.decision})",
+            f"({v_small.decision}, {v_medium.decision}, {v_total.decision})"
         )
     resolution = strongly_complete_resolution(v_total.witness)
-    report = check_complete_resolution(resolution)
-    if not report.passed:
-        return CheckResult(
-            "sgp-summand-asymmetry", False, "periodic resolution failed its checks"
-        )
-    return CheckResult(
-        "sgp-summand-asymmetry",
-        True,
-        "over Z/8 the sum is SGP while both summands are not",
-    )
+    if not check_complete_resolution(resolution).passed:
+        raise _Counterexample("periodic resolution failed its checks")
+    return "over Z/8 the sum is SGP while both summands are not"
 
 
 def _local_principal_zero_divisor_ideals(ring):
@@ -464,11 +425,10 @@ def _local_principal_zero_divisor_ideals(ring):
         yield x, ideal
 
 
+@_check("cyclic-sgp-ideal-laws")
 def check_cyclic_sgp_ideal_laws(rings, _flags):
     hits = 0
-    for label, ring in rings:
-        if not is_local(ring) or ring.order > 64:
-            continue
+    for label, ring in _local(rings, 64):
         for x, ideal in _local_principal_zero_divisor_ideals(ring):
             mod, _ = ideal_as_module(ring, ideal)
             if not is_strongly_gorenstein_projective(mod).decision:
@@ -477,96 +437,63 @@ def check_cyclic_sgp_ideal_laws(rings, _flags):
             ann = annihilator(ring, ideal)
             ann_mod, _ = ideal_as_module(ring, ann)
             if not is_isomorphic(ann_mod, mod)[0]:
-                return CheckResult(
-                    "cyclic-sgp-ideal-laws",
-                    False,
-                    f"{label}: Ann(xR) not isomorphic to xR for x={x!r}",
-                )
+                raise _Counterexample(f"{label}: Ann(xR) not isomorphic to xR for x={x!r}")
             if annihilator(ring, ann).indices != ann.indices:
-                return CheckResult(
-                    "cyclic-sgp-ideal-laws",
-                    False,
-                    f"{label}: Ann(Ann(xR)) != Ann(xR) for x={x!r}",
-                )
-    return CheckResult(
-        "cyclic-sgp-ideal-laws", True, f"{hits} cyclic SGP ideals satisfied both laws"
-    )
+                raise _Counterexample(f"{label}: Ann(Ann(xR)) != Ann(xR) for x={x!r}")
+    return f"{hits} cyclic SGP ideals satisfied both laws"
 
 
+@_check("sgp-quotient-laws")
 def check_sgp_quotient_laws(rings, _flags):
     hits = 0
-    for label, ring in rings:
-        if not is_local(ring) or ring.order > 64:
-            continue
+    for label, ring in _local(rings, 64):
         principal = {ideal.indices for _, ideal in _local_principal_zero_divisor_ideals(ring)}
-        for ideal in enumerate_ideals(ring):
-            if not ideal.is_proper or ideal.is_zero:
-                continue
+        for ideal in nonzero_proper_ideals(ring):
             if not is_strongly_gorenstein_projective(
                 quotient_by_ideal(ring, ideal)
             ).decision:
                 continue
             hits += 1
             if ideal.indices not in principal:
-                return CheckResult(
-                    "sgp-quotient-laws",
-                    False,
-                    f"{label}: R/I SGP but I not principal on a zero divisor",
+                raise _Counterexample(
+                    f"{label}: R/I SGP but I not principal on a zero divisor"
                 )
             mod, _ = ideal_as_module(ring, ideal)
             if not is_strongly_gorenstein_projective(mod).decision:
-                return CheckResult(
-                    "sgp-quotient-laws", False, f"{label}: R/I SGP but I itself is not"
-                )
-    return CheckResult(
-        "sgp-quotient-laws", True, f"{hits} SGP quotients had cyclic SGP kernels"
-    )
+                raise _Counterexample(f"{label}: R/I SGP but I itself is not")
+    return f"{hits} SGP quotients had cyclic SGP kernels"
 
 
+@_check("classification-chain")
 def check_classification_chain(rings, _flags):
     for label, ring in rings:
         report = classify(ring)  # raises on a broken chain; re-assert anyway
         if report.semisimple and not report.sg_semisimple:
-            return CheckResult(
-                "classification-chain", False, f"{label}: semisimple but not SG"
-            )
+            raise _Counterexample(f"{label}: semisimple but not SG")
         if report.sg_semisimple and not report.quasi_frobenius:
-            return CheckResult(
-                "classification-chain", False, f"{label}: SG but not quasi-Frobenius"
-            )
-    return CheckResult(
-        "classification-chain",
-        True,
-        f"semisimple => SG-semisimple => QF on {len(rings)} rings",
-    )
+            raise _Counterexample(f"{label}: SG but not quasi-Frobenius")
+    return f"semisimple => SG-semisimple => QF on {len(rings)} rings"
 
 
+@_check("sg-route-agreement")
 def check_sg_route_agreement(rings, flags):
     fault = flags.get("inject_fault", False)
     checked = 0
-    for label, ring in rings:
-        if not is_local(ring) or ring.order > 64:
-            continue
-        nonzero_proper = sum(
-            1 for i in enumerate_ideals(ring) if i.is_proper and not i.is_zero
-        )
-        ideal_route = nonzero_proper <= 1
+    for label, ring in _local(rings, 64):
+        ideal_route = len(nonzero_proper_ideals(ring)) <= 1
         if fault:
             ideal_route = not ideal_route  # harness self-test: one classifier negated
         module_route = residue_field_sgp(ring).decision
         if ideal_route != module_route:
-            return CheckResult(
-                "sg-route-agreement",
-                False,
+            raise _Counterexample(
                 f"counterexample {label}: ideal-count route says {ideal_route}, "
-                f"residue-field SGP route says {module_route}",
+                f"residue-field SGP route says {module_route}"
             )
         checked += 1
-    return CheckResult(
-        "sg-route-agreement", True, f"{checked} local rings agree on both routes"
-    )
+    return f"{checked} local rings agree on both routes"
 
 
+@_check("landmark-classifications")
 def check_landmark_classifications(rings, flags):
     expected = [
         ("Z/4", False, True, True),
@@ -586,14 +513,8 @@ def check_landmark_classifications(rings, flags):
         report = classify(build_ring(parse_ring_spec(text), flags["guards"]))
         got = (report.semisimple, report.quasi_frobenius, report.sg_semisimple)
         if got != (ss, qf, sg):
-            return CheckResult(
-                "landmark-classifications",
-                False,
-                f"{text}: expected {(ss, qf, sg)}, got {got}",
-            )
-    return CheckResult(
-        "landmark-classifications", True, f"{len(expected)} landmark rings match"
-    )
+            raise _Counterexample(f"{text}: expected {(ss, qf, sg)}, got {got}")
+    return f"{len(expected)} landmark rings match"
 
 
 CHECKS = [
@@ -627,13 +548,12 @@ def run_verification(
     guards: Guards | None = None,
 ) -> list:
     guards = guards or DEFAULT_GUARDS
-    rings = _catalog(catalog, guards)
+    rings = list(catalog_rings(catalog, guards))
     flags = {"inject_fault": inject_fault, "guards": guards}
     results = []
     for check in CHECKS:
         try:
             results.append(check(rings, flags))
         except FinringError as exc:
-            name = check.__name__.removeprefix("check_").replace("_", "-")
-            results.append(CheckResult(name, False, f"internal error: {exc}"))
+            results.append(CheckResult(check.report_name, False, f"internal error: {exc}"))
     return results

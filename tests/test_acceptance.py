@@ -2,6 +2,7 @@
 and reported as a single pass/fail line (see the terminal summary, or run
 with ``-s``)."""
 
+import hashlib
 import time
 
 from finring.cli import main as cli_main
@@ -239,14 +240,23 @@ def test_criterion_9_implication_chain_on_catalog(acceptance_log):
     )
 
 
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_criterion_10_verify_paper_exit_codes(acceptance_log, capsys):
     def body():
         assert cli_main(["verify-paper"]) == 0
-        capsys.readouterr()
+        assert _sha256(capsys.readouterr().out) == (
+            "01fb56911aac41e1d57ce2c2b7a454cb4f79a6e515f41440e69c6b0032eead6f"
+        )
         assert cli_main(["verify-paper", "--inject-fault"]) == 1
         out = capsys.readouterr().out
         assert "FAIL sg-route-agreement" in out
         assert "counterexample" in out
+        assert _sha256(out) == (
+            "49fc838409ea579b039f3e27e896bdbb3054e3993f2ab67364a7954c7cecd4c8"
+        )
 
     _run(
         acceptance_log,

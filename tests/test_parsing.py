@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finring.classify import SQUARE_ZERO_PAIR
 from finring.errors import ParseError
 from finring.parsing import (
     format_element,
@@ -184,3 +185,87 @@ def test_presentation_with_tuple_entries():
     pres = parse_presentation(prod, "(2,0),(0,1);(1,2),(3,0)")
     assert pres.generators == 2
     assert pres.relations == (((2, 0), (1, 2)), ((0, 1), (3, 0)))
+
+
+def _signed_literal(signs, terms):
+    """``[-] t0 (+|- t_i)*`` from one sign per term."""
+    head = ("-" if signs[0] < 0 else "") + terms[0]
+    return head + "".join(
+        (" + " if s > 0 else " - ") + t for s, t in zip(signs[1:], terms[1:])
+    )
+
+
+_POWER = st.sampled_from(["", "x", "x^0", "x^1", "x^2", "x^3", "x^5"])
+
+
+@st.composite
+def _poly_term(draw, parenthesized):
+    power = draw(_POWER)
+    coef = draw(st.one_of(st.just(""), st.integers(0, 20).map(str)))
+    if coef and parenthesized and draw(st.booleans()):
+        coef = f"({coef})"
+    if not coef:
+        return power or "1"
+    return coef + (draw(st.sampled_from(["*", ""])) + power if power else "")
+
+
+@st.composite
+def _sc_term(draw):
+    basis = draw(st.sampled_from(["", "b0", "b1", "b2"]))
+    coef = draw(st.one_of(st.just(""), st.integers(0, 20).map(str)))
+    if not coef:
+        return basis or "1"
+    return coef + ("*" + basis if basis else "")
+
+
+_LITERAL_RINGS = {
+    "Z/4[x]/(x^2+2)": _poly_term(True),
+    "GF(9)": _poly_term(False),
+    SQUARE_ZERO_PAIR: _sc_term(),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_LITERAL_RINGS)), st.data())
+def test_signed_literal_is_the_fold_of_its_terms(spec, data):
+    ring = build_ring(parse_ring_spec(spec))
+    terms = data.draw(st.lists(_LITERAL_RINGS[spec], min_size=1, max_size=5))
+    signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=len(terms), max_size=len(terms)))
+    expected = ring.zero
+    for sign, term in zip(signs, terms):
+        value = parse_element(ring, term)
+        expected = ring.add(expected, value) if sign > 0 else ring.sub(expected, value)
+    assert parse_element(ring, _signed_literal(signs, terms)) == expected
+
+
+def _int_term(coef, power):
+    """The spellings of coef*x^power in the integer-polynomial syntax."""
+    spellings = [f"{coef}*x^{power}", f"{coef}x^{power}"]
+    if power == 1:
+        spellings += [f"{coef}*x", f"{coef}x"]
+    if power == 0:
+        spellings.append(str(coef))
+    if coef == 1:
+        spellings += [f"x^{power}"] + (["x"] if power == 1 else [])
+    return st.sampled_from(spellings)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 12), st.integers(1, 4), st.data())
+def test_signed_modulus_is_the_sum_of_its_terms(n, degree, data):
+    lower = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from([1, -1]), st.integers(0, 30), st.integers(0, degree - 1)),
+            max_size=5,
+        )
+    )
+    lead = data.draw(st.integers(0, len(lower)))
+    parts = lower[:lead] + [(1, 1, degree)] + lower[lead:]  # the monic leading term
+    text = _signed_literal(
+        [s for s, _, _ in parts], [data.draw(_int_term(c, k)) for _, c, k in parts]
+    )
+    coeffs = [0] * (degree + 1)
+    for sign, coef, power in parts:
+        coeffs[power] += sign * coef
+    expected = PolyQuotient(Zmod(n), tuple(c % n for c in coeffs))
+    assert parse_ring_spec(f"Z/{n}[x]/({text})") == expected

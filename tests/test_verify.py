@@ -74,3 +74,17 @@ def test_checks_build_every_ring_with_the_run_guards(monkeypatch):
     # the catalog plus the rings the checks build themselves, Z/125 among them
     assert {"Z/125", "Z/8", "Z/64"} <= {r.describe() for r in built}
     assert all(part.guards == guards for ring in built for part in _with_parts(ring))
+
+
+def test_internal_errors_keep_the_check_report_name(monkeypatch):
+    from finring import verify
+    from finring.errors import ConsistencyError
+
+    def boom(*_args, **_kwargs):
+        raise ConsistencyError("boom")
+
+    monkeypatch.setattr(verify, "hom_set", boom)
+    monkeypatch.setattr(verify, "is_isomorphic", boom)
+    reported = [(r.name, r.passed, r.detail) for r in run_verification("quick")]
+    assert ("hom-linearity", False, "internal error: boom") in reported
+    assert ("iso-equivalence", False, "internal error: boom") in reported
