@@ -120,6 +120,13 @@ def _residue_sgp_decision(factor: Ring) -> bool:
     return _RESIDUE_SGP_MEMO[key]
 
 
+def factor_summary(factor: Ring) -> FactorSummary:
+    """Order, ideal count and maximal-ideal order of a local factor."""
+    return FactorSummary(
+        factor.order, len(enumerate_ideals(factor)), maximal_ideals(factor)[0].order
+    )
+
+
 def classify(ring: Ring) -> ClassificationReport:
     """Full report with certificates, implication-chain and route checks."""
     # first, so the lattice guard is checked before any operation table is built
@@ -134,9 +141,7 @@ def classify(ring: Ring) -> ClassificationReport:
         )
     factors = []
     for fi, factor in enumerate(dec.factor_rings):
-        lattice = enumerate_ideals(factor)
-        max_ideal = maximal_ideals(factor)[0]
-        factors.append(FactorSummary(factor.order, len(lattice), max_ideal.order))
+        factors.append(factor_summary(factor))
         if factor.order <= 64:
             ideal_route = len(nonzero_proper_ideals(factor)) <= 1
             module_route = _residue_sgp_decision(factor)

@@ -22,8 +22,9 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
-from .classify import classify
+from .classify import classify, factor_summary
 from .errors import (
     ConsistencyError,
     GuardExceeded,
@@ -40,7 +41,7 @@ from .homology import (
     is_strongly_gorenstein_projective,
     strongly_complete_resolution,
 )
-from .ideals import enumerate_ideals, idempotent_decomposition, maximal_ideals
+from .ideals import enumerate_ideals, idempotent_decomposition
 from .modules import Module
 from .parsing import format_element, parse_presentation, parse_ring_spec
 from .rings import build_ring
@@ -78,20 +79,20 @@ def _guards(args):
     return DEFAULT_GUARDS.with_overrides(axiom_seed=getattr(args, "seed", None), **overrides)
 
 
-def _fmt(ring, value) -> str:
-    return format_element(ring, value)
+def _literals(ring, el) -> list:
+    """The element literals of the coordinates of ``el``, a tuple of ring indices."""
+    return [format_element(ring, ring.elements[c]) for c in el]
 
 
 def _fmt_free_element(free_module, el) -> str:
-    ring = free_module.ring
-    parts = [_fmt(ring, ring.elements[c]) for c in el]
+    parts = _literals(free_module.ring, el)
     return "(" + ",".join(parts) + ")" if len(parts) != 1 else parts[0]
 
 
 def _ideal_summary(ideal) -> dict:
     return {
         "order": ideal.order,
-        "generators": [_fmt(ideal.ring, g) for g in ideal.generators],
+        "generators": [format_element(ideal.ring, g) for g in ideal.generators],
     }
 
 
@@ -121,14 +122,7 @@ def _classification_payload(report, radical_literal) -> dict:
         "spec": report.spec,
         "order": report.order,
         "local": report.is_local,
-        "factors": [
-            {
-                "order": f.order,
-                "ideal_count": f.ideal_count,
-                "max_ideal_order": f.max_ideal_order,
-            }
-            for f in report.factors
-        ],
+        "factors": [asdict(f) for f in report.factors],
         "semisimple": report.semisimple,
         "quasi_frobenius": report.quasi_frobenius,
         "sg_semisimple": report.sg_semisimple,
@@ -140,11 +134,12 @@ def _run_classify(args) -> int:
     ring = build_ring(parse_ring_spec(args.spec), _guards(args))
     report = classify(ring)
     literal = (
-        _fmt(ring, report.semisimple_certificate)
+        format_element(ring, report.semisimple_certificate)
         if report.semisimple_certificate is not None
         else None
     )
     payload = _classification_payload(report, literal)
+    qf_cert = payload["certificates"]["quasi_frobenius"]
     lines = [
         f"ring {report.spec} (order {report.order})",
         f"local: {'yes' if report.is_local else 'no'}",
@@ -157,9 +152,9 @@ def _run_classify(args) -> int:
         + (f" (radical element {literal})" if literal else ""),
         f"quasi-Frobenius: {'yes' if report.quasi_frobenius else 'no'}"
         + (
-            f" (ideal ({', '.join(_fmt(ring, g) for g in report.qf_certificate.generators)})"
+            f" (ideal ({', '.join(qf_cert['ideal']['generators'])})"
             f" fails the double-annihilator test)"
-            if report.qf_certificate is not None
+            if qf_cert is not None
             else ""
         ),
         f"SG-semisimple: {'yes' if report.sg_semisimple else 'no'}"
@@ -190,14 +185,14 @@ def _run_ideals(args) -> int:
         "ideals": [
             {
                 **_ideal_summary(ideal),
-                "elements": [_fmt(ring, v) for v in ideal.sorted_elements()],
+                "elements": [format_element(ring, v) for v in ideal.sorted_elements()],
             }
             for ideal in lattice
         ],
     }
     lines = [f"ring {ring.describe()} (order {ring.order}): {len(lattice)} ideals"]
     for ideal in lattice:
-        gens = ", ".join(_fmt(ring, g) for g in ideal.generators)
+        gens = ", ".join(format_element(ring, g) for g in ideal.generators)
         lines.append(f"  order {ideal.order}: ({gens})")
     _emit(args, payload, lines)
     return 0
@@ -206,22 +201,13 @@ def _run_ideals(args) -> int:
 def _run_decompose(args) -> int:
     ring = build_ring(parse_ring_spec(args.spec), _guards(args))
     dec = idempotent_decomposition(ring)
-    factors = []
-    for f in dec.factor_rings:
-        lattice = enumerate_ideals(f)
-        factors.append(
-            {
-                "order": f.order,
-                "ideal_count": len(lattice),
-                "max_ideal_order": maximal_ideals(f)[0].order,
-            }
-        )
+    factors = [factor_summary(f) for f in dec.factor_rings]
     payload = {
         "schema_version": SCHEMA_VERSION,
         "spec": ring.describe(),
         "order": ring.order,
-        "idempotents": [_fmt(ring, e) for e in dec.idempotents],
-        "factors": factors,
+        "idempotents": [format_element(ring, e) for e in dec.idempotents],
+        "factors": [asdict(f) for f in factors],
     }
     lines = [
         f"ring {ring.describe()} (order {ring.order}): "
@@ -229,8 +215,8 @@ def _run_decompose(args) -> int:
     ]
     for e, f in zip(dec.idempotents, factors):
         lines.append(
-            f"  idempotent {_fmt(ring, e)}: factor of order {f['order']}, "
-            f"{f['ideal_count']} ideals"
+            f"  idempotent {format_element(ring, e)}: factor of order {f.order}, "
+            f"{f.ideal_count} ideals"
         )
     _emit(args, payload, lines)
     return 0
@@ -240,15 +226,8 @@ def _run_decompose(args) -> int:
 # module sgp / resolve
 
 
-def _periodic_resolution(witness):
-    """The witness's periodic resolution and its exactness report."""
-    res = strongly_complete_resolution(witness)
-    return res, check_complete_resolution(res)
-
-
-def _verdict_payload(verdict, periodic=None) -> dict:
-    """JSON fields of a verdict; ``periodic`` reuses a prebuilt
-    :func:`_periodic_resolution` of its witness."""
+def _verdict_payload(verdict) -> dict:
+    """JSON fields of a verdict, with the periodic resolution of its witness."""
     payload = {
         "sgp": verdict.decision,
         "rank": verdict.witness.rank if verdict.witness else None,
@@ -261,23 +240,15 @@ def _verdict_payload(verdict, periodic=None) -> dict:
     }
     if verdict.witness is not None:
         ring = verdict.module.ring
-        free = verdict.witness.embedding.target
         payload["embedding"] = [
-            [_fmt(ring, ring.elements[c]) for c in img]
-            for img in verdict.witness.embedding.images
+            _literals(ring, img) for img in verdict.witness.embedding.images
         ]
-        res, report = periodic or _periodic_resolution(verdict.witness)
+        res = strongly_complete_resolution(verdict.witness)
         payload["resolution"] = {
             "rank": res.rank,
-            "map": [
-                [_fmt(ring, ring.elements[c]) for c in img] for img in res.map.images
-            ],
-            "forward_exact": report.forward_exact,
-            "dual_exact": report.dual_exact,
-            "image_order": report.image_order,
-            "kernel_order": report.kernel_order,
-            "dual_image_order": report.dual_image_order,
-            "dual_kernel_order": report.dual_kernel_order,
+            "map": [_literals(ring, img) for img in res.map.images],
+            # forward_exact, dual_exact, then the four orders, in field order
+            **asdict(check_complete_resolution(res)),
         }
     if verdict.components is not None:
         payload["factors"] = [_verdict_payload(v) for v in verdict.components]
@@ -288,12 +259,11 @@ def _run_module_sgp(args) -> int:
     ring = build_ring(parse_ring_spec(args.ring), _guards(args))
     module = Module(parse_presentation(ring, args.rel))
     verdict = is_strongly_gorenstein_projective(module)
-    periodic = _periodic_resolution(verdict.witness) if verdict.witness else None
     payload = {
         "schema_version": SCHEMA_VERSION,
         "spec": ring.describe(),
         "presentation": args.rel,
-        **_verdict_payload(verdict, periodic),
+        **_verdict_payload(verdict),
     }
     lines = [
         f"ring {ring.describe()}, module on {module.k} generator(s), "
@@ -308,11 +278,11 @@ def _run_module_sgp(args) -> int:
         )
         lines.append(f"witness rank: {w.rank}; embedding {images}")
         lines.append(f"Ext^1(M, R) order: {verdict.ext.order} ({EXT_NOTE})")
-        rep = periodic[1]
+        rep = payload["resolution"]
         lines.append(
-            f"periodic map on R^{w.rank}: image order {rep.image_order} = "
-            f"kernel order {rep.kernel_order}; dual exact: "
-            f"{'yes' if rep.dual_exact else 'no'}"
+            f"periodic map on R^{w.rank}: image order {rep['image_order']} = "
+            f"kernel order {rep['kernel_order']}; dual exact: "
+            f"{'yes' if rep['dual_exact'] else 'no'}"
         )
     if verdict.obstruction is not None:
         obs = verdict.obstruction
@@ -339,8 +309,7 @@ def _run_resolve(args) -> int:
         "length": res.length,
         "ranks": list(res.ranks),
         "differentials": [
-            [[_fmt(ring, ring.elements[c]) for c in col] for col in d.images]
-            for d in res.differentials
+            [_literals(ring, col) for col in d.images] for d in res.differentials
         ],
         "exact": True,
     }

@@ -42,39 +42,32 @@ from .modules import (
     compose,
     cokernel,
     decompose_over_product,
+    free_cover,
     free_module,
     image,
     is_isomorphic,
     iter_homs,
     kernel,
-    minimal_generators,
     regular_module,
 )
 
 
 # ---------------------------------------------------------------------------
-# covers and resolutions
-
-
-def free_cover(m: Module) -> ModuleHom:
-    """Minimal surjection R^g -> M on the canonical minimal generator list."""
-    g, gens = minimal_generators(m)
-    return ModuleHom(free_module(m.ring, g), m, tuple(gens))
+# resolutions
 
 
 @dataclass(frozen=True)
 class FreeResolution:
     """length free terms F_0..F_{length-1} resolving a module.
 
-    ``covers[i]`` is the minimal cover F_i -> syzygies[i] (syzygies[0] is the
-    module itself); ``differentials[i]`` is F_{i+1} -> F_i.  Exactness
-    (image = kernel, elementwise) is verified at construction.
+    ``covers[i]`` is the minimal cover of the i-th syzygy by F_i (the 0-th
+    syzygy is the module itself); ``differentials[i]`` is F_{i+1} -> F_i.
+    Exactness (image = kernel, elementwise) is verified at construction.
     """
 
     module: Module
     covers: tuple
     differentials: tuple
-    syzygies: tuple
     ranks: tuple
 
     @property
@@ -87,7 +80,6 @@ def free_resolution(m: Module, length: int) -> FreeResolution:
         raise ValidationError("resolution length must be >= 1")
     covers = []
     diffs = []
-    syzygies = [m]
     target = m
     prev_embed = None
     for step in range(length):
@@ -97,14 +89,9 @@ def free_resolution(m: Module, length: int) -> FreeResolution:
             diffs.append(compose(prev_embed, cover))
         if step < length - 1:  # the syzygy after the last term is never used
             target, prev_embed = kernel(cover)
-            syzygies.append(target)
     _verify_resolution_exactness(covers, diffs)
     return FreeResolution(
-        m,
-        tuple(covers),
-        tuple(diffs),
-        tuple(syzygies),
-        tuple(c.source.k for c in covers),
+        m, tuple(covers), tuple(diffs), tuple(c.source.k for c in covers)
     )
 
 
@@ -124,7 +111,7 @@ def _exactness(f: ModuleHom, g: ModuleHom):
     if f.target is not g.source:
         raise ConsistencyError("exactness needs maps through one middle module")
     in_image = f.image_mask()
-    in_kernel = g.table == g.target.index[g.target.zero]
+    in_kernel = g.table == g.target._zero_pos
     return (
         bool((in_image == in_kernel).all()),
         int(in_image.sum()),
@@ -260,6 +247,16 @@ def _validate_witness(w: SgpWitness) -> None:
         raise ConsistencyError("witness sequence is not exact in the middle")
 
 
+def witness_rank(ring_order: int, square: int) -> int:
+    """The least n with |R|^n >= |M|^2 (``square``): the only rank an SGP
+    witness 0 -> M -> R^n -> M -> 0 can have, as it forces |R|^n = |M|^2."""
+    rank, power = 0, 1
+    while power < square:
+        power *= ring_order
+        rank += 1
+    return rank
+
+
 def find_sgp_witness(m: Module):
     """First (lexicographic) embedding M -> R^n with cokernel isomorphic to M.
 
@@ -273,12 +270,8 @@ def find_sgp_witness(m: Module):
             "witness search runs over local rings; decompose over a product first"
         )
     square = m.cardinality**2
-    rank = 0
-    power = 1
-    while power < square:
-        power *= ring.order
-        rank += 1
-    if power != square:
+    rank = witness_rank(ring.order, square)
+    if ring.order**rank != square:
         return SgpObstruction(
             "cardinality",
             f"|M|^2 = {square} is not a power of |R| = {ring.order}",

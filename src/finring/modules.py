@@ -30,7 +30,6 @@ enumerated lexicographically by generator-image tuples.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
@@ -157,7 +156,9 @@ def _outer_sums(add, terms, zero: np.ndarray):
     Each term is an array of raw rows whose first axis is the choice; the
     trailing axes have ``zero``'s shape (the sum of no terms).  The trailing
     terms whose outer sum fits in ``_CHUNK`` entries are summed once, and
-    each chunk adds a run of leading choices to that block.
+    each chunk adds a run of leading choices to that block.  The first run
+    is one choice long and each next one twice as long, up to ``_CHUNK``
+    entries: callers often stop at the first accepted tuple.
     """
     width = max(zero.size, 1)
     block = zero[None]
@@ -171,9 +172,11 @@ def _outer_sums(add, terms, zero: np.ndarray):
         yield block
         return
     count = prod(len(t) for t in heads)
-    step = max(1, _CHUNK // (len(block) * width))
-    for lo in range(0, count, step):
+    cap = max(1, _CHUNK // (len(block) * width))
+    lo, step = 0, 1
+    while lo < count:
         codes = np.arange(lo, min(lo + step, count))
+        lo, step = lo + step, min(2 * step, cap)
         acc = None
         for t in reversed(heads):  # least significant first
             term = t[codes % len(t)]
@@ -335,9 +338,9 @@ def quotient_by_ideal(ring: Ring, ideal: Ideal) -> Module:
 
 def ideal_as_module(ring: Ring, ideal: Ideal):
     """The ideal as a submodule of R; returns (module, embedding)."""
-    free1 = regular_module(ring)
-    subset = [(i,) for i in ideal.indices]
-    return submodule(free1, subset)
+    member = np.zeros(ring.order, dtype=bool)
+    member[list(ideal.indices)] = True
+    return submodule(regular_module(ring), member)
 
 
 def direct_sum(m1: Module, m2: Module) -> Module:
@@ -415,10 +418,6 @@ class ModuleHom:
     def apply(self, el):
         """The image of ``el``, an element of the source."""
         return self.target.elements[self.table[self.source.index[el]]]
-
-    def image_elements(self) -> list:
-        els = self.target.elements
-        return [els[p] for p in self.image_mask().nonzero()[0].tolist()]
 
     def is_injective(self) -> bool:
         return np.count_nonzero(self.image_mask()) == self.source.cardinality
@@ -508,8 +507,9 @@ def hom_set(m1: Module, m2: Module) -> list:
 # submodules, kernels, images, cokernels
 
 
-def submodule(ambient: Module, subset, gens=None):
-    """Present a submodule (given by its element list) and return (module, embedding).
+def submodule(ambient: Module, target: np.ndarray, gens=None):
+    """Present a submodule (a boolean mask over ``ambient``'s positions) and
+    return (module, embedding).
 
     Generators default to the greedy canonical choice: the least element
     outside the span of the earlier picks.  The relations are found by an
@@ -519,8 +519,6 @@ def submodule(ambient: Module, subset, gens=None):
     its own greedy generators.
     """
     ring = ambient.ring
-    target = np.zeros(ambient.cardinality, dtype=bool)
-    target[[ambient.index[el] for el in subset]] = True
     if gens is None:
         gens = [ambient.elements[p] for p in _submodule_generators(ambient, target)]
     k = len(gens)
@@ -552,13 +550,12 @@ def submodule(ambient: Module, subset, gens=None):
 
 def kernel(h: ModuleHom):
     """Kernel as a presented module plus its embedding into the source."""
-    in_kernel = (h.table == h.target._zero_pos).tolist()
-    return submodule(h.source, list(itertools.compress(h.source.elements, in_kernel)))
+    return submodule(h.source, h.table == h.target._zero_pos)
 
 
 def image(h: ModuleHom):
     """Image as a presented module plus its embedding into the target."""
-    return submodule(h.target, h.image_elements())
+    return submodule(h.target, h.image_mask())
 
 
 def cokernel(h: ModuleHom):
@@ -636,11 +633,15 @@ def is_projective(m: Module) -> bool:
     dec = idempotent_decomposition(m.ring)
     if not dec.is_trivial:
         return all(is_projective(c) for c in decompose_over_product(m, dec))
-    g, gens = minimal_generators(m)
-    if m.cardinality != m.ring.order**g:
+    if m.cardinality != m.ring.order ** minimal_generators(m)[0]:
         return False
-    cover = ModuleHom(free_module(m.ring, g), m, tuple(gens))
-    return cover.is_bijective()
+    return free_cover(m).is_bijective()
+
+
+def free_cover(m: Module) -> ModuleHom:
+    """Minimal surjection R^g -> M on the canonical minimal generator list."""
+    g, gens = minimal_generators(m)
+    return ModuleHom(free_module(m.ring, g), m, tuple(gens))
 
 
 def decompose_over_product(m: Module, dec: IdempotentDecomposition) -> list:

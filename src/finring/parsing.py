@@ -41,7 +41,9 @@ from .rings import (
     StructureConstants,
     Zmod,
     ZmodRing,
+    power_text,
     spec_text,
+    sum_text,
 )
 
 # monic irreducible moduli (ascending coefficients) for the GF(p^k) sugar,
@@ -109,6 +111,14 @@ class _Cursor:
         if not self.eat(literal):
             raise self.error(f"expected {literal!r}")
 
+    def build(self, start: int, recipe, *args):
+        """``recipe(*args)``; its ValidationError is a parse error at ``start``."""
+        try:
+            return recipe(*args)
+        except ValidationError as exc:
+            self.pos = start
+            raise self.error(str(exc)) from exc
+
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
@@ -167,11 +177,7 @@ def _parse_atom(cur: _Cursor) -> RingSpec:
             cur.expect("(")
             coeffs = _parse_int_poly(cur)
             cur.expect(")")
-            try:
-                spec = PolyQuotient(spec, tuple(coeffs))
-            except ValidationError as exc:
-                cur.pos = save
-                raise cur.error(str(exc)) from exc
+            spec = cur.build(save, PolyQuotient, spec, tuple(coeffs))
         else:
             break
     return spec
@@ -180,13 +186,7 @@ def _parse_atom(cur: _Cursor) -> RingSpec:
 def _parse_base(cur: _Cursor) -> RingSpec:
     if cur.eat("Z"):
         cur.expect("/")
-        save = cur.pos
-        n = cur.integer()
-        try:
-            return Zmod(n)
-        except ValidationError as exc:
-            cur.pos = save
-            raise cur.error(str(exc)) from exc
+        return cur.build(cur.pos, Zmod, cur.integer())
     if cur.eat("GF"):
         cur.expect("(")
         save = cur.pos
@@ -233,11 +233,7 @@ def _parse_base(cur: _Cursor) -> RingSpec:
             )
             for i in range(dim)
         )
-        try:
-            return StructureConstants(n, dim, table, tuple(unit))
-        except ValidationError as exc:
-            cur.pos = save
-            raise cur.error(str(exc)) from exc
+        return cur.build(save, StructureConstants, n, dim, table, tuple(unit))
     raise cur.error("expected a ring spec (Z/n, GF(q), SC(...) or a quotient)")
 
 
@@ -390,27 +386,20 @@ def format_element(ring: Ring, value) -> str:
         return "(" + ",".join(parts) + ")"
     if isinstance(ring, PolyQuotientRing):
         base = ring.base
-        terms = []
-        for k, c in enumerate(value):
-            if c == base.zero:
-                continue
-            if isinstance(base, ZmodRing):
-                coeff_txt = format_element(base, c)
-            else:
-                coeff_txt = "(" + format_element(base, c) + ")"
-            if k == 0:
-                terms.append(coeff_txt)
-                continue
-            xk = "x" if k == 1 else f"x^{k}"
-            terms.append(xk if c == base.one else f"{coeff_txt}*{xk}")
-        return "+".join(terms) if terms else "0"
+        # coefficients over a base other than Z/n print as parenthesized literals
+        wrap = "{}" if isinstance(base, ZmodRing) else "({})"
+        return sum_text(
+            (
+                "" if c == base.one and k else wrap.format(format_element(base, c)),
+                power_text(k),
+            )
+            for k, c in enumerate(value)
+            if c != base.zero
+        )
     if isinstance(ring, StructureConstantRing):
-        terms = []
-        for k, c in enumerate(value):
-            if c == 0:
-                continue
-            terms.append(f"b{k}" if c == 1 else f"{c}*b{k}")
-        return "+".join(terms) if terms else "0"
+        return sum_text(
+            ("" if c == 1 else str(c), f"b{k}") for k, c in enumerate(value) if c
+        )
     if isinstance(ring, IdempotentFactorRing):
         return format_element(ring.parent, value)
     raise ValidationError(f"no literal syntax for {type(ring).__name__}")

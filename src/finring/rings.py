@@ -163,17 +163,26 @@ def spec_char(spec: RingSpec) -> int:
     raise TypeError(f"not a ring spec: {spec!r}")
 
 
+def power_text(k: int) -> str:
+    """The monomial x^k as text; empty for k = 0."""
+    return "" if k == 0 else "x" if k == 1 else f"x^{k}"
+
+
+def sum_text(terms) -> str:
+    """``c*m+...`` from the (coefficient, monomial) texts of the nonzero terms.
+
+    An empty coefficient (one, on a monomial) or an empty monomial (a
+    constant term) is printed without its ``*``; no terms print ``0``.
+    """
+    return "+".join("*".join(filter(None, term)) for term in terms) or "0"
+
+
 def _int_poly_text(coeffs) -> str:
-    terms = []
-    for k, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        if k == 0:
-            terms.append(str(c))
-            continue
-        xk = "x" if k == 1 else f"x^{k}"
-        terms.append(xk if c == 1 else f"{c}*{xk}")
-    return "+".join(terms) if terms else "0"
+    return sum_text(
+        ("" if c == 1 and k else str(c), power_text(k))
+        for k, c in enumerate(coeffs)
+        if c
+    )
 
 
 def spec_text(spec: RingSpec) -> str:

@@ -29,6 +29,7 @@ from .homology import (
     free_resolution,
     is_strongly_gorenstein_projective,
     strongly_complete_resolution,
+    witness_rank,
 )
 from .ideals import (
     annihilator,
@@ -370,11 +371,7 @@ def check_sgp_sum_closure(rings, _flags):
                 sgps.append((name, m))
         for name1, m1 in sgps[:2]:
             for name2, m2 in sgps[:2]:
-                square = (m1.cardinality * m2.cardinality) ** 2
-                power, rank = 1, 0
-                while power < square:
-                    power *= ring.order
-                    rank += 1
+                rank = witness_rank(ring.order, (m1.cardinality * m2.cardinality) ** 2)
                 if (ring.order**rank) ** (m1.k + m2.k) > 200_000:
                     continue  # witness search too wide for the suite's budget
                 total = direct_sum(m1, m2)

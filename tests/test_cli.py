@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -295,7 +296,9 @@ GUARD_SITES = {
     ),
     "submodule": (
         lambda: submodule(
-            m := regular_module(_z(8, max_module_raw=10)), m.elements, m.elements[2:4]
+            m := regular_module(_z(8, max_module_raw=10)),
+            np.ones(m.cardinality, dtype=bool),
+            m.elements[2:4],
         ),
         ("max_module_raw", 64, 10),
     ),

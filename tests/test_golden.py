@@ -1,4 +1,4 @@
-"""Byte-identity of the JSON reports.
+"""Byte-identity of the JSON and text reports.
 
 Each digest is the sha256 of the ``--json`` output of one command, recorded
 with the scalar code before a refactor: the first four before the move of
@@ -7,7 +7,8 @@ submodules and homs moved to position arrays, the last five (the ring
 layer: ideals, classify, decompose) before the ring arithmetic moved to
 element positions.  A change that alters any of
 these bytes changes a witness, an ordering or a number in the report, which
-the canonical-order contract forbids.
+the canonical-order contract forbids.  ``GOLDEN_TEXT`` pins the text
+output of some commands the same way.
 """
 
 import hashlib
@@ -65,8 +66,44 @@ GOLDEN = [
 ]
 
 
+# sha256 of the text (non-``--json``) output, recorded before the CLI took
+# its periodic-map line from the JSON payload and its factor lines from
+# ``classify.factor_summary``
+GOLDEN_TEXT = [
+    (
+        ["module", "sgp", "--ring", "Z/8", "--rel", "2,0;0,4"],
+        "57168d5c448c80ffe165aebe404095fb8dcc4763a9ed5e21f08ccfdad6b5b19a",
+    ),
+    (
+        ["module", "sgp", "--ring", "Z/4 x Z/3", "--rel", "(2,0),(0,1)"],
+        "965d7d456bb609fc61ef6aa66ed08d61a9a93b62e5a75c39558052d6bf29da47",
+    ),
+    (
+        ["resolve", "--ring", "GF(2)[x]/(x^4)", "--rel", "x,0;0,x^3"],
+        "de3e1b246f7a8e85aa14bd9086a7ef7848b7c89111c4c632b12103ebfe22a69b",
+    ),
+    (
+        ["decompose", "GF(8) x Z/16"],
+        "c459d12fe2a6cd25d2a57442e746999c2c5cff32b2967711cfc37550bd5a982f",
+    ),
+    (
+        ["classify", SQUARE_ZERO_PAIR],
+        "d5db8eee64092f4579b07d4ffb10d6b861d41bebe82b4b301cf0e31c678ee959",
+    ),
+]
+
+
 @pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
 def test_json_output_bytes(capsys, argv, digest):
     assert main(argv + ["--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv,digest", GOLDEN_TEXT, ids=[" ".join(a) for a, _ in GOLDEN_TEXT]
+)
+def test_text_output_bytes(capsys, argv, digest):
+    assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

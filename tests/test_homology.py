@@ -20,6 +20,7 @@ from finring.homology import (
     free_resolution,
     is_strongly_gorenstein_projective,
     strongly_complete_resolution,
+    witness_rank,
 )
 from finring.ideals import (
     ideal_generated,
@@ -48,6 +49,24 @@ def _ring(text):
 
 def _mod(ring, rel_text):
     return Module(parse_presentation(ring, rel_text))
+
+
+@pytest.mark.parametrize(
+    "ring_order,square,rank",
+    [
+        (8, 1, 0),  # the zero module: R^0
+        (8, 64, 2),
+        (8, 4096, 4),
+        (4, 16, 2),
+        (8, 16, 2),  # not a power of 8: the least n with 8^n >= 16
+        (9, 10, 2),
+        (2, 2, 1),
+    ],
+)
+def test_witness_rank_is_the_least_rank_reaching_the_square(ring_order, square, rank):
+    assert witness_rank(ring_order, square) == rank
+    assert ring_order**rank >= square
+    assert rank == 0 or ring_order ** (rank - 1) < square
 
 
 def test_free_cover():

@@ -56,6 +56,13 @@ def _mod(ring, rel_text):
     return Module(parse_presentation(ring, rel_text))
 
 
+def _mask(ambient, subset):
+    """The boolean position mask of the elements ``subset`` of ``ambient``."""
+    mask = np.zeros(ambient.cardinality, dtype=bool)
+    mask[[ambient.index[el] for el in subset]] = True
+    return mask
+
+
 def test_presented_module_sizes():
     z4 = _ring("Z/4")
     assert _mod(z4, "2").cardinality == 2
@@ -259,9 +266,17 @@ def test_submodule_round_trip():
     z8 = _ring("Z/8")
     free = regular_module(z8)
     subset = [(0,), (2,), (4,), (6,)]
-    mod, emb = submodule(free, subset)
+    mod, emb = submodule(free, _mask(free, subset))
     assert mod.cardinality == 4
     assert {emb.apply(el) for el in mod.elements} == set(subset)
+
+
+def test_submodule_rejects_a_mask_that_is_not_a_submodule():
+    z8 = _ring("Z/8")
+    free = regular_module(z8)
+    # {0, 2} is not closed under addition: 2 + 2 = 4 is missing
+    with pytest.raises(ConsistencyError, match="^subset is not a submodule$"):
+        submodule(free, _mask(free, [(0,), (2,)]))
 
 
 def test_module_guard():
@@ -474,7 +489,7 @@ def test_submodules_and_homs_match_brute_force(pair, chunk, data):
         for (mod, emb), ambient, subset in (
             (kernel(h), m1, kernel_subset),
             (image(h), m2, values),
-            (submodule(m2, values), m2, values),
+            (submodule(m2, _mask(m2, values)), m2, values),
         ):
             gens, cols, size = _ref_submodule(ambient, subset)
             assert list(emb.images) == gens
