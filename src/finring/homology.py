@@ -364,9 +364,9 @@ class CompleteResolutionReport:
 def dual_hom(h: ModuleHom) -> ModuleHom:
     """Transpose action on Hom(R^n, R) identified with R^n."""
     free = h.source
-    if free is not h.target or free.relation_columns:
+    if free is not h.target or len(free.span) > 1:
         raise ValidationError("dualization expects an endomorphism of a free module")
-    # every raw tuple of a free module is its own representative
+    # with a zero span every raw tuple is its own representative
     n = free.k
     images = tuple(tuple(h.images[j][i] for j in range(n)) for i in range(n))
     return ModuleHom(free, free, images)

@@ -7,21 +7,25 @@ and the first coordinate most significant, so code order is tuple order.
 Every coset is carried by its least code, i.e. its lexicographically least
 tuple, and the module's elements are these representatives in ascending
 code order: code order is the canonical order of module elements.
-``Module.rep`` maps each raw code to the position of its coset, so sums and
-scalar multiples are array lookups: the ring tables on each coordinate, then
-``rep`` (``Module._locate``).  ``Presentation`` holds element values, the
-public-facing form.
+``Module._digits`` holds their index rows and ``Module.rep`` maps each raw
+code to the position of its coset, so sums and scalar multiples are array
+lookups: the ring tables on each coordinate, then ``rep``
+(``Module._locate``).  A free module -- no relations, or relations that span
+only zero -- is R^k itself: ``rep`` is the identity and no coset is
+labelled.  The element tuples (``Module.elements``, ``Module.index``) are
+built from ``_digits`` on first use.  ``Presentation`` holds element values,
+the public-facing form.
 
 Everything above the element level works on these positions as well.  A
 submodule is a boolean mask over positions, grown by one greedy span
 primitive (``_greedy_span``); a hom carries the target position of every
 source element (``ModuleHom.table``, from the one combination evaluator
 ``_combine``, which also checks its relations); and the exhaustive searches
--- the relations among a submodule's generators, and, through the one
-relation evaluator ``_relation_values``, the relation test of every
-candidate hom and the Hom(F, Q) maps of ``ext1`` -- evaluate all their
-linear combinations at once as a broadcast outer sum through the ring
-tables (``_outer_sums``).
+-- the relations among a submodule's generators, the relation test of every
+candidate hom and the Hom(F, Q) maps of ``ext1`` -- go through the one
+relation evaluator ``_relation_values``, which evaluates all their linear
+combinations at once as a broadcast outer sum through the ring tables
+(``_outer_sums``).
 
 Everything here is immutable after construction and deterministic: greedy
 generator searches pick the least candidate in canonical order, hom sets are
@@ -80,47 +84,31 @@ class Presentation:
 # ---------------------------------------------------------------------------
 # positions, spans and outer sums
 #
-# A *space* is R^k (``_Free``: a raw code is its own position) or a module
-# (positions of its elements).  Both offer ``ring``, ``_rows`` (positions ->
-# raw index rows, last axis k), ``_locate`` (raw rows -> positions) and
-# ``_zero_pos``; raw rows need not be representatives.
+# The helpers below work on the positions of a module: ``_rows`` maps
+# positions to raw index rows (last axis k), ``_locate`` maps raw rows, which
+# need not be representatives, back to positions.  Zero is always at
+# position 0.  While a module is built it is R^k, every raw code its own
+# position, and its relation span is grown on that.
 
 
-class _Free:
-    """R^k with raw codes as positions."""
-
-    def __init__(self, ring: Ring, k: int):
-        weights = [ring.order ** (k - 1 - i) for i in range(k)]
-        self.ring = ring
-        self._tables = ring.tables()
-        self.weights = np.array(weights, dtype=np.intp)
-        self._zero_pos = ring.index[ring.zero] * sum(weights)
-
-    def _rows(self, codes) -> np.ndarray:
-        return np.asarray(codes)[..., None] // self.weights % self.ring.order
-
-    def _locate(self, rows) -> np.ndarray:
-        return rows @ self.weights
-
-
-def _grow(space, member: np.ndarray, gen) -> None:
+def _grow(m, member: np.ndarray, gen) -> None:
     """Mark the span of ``member`` plus R * ``gen`` in ``member``.
 
-    ``member`` is a mask over the positions of ``space`` that holds a
+    ``member`` is a mask over the positions of the module ``m`` that holds a
     submodule and ``gen`` a raw index row; every sum s + r * gen is formed on
     raw rows, a chunk of span rows at a time, and located back to its
     position.
     """
-    add, mul, _ = space._tables
+    add, mul, _ = m._tables
     multiples = mul[:, gen]  # raw row of r * gen for every r
     span = member.nonzero()[0]
     step = max(1, _CHUNK // max(multiples.size, 1))
     for lo in range(0, len(span), step):
-        rows = space._rows(span[lo : lo + step])
-        member[space._locate(add[rows[:, None, :], multiples[None]])] = True
+        rows = m._rows(span[lo : lo + step])
+        member[m._locate(add[rows[:, None, :], multiples[None]])] = True
 
 
-def _greedy_span(space, target: np.ndarray, member=None):
+def _greedy_span(m, target: np.ndarray, member=None):
     """(picks, span): least-first generators of the positions in ``target``.
 
     Starting from the submodule ``member`` (default: zero alone), repeatedly
@@ -129,7 +117,7 @@ def _greedy_span(space, target: np.ndarray, member=None):
     """
     if member is None:
         member = np.zeros(len(target), dtype=bool)
-        member[space._zero_pos] = True
+        member[m._zero_pos] = True
     else:
         member = member.copy()
     picks = []
@@ -138,12 +126,12 @@ def _greedy_span(space, target: np.ndarray, member=None):
         if not target[pick] or member[pick]:
             return picks, member
         picks.append(pick)
-        _grow(space, member, space._rows(pick))
+        _grow(m, member, m._rows(pick))
 
 
-def _submodule_generators(space, target: np.ndarray) -> list:
+def _submodule_generators(m, target: np.ndarray) -> list:
     """Greedy canonical generators of the submodule marked by ``target``."""
-    picks, span = _greedy_span(space, target)
+    picks, span = _greedy_span(m, target)
     if not np.array_equal(span, target):
         raise ConsistencyError("subset is not a submodule")
     return picks
@@ -248,36 +236,44 @@ class Module:
         self.relation_columns = [
             tuple(ring.index[v] for v in col) for col in presentation.relations
         ]
-        free = _Free(ring, k)
-        self._tables = free._tables
-        self._weights = free.weights
+        self.zero = (ring.index[ring.zero],) * k
+        self._cache: dict = {}
+        # first R^k itself: every raw code is its own position, zero is code 0
+        self._tables = ring.tables()
+        self._weights = n ** np.arange(k - 1, -1, -1, dtype=np.intp)
+        self.rep = np.arange(raw)
+        self._digits = np.indices((n,) * k, dtype=np.intp).reshape(k, raw).T
+        self._zero_pos = 0
         # the span of the relation columns, as a mask over raw codes
         member = np.zeros(raw, dtype=bool)
-        member[free._zero_pos] = True
+        member[0] = True
         for col in self.relation_columns:
-            code = 0
-            for c in col:
-                code = code * n + c
+            code = np.array(col, dtype=np.intp) @ self._weights
             if not member[code]:  # else R * col already lies in the span
-                _grow(free, member, list(col))
+                _grow(self, member, list(col))
         self.span = member.nonzero()[0]
-        self.rep, codes = _label_cosets(
-            self._tables[0], free._rows(self.span), self._weights, raw
-        )
-        self._digits = free._rows(codes)
-        self.elements = list(map(tuple, self._digits.tolist()))
-        self.index = dict(zip(self.elements, range(len(self.elements))))
-        self.zero = (ring.index[ring.zero],) * k
-        self._zero_pos = self.index[self.zero]
-        self._cache: dict = {}
-        if len(self.elements) * len(self.span) != raw:
+        if len(self.span) > 1:
+            self.rep, codes = _label_cosets(
+                self._tables[0], self._digits[self.span], self._weights, raw
+            )
+            self._digits = self._digits[codes]
+        if len(self._digits) * len(self.span) != raw:
             raise ConsistencyError("coset count times span size misses |R|^k")
+
+    @cached_property
+    def elements(self) -> list:
+        """The coset representatives as index tuples, built on first use."""
+        return list(map(tuple, self._digits.tolist()))
+
+    @cached_property
+    def index(self) -> dict:
+        return dict(zip(self.elements, range(len(self.elements))))
 
     # -- structure -----------------------------------------------------------
 
     @property
     def cardinality(self) -> int:
-        return len(self.elements)
+        return len(self._digits)
 
     def __repr__(self):
         return (
@@ -297,7 +293,7 @@ class Module:
         """Classes of the standard basis vectors of R^k."""
         units = np.full((self.k, self.k), self.ring.index[self.ring.zero])
         np.fill_diagonal(units, self.ring.index[self.ring.one])
-        return [self.elements[p] for p in self._locate(units).tolist()]
+        return list(map(tuple, self._rows(self._locate(units)).tolist()))
 
     def annihilator_index_set(self) -> frozenset:
         """Ring elements (as indices) killing the whole module."""
@@ -440,14 +436,6 @@ def compose(outer: ModuleHom, inner: ModuleHom) -> ModuleHom:
     return ModuleHom(inner.source, outer.target, tuple(outer.apply(im) for im in inner.images))
 
 
-def identity_hom(m: Module) -> ModuleHom:
-    return ModuleHom(m, m, tuple(m.generator_images()))
-
-
-def zero_hom(m1: Module, m2: Module) -> ModuleHom:
-    return ModuleHom(m1, m2, (m2.zero,) * m1.k)
-
-
 def _relation_values(target: Module, columns, k: int):
     """Target positions of sum_j c_j * t_j for every column c (k entries,
     ring indices) and every k-tuple t of target elements.
@@ -513,10 +501,10 @@ def submodule(ambient: Module, target: np.ndarray, gens=None):
 
     Generators default to the greedy canonical choice: the least element
     outside the span of the earlier picks.  The relations are found by an
-    exhaustive search: every coefficient vector a in R^k is evaluated at once
-    as sum_j a_j * g_j, an outer sum over the generators' multiples, and the
-    vectors landing on zero form the relation submodule of R^k, presented by
-    its own greedy generators.
+    exhaustive search: every coefficient vector a in R^k is evaluated as
+    sum_j a_j * g_j, one coordinate at a time by ``_relation_values`` over
+    R, and the vectors landing on zero form the relation submodule of the
+    free module R^k, presented by its own greedy generators.
     """
     ring = ambient.ring
     if gens is None:
@@ -529,16 +517,15 @@ def submodule(ambient: Module, target: np.ndarray, gens=None):
             f"({ring.guards.max_module_raw})",
             "max_module_raw", n**k, ring.guards.max_module_raw,
         )
-    add, mul, _ = ambient._tables
-    multiples = [mul[:, list(g)] for g in gens]
-    zero = np.array(ambient.zero, dtype=np.intp)
+    # coordinate i of sum_j a_j * g_j, for every a in R^k, as a ring index
+    coords = np.array(gens, dtype=np.intp).reshape(k, ambient.k).T
     relations = np.concatenate(
         [
-            ambient._locate(rows) == ambient._zero_pos
-            for rows in _outer_sums(add, multiples, zero)
+            ambient._locate(values) == ambient._zero_pos
+            for values in _relation_values(regular_module(ring), coords, k)
         ]
     )
-    coefficients = _Free(ring, k)
+    coefficients = free_module(ring, k)
     rel_gens = coefficients._rows(_submodule_generators(coefficients, relations))
     cols = tuple(tuple(ring.elements[i] for i in col) for col in rel_gens.tolist())
     mod = Module(Presentation(ring, k, cols))

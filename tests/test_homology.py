@@ -293,6 +293,20 @@ def test_dual_hom_is_transpose():
     assert d.images == ((1, 3), (2, 4))
 
 
+def test_dual_hom_accepts_a_free_module_with_zero_relations():
+    z4 = _ring("Z/4")
+    free = Module(Presentation(z4, 2, ((0, 0),)))  # the relation spans zero
+    assert free.cardinality == 16 and len(free.span) == 1
+    report = check_complete_resolution(ModuleHom(free, free, ((2, 0), (0, 2))))
+    assert report.passed
+    assert report.image_order == report.kernel_order == 4
+    assert report.dual_image_order == report.dual_kernel_order == 4
+    # a relation with a nonzero span is still refused
+    quotient = Module(Presentation(z4, 1, ((2,),)))
+    with pytest.raises(ValidationError, match="free module"):
+        dual_hom(ModuleHom(quotient, quotient, ((1,),)))
+
+
 def test_periodic_map_over_z8_witness():
     z8 = _ring("Z/8")
     w = find_sgp_witness(_mod(z8, "2,0;0,4"))

@@ -31,7 +31,6 @@ from finring.modules import (
     free_summand_split,
     hom_set,
     ideal_as_module,
-    identity_hom,
     image,
     is_isomorphic,
     is_projective,
@@ -42,7 +41,6 @@ from finring.modules import (
     quotient_by_ideal,
     regular_module,
     submodule,
-    zero_hom,
 )
 from finring.parsing import parse_presentation, parse_ring_spec
 from finring.rings import Zmod, build_ring
@@ -83,6 +81,23 @@ def test_free_modules():
     assert free_module(z4, 1).cardinality == 4
     assert free_module(_ring("Z/8"), 2).cardinality == 64
     assert free_module(z4, 0).cardinality == 1
+
+
+def test_zero_span_labels_no_cosets(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("a zero span was labelled")
+
+    monkeypatch.setattr(modules, "_label_cosets", refuse)
+    z8 = _ring("Z/8")
+    factor = idempotent_decomposition(_ring("Z/12")).factor_rings[1]
+    for m in (
+        free_module(z8, 2),
+        Module(Presentation(z8, 2, ((0, 0),))),
+        regular_module(factor),
+    ):
+        n, k = m.ring.order, m.k
+        assert m.elements == list(itertools.product(range(n), repeat=k))
+        assert np.array_equal(m.rep, np.arange(n**k))
 
 
 def test_direct_sum():
@@ -134,10 +149,12 @@ def test_kernel_image_cokernel():
     ker, emb = kernel(reduction)
     assert ker.cardinality == 2
     assert {emb.apply(el) for el in ker.elements} == {(0,), (2,)}
-    ident = identity_hom(_mod(z4, "2"))
+    m = _mod(z4, "2")
+    ident = ModuleHom(m, m, tuple(m.generator_images()))
     assert kernel(ident)[0].cardinality == 1
     assert cokernel(ident)[0].cardinality == 1
-    zero = zero_hom(_mod(z4, "2"), regular_module(z4))
+    r = regular_module(z4)
+    zero = ModuleHom(m, r, (r.zero,) * m.k)
     assert kernel(zero)[0].cardinality == 2
     assert image(zero)[0].cardinality == 1
 
@@ -297,7 +314,7 @@ def test_hom_rejects_images_that_break_a_relation():
 def test_compose_and_identity():
     z4 = _ring("Z/4")
     m = _mod(z4, "2")
-    ident = identity_hom(m)
+    ident = ModuleHom(m, m, tuple(m.generator_images()))
     assert compose(ident, ident).images == ident.images
 
 
@@ -338,8 +355,10 @@ def test_decomposition_check_rejects_a_wrong_component(m):
 
 
 _PROPERTY_RINGS = {
-    text: _ring(text) for text in ("Z/4", "Z/8", "Z/9", "GF(2)[x]/(x^2)")
+    text: _ring(text) for text in ("Z/4", "Z/8", "Z/9", "GF(2)[x]/(x^2)", "Z/2 x Z/3")
 }
+# an IdempotentFactorRing: the order-4 factor of Z/12
+_PROPERTY_RINGS["e Z/12"] = idempotent_decomposition(_ring("Z/12")).factor_rings[1]
 
 
 @st.composite
