@@ -176,10 +176,11 @@ def ext1(m: Module, q: Module) -> ExtGroup:
         )
     strides = q.cardinality ** np.arange(g1 - 1, -1, -1)
     in_image = np.zeros(q.cardinality**g1, dtype=bool)
-    for values in _relation_values(q, d1.images, g0):
+    d1_cols, d2_cols = (d.target._rows(d.positions) for d in (d1, d2))
+    for values in _relation_values(q, d1_cols, g0):
         in_image[values @ strides] = True
     in_kernel = np.concatenate(
-        [(v == q._zero_pos).all(axis=1) for v in _relation_values(q, d2.images, g1)]
+        [(v == q._zero_pos).all(axis=1) for v in _relation_values(q, d2_cols, g1)]
     )
     if (in_image > in_kernel).any():
         raise ConsistencyError("Hom-dual image is not inside the Hom-dual kernel")
@@ -367,9 +368,7 @@ def dual_hom(h: ModuleHom) -> ModuleHom:
     if free is not h.target or len(free.span) > 1:
         raise ValidationError("dualization expects an endomorphism of a free module")
     # with a zero span every raw tuple is its own representative
-    n = free.k
-    images = tuple(tuple(h.images[j][i] for j in range(n)) for i in range(n))
-    return ModuleHom(free, free, images)
+    return ModuleHom(free, free, free._rows(h.positions).T.tolist())
 
 
 def check_complete_resolution(res) -> CompleteResolutionReport:

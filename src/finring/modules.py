@@ -12,20 +12,22 @@ code to the position of its coset, so sums and scalar multiples are array
 lookups: the ring tables on each coordinate, then ``rep``
 (``Module._locate``).  A free module -- no relations, or relations that span
 only zero -- is R^k itself: ``rep`` is the identity and no coset is
-labelled.  The element tuples (``Module.elements``, ``Module.index``) are
-built from ``_digits`` on first use.  ``Presentation`` holds element values,
-the public-facing form.
+labelled.  ``Presentation`` holds element values, the public-facing form.
 
 Everything above the element level works on these positions as well.  A
 submodule is a boolean mask over positions, grown by one greedy span
-primitive (``_greedy_span``); a hom carries the target position of every
-source element (``ModuleHom.table``, from the one combination evaluator
-``_combine``, which also checks its relations); and the exhaustive searches
--- the relations among a submodule's generators, the relation test of every
-candidate hom and the Hom(F, Q) maps of ``ext1`` -- go through the one
-relation evaluator ``_relation_values``, which evaluates all their linear
-combinations at once as a broadcast outer sum through the ring tables
-(``_outer_sums``).
+primitive (``_greedy_span``), and its generators are positions.  A hom
+carries the target positions of its generator images; the one combination
+evaluator ``_combine`` turns them into the position of every source element
+(``ModuleHom.table``), checks them against the source relations, and finds
+a submodule's relations as the zero positions of the combinations of its
+generators over all of R^k.  The exhaustive searches over tuples of target
+elements -- every candidate hom and the Hom(F, Q) maps of ``ext1`` -- go
+through ``_relation_values``, which evaluates all their linear combinations
+at once as a broadcast outer sum through the ring tables (``_outer_sums``).
+Index tuples appear only at the public edge: ``Module.elements`` and
+``index`` (built from ``_digits`` on first use), ``ModuleHom.images`` and
+``ModuleHom.apply``.
 
 Everything here is immutable after construction and deterministic: greedy
 generator searches pick the least candidate in canonical order, hom sets are
@@ -34,7 +36,8 @@ enumerated lexicographically by generator-image tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import prod
 
@@ -295,24 +298,23 @@ class Module:
         np.fill_diagonal(units, self.ring.index[self.ring.one])
         return list(map(tuple, self._rows(self._locate(units)).tolist()))
 
+    def _kills(self):
+        """[r, x]: whether r * x = 0, for every element x and a run of r at a time."""
+        _, mul, _ = self._tables
+        step = max(1, _CHUNK // max(self._digits.size, 1))
+        for lo in range(0, self.ring.order, step):
+            yield self._locate(mul[lo : lo + step, self._digits]) == self._zero_pos
+
     def annihilator_index_set(self) -> frozenset:
         """Ring elements (as indices) killing the whole module."""
         if "ann" not in self._cache:
-            _, mul, _ = self._tables
-            step = max(1, _CHUNK // max(self._digits.size, 1))
-            kills = []  # kills[r]: r * x == 0 for every element x
-            for lo in range(0, self.ring.order, step):
-                products = self._locate(mul[lo : lo + step, self._digits])
-                kills.append((products == self._zero_pos).all(axis=1))
-            ann = np.concatenate(kills).nonzero()[0]
+            ann = np.concatenate([part.all(axis=1) for part in self._kills()]).nonzero()[0]
             self._cache["ann"] = frozenset(ann.tolist())
         return self._cache["ann"]
 
-    def element_annihilator_is_zero(self, el) -> bool:
-        """True iff no nonzero ring element kills ``el``."""
-        _, mul, _ = self._tables
-        killed = self._locate(mul[:, list(el)]) == self._zero_pos
-        return int(killed.sum()) == 1  # only r = 0
+    def free_element_mask(self) -> np.ndarray:
+        """Mask over the positions: the elements x with r * x = 0 only for r = 0."""
+        return sum(part.sum(axis=0) for part in self._kills()) == 1
 
 
 def free_module(ring: Ring, rank: int) -> Module:
@@ -353,13 +355,14 @@ def direct_sum(m1: Module, m2: Module) -> Module:
 # homomorphisms
 
 
-def _combine(target: Module, images, coeffs: np.ndarray) -> np.ndarray:
-    """Target positions of sum_j c_j * images[j] for every row c of
-    ``coeffs`` (ring indices, one column per image)."""
-    if not images:
+def _combine(target: Module, positions, coeffs: np.ndarray) -> np.ndarray:
+    """Target positions of sum_j c_j * x_j, with x_j the element at
+    ``positions[j]``, for every row c of ``coeffs`` (ring indices, one
+    column per position)."""
+    if len(positions) == 0:
         return np.full(len(coeffs), target._zero_pos)
     add, mul, _ = target._tables
-    rows = np.array(images, dtype=np.intp).reshape(len(images), target.k)
+    rows = target._rows(positions)
     acc = mul[coeffs[:, :1], rows[0]]
     for j in range(1, len(rows)):
         acc = add[acc, mul[coeffs[:, j, None], rows[j]]]
@@ -368,42 +371,55 @@ def _combine(target: Module, images, coeffs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModuleHom:
-    """A hom determined by generator images.
+    """A hom determined by generator images, held as index tuples
+    (``images``, the public form) and as target positions (``positions``).
 
-    Building one checks the images against every source relation through
-    ``_combine``.  ``iter_homs`` builds the homs its own relation test
-    accepted through ``_accepted``, which does not check them again.
+    Building one checks that each image is a target element and checks the
+    images against every source relation through ``_combine``.
+    ``iter_homs`` builds the homs its own relation test accepted through
+    ``_accepted``, which does not check them again.
     """
 
     source: Module
     target: Module
     images: tuple
+    positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.source.ring is not self.target.ring:
+        source, target = self.source, self.target
+        if source.ring is not target.ring:
             raise RingMismatchError("hom endpoints live over different rings")
-        if len(self.images) != self.source.k:
+        if len(self.images) != source.k:
             raise ValidationError("one image per source generator required")
-        for im in self.images:
-            if im not in self.target.index:
-                raise ValidationError("hom image is not a target element")
-        cols = self.source.relation_columns
+        try:
+            rows = [[operator.index(v) for v in im] for im in self.images]
+            raw = np.array(rows, dtype=np.intp).reshape(source.k, target.k)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError("hom image is not a target element") from None
+        # a row is an element when it is its own coset's representative; an
+        # entry outside the index range changes under the reduction mod |R|
+        positions = target._locate(raw % target.ring.order)
+        if target._rows(positions).tolist() != rows:
+            raise ValidationError("hom image is not a target element")
+        cols = source.relation_columns
         if cols:
-            values = _combine(self.target, self.images, np.array(cols, dtype=np.intp))
-            if (values != self.target._zero_pos).any():
+            values = _combine(target, positions, np.array(cols, dtype=np.intp))
+            if (values != target._zero_pos).any():
                 raise ValidationError("images do not satisfy the source relations")
+        object.__setattr__(self, "images", tuple(map(tuple, rows)))
+        object.__setattr__(self, "positions", positions)
 
     @classmethod
-    def _accepted(cls, source: Module, target: Module, images: tuple) -> ModuleHom:
+    def _accepted(cls, source: Module, target: Module, positions, images) -> ModuleHom:
         """A hom whose images already passed ``iter_homs``' relation test."""
         hom = object.__new__(cls)
-        hom.__dict__.update(source=source, target=target, images=images)
+        hom.__dict__.update(source=source, target=target, images=images, positions=positions)
         return hom
 
     @cached_property
     def table(self) -> np.ndarray:
         """The target position of every source element, in source order."""
-        return _combine(self.target, self.images, self.source._digits)
+        return _combine(self.target, self.positions, self.source._digits)
 
     def image_mask(self) -> np.ndarray:
         """Boolean mask over the target positions: which lie in the image."""
@@ -427,13 +443,14 @@ class ModuleHom:
         )
 
     def is_zero(self) -> bool:
-        return all(im == self.target.zero for im in self.images)
+        return bool((self.positions == self.target._zero_pos).all())
 
 
 def compose(outer: ModuleHom, inner: ModuleHom) -> ModuleHom:
     if inner.target is not outer.source:
         raise RingMismatchError("homs do not compose: target/source mismatch")
-    return ModuleHom(inner.source, outer.target, tuple(outer.apply(im) for im in inner.images))
+    images = outer.target._rows(outer.table[inner.positions]).tolist()
+    return ModuleHom(inner.source, outer.target, images)
 
 
 def _relation_values(target: Module, columns, k: int):
@@ -481,9 +498,9 @@ def iter_homs(m1: Module, m2: Module):
         accepted = lo + (values == m2._zero_pos).all(axis=1).nonzero()[0]
         # decoded a slice at a time, as callers often stop after a few homs
         for s in range(0, len(accepted), 256):
-            digits = accepted[s : s + 256, None] // strides % m2.cardinality
-            for pos in digits.tolist():
-                yield ModuleHom._accepted(m1, m2, tuple(m2.elements[p] for p in pos))
+            picks = accepted[s : s + 256, None] // strides % m2.cardinality
+            for pos, rows in zip(picks, m2._rows(picks).tolist()):
+                yield ModuleHom._accepted(m1, m2, pos, tuple(map(tuple, rows)))
         lo += len(values)
 
 
@@ -499,16 +516,16 @@ def submodule(ambient: Module, target: np.ndarray, gens=None):
     """Present a submodule (a boolean mask over ``ambient``'s positions) and
     return (module, embedding).
 
-    Generators default to the greedy canonical choice: the least element
-    outside the span of the earlier picks.  The relations are found by an
-    exhaustive search: every coefficient vector a in R^k is evaluated as
-    sum_j a_j * g_j, one coordinate at a time by ``_relation_values`` over
-    R, and the vectors landing on zero form the relation submodule of the
-    free module R^k, presented by its own greedy generators.
+    Generators are positions of ``ambient`` and default to the greedy
+    canonical choice: the least element outside the span of the earlier
+    picks.  The relations are found by an exhaustive search: the
+    coefficient vectors a in R^k with sum_j a_j * g_j = 0 are the zero
+    positions of ``_combine`` over every element of the free module R^k,
+    and form its relation submodule, presented by its own greedy generators.
     """
     ring = ambient.ring
     if gens is None:
-        gens = [ambient.elements[p] for p in _submodule_generators(ambient, target)]
+        gens = _submodule_generators(ambient, target)
     k = len(gens)
     n = ring.order
     if n**k > ring.guards.max_module_raw:
@@ -517,21 +534,14 @@ def submodule(ambient: Module, target: np.ndarray, gens=None):
             f"({ring.guards.max_module_raw})",
             "max_module_raw", n**k, ring.guards.max_module_raw,
         )
-    # coordinate i of sum_j a_j * g_j, for every a in R^k, as a ring index
-    coords = np.array(gens, dtype=np.intp).reshape(k, ambient.k).T
-    relations = np.concatenate(
-        [
-            ambient._locate(values) == ambient._zero_pos
-            for values in _relation_values(regular_module(ring), coords, k)
-        ]
-    )
     coefficients = free_module(ring, k)
+    relations = _combine(ambient, gens, coefficients._digits) == ambient._zero_pos
     rel_gens = coefficients._rows(_submodule_generators(coefficients, relations))
     cols = tuple(tuple(ring.elements[i] for i in col) for col in rel_gens.tolist())
     mod = Module(Presentation(ring, k, cols))
     if mod.cardinality != int(target.sum()):
         raise ConsistencyError("recovered presentation has the wrong cardinality")
-    embedding = ModuleHom(mod, ambient, tuple(gens))
+    embedding = ModuleHom(mod, ambient, ambient._rows(gens).tolist())
     return mod, embedding
 
 
@@ -553,7 +563,7 @@ def cokernel(h: ModuleHom):
     extra = tuple(tuple(ring.elements[i] for i in g) for g in img_gens)
     pres = Presentation(ring, t.k, tuple(t.presentation.relations) + extra)
     coker = Module(pres)
-    proj = ModuleHom(t, coker, tuple(coker.generator_images()))
+    proj = ModuleHom(t, coker, coker.generator_images())
     return coker, proj
 
 
@@ -607,7 +617,7 @@ def minimal_generators(m: Module):
     _, mm = _greedy_span(m, products)
     # the least element outside the span of the picks so far plus mM
     picks, _ = _greedy_span(m, np.ones(m.cardinality, dtype=bool), mm)
-    gens = [m.elements[p] for p in picks]
+    gens = list(map(tuple, m._rows(picks).tolist()))
     q = ring.order // max_ideal.order
     if int(mm.sum()) * q ** len(gens) != m.cardinality:
         raise ConsistencyError("generator count disagrees with dim M/mM")
@@ -715,26 +725,15 @@ def free_summand_split(m: Module):
     if not is_local(ring):
         raise NonLocalRingError("free-summand splitting requires a local ring")
     if quasi_frobenius_certificate(ring) is not None:
-        raise PreconditionError(
-            "free-summand splitting requires a quasi-Frobenius ring"
+        raise PreconditionError("free-summand splitting requires a quasi-Frobenius ring")
+    r1 = regular_module(ring)
+    one = ring.index[ring.one]  # R's positions are its element indices
+    rank, current = 0, m
+    while (free := current.free_element_mask()).any():
+        pivot = int(free.argmax())
+        splitting = next(
+            (cand for cand in iter_homs(current, r1) if cand.table[pivot] == one), None
         )
-    one_idx = ring.index[ring.one]
-    rank = 0
-    current = m
-    while True:
-        pivot = None
-        for el in current.elements:
-            if el != current.zero and current.element_annihilator_is_zero(el):
-                pivot = el
-                break
-        if pivot is None:
-            break
-        r1 = regular_module(ring)
-        splitting = None
-        for cand in iter_homs(current, r1):
-            if cand.apply(pivot) == (one_idx,):
-                splitting = cand
-                break
         if splitting is None:
             raise ConsistencyError(
                 "free cyclic submodule failed to split over a quasi-Frobenius ring"

@@ -298,7 +298,7 @@ GUARD_SITES = {
         lambda: submodule(
             m := regular_module(_z(8, max_module_raw=10)),
             np.ones(m.cardinality, dtype=bool),
-            m.elements[2:4],
+            [2, 3],
         ),
         ("max_module_raw", 64, 10),
     ),

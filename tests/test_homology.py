@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brute_force import BruteModule
-from finring import modules
+from finring import cli, modules
 from finring.classify import SQUARE_ZERO_PAIR
 from finring.errors import NonLocalRingError, ValidationError
 from finring.homology import (
@@ -34,6 +34,7 @@ from finring.modules import (
     decompose_over_product,
     direct_sum,
     free_module,
+    free_summand_split,
     ideal_as_module,
     is_isomorphic,
     quotient_by_ideal,
@@ -67,6 +68,28 @@ def test_witness_rank_is_the_least_rank_reaching_the_square(ring_order, square, 
     assert witness_rank(ring_order, square) == rank
     assert ring_order**rank >= square
     assert rank == 0 or ring_order ** (rank - 1) < square
+
+
+def test_internal_paths_build_no_element_tuples(monkeypatch, capsys):
+    # element tuples are the public form only: the SGP decision, resolutions,
+    # splitting and Ext all run on positions
+    def refuse(self):
+        raise AssertionError("element tuples built on an internal path")
+
+    monkeypatch.setattr(Module, "elements", property(refuse))
+    monkeypatch.setattr(Module, "index", property(refuse))
+    z8 = _ring("Z/8")
+    m = _mod(z8, "2,0;0,4")
+    verdict = is_strongly_gorenstein_projective(m)
+    assert verdict.decision
+    assert check_complete_resolution(strongly_complete_resolution(verdict.witness)).passed
+    assert free_resolution(_mod(_ring("GF(2)[x]/(x^4)"), "x,0;0,x^3"), 3).length == 3
+    assert free_summand_split(direct_sum(m, regular_module(z8)))[0] == 1
+    assert ext1(_mod(z8, "2"), regular_module(z8)).is_zero
+    assert is_strongly_gorenstein_projective(_mod(_ring("Z/4 x Z/3"), "(2,0)")).components
+    argv = ["module", "sgp", "--ring", "Z/8", "--rel", "2,0;0,4", "--json"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
 
 
 def test_free_cover():

@@ -267,14 +267,39 @@ def test_free_summand_split():
         free_summand_split(regular_module(_ring(SQUARE_ZERO_PAIR)))
 
 
+@pytest.mark.parametrize(
+    "images, error",
+    [
+        (((3,),), "hom image is not a target element"),  # 3 = 1 + 2: not a representative
+        (((4,),), "hom image is not a target element"),
+        (((-1,),), "hom image is not a target element"),
+        (((1, 1),), "hom image is not a target element"),
+        ((("a",),), "hom image is not a target element"),
+        (((1.0,),), "hom image is not a target element"),
+        ((), "one image per source generator required"),
+        (([1],), None),
+        (((np.int64(1),),), None),
+    ],
+)
+def test_hom_images_are_target_elements_read_back_as_int_tuples(images, error):
+    z4 = _ring("Z/4")
+    source, q = regular_module(z4), _mod(z4, "2")
+    if error is not None:
+        with pytest.raises(ValidationError, match=f"^{error}$"):
+            ModuleHom(source, q, images)
+        return
+    h = ModuleHom(source, q, images)
+    assert h.images == ((1,),) and type(h.images[0][0]) is int
+    with pytest.raises(KeyError):
+        h.apply((5,))
+
+
 def test_split_complement_has_torsion_only():
     z4 = _ring("Z/4")
     mixed = direct_sum(direct_sum(free_module(z4, 1), _mod(z4, "2")), _mod(z4, "2"))
     rank, rest = free_summand_split(mixed)
     assert rank == 1
-    for el in rest.elements:
-        if el != rest.zero:
-            assert not rest.element_annihilator_is_zero(el)
+    assert not rest.free_element_mask().any()
     resum = direct_sum(free_module(z4, rank), rest)
     assert is_isomorphic(resum, mixed)[0]
 
@@ -390,6 +415,20 @@ def test_module_arithmetic_matches_brute_force(pres, data):
     if ring.order**k <= 64:
         reps = {least(raw) for raw in np.ndindex(*(ring.order,) * k)}
         assert m.elements == sorted(reps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_presentations())
+def test_free_element_mask_matches_brute_force(pres):
+    ring, k, cols = pres
+    m = Module(Presentation(ring, k, tuple(tuple(ring.elements[i] for i in c) for c in cols)))
+    ref = BruteModule(ring, k, cols)
+    # x is free when r * x = 0 only for r = 0
+    free = [
+        [r for r in range(ring.order) if ref.scal(r, x) == ref.zero] == [0]
+        for x in m.elements
+    ]
+    assert m.free_element_mask().tolist() == free
 
 
 # -- brute-force references for submodules, kernels, images and hom sets -----
