@@ -38,6 +38,7 @@ from .ideals import ideal_generated, idempotent_decomposition, is_local, wrap_id
 from .modules import (
     Module,
     ModuleHom,
+    _injective_homs,
     _relation_values,
     compose,
     cokernel,
@@ -46,7 +47,6 @@ from .modules import (
     free_module,
     image,
     is_isomorphic,
-    iter_homs,
     kernel,
     regular_module,
 )
@@ -177,10 +177,14 @@ def ext1(m: Module, q: Module) -> ExtGroup:
     strides = q.cardinality ** np.arange(g1 - 1, -1, -1)
     in_image = np.zeros(q.cardinality**g1, dtype=bool)
     d1_cols, d2_cols = (d.target._rows(d.positions) for d in (d1, d2))
-    for values in _relation_values(q, d1_cols, g0):
+    everything = np.arange(q.cardinality)
+    for values in _relation_values(q, d1_cols, [everything] * g0):
         in_image[values @ strides] = True
     in_kernel = np.concatenate(
-        [(v == q._zero_pos).all(axis=1) for v in _relation_values(q, d2_cols, g1)]
+        [
+            (v == q._zero_pos).all(axis=1)
+            for v in _relation_values(q, d2_cols, [everything] * g1)
+        ]
     )
     if (in_image > in_kernel).any():
         raise ConsistencyError("Hom-dual image is not inside the Hom-dual kernel")
@@ -278,9 +282,7 @@ def find_sgp_witness(m: Module):
             f"|M|^2 = {square} is not a power of |R| = {ring.order}",
         )
     target = free_module(ring, rank)
-    for h in iter_homs(m, target):
-        if not h.is_injective():
-            continue
+    for h in _injective_homs(m, target):
         coker, proj = cokernel(h)
         found, iso = is_isomorphic(coker, m)
         if found:

@@ -25,6 +25,11 @@ generators over all of R^k.  The exhaustive searches over tuples of target
 elements -- every candidate hom and the Hom(F, Q) maps of ``ext1`` -- go
 through ``_relation_values``, which evaluates all their linear combinations
 at once as a broadcast outer sum through the ring tables (``_outer_sums``).
+A hom search first narrows each generator's images to the elements killed
+by its annihilator (``_image_choices``), which keeps the lexicographic order
+of the homs and makes the hom guard count only the tuples it can visit; the
+witness and isomorphism searches then test injectivity on a whole batch of
+accepted homs at once (``_injective_homs``).
 Index tuples appear only at the public edge: ``Module.elements`` and
 ``index`` (built from ``_digits`` on first use), ``ModuleHom.images`` and
 ``ModuleHom.apply``.
@@ -357,15 +362,17 @@ def direct_sum(m1: Module, m2: Module) -> Module:
 
 def _combine(target: Module, positions, coeffs: np.ndarray) -> np.ndarray:
     """Target positions of sum_j c_j * x_j, with x_j the element at
-    ``positions[j]``, for every row c of ``coeffs`` (ring indices, one
-    column per position)."""
-    if len(positions) == 0:
-        return np.full(len(coeffs), target._zero_pos)
+    ``positions[..., j]``, for every row c of ``coeffs`` (ring indices, one
+    column per position).  Leading axes of ``positions`` are batch axes:
+    the result has shape ``positions.shape[:-1] + (len(coeffs),)``."""
+    positions = np.asarray(positions, dtype=np.intp)
+    if positions.shape[-1] == 0:
+        return np.full(positions.shape[:-1] + (len(coeffs),), target._zero_pos)
     add, mul, _ = target._tables
-    rows = target._rows(positions)
-    acc = mul[coeffs[:, :1], rows[0]]
-    for j in range(1, len(rows)):
-        acc = add[acc, mul[coeffs[:, j, None], rows[j]]]
+    rows = target._rows(positions)[..., None, :, :]  # [..., 1, j, coordinate]
+    acc = mul[coeffs[:, :1], rows[..., 0, :]]
+    for j in range(1, positions.shape[-1]):
+        acc = add[acc, mul[coeffs[:, j, None], rows[..., j, :]]]
     return target._locate(acc)
 
 
@@ -375,8 +382,8 @@ class ModuleHom:
     (``images``, the public form) and as target positions (``positions``).
 
     Building one checks that each image is a target element and checks the
-    images against every source relation through ``_combine``.
-    ``iter_homs`` builds the homs its own relation test accepted through
+    images against every source relation through ``_combine``.  The hom
+    searches build the homs their own relation test accepted through
     ``_accepted``, which does not check them again.
     """
 
@@ -410,10 +417,15 @@ class ModuleHom:
         object.__setattr__(self, "positions", positions)
 
     @classmethod
-    def _accepted(cls, source: Module, target: Module, positions, images) -> ModuleHom:
-        """A hom whose images already passed ``iter_homs``' relation test."""
+    def _accepted(
+        cls, source: Module, target: Module, positions, images, table=None
+    ) -> ModuleHom:
+        """A hom whose images already passed ``_hom_batches``' relation test;
+        ``table``, when given, is its already evaluated ``table``."""
         hom = object.__new__(cls)
         hom.__dict__.update(source=source, target=target, images=images, positions=positions)
+        if table is not None:
+            hom.__dict__["table"] = table
         return hom
 
     @cached_property
@@ -449,59 +461,130 @@ class ModuleHom:
 def compose(outer: ModuleHom, inner: ModuleHom) -> ModuleHom:
     if inner.target is not outer.source:
         raise RingMismatchError("homs do not compose: target/source mismatch")
-    images = outer.target._rows(outer.table[inner.positions]).tolist()
-    return ModuleHom(inner.source, outer.target, images)
+    # the images of inner's generators only, not outer's whole table
+    values = _combine(outer.target, outer.positions, outer.source._rows(inner.positions))
+    return ModuleHom(inner.source, outer.target, outer.target._rows(values).tolist())
 
 
-def _relation_values(target: Module, columns, k: int):
-    """Target positions of sum_j c_j * t_j for every column c (k entries,
-    ring indices) and every k-tuple t of target elements.
+def _relation_values(target: Module, columns, choices):
+    """Target positions of sum_j c_j * t_j for every column c (one ring
+    index per choice) and every tuple t with t_j in ``choices[j]``, an
+    ascending array of target positions.
 
-    Tuples run in mixed-radix order |target| (t_0 most significant), a chunk
-    at a time: each array yielded has one row per tuple and one entry per
-    column.  The sum is an outer sum over j of the scaled target elements
-    c_j * t.
+    Tuples run in mixed-radix order (t_0 most significant), a chunk at a
+    time: each array yielded has one row per tuple and one entry per column.
+    The sum is an outer sum over j of the scaled choices c_j * t_j.
     """
     add, mul, _ = target._tables
-    cols = np.array(columns, dtype=np.intp).reshape(len(columns), k)
-    # terms[j][t, c] = raw row of cols[c, j] * (element t of target)
+    cols = np.array(columns, dtype=np.intp).reshape(len(columns), len(choices))
+    # terms[j][t, c] = raw row of cols[c, j] * (the t-th choice for t_j)
     terms = [
-        mul[cols[:, j, None, None], target._digits[None]].swapaxes(0, 1)
-        for j in range(k)
+        mul[cols[:, j, None, None], target._digits[choice][None]].swapaxes(0, 1)
+        for j, choice in enumerate(choices)
     ]
     zero = np.full((len(cols), target.k), target.ring.index[target.ring.zero])
     for rows in _outer_sums(add, terms, zero):
         yield target._locate(rows)
 
 
-def iter_homs(m1: Module, m2: Module):
-    """All homs m1 -> m2 in lexicographic generator-image order.
+def _image_choices(m1: Module, m2: Module) -> list:
+    """For each generator e_j of m1, the ascending positions of the elements
+    t of m2 with a * t = 0 for every a in Ann(e_j): the only images a hom
+    can give e_j.
 
-    Candidates are tuples of m2 elements, numbered in mixed radix |m2|; a
-    candidate is a hom when every relation column of m1 evaluates to zero
-    on it (``_relation_values``).  Homs are built and yielded lazily, so a
-    caller that stops early scans the same prefix of candidates.
+    A generator with zero annihilator keeps every position.  Otherwise the
+    tests run over the least nonzero a of Ann(e_j) not yet settled, and
+    each test a * t = 0 settles every multiple r * a as well, so a principal
+    annihilator costs one test.
+    """
+    if len(m1.span) == 1:  # a free module: every annihilator is zero
+        return [np.arange(m2.cardinality)] * m1.k
+    _, mul, _ = m1._tables
+    # ann[r, j]: whether r * e_j = 0 in m1; r * e_j is the raw code
+    # r * n^(k-1-j), as zero is element 0
+    ann = m1.rep[np.arange(m1.ring.order)[:, None] * m1._weights] == m1._zero_pos
+    ann[0] = False  # zero kills everything: nothing to test
+    choices = []
+    for rest in ann.T:
+        keep = np.ones(m2.cardinality, dtype=bool)
+        while rest.any():
+            a = int(rest.argmax())
+            rest[mul[a]] = False
+            keep &= m2._locate(mul[a, m2._digits]) == m2._zero_pos
+        choices.append(keep.nonzero()[0])
+    return choices
+
+
+def _hom_batches(m1: Module, m2: Module):
+    """Target positions of the generator images of every hom m1 -> m2, in
+    lexicographic order, one array (homs x m1.k) per chunk of candidates.
+
+    Candidates are the tuples of ``_image_choices``, numbered in mixed radix
+    (t_0 most significant), so filtering each coordinate keeps the order of
+    all tuples of m2 elements; a candidate is a hom when every relation
+    column of m1 evaluates to zero on it (``_relation_values``).  The guard
+    bounds the number of candidates.
     """
     if m1.ring is not m2.ring:
         raise RingMismatchError("hom set needs modules over the same ring")
     guards = m1.ring.guards
-    count = m2.cardinality ** m1.k
+    choices = _image_choices(m1, m2)
+    count = prod(len(c) for c in choices)
     if count > guards.max_hom_candidates:
         raise GuardExceeded(
             f"hom enumeration would scan {count} candidates "
             f"(guard {guards.max_hom_candidates})",
             "max_hom_candidates", count, guards.max_hom_candidates,
         )
-    strides = m2.cardinality ** np.arange(m1.k - 1, -1, -1)
     lo = 0
-    for values in _relation_values(m2, m1.relation_columns, m1.k):
-        accepted = lo + (values == m2._zero_pos).all(axis=1).nonzero()[0]
-        # decoded a slice at a time, as callers often stop after a few homs
-        for s in range(0, len(accepted), 256):
-            picks = accepted[s : s + 256, None] // strides % m2.cardinality
-            for pos, rows in zip(picks, m2._rows(picks).tolist()):
-                yield ModuleHom._accepted(m1, m2, pos, tuple(map(tuple, rows)))
+    for values in _relation_values(m2, m1.relation_columns, choices):
+        codes = lo + (values == m2._zero_pos).all(axis=1).nonzero()[0]
         lo += len(values)
+        picks = np.empty((len(codes), m1.k), dtype=np.intp)
+        for j in reversed(range(m1.k)):  # least significant first
+            picks[:, j] = choices[j][codes % len(choices[j])]
+            codes = codes // len(choices[j])
+        yield picks
+
+
+def iter_homs(m1: Module, m2: Module):
+    """All homs m1 -> m2 in lexicographic generator-image order.
+
+    The candidates are the image tuples left after filtering each generator's
+    images by its annihilator (``_image_choices``), and the guard
+    ``max_hom_candidates`` bounds their number.  Homs are built and yielded
+    lazily, so a caller that stops early scans the same prefix of candidates.
+    """
+    for batch in _hom_batches(m1, m2):
+        # decoded a slice at a time, as callers often stop after a few homs
+        for s in range(0, len(batch), 256):
+            part = batch[s : s + 256]
+            for pos, rows in zip(part, m2._rows(part).tolist()):
+                yield ModuleHom._accepted(m1, m2, pos, tuple(map(tuple, rows)))
+
+
+def _injective_homs(m1: Module, m2: Module):
+    """The injective homs m1 -> m2, in ``iter_homs`` order.
+
+    Injectivity is tested a run of homs at a time on one ``_combine`` table
+    (homs x |m1| positions, from at most ``_CHUNK`` raw entries): a hom is
+    injective when no nonzero element of m1 -- every position but 0 -- maps
+    to zero.  The first run is one hom long and each next one twice as
+    long, as callers often stop at the first hom found.  Only injective homs
+    are built, each with its evaluated table.
+    """
+    cap = max(1, _CHUNK // max(m1.cardinality * m2.k, 1))
+    step = 1
+    for batch in _hom_batches(m1, m2):
+        lo = 0
+        while lo < len(batch):
+            part = batch[lo : lo + step]
+            lo, step = lo + step, min(2 * step, cap)
+            tables = _combine(m2, part, m1._digits)
+            injective = ~(tables[:, 1:] == m2._zero_pos).any(axis=1)
+            found = part[injective]
+            for pos, rows, table in zip(found, m2._rows(found).tolist(), tables[injective]):
+                yield ModuleHom._accepted(m1, m2, pos, tuple(map(tuple, rows)), table)
 
 
 def hom_set(m1: Module, m2: Module) -> list:
@@ -587,10 +670,9 @@ def is_isomorphic(m1: Module, m2: Module):
     if is_local(m1.ring):
         if minimal_generators(m1)[0] != minimal_generators(m2)[0]:
             return False, None
-    for h in iter_homs(m1, m2):
-        if h.is_bijective():
-            return True, h
-    return False, None
+    # equal cardinalities: the first injective hom is bijective
+    witness = next(_injective_homs(m1, m2), None)
+    return witness is not None, witness
 
 
 def minimal_generators(m: Module):

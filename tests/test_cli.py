@@ -294,6 +294,15 @@ GUARD_SITES = {
         lambda: hom_set(*[regular_module(_z(8, max_hom_candidates=5))] * 2),
         ("max_hom_candidates", 8, 5),
     ),
+    # R/2R -> R over Z/8: the generator's image must be killed by 2, so the
+    # scan counts the 2 such elements, not all 8
+    "iter_homs-filtered": (
+        lambda: hom_set(
+            Module(Presentation(r := _z(8, max_hom_candidates=1), 1, ((2,),))),
+            regular_module(r),
+        ),
+        ("max_hom_candidates", 2, 1),
+    ),
     "submodule": (
         lambda: submodule(
             m := regular_module(_z(8, max_module_raw=10)),
@@ -332,7 +341,7 @@ def test_guard_exceeded_names_guard_request_and_limit(site):
             "raise it with --max-module-size",
         ),
         (
-            ["module", "sgp", "--ring", "Z/32", "--rel", "4,0;0,8"],
+            ["module", "sgp", "--ring", "Z/16", "--rel", "0;0"],
             "raise it with --max-hom-enumeration",
         ),
     ],

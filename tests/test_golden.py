@@ -3,9 +3,13 @@
 Each digest is the sha256 of the ``--json`` output of one command, recorded
 with the scalar code before a refactor: the first four before the move of
 the module layer to mixed-radix element codes, the next two before
-submodules and homs moved to position arrays, the last five (the ring
+submodules and homs moved to position arrays, the next five (the ring
 layer: ideals, classify, decompose) before the ring arithmetic moved to
-element positions.  A change that alters any of
+element positions.  The last two entries of each list are requests that
+stopped at the hom guard until the hom search filtered each generator's
+images by its annihilator: their digests were recorded before that change
+under ``--max-hom-enumeration 400000000``, and the tests run them under the
+default guards.  A change that alters any of
 these bytes changes a witness, an ordering or a number in the report, which
 the canonical-order contract forbids.  ``GOLDEN_TEXT`` pins the text
 output of some commands the same way.
@@ -63,6 +67,14 @@ GOLDEN = [
         ["decompose", "Z/8"],
         "6069844d5504b6b3bfccc836a0f67daa11eda8d14cb0f835e1b5a588e2cc280c",
     ),
+    (
+        ["module", "sgp", "--ring", "Z/32", "--rel", "4,0;0,8"],
+        "f618d082a45e88ff578a172e0edd092f377ca70cb5a95baf0ac4fd645f96706a",
+    ),
+    (
+        ["module", "sgp", "--ring", "Z/9", "--rel", "3,0,0;0,3,0;0,0,3"],
+        "d53173ec4d1b4f5a6b26fb8c52f03b9b2acafbb858b473ebaa74296137ca8a8a",
+    ),
 ]
 
 
@@ -90,6 +102,14 @@ GOLDEN_TEXT = [
         ["classify", SQUARE_ZERO_PAIR],
         "d5db8eee64092f4579b07d4ffb10d6b861d41bebe82b4b301cf0e31c678ee959",
     ),
+    (
+        ["module", "sgp", "--ring", "Z/32", "--rel", "4,0;0,8"],
+        "671665d019faad252c69cdc823d40c9cbeb56bf169dd0e3b412ee2b585dd4302",
+    ),
+    (
+        ["module", "sgp", "--ring", "Z/9", "--rel", "3,0,0;0,3,0;0,0,3"],
+        "1c5bb310db16da490273c6693ad6776f54a0b2ba8ea0916d04f06f005d6a5f15",
+    ),
 ]
 
 
@@ -107,3 +127,4 @@ def test_text_output_bytes(capsys, argv, digest):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+

@@ -1,5 +1,6 @@
 import copy
 import itertools
+from math import prod
 
 import numpy as np
 import pytest
@@ -561,3 +562,74 @@ def test_submodules_and_homs_match_brute_force(pair, chunk, data):
         )
     finally:
         modules._CHUNK = saved
+
+
+# -- the annihilator-filtered hom search --------------------------------------
+
+
+def test_image_choices_filter_by_annihilator_but_keep_the_relation_test():
+    z8 = _ring("Z/8")
+    # R^2 / (2, 4): Ann(e_0) = {0, 4}, so e_0 can go only to the 4 elements
+    # killed by 4; e_1 is free.  Of those 4 * 8 candidates, 2 t_0 + 4 t_1 = 0
+    # holds on 16.
+    m = _mod(z8, "2;4")
+    r = regular_module(z8)
+    choices = modules._image_choices(m, r)
+    assert [c.tolist() for c in choices] == [[0, 2, 4, 6], list(range(8))]
+    assert prod(len(c) for c in choices) == 32
+    assert len(hom_set(m, r)) == 16
+    assert [h.images for h in hom_set(m, r)] == _ref_homs(m, r)
+
+
+@st.composite
+def _non_diagonal_pairs(draw):
+    """(m1, m2): m1 on two generators with a relation column that has two
+    nonzero entries, so an annihilator filter alone does not decide homs."""
+    ring = _PROPERTY_RINGS[draw(st.sampled_from(sorted(_PROPERTY_RINGS)))]
+    entry = st.integers(0, ring.order - 1)
+    nonzero = st.integers(1, ring.order - 1)
+    cols = [draw(st.tuples(nonzero, nonzero))]
+    cols += draw(st.lists(st.tuples(entry, entry), max_size=2))
+    values = tuple(tuple(ring.elements[i] for i in c) for c in draw(st.permutations(cols)))
+    m1 = Module(Presentation(ring, 2, values))
+    k = draw(st.integers(1, 2))
+    cols2 = draw(st.lists(st.tuples(*[entry] * k), max_size=2))
+    m2 = Module(Presentation(ring, k, tuple(tuple(ring.elements[i] for i in c) for c in cols2)))
+    return m1, m2
+
+
+@settings(max_examples=60, deadline=None)
+@given(_non_diagonal_pairs(), st.sampled_from([None, 7]))
+def test_filtered_hom_search_matches_brute_force_on_non_diagonal_presentations(pair, chunk):
+    m1, m2 = pair
+    assume(m2.cardinality**m1.k <= 6561)
+    saved = modules._CHUNK
+    modules._CHUNK = chunk or saved
+    try:
+        homs = [h.images for h in iter_homs(m1, m2)]
+        choices = modules._image_choices(m1, m2)
+    finally:
+        modules._CHUNK = saved
+    assert homs == _ref_homs(m1, m2)
+    # every hom image lies in its generator's choices
+    for images in homs:
+        for j, im in enumerate(images):
+            assert m2.index[im] in choices[j]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_hom_pairs(), st.sampled_from([None, 7]))
+def test_batched_injectivity_matches_per_hom_test(pair, chunk):
+    m1, m2 = pair
+    assume(m2.cardinality**m1.k <= 6561)
+    saved = modules._CHUNK
+    modules._CHUNK = chunk or saved
+    try:
+        batched = list(modules._injective_homs(m1, m2))
+        single = [h for h in iter_homs(m1, m2) if h.is_injective()]
+    finally:
+        modules._CHUNK = saved
+    assert [h.images for h in batched] == [h.images for h in single]
+    for b, h in zip(batched, single):
+        assert np.array_equal(b.positions, h.positions)
+        assert np.array_equal(b.table, ModuleHom(m1, m2, h.images).table)
