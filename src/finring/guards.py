@@ -21,9 +21,9 @@ class Guards:
     max_lattice_order: int = 1024
     #: largest raw tuple space R^k explored when presenting a module
     max_module_raw: int = 65536
-    #: largest candidate count for hom-set style enumerations: for a hom
-    #: search, the image tuples left after each generator's images are
-    #: filtered by its annihilator; for Ext^1, every tuple of Q^g
+    #: largest candidate count for hom-set style enumerations: the image
+    #: tuples left after each generator's images are filtered by its
+    #: annihilator, counted for each hom search and each Ext^1 scan
     max_hom_candidates: int = 1_000_000
     #: triples sampled when a ring is too big for exhaustive axiom checks
     axiom_sample_count: int = 512

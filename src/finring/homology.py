@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import (
     ConsistencyError,
-    GuardExceeded,
     NonLocalRingError,
     RingMismatchError,
     ValidationError,
@@ -38,6 +37,8 @@ from .ideals import ideal_generated, idempotent_decomposition, is_local, wrap_id
 from .modules import (
     Module,
     ModuleHom,
+    _decode,
+    _image_choices,
     _injective_homs,
     _relation_values,
     compose,
@@ -138,14 +139,14 @@ class ExtGroup:
 
 
 def ext1(m: Module, q: Module) -> ExtGroup:
-    """Ext^1(m, q) = ker Hom(d2, q) / im Hom(d1, q), computed by enumeration.
+    """Ext^1(m, q) = Hom(S, q) / {f . i : f in Hom(F, q)} for the first
+    syzygy i: S -> F of m's minimal free cover F = R^{g0}, by enumeration.
 
-    Hom(F_i, q) is q^{g_i}, numbered by mixed-radix codes, and Hom(d, q)
-    evaluates the columns of d on every tuple (``_relation_values``): the
-    image of Hom(d1, q) and the kernel of Hom(d2, q) are boolean masks over
-    the codes of q^{g1}.  Over a product ring both modules are decomposed
-    and the component Ext groups are combined (Ext is additive over finite
-    ring products).
+    Hom(S, q) is a boolean mask over the hom search's candidates for S -> q
+    (``_image_choices``), and each f in q^{g0} is evaluated on S's
+    generators (``_relation_values``) and numbered into that space; both
+    scans pass the hom guard.  Over a product ring both modules are
+    decomposed and the component Ext groups combined (Ext is additive).
     """
     if m.ring is not q.ring:
         raise RingMismatchError("ext needs modules over the same ring")
@@ -163,29 +164,27 @@ def ext1(m: Module, q: Module) -> ExtGroup:
             prod(p.kernel_order for p in parts),
             prod(p.image_order for p in parts),
         )
-    res = free_resolution(m, 3)
-    d1, d2 = res.differentials
-    g0, g1, _ = res.ranks
-    guards = ring.guards
-    scan = q.cardinality ** max(g0, g1)
-    if scan > guards.max_hom_candidates:
-        raise GuardExceeded(
-            f"ext enumeration would scan {scan} candidates "
-            f"(guard {guards.max_hom_candidates})",
-            "max_hom_candidates", scan, guards.max_hom_candidates,
-        )
-    strides = q.cardinality ** np.arange(g1 - 1, -1, -1)
-    in_image = np.zeros(q.cardinality**g1, dtype=bool)
-    d1_cols, d2_cols = (d.target._rows(d.positions) for d in (d1, d2))
-    everything = np.arange(q.cardinality)
-    for values in _relation_values(q, d1_cols, [everything] * g0):
-        in_image[values @ strides] = True
-    in_kernel = np.concatenate(
-        [
-            (v == q._zero_pos).all(axis=1)
-            for v in _relation_values(q, d2_cols, [everything] * g1)
-        ]
-    )
+    cover = free_cover(m)
+    syzygy, inclusion = kernel(cover)
+    choices = _image_choices(syzygy, q)
+    values = _relation_values(q, syzygy.relation_columns, choices)
+    in_kernel = np.concatenate([(v == q._zero_pos).all(axis=1) for v in values])
+    # place[j, x]: what t_j = x adds to a candidate's number; where x is not
+    # among choices[j], -|candidates|, which makes any number negative
+    place = np.full((len(choices), q.cardinality), -len(in_kernel))
+    for j, c in enumerate(choices):
+        place[j, c] = np.arange(len(c)) * prod(map(len, choices[j + 1 :]))
+
+    def numbers(picks):
+        found = place[np.arange(len(choices)), picks].sum(axis=-1)
+        if (found < 0).any():
+            raise ConsistencyError("a hom out of the syzygy is not among its candidates")
+        return found
+
+    in_image = np.zeros(len(in_kernel), dtype=bool)
+    generators = cover.source._rows(inclusion.positions)
+    for restricted in _relation_values(q, generators, _image_choices(cover.source, q)):
+        in_image[numbers(restricted)] = True
     if (in_image > in_kernel).any():
         raise ConsistencyError("Hom-dual image is not inside the Hom-dual kernel")
     kernel_order, image_order = int(in_kernel.sum()), int(in_image.sum())
@@ -193,11 +192,11 @@ def ext1(m: Module, q: Module) -> ExtGroup:
         raise ConsistencyError("Ext quotient size is not integral")
     # r kills Ext iff r * v lies in the image for every v in the kernel
     scaled = q._locate(q._tables[1][:, q._digits])  # [r, x]: position of r * x
-    kernel_tuples = in_kernel.nonzero()[0][:, None] // strides % q.cardinality
+    kernel_tuples = _decode(choices, in_kernel.nonzero()[0])
     ann_indices = [
         r
         for r in range(ring.order)
-        if in_image[scaled[r, kernel_tuples] @ strides].all()
+        if in_image[numbers(scaled[r, kernel_tuples])].all()
     ]
     return ExtGroup(
         kernel_order // image_order,

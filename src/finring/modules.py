@@ -22,12 +22,13 @@ evaluator ``_combine`` turns them into the position of every source element
 (``ModuleHom.table``), checks them against the source relations, and finds
 a submodule's relations as the zero positions of the combinations of its
 generators over all of R^k.  The exhaustive searches over tuples of target
-elements -- every candidate hom and the Hom(F, Q) maps of ``ext1`` -- go
-through ``_relation_values``, which evaluates all their linear combinations
-at once as a broadcast outer sum through the ring tables (``_outer_sums``).
-A hom search first narrows each generator's images to the elements killed
-by its annihilator (``_image_choices``), which keeps the lexicographic order
-of the homs and makes the hom guard count only the tuples it can visit; the
+elements -- every candidate hom, and both scans of ``ext1`` -- go through
+``_relation_values``, which evaluates all their linear combinations at once
+as a broadcast outer sum through the ring tables (``_outer_sums``).  Each
+search first narrows each generator's images to the elements killed by its
+annihilator (``_image_choices``, which holds the hom guard): this keeps the
+lexicographic order of the homs and makes the guard count only the tuples
+a search can visit, numbered in mixed radix (``_decode``); the
 witness and isomorphism searches then test injectivity on a whole batch of
 accepted homs at once (``_injective_homs``).
 Index tuples appear only at the public edge: ``Module.elements`` and
@@ -495,24 +496,44 @@ def _image_choices(m1: Module, m2: Module) -> list:
     A generator with zero annihilator keeps every position.  Otherwise the
     tests run over the least nonzero a of Ann(e_j) not yet settled, and
     each test a * t = 0 settles every multiple r * a as well, so a principal
-    annihilator costs one test.
+    annihilator costs one test.  The guard bounds the number of tuples,
+    which is the number of candidates any scan over them visits.
     """
     if len(m1.span) == 1:  # a free module: every annihilator is zero
-        return [np.arange(m2.cardinality)] * m1.k
-    _, mul, _ = m1._tables
-    # ann[r, j]: whether r * e_j = 0 in m1; r * e_j is the raw code
-    # r * n^(k-1-j), as zero is element 0
-    ann = m1.rep[np.arange(m1.ring.order)[:, None] * m1._weights] == m1._zero_pos
-    ann[0] = False  # zero kills everything: nothing to test
-    choices = []
-    for rest in ann.T:
-        keep = np.ones(m2.cardinality, dtype=bool)
-        while rest.any():
-            a = int(rest.argmax())
-            rest[mul[a]] = False
-            keep &= m2._locate(mul[a, m2._digits]) == m2._zero_pos
-        choices.append(keep.nonzero()[0])
+        choices = [np.arange(m2.cardinality)] * m1.k
+    else:
+        _, mul, _ = m1._tables
+        # ann[r, j]: whether r * e_j = 0 in m1; r * e_j is the raw code
+        # r * n^(k-1-j), as zero is element 0
+        ann = m1.rep[np.arange(m1.ring.order)[:, None] * m1._weights] == m1._zero_pos
+        ann[0] = False  # zero kills everything: nothing to test
+        choices = []
+        for rest in ann.T:
+            keep = np.ones(m2.cardinality, dtype=bool)
+            while rest.any():
+                a = int(rest.argmax())
+                rest[mul[a]] = False
+                keep &= m2._locate(mul[a, m2._digits]) == m2._zero_pos
+            choices.append(keep.nonzero()[0])
+    guards = m1.ring.guards
+    count = prod(len(c) for c in choices)
+    if count > guards.max_hom_candidates:
+        raise GuardExceeded(
+            f"hom enumeration would scan {count} candidates "
+            f"(guard {guards.max_hom_candidates})",
+            "max_hom_candidates", count, guards.max_hom_candidates,
+        )
     return choices
+
+
+def _decode(choices, numbers) -> np.ndarray:
+    """The tuples (one row of positions each) with the given numbers among
+    the tuples of ``choices``, numbered in mixed radix, t_0 most significant."""
+    picks = np.empty((len(numbers), len(choices)), dtype=np.intp)
+    for j in reversed(range(len(choices))):  # least significant first
+        picks[:, j] = choices[j][numbers % len(choices[j])]
+        numbers = numbers // len(choices[j])
+    return picks
 
 
 def _hom_batches(m1: Module, m2: Module):
@@ -522,29 +543,15 @@ def _hom_batches(m1: Module, m2: Module):
     Candidates are the tuples of ``_image_choices``, numbered in mixed radix
     (t_0 most significant), so filtering each coordinate keeps the order of
     all tuples of m2 elements; a candidate is a hom when every relation
-    column of m1 evaluates to zero on it (``_relation_values``).  The guard
-    bounds the number of candidates.
+    column of m1 evaluates to zero on it (``_relation_values``).
     """
     if m1.ring is not m2.ring:
         raise RingMismatchError("hom set needs modules over the same ring")
-    guards = m1.ring.guards
     choices = _image_choices(m1, m2)
-    count = prod(len(c) for c in choices)
-    if count > guards.max_hom_candidates:
-        raise GuardExceeded(
-            f"hom enumeration would scan {count} candidates "
-            f"(guard {guards.max_hom_candidates})",
-            "max_hom_candidates", count, guards.max_hom_candidates,
-        )
     lo = 0
     for values in _relation_values(m2, m1.relation_columns, choices):
-        codes = lo + (values == m2._zero_pos).all(axis=1).nonzero()[0]
+        yield _decode(choices, lo + (values == m2._zero_pos).all(axis=1).nonzero()[0])
         lo += len(values)
-        picks = np.empty((len(codes), m1.k), dtype=np.intp)
-        for j in reversed(range(m1.k)):  # least significant first
-            picks[:, j] = choices[j][codes % len(choices[j])]
-            codes = codes // len(choices[j])
-        yield picks
 
 
 def iter_homs(m1: Module, m2: Module):
@@ -609,19 +616,11 @@ def submodule(ambient: Module, target: np.ndarray, gens=None):
     ring = ambient.ring
     if gens is None:
         gens = _submodule_generators(ambient, target)
-    k = len(gens)
-    n = ring.order
-    if n**k > ring.guards.max_module_raw:
-        raise GuardExceeded(
-            f"relation search over {n ** k} tuples exceeds the module guard "
-            f"({ring.guards.max_module_raw})",
-            "max_module_raw", n**k, ring.guards.max_module_raw,
-        )
-    coefficients = free_module(ring, k)
+    coefficients = free_module(ring, len(gens))  # its guard bounds the scan of R^k
     relations = _combine(ambient, gens, coefficients._digits) == ambient._zero_pos
     rel_gens = coefficients._rows(_submodule_generators(coefficients, relations))
     cols = tuple(tuple(ring.elements[i] for i in col) for col in rel_gens.tolist())
-    mod = Module(Presentation(ring, k, cols))
+    mod = Module(Presentation(ring, coefficients.k, cols))
     if mod.cardinality != int(target.sum()):
         raise ConsistencyError("recovered presentation has the wrong cardinality")
     embedding = ModuleHom(mod, ambient, ambient._rows(gens).tolist())

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from brute_force import BruteModule
 from finring import cli, modules
-from finring.classify import SQUARE_ZERO_PAIR
-from finring.errors import NonLocalRingError, ValidationError
+from finring.classify import SQUARE_ZERO_PAIR, nonzero_proper_ideals
+from finring.errors import GuardExceeded, NonLocalRingError, ValidationError
+from finring.guards import Guards
 from finring.homology import (
     SgpObstruction,
     SgpWitness,
@@ -154,6 +155,27 @@ def test_ext_nonzero_over_square_zero_algebra():
     assert ext.order == 8
     # the maximal ideal kills the quotient group
     assert ext.annihilator.elements == m.elements
+
+
+def test_ext_scans_are_counted_by_the_hom_guard():
+    # Ext^1(R/m, R) over the square-zero algebra: the syzygy m has two
+    # generators, each killed by m, so its hom candidates are the 4 x 4
+    # tuples of socle elements, and the cover R restricts from R's 8
+    # elements.  Neither scan counts the 8^2 tuples of R^2.
+    def ext(**guards):
+        ring = build_ring(parse_ring_spec(SQUARE_ZERO_PAIR), Guards(**guards))
+        m = quotient_by_ideal(ring, unique_maximal_ideal(ring))
+        found = ext1(m, regular_module(ring))
+        return found.order, found.kernel_order, found.image_order, found.annihilator.indices
+
+    assert ext(max_hom_candidates=20) == ext() == (8, 16, 2, (0, 1, 2, 3))
+    with pytest.raises(GuardExceeded) as info:
+        ext(max_hom_candidates=15)
+    assert (info.value.guard, info.value.requested, info.value.limit) == (
+        "max_hom_candidates",
+        16,
+        15,
+    )
 
 
 def test_ext_over_product_ring():
@@ -399,28 +421,41 @@ _EXT_RINGS = {
 }
 
 
+# targets: R and R/I over the first two nonzero proper ideals, so that the
+# annihilator filter also runs on torsion targets
+_EXT_TARGETS = {
+    text: [regular_module(ring)]
+    + [quotient_by_ideal(ring, ideal) for ideal in nonzero_proper_ideals(ring)[:2]]
+    for text, ring in _EXT_RINGS.items()
+}
+
+
 @st.composite
 def _ext_presentations(draw):
     text = draw(st.sampled_from(sorted(_EXT_RINGS)))
     order = _EXT_RINGS[text].order
     k = draw(st.integers(0, 2 if order < 16 else 1))
     cols = draw(st.lists(st.tuples(*[st.integers(0, order - 1)] * k), max_size=2))
-    return text, k, cols
+    target = draw(st.integers(0, len(_EXT_TARGETS[text]) - 1))
+    return text, k, cols, target
 
 
 @pytest.mark.parametrize("chunk", [None, 7])
 @settings(max_examples=40, deadline=None)
 @given(_ext_presentations())
-@example(("Z/8", 2, []))  # free: g1 = 0
-@example(("Z/8", 0, []))  # zero module: g0 = 0
-@example(("Z/8", 2, [(2, 0), (0, 4)]))  # Z/2 + Z/4: F1 -> F0 not symmetric
-@example((f"Z/2 x {SQUARE_ZERO_PAIR}", 1, [(1,), (2,)]))  # Ext nonzero on a factor
+@example(("Z/8", 2, [], 0))  # free: g1 = 0
+@example(("Z/8", 0, [], 0))  # zero module: g0 = 0
+@example(("Z/8", 2, [(2, 0), (0, 4)], 0))  # Z/2 + Z/4: F1 -> F0 not symmetric
+@example((f"Z/2 x {SQUARE_ZERO_PAIR}", 1, [(1,), (2,)], 0))  # Ext nonzero on a factor
+# Ext^1(Z/4, Z/4) over Z/8 has order 2: the syzygy 4R is killed by 2, which
+# keeps 2 of Z/4's 4 elements as its image
+@example(("Z/8", 1, [(4,)], 1))
 def test_ext1_matches_scalar_loops(chunk, pres):
-    text, k, cols = pres
+    text, k, cols, target = pres
     ring = _EXT_RINGS[text]
     values = tuple(tuple(ring.elements[i] for i in c) for c in cols)
     m = Module(Presentation(ring, k, values))
-    q = regular_module(ring)
+    q = _EXT_TARGETS[text][target]
     saved = modules._CHUNK
     # a tiny chunk runs every chunked loop over many small pieces
     modules._CHUNK = chunk or saved
