@@ -19,6 +19,7 @@ inputs give byte-identical output).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -356,13 +357,19 @@ def _run_verify(args) -> int:
 # argument plumbing
 
 
-def _add_common(parser):
+def _add_common(parser, handler: str):
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
     for flag in (*GUARD_FLAGS.values(), "--seed"):
         parser.add_argument(flag, type=int, metavar="N")
+    # the handler's name, looked up when main dispatches: the cached parser
+    # must not hold a function that a later caller replaces on this module
+    parser.set_defaults(handler=handler)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call and shared by every
+    later call and by ``main``: callers must treat it as read-only."""
     parser = argparse.ArgumentParser(
         prog="finring",
         description="finite commutative rings: ideals, witnesses, classification",
@@ -371,33 +378,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify a ring")
     p.add_argument("spec")
-    _add_common(p)
-    p.set_defaults(handler=_run_classify)
+    _add_common(p, "_run_classify")
 
     p = sub.add_parser("ideals", help="enumerate the ideal lattice")
     p.add_argument("spec")
-    _add_common(p)
-    p.set_defaults(handler=_run_ideals)
+    _add_common(p, "_run_ideals")
 
     p = sub.add_parser("decompose", help="split into local factors")
     p.add_argument("spec")
-    _add_common(p)
-    p.set_defaults(handler=_run_decompose)
+    _add_common(p, "_run_decompose")
 
     p = sub.add_parser("module", help="module-level checks")
     msub = p.add_subparsers(dest="module_command", required=True)
     sgp = msub.add_parser("sgp", help="strongly-Gorenstein-projective decision")
     sgp.add_argument("--ring", required=True)
     sgp.add_argument("--rel", required=True, help="presentation matrix")
-    _add_common(sgp)
-    sgp.set_defaults(handler=_run_module_sgp)
+    _add_common(sgp, "_run_module_sgp")
 
     p = sub.add_parser("resolve", help="free resolution of a presented module")
     p.add_argument("--ring", required=True)
     p.add_argument("--rel", required=True)
     p.add_argument("--length", type=int, default=3)
-    _add_common(p)
-    p.set_defaults(handler=_run_resolve)
+    _add_common(p, "_run_resolve")
 
     p = sub.add_parser("verify-paper", help="run the theorem-verification suite")
     p.add_argument("--catalog", default="default", choices=["default", "quick"])
@@ -406,16 +408,16 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="negate one classifier route; the suite must then fail (self-test)",
     )
-    _add_common(p)
-    p.set_defaults(handler=_run_verify)
+    _add_common(p, "_run_verify")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one request and return its exit code; may be called repeatedly in
+    one process.  An argv that argparse rejects raises ``SystemExit(2)``."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return globals()[args.handler](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -353,6 +354,94 @@ def test_guard_message_names_the_override_flag(capsys, argv, hint):
     assert err.startswith("guard exceeded: ")
     assert err.rstrip("\n").endswith(hint)
     assert err.count("\n") == 1
+
+
+# -- one parser per process, independent calls -------------------------------
+
+_Z8_SGP = ["module", "sgp", "--ring", "Z/8", "--rel", "2,0;0,4"]
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv itself
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_per_process(monkeypatch):
+    import finring.cli as cli
+
+    assert cli.build_parser() is cli.build_parser()
+    _call(["classify", "Z/4"])
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    codes = [
+        _call(argv)[0]
+        for argv in (
+            ["classify", "Z/8", "--json"],
+            _Z8_SGP,
+            ["resolve", "--ring", "Z/8", "--rel", "2", "--length", "2"],
+            ["module", "frobnicate"],
+        )
+    ]
+    assert codes == [0, 0, 0, 2]
+    assert built == []
+
+
+def test_in_process_calls_stay_independent(monkeypatch):
+    # each argv as the first request of a fresh process is the reference; the
+    # same argvs interleaved in this process must give the same results
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to this
+    sequence = [
+        _Z8_SGP + ["--max-hom-enumeration", "2"],
+        _Z8_SGP,
+        ["module", "sgp", "--ring", "Z/8", "--bogus"],
+        _Z8_SGP,
+        ["classify", "Z/128", "--seed", "5", "--json"],
+        ["classify", "Z/128", "--json"],
+        ["resolve", "--ring", "Z/8", "--rel", "2", "--length", "1"],
+        ["resolve", "--ring", "Z/8", "--rel", "2"],
+    ]
+    src = os.path.dirname(os.path.dirname(finring.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    fresh = {}
+    for argv in sequence:
+        if tuple(argv) not in fresh:
+            proc = subprocess.run(
+                [sys.executable, "-m", "finring", *argv],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": path},
+            )
+            fresh[tuple(argv)] = (proc.returncode, proc.stdout, proc.stderr)
+    results = [_call(argv) for argv in sequence]
+    assert [code for code, _, _ in results] == [3, 0, 2, 0, 0, 0, 0, 0]
+    for argv, result in zip(sequence, results):
+        assert result == fresh[tuple(argv)], argv
+
+
+def test_dispatch_reads_the_handler_when_main_runs(monkeypatch):
+    import finring.cli as cli
+
+    cli.build_parser()
+    seen = []
+
+    def patched(args):
+        seen.append((args.ring, args.rel))
+        return 0
+
+    monkeypatch.setattr(cli, "_run_module_sgp", patched)
+    assert _call(_Z8_SGP) == (0, "", "")
+    assert seen == [("Z/8", "2,0;0,4")]
 
 
 # -- a bounded fuzz of the command line, on small rings only -------------------
