@@ -16,27 +16,28 @@ labelled.  ``Presentation`` holds element values, the public-facing form.
 
 Everything above the element level works on these positions as well.  A
 submodule is a boolean mask over positions, grown by one greedy span
-primitive (``_greedy_span``), and its generators are positions.  A hom
-carries the target positions of its generator images; the one combination
-evaluator ``_combine`` turns them into the position of every source element
-(``ModuleHom.table``), checks them against the source relations, and finds
-a submodule's relations as the zero positions of the combinations of its
-generators over all of R^k.  The exhaustive searches over tuples of target
-elements -- every candidate hom, and both scans of ``ext1`` -- go through
-``_relation_values``, which evaluates all their linear combinations at once
-as a broadcast outer sum through the ring tables (``_outer_sums``).  Each
-search first narrows each generator's images to the elements killed by its
-annihilator (``_image_choices``, which holds the hom guard): this keeps the
-lexicographic order of the homs and makes the guard count only the tuples
-a search can visit, numbered in mixed radix (``_decode``); the
-witness and isomorphism searches then test injectivity on a whole batch of
-accepted homs at once (``_injective_homs``).
+primitive (``_greedy_span``), and one rule, ``_generators``, picks the
+generators of every module and submodule: greedy, then minimal over a local
+ring.  A hom carries the target positions of its generator images; the one
+combination evaluator ``_combine`` turns them into the position of every
+source element (``ModuleHom.table``), checks them against the source
+relations, and finds a submodule's relations as the zero positions of the
+combinations of its generators over all of R^k.  The exhaustive searches
+over tuples of target elements -- every candidate hom, and both scans of
+``ext1`` -- go through ``_relation_values``, which evaluates all their
+linear combinations at once as a broadcast outer sum through the ring tables
+(``_outer_sums``).  Each search first narrows each generator's images to the
+elements killed by its annihilator (``_image_choices``, which holds the hom
+guard): this keeps the lexicographic order of the homs and makes the guard
+count only the tuples a search can visit, numbered in mixed radix
+(``_decode``); the witness and isomorphism searches then test injectivity on
+a whole batch of accepted homs at once (``_injective_homs``).
 Index tuples appear only at the public edge: ``Module.elements`` and
 ``index`` (built from ``_digits`` on first use), ``ModuleHom.images`` and
 ``ModuleHom.apply``.
 
-Everything here is immutable after construction and deterministic: greedy
-generator searches pick the least candidate in canonical order, hom sets are
+Everything here is immutable after construction and deterministic: every
+generator pick is the least candidate in canonical order, hom sets are
 enumerated lexicographically by generator-image tuples.
 """
 
@@ -138,11 +139,32 @@ def _greedy_span(m, target: np.ndarray, member=None):
         _grow(m, member, m._rows(pick))
 
 
-def _submodule_generators(m, target: np.ndarray) -> list:
-    """Greedy canonical generators of the submodule marked by ``target``."""
+def _generators(m, target: np.ndarray) -> list:
+    """Canonical generators of the submodule S of ``m`` marked by ``target``.
+
+    The greedy picks of ``_greedy_span``, which checks that S is a submodule;
+    over a local ring, the greedy picks of S starting from mS = sum of a * S
+    over the maximal ideal's generators a, which number dim S/mS as checked
+    by |mS| * |R/m|^count = |S|.  First picks that already number dim S/mS
+    are kept: the pass from mS would pick each of them again.
+    """
     picks, span = _greedy_span(m, target)
     if not np.array_equal(span, target):
         raise ConsistencyError("subset is not a submodule")
+    ring = m.ring
+    if len(picks) < 2 or not is_local(ring):  # no pick, or one: already minimal
+        return picks
+    max_ideal = unique_maximal_ideal(ring)
+    scalars = np.array(max_ideal.generator_indices or [ring.index[ring.zero]])
+    products = m._locate(m._tables[1][scalars[:, None, None], m._rows(span.nonzero()[0])])
+    first, every = np.zeros((2, len(span)), dtype=bool)
+    first[products[0]] = every[products] = True
+    _, ms = _greedy_span(m, every, first)
+    q, size = ring.order // max_ideal.order, len(products[0])
+    if int(ms.sum()) * q ** len(picks) != size:
+        picks, _ = _greedy_span(m, target, ms)
+        if int(ms.sum()) * q ** len(picks) != size:
+            raise ConsistencyError("generator count disagrees with dim S/mS")
     return picks
 
 
@@ -602,23 +624,21 @@ def hom_set(m1: Module, m2: Module) -> list:
 # submodules, kernels, images, cokernels
 
 
-def submodule(ambient: Module, target: np.ndarray, gens=None):
+def submodule(ambient: Module, target: np.ndarray):
     """Present a submodule (a boolean mask over ``ambient``'s positions) and
     return (module, embedding).
 
-    Generators are positions of ``ambient`` and default to the greedy
-    canonical choice: the least element outside the span of the earlier
-    picks.  The relations are found by an exhaustive search: the
+    Its generators are the positions ``_generators`` picks, minimal over a
+    local ring.  The relations are found by an exhaustive search: the
     coefficient vectors a in R^k with sum_j a_j * g_j = 0 are the zero
     positions of ``_combine`` over every element of the free module R^k,
-    and form its relation submodule, presented by its own greedy generators.
+    and form its relation submodule, presented by its own ``_generators``.
     """
     ring = ambient.ring
-    if gens is None:
-        gens = _submodule_generators(ambient, target)
+    gens = _generators(ambient, target)
     coefficients = free_module(ring, len(gens))  # its guard bounds the scan of R^k
     relations = _combine(ambient, gens, coefficients._digits) == ambient._zero_pos
-    rel_gens = coefficients._rows(_submodule_generators(coefficients, relations))
+    rel_gens = coefficients._rows(_generators(coefficients, relations))
     cols = tuple(tuple(ring.elements[i] for i in col) for col in rel_gens.tolist())
     mod = Module(Presentation(ring, coefficients.k, cols))
     if mod.cardinality != int(target.sum()):
@@ -638,10 +658,10 @@ def image(h: ModuleHom):
 
 
 def cokernel(h: ModuleHom):
-    """Cokernel as a presented module plus the projection from the target."""
+    """Cokernel, the target modulo the image's ``_generators``, plus the projection."""
     t = h.target
     ring = t.ring
-    img_gens = t._rows(_submodule_generators(t, h.image_mask())).tolist()
+    img_gens = t._rows(_generators(t, h.image_mask())).tolist()
     extra = tuple(tuple(ring.elements[i] for i in g) for g in img_gens)
     pres = Presentation(ring, t.k, tuple(t.presentation.relations) + extra)
     coker = Module(pres)
@@ -675,34 +695,14 @@ def is_isomorphic(m1: Module, m2: Module):
 
 
 def minimal_generators(m: Module):
-    """(count, generator list) over a local ring.
-
-    The count is the dimension of M/mM over the residue field; the list is
-    the greedy canonical choice realizing it (least element outside the span
-    of the picks so far plus mM).
-    """
-    if "minimal" in m._cache:
-        return m._cache["minimal"]
-    ring = m.ring
-    if not is_local(ring):
+    """(count, generator list) over a local ring: M's own ``_generators``, dim M/mM."""
+    if not is_local(m.ring):
         raise NonLocalRingError(
             "minimal generators are only well-behaved over local rings; decompose first"
         )
-    max_ideal = unique_maximal_ideal(ring)
-    # mM is the span of g * e_i over the generators g of m and the basis e_i
-    k = m.k
-    rows = np.full((len(max_ideal.generator_indices), k, k), ring.index[ring.zero])
-    rows[:, range(k), range(k)] = np.array(max_ideal.generator_indices)[:, None]
-    products = np.zeros(m.cardinality, dtype=bool)
-    products[m._locate(rows)] = True
-    _, mm = _greedy_span(m, products)
-    # the least element outside the span of the picks so far plus mM
-    picks, _ = _greedy_span(m, np.ones(m.cardinality, dtype=bool), mm)
-    gens = list(map(tuple, m._rows(picks).tolist()))
-    q = ring.order // max_ideal.order
-    if int(mm.sum()) * q ** len(gens) != m.cardinality:
-        raise ConsistencyError("generator count disagrees with dim M/mM")
-    m._cache["minimal"] = (len(gens), gens)
+    if "minimal" not in m._cache:
+        picks = _generators(m, np.ones(m.cardinality, dtype=bool))
+        m._cache["minimal"] = (len(picks), list(map(tuple, m._rows(picks).tolist())))
     return m._cache["minimal"]
 
 

@@ -17,8 +17,9 @@ from finring.classify import SQUARE_ZERO_PAIR
 from finring.errors import GuardExceeded
 from finring.guards import Guards
 from finring.homology import ext1
-from finring.ideals import enumerate_ideals
+from finring.ideals import enumerate_ideals, unique_maximal_ideal
 from finring.modules import Module, Presentation, hom_set, regular_module, submodule
+from finring.parsing import parse_ring_spec
 from finring.rings import Zmod, build_ring
 
 
@@ -304,13 +305,18 @@ GUARD_SITES = {
         ),
         ("max_hom_candidates", 2, 1),
     ),
+    # the maximal ideal of a ring of order 16 needs 2 generators, so its
+    # relation search scans R^2: 256 raw tuples
     "submodule": (
         lambda: submodule(
-            m := regular_module(_z(8, max_module_raw=10)),
-            np.ones(m.cardinality, dtype=bool),
-            [2, 3],
+            regular_module(
+                r := build_ring(
+                    parse_ring_spec("GF(2)[x]/(x^2)[x]/(x^2)"), Guards(max_module_raw=20)
+                )
+            ),
+            np.isin(np.arange(r.order), unique_maximal_ideal(r).indices),
         ),
-        ("max_module_raw", 64, 10),
+        ("max_module_raw", 256, 20),
     ),
     "ext1": (
         lambda: ext1(

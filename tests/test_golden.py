@@ -5,11 +5,17 @@ with the scalar code before a refactor: the first four before the move of
 the module layer to mixed-radix element codes, the next two before
 submodules and homs moved to position arrays, the next five (the ring
 layer: ideals, classify, decompose) before the ring arithmetic moved to
-element positions.  The last two entries of each list are requests that
-stopped at the hom guard until the hom search filtered each generator's
+element positions.  The ``Z/32`` and ``Z/9`` entries of each list are
+requests that stopped at the hom guard until the hom search filtered each generator's
 images by its annihilator: their digests were recorded before that change
 under ``--max-hom-enumeration 400000000``, and the tests run them under the
-default guards.  A change that alters any of
+default guards.  The three ``module sgp`` requests added last to both lists
+stopped at the module guard while submodules were presented on least-first
+generators, not minimal ones: no earlier code printed them, so their digests
+were recorded from the first code that decided them, with the verdicts
+checked by hand -- over GF(2)[x]/(x^k) the exponents {1, k-1} are invariant
+under a -> k - a, the chain-ring rule for SGP, and the Z/8[x]/(x^2) witness
+passes ``_validate_witness``.  A change that alters any of
 these bytes changes a witness, an ordering or a number in the report, which
 the canonical-order contract forbids.  ``GOLDEN_TEXT`` pins the text
 output of some commands the same way.
@@ -75,6 +81,18 @@ GOLDEN = [
         ["module", "sgp", "--ring", "Z/9", "--rel", "3,0,0;0,3,0;0,0,3"],
         "d53173ec4d1b4f5a6b26fb8c52f03b9b2acafbb858b473ebaa74296137ca8a8a",
     ),
+    (
+        ["module", "sgp", "--ring", "GF(2)[x]/(x^5)", "--rel", "x,0;0,x^4"],
+        "42a0483cc9bc29cbc2afee322821a73f2c20f7130a70cf4a53b55f000bf4bf96",
+    ),
+    (
+        ["module", "sgp", "--ring", "GF(2)[x]/(x^6)", "--rel", "x,0;0,x^5"],
+        "73860bfb5576d833b1cd6309228e1642dcb637e5a6488b44d6ccfe2f849c8dcd",
+    ),
+    (
+        ["module", "sgp", "--ring", "Z/8[x]/(x^2)", "--rel", "2,0;0,4"],
+        "edbce54875055f2fddd891d470475bc6dfbb5219fc170181861448e96ee955ad",
+    ),
 ]
 
 
@@ -109,6 +127,18 @@ GOLDEN_TEXT = [
     (
         ["module", "sgp", "--ring", "Z/9", "--rel", "3,0,0;0,3,0;0,0,3"],
         "1c5bb310db16da490273c6693ad6776f54a0b2ba8ea0916d04f06f005d6a5f15",
+    ),
+    (
+        ["module", "sgp", "--ring", "GF(2)[x]/(x^5)", "--rel", "x,0;0,x^4"],
+        "1da761fe48888e694c7835a134d2472917a4ff58d8d93856e26ce7b05b04cd2a",
+    ),
+    (
+        ["module", "sgp", "--ring", "GF(2)[x]/(x^6)", "--rel", "x,0;0,x^5"],
+        "d5fc67a7fe7c6c3c9e657daa1c829a968989f1f20650c59c553998a5621fb162",
+    ),
+    (
+        ["module", "sgp", "--ring", "Z/8[x]/(x^2)", "--rel", "2,0;0,4"],
+        "8e737dc28a29eb2205054c877c9845cf72f6192686aba01b92782ce1c57f45eb",
     ),
 ]
 

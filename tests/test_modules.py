@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from brute_force import BruteModule
+from brute_force import BruteModule, ring_lists
 from finring.classify import SQUARE_ZERO_PAIR
 from finring.errors import (
     ConsistencyError,
@@ -19,7 +19,7 @@ from finring.errors import (
 )
 from finring import modules
 from finring.guards import Guards
-from finring.ideals import ideal_generated, idempotent_decomposition
+from finring.ideals import ideal_generated, idempotent_decomposition, unique_maximal_ideal
 from finring.modules import (
     Module,
     ModuleHom,
@@ -314,6 +314,16 @@ def test_submodule_round_trip():
     assert {emb.apply(el) for el in mod.elements} == set(subset)
 
 
+def test_local_submodules_are_presented_on_minimal_generators():
+    # R as the kernel of R -> 0: the least-first picks x and 1 are not minimal
+    r = _ring("GF(2)[x]/(x^2)")
+    ker, _ = kernel(ModuleHom(regular_module(r), _mod(r, "1"), [(0,)]))
+    assert ker.k == 1
+    r2 = _ring("GF(2)[x]/(x^2)[x]/(x^2)")
+    ideal, _ = ideal_as_module(r2, unique_maximal_ideal(r2))
+    assert ideal.k == 2
+
+
 def test_submodule_rejects_a_mask_that_is_not_a_submodule():
     z8 = _ring("Z/8")
     free = regular_module(z8)
@@ -434,15 +444,16 @@ def test_free_element_mask_matches_brute_force(pres):
 
 # -- brute-force references for submodules, kernels, images and hom sets -----
 #
-# These are the scalar loops the array code replaced: greedy generators over
+# These are the scalar loops the array code replaced: the generator rule over
 # Python sets, the relation search over every coefficient tuple, and the hom
 # filter over every tuple of images.
 
 
-def _ref_greedy(add, scal, order, zero, subset):
-    """Least-first generators of a submodule given as an ascending element list."""
+def _ref_greedy(add, scal, order, zero, subset, span=None):
+    """Least-first generators of a submodule given as an ascending element
+    list, outside the submodule ``span`` (default: zero alone)."""
     target = set(subset)
-    span = {zero}
+    span = span or {zero}
     gens = []
     for el in subset:
         if len(span) == len(target):
@@ -456,19 +467,43 @@ def _ref_greedy(add, scal, order, zero, subset):
     return gens
 
 
+def _ref_maximal(ring):
+    """The non-units of ``ring`` when they form its maximal ideal (a local
+    ring), else None."""
+    addl, mull = ring_lists(ring)
+    nonunits = [r for r in range(ring.order) if ring.index[ring.one] not in mull[r]]
+    if any(addl[a][b] not in nonunits for a in nonunits for b in nonunits):
+        return None
+    return nonunits
+
+
+def _ref_generators(ring, add, scal, zero, subset):
+    """The documented generator rule: least-first picks and, over a local
+    ring, least-first picks again starting from mS, the span of the maximal
+    ideal times the first picks."""
+    gens = _ref_greedy(add, scal, ring.order, zero, subset)
+    maximal = _ref_maximal(ring)
+    if maximal is None:
+        return gens
+    ms = {zero}
+    for p in {scal(a, g) for a in maximal for g in gens}:
+        ms = {add(s, scal(r, p)) for s in ms for r in range(ring.order)}
+    return _ref_greedy(add, scal, ring.order, zero, subset, ms)
+
+
 def _ref_submodule(ambient, subset):
     """(generators, relation columns, cardinality) of the presented submodule."""
     ring = ambient.ring
     subset = sorted(set(subset), key=ambient.index.__getitem__)
     ref = BruteModule.of(ambient)
-    gens = _ref_greedy(ref.add, ref.scal, ring.order, ambient.zero, subset)
+    gens = _ref_generators(ring, ref.add, ref.scal, ambient.zero, subset)
     relations = [
         a
         for a in itertools.product(range(ring.order), repeat=len(gens))
         if ref.combination(a, gens) == ambient.zero
     ]
     free = BruteModule(ring, len(gens))
-    rel_gens = _ref_greedy(free.add, free.scal, ring.order, free.zero, sorted(relations))
+    rel_gens = _ref_generators(ring, free.add, free.scal, free.zero, sorted(relations))
     cols = tuple(tuple(ring.elements[i] for i in col) for col in rel_gens)
     return gens, cols, len(subset)
 
@@ -554,9 +589,11 @@ def test_submodules_and_homs_match_brute_force(pair, chunk, data):
             assert list(emb.images) == gens
             assert mod.presentation.relations == cols
             assert mod.cardinality == size
+            if _ref_maximal(m1.ring) is not None:
+                assert mod.k == minimal_generators(mod)[0]
         coker, _ = cokernel(h)
         img = sorted(set(values), key=m2.index.__getitem__)
-        extra = _ref_greedy(ref2.add, ref2.scal, m2.ring.order, m2.zero, img)
+        extra = _ref_generators(m2.ring, ref2.add, ref2.scal, m2.zero, img)
         assert coker.presentation.relations == tuple(m2.presentation.relations) + tuple(
             tuple(m2.ring.elements[i] for i in g) for g in extra
         )
