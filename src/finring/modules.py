@@ -758,7 +758,7 @@ def _verify_decomposition(m: Module, dec: IdempotentDecomposition, comps) -> Non
         flat = flat * c.cardinality + ph
     if (
         prod(c.cardinality for c in comps) != m.cardinality
-        or len(np.unique(flat)) != m.cardinality
+        or np.count_nonzero(np.bincount(flat, minlength=m.cardinality)) != m.cardinality
     ):
         raise ConsistencyError("module does not re-sum to its product decomposition")
 

@@ -551,22 +551,22 @@ def _ring_laws(add, mul, neg, a, b, c, x, z, e):
     )
 
 
-def _grid_lookup(table, first, last):
-    """``table[x, y]`` for the exhaustive triple grid.
-
-    ``first`` and ``last`` span the whole first and last axes, so a lookup
-    with either is a gather of whole rows (``table[:, y]``, ``table[x]``),
-    about twice as fast as 2-D fancy indexing over all n^3 triples.
-    """
-
-    def lookup(x, y):
-        if x is first and y.shape[0] == 1:
-            return table[:, y[0]]
-        if y is last and x.shape[-1] == 1:
-            return table[x[..., 0]]
-        return table[x, y]
-
-    return lookup
+def _additive_generators(add, z) -> list[int]:
+    """Least-first positions, zero last, whose ``((g1 + g2) + ...)`` reach all."""
+    gens, cols, reached = [], [], {}  # an ordered set
+    for p in [*range(z), *range(z + 1, len(add)), z]:
+        if p not in reached:
+            gens.append(p)
+            cols.append(add[:, p].tolist())
+            stack = [p, *reached]  # what was reached needs + p too
+            reached[p] = None
+            while stack:
+                s = stack.pop()
+                for t in [col[s] for col in cols]:
+                    if t not in reached:
+                        reached[t] = None
+                        stack.append(t)
+    return gens
 
 
 @functools.lru_cache(maxsize=128)
@@ -584,8 +584,19 @@ def _sample_draws(guards: Guards, bounds: tuple) -> np.ndarray:
 def verify_ring_axioms(ring: Ring) -> None:
     """Check the ring laws on element positions.
 
-    Up to order 64 every triple is checked, read through the operation
-    tables.  Above that no table is built: ``axiom_sample_count`` triples
+    Up to order 64 the check is exhaustive, via additive generators, on the
+    operation tables.  The commutativity laws are checked on every pair,
+    the zero, negation and one laws on every element, and each law in three
+    variables only for its middle or last variable g in a set G whose
+    left-normed sums reach every position (n²·|G| comparisons, not n³).
+    The g where a law holds are closed under +, so G proves it on all of R:
+    for (x + g) + y = x + (g + y) with no other law assumed (Light's
+    associativity test), for x(y + g) = xy + xg given + associative, and
+    for (xy)g = x(yg) given distributivity.  Every comparison is an
+    instance of a law, so a ring passes exactly when every triple does;
+    when one fails, all are checked in the order of ``_ring_laws``.
+
+    Above order 64 no table is built: ``axiom_sample_count`` triples
     drawn from ``Random(axiom_seed)`` (a, b, c per sample) go through the
     ring's position ops, and so do the identity, zero and negation laws on
     every element.
@@ -597,8 +608,21 @@ def verify_ring_axioms(ring: Ring) -> None:
     x = np.arange(n)
     if n <= 64:
         add, mul, neg = ring.tables()
+        g = _additive_generators(add, z)
+        ag, mg = add[g], mul[g]  # [k, y] = g + y and g * y
+        sums, prods = add[ag], mul[mg]  # [k, x, y] = (g + x) + y and (g * x) * y
+        laws = (
+            (add, add.T), (mul, mul.T), (add[z], x), (add[x, neg], z), (mul[e], x),
+            # both tables symmetric: (x + g) + y = x + (g + y), x(y + g) = xy + xg
+            # and (xy)g = x(yg), each side indexed [k, x, y]
+            (sums, sums.transpose(0, 2, 1)),
+            (mul[ag].transpose(0, 2, 1), np.take(add, mg[:, :, None] * n + mul)),
+            (np.take(mg, mul, axis=1), prods.transpose(0, 2, 1)),
+        )
+        if all(np.all(lhs == rhs) for lhs, rhs in laws):
+            return
         a, b, c = x[:, None, None], x[None, :, None], x[None, None, :]
-        ops = (_grid_lookup(add, a, c), _grid_lookup(mul, a, c), neg.__getitem__)
+        ops = (lambda i, j: add[i, j], lambda i, j: mul[i, j], neg.__getitem__)
     else:
         a, b, c = _sample_draws(ring.guards, (n, n, n)).T
         ops = (ring._add, ring._mul, ring._neg)

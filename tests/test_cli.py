@@ -177,6 +177,27 @@ def test_console_entry_point_subprocess():
     assert json.loads(proc.stdout)["sg_semisimple"] is True
 
 
+def test_requests_do_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call, about 10 ms per process
+    src = os.path.dirname(os.path.dirname(finring.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from finring.cli import main\n"
+        "assert main(['module', 'sgp', '--ring', 'Z/9', '--rel', '6']) == 0\n"
+        "assert main(['verify-paper']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_closed_stdout_pipe_exits_1_without_traceback():
     # the lattice of (Z/2)^7 prints about 80 KB, more than a pipe buffer
     src = os.path.dirname(os.path.dirname(finring.__file__))

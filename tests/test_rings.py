@@ -2,11 +2,14 @@ import gc
 import itertools
 import random
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from finring.classify import SQUARE_ZERO_PAIR
+from finring.classify import SQUARE_ZERO_PAIR, catalog_specs
 from finring.errors import AxiomViolation, GuardExceeded, ValidationError
 from finring import rings
 from finring.guards import DEFAULT_GUARDS, Guards
@@ -332,6 +335,110 @@ def test_verify_ring_axioms_names_the_broken_law(n, message):
 def test_verify_ring_axioms_accepts_the_unbroken_ring():
     for n in (8, 128):
         verify_ring_axioms(_faulty_zmod(n))
+
+
+@pytest.mark.parametrize(
+    "text, gens",
+    [
+        ("Z/2", [1]),
+        ("Z/12", [1]),
+        ("Z/64", [1]),
+        ("Z/4 x Z/9", [1, 9]),  # (0, 1) spans 0 x Z/9; (1, 0) is position 9
+        ("GF(2)[x]/(x^2)[x]/(x^2)", [1, 2, 4, 8]),
+        ("GF(9)", [1, 3]),
+    ],
+)
+def test_additive_generators_are_the_least_first_picks(text, gens):
+    ring = build_ring(parse_ring_spec(text))
+    assert rings._additive_generators(ring.tables()[0], ring.index[ring.zero]) == gens
+
+
+def test_additive_generators_try_zero_last_and_trust_no_law():
+    # x + y = max(x, y): no sum leaves {1}, {1, 2} or {1, 2, 3}, and none reaches 0
+    assert rings._additive_generators(np.maximum.outer(np.arange(4), np.arange(4)), 0) == [
+        1, 2, 3, 0,
+    ]
+    assert rings._additive_generators(np.zeros((1, 1), dtype=np.int32), 0) == [0]
+
+
+def _small_catalog_specs():
+    return [text for _, text in catalog_specs("default") if spec_order(parse_ring_spec(text)) <= 64]
+
+
+def test_small_catalog_rings_pass_on_generators_alone():
+    for text in _small_catalog_specs():
+        ring = build_ring(parse_ring_spec(text))
+        with mock.patch.object(rings, "_ring_laws", wraps=rings._ring_laws) as grid:
+            verify_ring_axioms(ring)
+        assert grid.call_count == 0, text
+
+
+def _full_grid_message(add, mul, neg, z, e):
+    """The first law that fails on some triple, or None: the reference check."""
+    x = np.arange(len(add))
+    a, b, c = x[:, None, None], x[None, :, None], x[None, None, :]
+    ops = (lambda i, j: add[i, j], lambda i, j: mul[i, j], neg.__getitem__)
+    for message, lhs, rhs in rings._ring_laws(*ops, a, b, c, x, z, e):
+        if not np.all(lhs == rhs):
+            return message
+    return None
+
+
+def _tables_ring(add, mul, one):
+    """Hand-written tables on positions 0..n-1 with zero at 0 and x + x = 0,
+    shaped as ``verify_ring_axioms`` reads a ring of order <= 64."""
+    n = len(add)
+    tables = (np.array(add, dtype=np.int32), np.array(mul, dtype=np.int32), np.arange(n))
+    return SimpleNamespace(
+        order=n, zero=0, one=one, index={i: i for i in range(n)}, tables=lambda: tables
+    )
+
+
+def test_laws_are_checked_at_every_generator():
+    # generators 1, 2; + associates at the middle 1, not at 2: (2 + 2) + 1 = 1, 2 + (2 + 1) = 0
+    add = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 0], [3, 2, 0, 0]]
+    mul = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 2, 0], [0, 3, 0, 3]]
+    ring = _tables_ring(add, mul, 1)
+    assert rings._additive_generators(ring.tables()[0], 0) == [1, 2]
+    with pytest.raises(AxiomViolation, match="^addition is not associative$"):
+        verify_ring_axioms(ring)
+    # GF(2) + u + v with u^2 = v, v^2 = u, uv = 0: commutative, distributive,
+    # unital (1 at position 4), but (uu)v = u while u(uv) = 0
+    basis = {4: {4: 4, 2: 2, 1: 1}, 2: {4: 2, 2: 1, 1: 0}, 1: {4: 1, 2: 0, 1: 2}}
+    add = np.bitwise_xor.outer(np.arange(8), np.arange(8))
+    mul = [[0] * 8 for _ in range(8)]
+    for x, y, a, b in itertools.product(range(8), range(8), basis, basis):
+        if x & a and y & b:
+            mul[x][y] ^= basis[a][b]
+    with pytest.raises(AxiomViolation, match="^multiplication is not associative$"):
+        verify_ring_axioms(_tables_ring(add, mul, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_small_catalog_specs()), st.data())
+def test_generator_check_agrees_with_the_full_grid(text, data):
+    ring = build_ring(parse_ring_spec(text))
+    n = ring.order
+    add, mul, neg = (t.copy() for t in ring.tables())
+    table = data.draw(st.sampled_from([add, mul]), label="table")
+    i, j = data.draw(st.integers(0, n - 1), label="i"), data.draw(st.integers(0, n - 1), label="j")
+    value = data.draw(st.integers(0, n - 1).filter(lambda v: v != table[i, j]), label="value")
+    table[i, j] = value
+    if data.draw(st.booleans(), label="symmetric"):
+        table[j, i] = value
+    z, e = ring.index[ring.zero], ring.index[ring.one]
+    broken = SimpleNamespace(
+        order=n, zero=ring.zero, one=ring.one, index=ring.index, tables=lambda: (add, mul, neg)
+    )
+    want = _full_grid_message(add, mul, neg, z, e)
+    with mock.patch.object(rings, "_ring_laws", wraps=rings._ring_laws) as grid:
+        if want is None:
+            verify_ring_axioms(broken)
+        else:
+            with pytest.raises(AxiomViolation, match=f"^{want}$"):
+                verify_ring_axioms(broken)
+    # the full grid runs exactly when the generator check fails
+    assert (grid.call_count == 0) == (want is None)
 
 
 def test_sampled_axiom_check_uses_the_seeded_draws():
