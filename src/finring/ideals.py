@@ -14,7 +14,7 @@ generated, the rule of ``modules._greedy_span``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 
 import numpy as np
@@ -143,9 +143,8 @@ def _ideal_of(ring: Ring, bits: int, generator_indices=None) -> Ideal:
     return Ideal(ring, indices, tuple(int(g) for g in generator_indices))
 
 
-def wrap_ideal(ring: Ring, indices, generator_indices=None) -> Ideal:
-    bits = _bitsets(ring).bits(np.fromiter(indices, dtype=np.intp))
-    return _ideal_of(ring, bits, generator_indices)
+def wrap_ideal(ring: Ring, indices) -> Ideal:
+    return _ideal_of(ring, _bitsets(ring).bits(np.fromiter(indices, dtype=np.intp)))
 
 
 def ideal_generated(ring: Ring, gens) -> Ideal:
@@ -289,12 +288,15 @@ class IdempotentDecomposition:
     """Primitive orthogonal idempotents summing to 1, with their factor rings.
 
     Each factor ring e_i R keeps the parent's element values, so it sits
-    inside the parent ring by the identity inclusion.
+    inside the parent ring by the identity inclusion.  ``projections[i]``, a
+    read-only array, is the projection r -> e_i r on positions: entry r is the
+    position in ``factor_rings[i]`` of e_i * r (the identity for a local ring).
     """
 
     ring: Ring
     idempotents: tuple
     factor_rings: tuple
+    projections: tuple = field(repr=False, compare=False)
 
     @property
     def is_trivial(self) -> bool:
@@ -325,10 +327,11 @@ def idempotent_decomposition(ring: Ring) -> IdempotentDecomposition:
         for b in range(a + 1, len(atoms)):
             if mul_np[atoms[a], atoms[b]] != zero:
                 raise ConsistencyError("primitive idempotents are not orthogonal")
-    if len(atoms) == 1:
-        factors = (ring,)  # a local ring is its own factor, lattice and all
+    if len(atoms) == 1:  # a local ring is its own factor, lattice and all
+        factors, projections = (ring,), (ar,)
     else:
         factors = tuple(IdempotentFactorRing(ring, els[e]) for e in atoms)
+        projections = tuple(f._pos[mul_np[e]] for f, e in zip(factors, atoms))
     if prod(f.order for f in factors) != n:
         raise ConsistencyError("factor cardinalities do not multiply to the ring order")
     for f in factors:
@@ -336,7 +339,9 @@ def idempotent_decomposition(ring: Ring) -> IdempotentDecomposition:
             raise ConsistencyError(f"factor {f.describe()} is not local")
     if n <= 64:
         _check_componentwise_bijection(ring, atoms)
-    dec = IdempotentDecomposition(ring, tuple(els[e] for e in atoms), factors)
+    for p in projections:
+        p.setflags(write=False)
+    dec = IdempotentDecomposition(ring, tuple(els[e] for e in atoms), factors, projections)
     ring._cache["idempotent_decomposition"] = dec
     return dec
 

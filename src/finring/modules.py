@@ -711,9 +711,8 @@ def is_projective(m: Module) -> bool:
     dec = idempotent_decomposition(m.ring)
     if not dec.is_trivial:
         return all(is_projective(c) for c in decompose_over_product(m, dec))
-    if m.cardinality != m.ring.order ** minimal_generators(m)[0]:
-        return False
-    return free_cover(m).is_bijective()
+    # the minimal cover R^g -> M is onto, so it is bijective exactly when |M| = |R|^g
+    return m.cardinality == m.ring.order ** minimal_generators(m)[0]
 
 
 def free_cover(m: Module) -> ModuleHom:
@@ -724,15 +723,13 @@ def free_cover(m: Module) -> ModuleHom:
 
 def decompose_over_product(m: Module, dec: IdempotentDecomposition) -> list:
     """Components e_i M as modules over the local factors; re-sum is verified."""
-    ring = m.ring
-    if dec.ring is not ring:
+    if dec.ring is not m.ring:
         raise PreconditionError("decomposition belongs to a different ring")
+    relations = np.array(m.relation_columns, dtype=np.intp)  # one row per column
     comps = []
-    for e_val, fring in zip(dec.idempotents, dec.factor_rings):
-        cols = tuple(
-            tuple(ring.mul(e_val, v) for v in col) for col in m.presentation.relations
-        )
-        comps.append(Module(Presentation(fring, m.k, cols)))
+    for fring, proj in zip(dec.factor_rings, dec.projections):
+        cols = [[fring.elements[i] for i in col] for col in proj[relations].tolist()]
+        comps.append(Module(Presentation(fring, m.k, tuple(map(tuple, cols)))))
     _verify_decomposition(m, dec, comps)
     return comps
 
@@ -746,13 +743,8 @@ def _verify_decomposition(m: Module, dec: IdempotentDecomposition, comps) -> Non
     """
     ring = m.ring
     add, mul, _ = ring.tables()
-    # projections[i][r]: index of e_i * r in the i-th factor ring
-    projections = []
-    for e_val, fring in zip(dec.idempotents, dec.factor_rings):
-        row = mul[ring.index[e_val]].tolist()
-        projections.append(np.array([fring.index[ring.elements[j]] for j in row]))
     # phi[i][x]: position in comps[i] of e_i x, for every element x of m
-    phi = [c._locate(p[m._digits]) for c, p in zip(comps, projections)]
+    phi = [c._locate(p[m._digits]) for c, p in zip(comps, dec.projections)]
     flat = np.zeros(m.cardinality, dtype=np.intp)
     for c, ph in zip(comps, phi):
         flat = flat * c.cardinality + ph
@@ -768,7 +760,7 @@ def _verify_decomposition(m: Module, dec: IdempotentDecomposition, comps) -> Non
         # phi(x + y) = phi(x) + phi(y) and phi(r z) = (e_i r) phi(z), per factor
         sums = m._locate(add[m._digits[xs], m._digits[ys]])
         prods = m._locate(mul[rs[:, None], m._digits[zs]])
-        for c, p, ph, (fadd, fmul, _) in zip(comps, projections, phi, factor_tables):
+        for c, p, ph, (fadd, fmul, _) in zip(comps, dec.projections, phi, factor_tables):
             want_sums = c._locate(fadd[c._digits[ph[xs]], c._digits[ph[ys]]])
             want_prods = c._locate(fmul[p[rs][:, None], c._digits[ph[zs]]])
             if (ph[sums] != want_sums).any() or (ph[prods] != want_prods).any():

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from math import prod
 
 import pytest
@@ -6,13 +7,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brute_force import BruteModule
-from finring import cli, modules
+from finring import cli, homology, modules
 from finring.classify import SQUARE_ZERO_PAIR, nonzero_proper_ideals
-from finring.errors import GuardExceeded, NonLocalRingError, ValidationError
+from finring.errors import (
+    ConsistencyError,
+    GuardExceeded,
+    NonLocalRingError,
+    ValidationError,
+)
 from finring.guards import Guards
 from finring.homology import (
     SgpObstruction,
     SgpWitness,
+    _verify_resolution_exactness,
     check_complete_resolution,
     dual_hom,
     ext1,
@@ -359,6 +366,80 @@ def test_periodic_map_over_z8_witness():
     report = check_complete_resolution(res)
     assert report.passed
     assert report.image_order == 8 and report.kernel_order == 8
+
+
+def _bad_witness(kind):
+    """A hand-built witness over Z/4 that breaks one of the sequence's laws."""
+    z4 = _ring("Z/4")
+    if kind == "module":
+        # a valid sequence for Z/2, but the witness names another module
+        w = find_sgp_witness(_mod(z4, "2"))
+        return replace(w, module=_mod(z4, "2"))
+    if kind == "embedding":
+        # 0 -> Z/2 -0-> R -> Z/2 -> 0: the embedding kills the generator
+        m = _mod(z4, "2")
+        free = regular_module(z4)
+        embedding = ModuleHom(m, free, ((0,),))
+        return SgpWitness(m, 1, embedding, ModuleHom(free, m, ((1,),)), None)
+    # 0 -> R -> R^2 -> R -> 0 by the first inclusion and the first projection:
+    # both maps are fine, but the image (a, 0) is not the kernel (0, b)
+    m = regular_module(z4)
+    free = free_module(z4, 2)
+    embedding = ModuleHom(m, free, ((1, 0),))
+    return SgpWitness(m, 2, embedding, ModuleHom(free, m, ((1,), (0,))), None)
+
+
+@pytest.mark.parametrize(
+    "kind,message",
+    [
+        ("module", "witness maps do not start and end at the module"),
+        ("embedding", "witness embedding is not injective"),
+        ("middle", "witness sequence is not exact in the middle"),
+    ],
+)
+def test_strongly_complete_resolution_validates_the_witness(kind, message):
+    with pytest.raises(ConsistencyError, match=message):
+        strongly_complete_resolution(_bad_witness(kind))
+
+
+def test_periodic_map_is_read_off_the_validated_witness(monkeypatch):
+    # image(f) = kernel(f) = image(embedding) follows from the witness laws,
+    # so no image is presented and no isomorphism or hom search runs
+    z8 = _ring("Z/8")
+    w = find_sgp_witness(_mod(z8, "2,0;0,4"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the periodic map was re-derived")
+
+    monkeypatch.setattr(homology, "is_isomorphic", refuse)
+    monkeypatch.setattr(modules, "submodule", refuse)
+    monkeypatch.setattr(modules, "_injective_homs", refuse)
+    res = strongly_complete_resolution(w)
+    assert res.rank == w.rank == 2
+    report = check_complete_resolution(res)
+    assert report.passed
+    assert report.image_order == report.kernel_order == w.module.cardinality
+
+
+def test_resolution_exactness_implies_composites_vanish(monkeypatch):
+    z4 = _ring("Z/4")
+    m = _mod(z4, "2")
+    free = regular_module(z4)
+    cover = ModuleHom(free, m, ((1,),))
+    # stage 0 is exact (image 2R = kernel of the cover), but d1 . d2 = 2 != 0,
+    # which the per-stage image = kernel test catches at stage 1
+    d1 = ModuleHom(free, free, ((2,),))
+    d2 = ModuleHom(free, free, ((1,),))
+    with pytest.raises(ConsistencyError, match="resolution is not exact at stage 1"):
+        _verify_resolution_exactness([cover], [d1, d2])
+    # and a true resolution passes with no composite formed
+    res = free_resolution(_mod(_ring("Z/8"), "4"), 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("composite formed")
+
+    monkeypatch.setattr(homology, "compose", refuse)
+    _verify_resolution_exactness(res.covers, res.differentials)
 
 
 # -- the scalar Ext^1 loops the array code replaced, kept as the reference ----

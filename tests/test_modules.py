@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from brute_force import BruteModule, ring_lists
-from finring.classify import SQUARE_ZERO_PAIR
+from finring.classify import SQUARE_ZERO_PAIR, catalog_specs
 from finring.errors import (
     ConsistencyError,
     GuardExceeded,
@@ -28,6 +28,7 @@ from finring.modules import (
     compose,
     decompose_over_product,
     direct_sum,
+    free_cover,
     free_module,
     free_summand_split,
     hom_set,
@@ -44,7 +45,8 @@ from finring.modules import (
     submodule,
 )
 from finring.parsing import parse_presentation, parse_ring_spec
-from finring.rings import Zmod, build_ring
+from finring.rings import Ring, Zmod, build_ring, spec_order
+from finring.verify import _sample_modules
 
 
 def _ring(text):
@@ -237,6 +239,89 @@ def test_is_projective():
     prod = _ring("Z/4 x Z/3")
     assert is_projective(regular_module(prod))
     assert not is_projective(_mod(prod, "(2,1)"))
+
+
+def _catalog_rings_up_to(order):
+    for label, text in catalog_specs("default"):
+        spec = parse_ring_spec(text)
+        if spec_order(spec) <= order:
+            yield label, build_ring(spec)
+
+
+def test_is_projective_matches_the_free_cover_route(monkeypatch):
+    # the deleted route, kept as the reference: the minimal cover is bijective
+    def by_cover(m):
+        return free_cover(m).is_bijective()
+
+    def refuse(m):
+        raise AssertionError("is_projective built a free cover")
+
+    cases = []
+    for label, ring in _catalog_rings_up_to(27):
+        if not idempotent_decomposition(ring).is_trivial:
+            continue
+        mods = [m for _, m in _sample_modules(ring, include_sums=True)]
+        mods += [free_module(ring, 2), free_module(ring, 0)]
+        cases += [(label, m, by_cover(m)) for m in mods]
+    with monkeypatch.context() as patch:
+        patch.setattr(modules, "free_cover", refuse)
+        for label, m, expected in cases:
+            assert is_projective(m) == expected, (label, m)
+    assert {expected for _, _, expected in cases} == {True, False}
+    # over a product, the answer is the AND of the component answers
+    prod_ring = _ring("Z/4 x Z/3")
+    dec = idempotent_decomposition(prod_ring)
+    answers = set()
+    for name, m in _sample_modules(prod_ring, include_sums=True):
+        parts = [by_cover(c) for c in decompose_over_product(m, dec)]
+        assert is_projective(m) == all(parts), name
+        answers.add(all(parts))
+    assert answers == {True, False}
+
+
+def test_decomposition_projections_are_the_value_level_projections():
+    kinds = set()
+    for label, ring in _catalog_rings_up_to(64):
+        dec = idempotent_decomposition(ring)
+        if dec.is_trivial:
+            assert dec.projections[0].tolist() == list(range(ring.order))
+            continue
+        kinds.add(" x " in label)
+        for e, factor, proj in zip(dec.idempotents, dec.factor_rings, dec.projections):
+            assert not proj.flags.writeable
+            reference = [factor.index[ring.mul(e, x)] for x in ring.elements]
+            assert proj.tolist() == reference, label
+    assert kinds == {True, False}  # products and Z/n alike
+
+
+class _CountingIndex(dict):
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def test_decompose_over_product_reads_the_projections(monkeypatch):
+    ring = _ring("Z/4 x Z/9")
+    dec = idempotent_decomposition(ring)
+    mods = [regular_module(ring), _mod(ring, "(2,3)"), free_module(ring, 2)]
+
+    def refuse(*args):
+        raise AssertionError("value-level ring arithmetic")
+
+    monkeypatch.setattr(Ring, "mul", refuse)
+    monkeypatch.setattr(ring, "index", None)  # no lookup in the parent ring
+    for m in mods:
+        counters = [_CountingIndex(f.index) for f in dec.factor_rings]
+        for f, counter in zip(dec.factor_rings, counters):
+            monkeypatch.setattr(f, "index", counter)
+        comps = decompose_over_product(m, dec)
+        _verify_decomposition(m, dec, comps)
+        entries = sum(map(len, m.relation_columns))
+        # only each component's own presentation reads its factor's index:
+        # its relation values and its zero
+        assert [c.lookups for c in counters] == [entries + 1] * len(counters)
 
 
 def test_decompose_over_product():
