@@ -33,7 +33,7 @@ class Guards:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name.startswith("max_") and value < 1:
+            if (f.name.startswith("max_") or f.name == "axiom_sample_count") and value < 1:
                 raise ValidationError(f"guard {f.name} must be at least 1, got {value}")
 
     def with_overrides(self, **kwargs) -> "Guards":

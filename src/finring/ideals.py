@@ -291,6 +291,8 @@ class IdempotentDecomposition:
     inside the parent ring by the identity inclusion.  ``projections[i]``, a
     read-only array, is the projection r -> e_i r on positions: entry r is the
     position in ``factor_rings[i]`` of e_i * r (the identity for a local ring).
+    Together they are a ring isomorphism onto the product of the factors,
+    which the checks of :func:`idempotent_decomposition` imply.
     """
 
     ring: Ring
@@ -304,7 +306,15 @@ class IdempotentDecomposition:
 
 
 def idempotent_decomposition(ring: Ring) -> IdempotentDecomposition:
-    """Split the ring into local factors along its primitive idempotents."""
+    """Split the ring into local factors along its primitive idempotents.
+
+    Checked: the atoms are nonzero, pairwise orthogonal and sum to 1, the
+    factor orders multiply to |R|, and each factor is local.  With the ring
+    laws, these make x -> (e_i x) a ring isomorphism, so it is not checked
+    on the tables: e_i (x + y) = e_i x + e_i y, e_i (xy) = (e_i x)(e_i y)
+    since e_i^2 = e_i, and x = sum of the e_i x makes it injective, hence
+    bijective by the orders.
+    """
     if "idempotent_decomposition" in ring._cache:
         return ring._cache["idempotent_decomposition"]
     _, mul_np, _ = ring.tables()
@@ -337,29 +347,11 @@ def idempotent_decomposition(ring: Ring) -> IdempotentDecomposition:
     for f in factors:
         if not is_local(f):
             raise ConsistencyError(f"factor {f.describe()} is not local")
-    if n <= 64:
-        _check_componentwise_bijection(ring, atoms)
     for p in projections:
         p.setflags(write=False)
     dec = IdempotentDecomposition(ring, tuple(els[e] for e in atoms), factors, projections)
     ring._cache["idempotent_decomposition"] = dec
     return dec
-
-
-def _check_componentwise_bijection(ring: Ring, atoms) -> None:
-    """x -> (e_i x) must be a ring isomorphism onto the product of factors."""
-    add_np, mul_np, _ = ring.tables()
-    n = ring.order
-    projections = [mul_np[e] for e in atoms]
-    if len(atoms) == 1 and np.array_equal(projections[0], np.arange(n)):
-        return  # e = 1 by the sum check, and x -> ex is the identity map
-    if len(set(zip(*(p.tolist() for p in projections)))) != n:
-        raise ConsistencyError("componentwise idempotent map is not injective")
-    for proj in projections:
-        if not (proj[add_np] == add_np[np.ix_(proj, proj)]).all():
-            raise ConsistencyError("componentwise idempotent map does not preserve +")
-        if not (proj[mul_np] == mul_np[np.ix_(proj, proj)]).all():
-            raise ConsistencyError("componentwise idempotent map does not preserve *")
 
 
 # ---------------------------------------------------------------------------

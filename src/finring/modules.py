@@ -66,7 +66,7 @@ from .ideals import (
     quasi_frobenius_certificate,
     unique_maximal_ideal,
 )
-from .rings import Ring, _sample_draws
+from .rings import Ring
 
 # entries per temporary array in the vectorised loops (int64: 256 KiB)
 _CHUNK = 1 << 15
@@ -735,55 +735,22 @@ def decompose_over_product(m: Module, dec: IdempotentDecomposition) -> list:
 
 
 def _verify_decomposition(m: Module, dec: IdempotentDecomposition, comps) -> None:
-    """Check that x -> (e_i x) is an isomorphism onto the sum of components.
+    """Check that x -> (e_i x) is a bijection onto the sum of components.
 
-    Bijectivity is verified on every element.  The additive and scalar laws
-    are verified exhaustively for modules of at most 64 elements and on a
-    fixed-seed sample of pairs above that, mirroring the ring axiom checks.
+    Only bijectivity needs checking: each projection p_i is a ring
+    homomorphism (see :func:`finring.ideals.idempotent_decomposition`) and
+    each component is presented on p_i of M's relation columns, so the map
+    is additive and R-linear by construction.  No ring table is read.
     """
-    ring = m.ring
-    add, mul, _ = ring.tables()
-    # phi[i][x]: position in comps[i] of e_i x, for every element x of m
-    phi = [c._locate(p[m._digits]) for c, p in zip(comps, dec.projections)]
+    # flat[x]: the positions in comps[i] of e_i x, as one mixed-radix number
     flat = np.zeros(m.cardinality, dtype=np.intp)
-    for c, ph in zip(comps, phi):
-        flat = flat * c.cardinality + ph
+    for c, p in zip(comps, dec.projections):
+        flat = flat * c.cardinality + c._locate(p[m._digits])
     if (
         prod(c.cardinality for c in comps) != m.cardinality
         or np.count_nonzero(np.bincount(flat, minlength=m.cardinality)) != m.cardinality
     ):
         raise ConsistencyError("module does not re-sum to its product decomposition")
-
-    factor_tables = [c.ring.tables() for c in comps]
-
-    def laws_hold(xs, ys, rs, zs) -> bool:
-        # phi(x + y) = phi(x) + phi(y) and phi(r z) = (e_i r) phi(z), per factor
-        sums = m._locate(add[m._digits[xs], m._digits[ys]])
-        prods = m._locate(mul[rs[:, None], m._digits[zs]])
-        for c, p, ph, (fadd, fmul, _) in zip(comps, dec.projections, phi, factor_tables):
-            want_sums = c._locate(fadd[c._digits[ph[xs]], c._digits[ph[ys]]])
-            want_prods = c._locate(fmul[p[rs][:, None], c._digits[ph[zs]]])
-            if (ph[sums] != want_sums).any() or (ph[prods] != want_prods).any():
-                return False
-        return True
-
-    size = m.cardinality
-    if size <= 64:
-        # every pair (x, y) and every (r, z), numbered and taken a chunk at a time
-        n_pairs, n_scaled = size * size, ring.order * size
-        step = max(1, _CHUNK // max(m.k, 1))
-
-        def chunk_holds(lo) -> bool:
-            pairs = np.arange(lo, min(lo + step, n_pairs))
-            scaled = np.arange(lo, min(lo + step, n_scaled))
-            return laws_hold(pairs // size, pairs % size, scaled // size, scaled % size)
-
-        ok = all(chunk_holds(lo) for lo in range(0, max(n_pairs, n_scaled), step))
-    else:
-        # the fixed-seed draws, in the order x, y, r, z for each sample
-        ok = laws_hold(*_sample_draws(ring.guards, (size, size, ring.order, size)).T)
-    if not ok:
-        raise ConsistencyError("componentwise map does not preserve the module laws")
 
 
 def free_summand_split(m: Module):

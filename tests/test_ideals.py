@@ -1,11 +1,12 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brute_force import ring_lists
-from finring.classify import SQUARE_ZERO_PAIR
+from finring.classify import SQUARE_ZERO_PAIR, catalog_specs
 from finring.errors import GuardExceeded
 from finring.guards import Guards
 from finring.ideals import (
@@ -173,6 +174,29 @@ def test_factor_rings_behave_as_rings():
     assert factor.mul(9, 9) == 9
     assert is_local(factor)
     assert len(enumerate_ideals(factor)) == 3
+
+
+def test_idempotent_projections_are_ring_isomorphisms():
+    # the reference for what idempotent_decomposition's checks imply: on every
+    # split catalog ring, x -> (e_i x) is a bijection onto the product of the
+    # factors and preserves + and * on the tables
+    split, above_64 = 0, 0
+    for _, text in catalog_specs("default"):
+        ring = _ring(text)
+        dec = idempotent_decomposition(ring)
+        if dec.is_trivial:
+            continue
+        split += 1
+        above_64 += ring.order > 64
+        add, mul, _ = ring.tables()
+        flat = np.zeros(ring.order, dtype=np.int64)
+        for f, p in zip(dec.factor_rings, dec.projections):
+            fadd, fmul, _ = f.tables()
+            assert np.array_equal(p[add], fadd[p[:, None], p[None, :]]), text
+            assert np.array_equal(p[mul], fmul[p[:, None], p[None, :]]), text
+            flat = flat * f.order + p
+        assert np.array_equal(np.sort(flat), np.arange(ring.order)), text
+    assert above_64 == 64 and split > above_64
 
 
 def test_lattice_guard():

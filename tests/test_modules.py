@@ -1,4 +1,4 @@
-import copy
+import functools
 import itertools
 from math import prod
 
@@ -439,16 +439,6 @@ def test_compose_and_identity():
     assert compose(ident, ident).images == ident.images
 
 
-def _swap_classes(comp, a, b):
-    """A copy of ``comp`` whose coset table sends classes a and b to each
-    other's positions: still a bijection, but no longer additive."""
-    bad = copy.copy(comp)
-    perm = np.arange(comp.cardinality)
-    perm[[a, b]] = [b, a]
-    bad.rep = perm[comp.rep]
-    return bad
-
-
 @pytest.mark.parametrize(
     "m",
     [
@@ -460,19 +450,95 @@ def test_decomposition_check_rejects_a_wrong_component(m):
     dec = idempotent_decomposition(m.ring)
     comps = decompose_over_product(m, dec)
     _verify_decomposition(m, dec, comps)
-    # the Z/4 part: classes 1 and 2 are (0,..,0,1) and (0,..,0,2)
+    # a component too small to re-sum: the Z/4 part with its first coordinate killed
     four = next(i for i, f in enumerate(dec.factor_rings) if f.order == 4)
-    bad = list(comps)
-    bad[four] = _swap_classes(comps[four], 1, 2)
-    with pytest.raises(ConsistencyError):
-        _verify_decomposition(m, dec, bad)
-    # a component too small to re-sum: the first coordinate killed
     f = dec.factor_rings[four]
     killed = Module(Presentation(f, m.k, ((f.one,) + (f.zero,) * (m.k - 1),)))
     small = list(comps)
     small[four] = killed
     with pytest.raises(ConsistencyError):
         _verify_decomposition(m, dec, small)
+
+
+def test_decomposition_check_reads_no_ring_table(monkeypatch):
+    ring = _ring(f"Z/8 x {SQUARE_ZERO_PAIR}")
+    dec = idempotent_decomposition(ring)
+    mods = [m for _, m in _sample_modules(ring, include_sums=True)] + [free_module(ring, 2)]
+    pairs = [(m, decompose_over_product(m, dec)) for m in mods]
+
+    def refuse(self):
+        raise AssertionError("a ring table was read")
+
+    monkeypatch.setattr(Ring, "tables", refuse)
+    for m, comps in pairs:
+        _verify_decomposition(m, dec, comps)
+
+
+def _additive_generators(ring):
+    """Least-first element values whose sums reach every element of ``ring``."""
+    gens, reached = [], {ring.zero}
+    for x in ring.elements:
+        if x not in reached:
+            gens.append(x)
+            while new := {ring.add(y, g) for y in reached for g in gens} - reached:
+                reached |= new
+    return gens
+
+
+def _on_indices(ring, op):
+    """The value-level ``op`` of ``ring`` on element indices, each pair evaluated once."""
+    els, index = ring.elements, ring.index
+
+    @functools.cache
+    def apply(i, j):
+        return index[op(els[i], els[j])]
+
+    return apply
+
+
+_SMALL_PRODUCTS = [
+    text for _, text in catalog_specs("default")
+    if " x " in text and spec_order(parse_ring_spec(text)) <= 64
+]
+
+
+@pytest.mark.parametrize("text", _SMALL_PRODUCTS)
+def test_decomposition_map_is_additive_and_linear(text):
+    # the reference for what _verify_decomposition leaves to the construction:
+    # phi_i(x) = e_i x, reduced in the i-th component, is additive and
+    # R-linear.  A = {b * g_j}, b running over additive generators of R and
+    # g_j over M's generators, spans (M, +); so phi(x + a) = phi(x) + phi(a)
+    # on M x A gives additivity, and then phi(r a) = (e_i r) phi(a) on R x A
+    # gives linearity
+    ring = _ring(text)
+    dec = idempotent_decomposition(ring)
+    add, mul = _on_indices(ring, ring.add), _on_indices(ring, ring.mul)
+    mods = [m for _, m in _sample_modules(ring, include_sums=True)] + [free_module(ring, 2)]
+    scalars = [ring.index[b] for b in _additive_generators(ring)]
+    for m in mods:
+        least, pos = BruteModule.of(m).least, m.index
+        span = {least(tuple(mul(b, t) for t in g)) for b in scalars for g in m.generator_images()}
+        span = sorted(span)
+        # positions in M of x + a, [a, x], and of r * a, [a, r]
+        sums = np.array([[pos[least(tuple(map(add, x, a)))] for x in m.elements] for a in span])
+        scaled = np.array(
+            [[pos[least(tuple(mul(r, t) for t in a))] for r in range(ring.order)] for a in span]
+        )
+        for e, f, comp in zip(dec.idempotents, dec.factor_rings, decompose_over_product(m, dec)):
+            fleast, fpos, fels = BruteModule.of(comp).least, comp.index, comp.elements
+            fadd, fmul = _on_indices(f, f.add), _on_indices(f, f.mul)
+            proj = [f.index[ring.mul(e, r)] for r in ring.elements]
+            phi = np.array([fpos[fleast(tuple(proj[t] for t in x))] for x in m.elements])
+            phi_span = [fels[phi[pos[a]]] for a in span]
+            # phi(x) + phi(a) over the positions u = phi(x) of comp, [a, u]
+            add_phi = np.array(
+                [[fpos[fleast(tuple(map(fadd, u, pa)))] for u in fels] for pa in phi_span]
+            )
+            assert np.array_equal(phi[sums], add_phi[:, phi]), (text, m)
+            scale_phi = np.array(
+                [[fpos[fleast(tuple(fmul(p, t) for t in pa))] for p in proj] for pa in phi_span]
+            )
+            assert np.array_equal(phi[scaled], scale_phi), (text, m)
 
 
 _PROPERTY_RINGS = {

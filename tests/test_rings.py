@@ -89,15 +89,28 @@ def test_structure_constant_validation():
         ((1, 0), (0, 0)),
         ((0, 0), (1, 0)),
     )
-    with pytest.raises(AxiomViolation):
+    with pytest.raises(AxiomViolation, match=r"^unit vector does not act as identity on b1$"):
         build_ring(StructureConstants(2, dim, table, (1, 0)))
     # non-commutative table
     table = (
         ((1, 0), (0, 1)),
         ((0, 0), (0, 0)),
     )
-    with pytest.raises(AxiomViolation):
+    with pytest.raises(
+        AxiomViolation, match=r"^structure constants are not commutative at b0\*b1$"
+    ):
         build_ring(StructureConstants(2, dim, table, (1, 0)))
+    # b1^2 = b2, b2^2 = b1, b1*b2 = 0 beside the unit b0: commutative and
+    # unital, but (b1*b1)*b2 = b1 while b1*(b1*b2) = 0
+    table = (
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        ((0, 1, 0), (0, 0, 1), (0, 0, 0)),
+        ((0, 0, 1), (0, 0, 0), (0, 1, 0)),
+    )
+    with pytest.raises(
+        AxiomViolation, match=r"^structure constants are not associative at \(b1,b1,b2\)$"
+    ):
+        build_ring(StructureConstants(2, 3, table, (1, 0, 0)))
 
 
 def test_structure_constant_shape_validation():
@@ -110,6 +123,24 @@ def test_structure_constant_shape_validation():
 def test_construction_guard():
     with pytest.raises(GuardExceeded):
         build_ring(Zmod(5000))
+
+
+@pytest.mark.parametrize("count", [0, -5])
+def test_guards_reject_a_sample_count_below_one(count):
+    # no sampled triple would run, and a ring above order 64 would pass unchecked
+    with pytest.raises(ValidationError, match="axiom_sample_count"):
+        build_ring(Zmod(128), Guards(axiom_sample_count=count))
+
+
+def test_only_rings_that_compute_arithmetic_run_the_axiom_check(monkeypatch):
+    verified = []
+    real = rings.verify_ring_axioms
+    monkeypatch.setattr(rings, "verify_ring_axioms", lambda r: (verified.append(r), real(r)))
+    guards = Guards(axiom_seed=43)  # fresh sub-rings: nothing is shared with other tests
+    for text in ("Z/4 x GF(9) x Z/2", SQUARE_ZERO_PAIR, f"Z/8 x {SQUARE_ZERO_PAIR}"):
+        build_ring(parse_ring_spec(text), guards)
+    assert [r.describe() for r in verified] == ["Z/4", "Z/3", "Z/3[x]/(2+2*x+x^2)", "Z/2", "Z/8"]
+    assert all(type(r) in (ZmodRing, rings.PolyQuotientRing) for r in verified)
 
 
 def test_sampled_axiom_path_for_large_rings():
@@ -465,26 +496,19 @@ def test_sample_draws_repeat_the_seeded_sequences():
     count = guards.axiom_sample_count
     rnd = random.Random(guards.axiom_seed)
     triples = [[rnd.randrange(128) for _ in range(3)] for _ in range(count)]
-    rnd = random.Random(guards.axiom_seed)
-    size, order = 100, 8
-    quads = [
-        [rnd.randrange(size), rnd.randrange(size), rnd.randrange(order), rnd.randrange(size)]
-        for _ in range(count)
-    ]
-    for bounds, want in (((128, 128, 128), triples), ((size, size, order, size), quads)):
-        draws = rings._sample_draws(guards, bounds)
-        assert draws.dtype == np.int64 and draws.shape == (count, len(bounds))
-        assert draws.tolist() == want
-        assert not draws.flags.writeable
-        with pytest.raises(ValueError):
-            draws[0, 0] = 0
+    draws = rings._sample_draws(guards, 128)
+    assert draws.dtype == np.int64 and draws.shape == (count, 3)
+    assert draws.tolist() == triples
+    assert not draws.flags.writeable
+    with pytest.raises(ValueError):
+        draws[0, 0] = 0
 
 
 def test_rings_of_one_order_share_the_sampled_draws():
     guards = Guards(axiom_seed=31)  # a key no other test draws with
     before = rings._sample_draws.cache_info()
-    build_ring(parse_ring_spec("Z/2 x Z/64"), guards)
     build_ring(parse_ring_spec("Z/128"), guards)
+    build_ring(parse_ring_spec("GF(2)[x]/(x^7)"), guards)
     after = rings._sample_draws.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
@@ -525,10 +549,11 @@ def test_products_share_identical_factors_while_alive(monkeypatch):
     first = build_ring(parse_ring_spec("Z/59 x GF(49)"))
     verified.clear()
     second = build_ring(parse_ring_spec("GF(49) x Z/59"))
-    # the factors are the same verified objects; only the new product is checked
+    # the factors are the same verified objects, and a product of them is
+    # not checked again
     assert second.factors[0] is first.factors[1]
     assert second.factors[1] is first.factors[0]
-    assert verified == [second]
+    assert verified == []
     # quotient bases are shared the same way
     tower = build_ring(parse_ring_spec("GF(49)[x]/(x^2)"))
     assert tower.base is first.factors[1]
