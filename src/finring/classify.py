@@ -106,15 +106,15 @@ def residue_field_sgp(local_ring: Ring) -> SgpVerdict:
     return is_strongly_gorenstein_projective(quotient_by_ideal(local_ring, m))
 
 
-# memo keyed by the factor's addition and multiplication tables: identical
-# canonical tables give identical answers, and products share factor shapes
-# heavily
+# memo keyed by the factor's addition and multiplication tables and its
+# guards: identical canonical tables give identical answers under the same
+# guards, and products share factor shapes heavily
 _RESIDUE_SGP_MEMO: dict = {}
 
 
 def _residue_sgp_decision(factor: Ring) -> bool:
     add, mul, _ = factor.tables()
-    key = (factor.order, add.tobytes(), mul.tobytes())
+    key = (factor.order, add.tobytes(), mul.tobytes(), factor.guards)
     if key not in _RESIDUE_SGP_MEMO:
         _RESIDUE_SGP_MEMO[key] = residue_field_sgp(factor).decision
     return _RESIDUE_SGP_MEMO[key]

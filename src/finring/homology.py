@@ -40,8 +40,9 @@ from .modules import (
     Module,
     ModuleHom,
     _decode,
+    _homs,
     _image_choices,
-    _injective_homs,
+    _injective,
     _relation_values,
     compose,
     cokernel,
@@ -281,7 +282,7 @@ def find_sgp_witness(m: Module):
             f"|M|^2 = {square} is not a power of |R| = {ring.order}",
         )
     target = free_module(ring, rank)
-    for h in _injective_homs(m, target):
+    for h in _homs(m, target, _injective):
         coker, proj = cokernel(h)
         found, iso = is_isomorphic(coker, m)
         if found:
@@ -369,8 +370,7 @@ def dual_hom(h: ModuleHom) -> ModuleHom:
     free = h.source
     if free is not h.target or len(free.span) > 1:
         raise ValidationError("dualization expects an endomorphism of a free module")
-    # with a zero span every raw tuple is its own representative
-    return ModuleHom(free, free, free._rows(h.positions).T.tolist())
+    return ModuleHom._at(free, free, free._locate(free._rows(h.positions).T))
 
 
 def check_complete_resolution(res) -> CompleteResolutionReport:

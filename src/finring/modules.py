@@ -30,8 +30,10 @@ linear combinations at once as a broadcast outer sum through the ring tables
 elements killed by its annihilator (``_image_choices``, which holds the hom
 guard): this keeps the lexicographic order of the homs and makes the guard
 count only the tuples a search can visit, numbered in mixed radix
-(``_decode``); the witness and isomorphism searches then test injectivity on
-a whole batch of accepted homs at once (``_injective_homs``).
+(``_decode``).  One scan, ``_homs``, serves every hom search: it evaluates
+the tables of a run of homs at once and builds those its caller's mask
+keeps, e.g. the injective ones.  Every hom is built from positions by
+``ModuleHom._at``, with the public constructor's relation check.
 Index tuples appear only at the public edge: ``Module.elements`` and
 ``index`` (built from ``_digits`` on first use), ``ModuleHom.images`` and
 ``ModuleHom.apply``.
@@ -320,11 +322,15 @@ class Module:
         """Element positions of the cosets of raw index rows (last axis k)."""
         return self.rep[rows @ self._weights]
 
-    def generator_images(self) -> list:
-        """Classes of the standard basis vectors of R^k."""
+    def _unit_positions(self) -> np.ndarray:
+        """Positions of the classes of the standard basis vectors of R^k."""
         units = np.full((self.k, self.k), self.ring.index[self.ring.zero])
         np.fill_diagonal(units, self.ring.index[self.ring.one])
-        return list(map(tuple, self._rows(self._locate(units)).tolist()))
+        return self._locate(units)
+
+    def generator_images(self) -> list:
+        """Classes of the standard basis vectors of R^k."""
+        return list(map(tuple, self._rows(self._unit_positions()).tolist()))
 
     def _kills(self):
         """[r, x]: whether r * x = 0, for every element x and a run of r at a time."""
@@ -404,10 +410,10 @@ class ModuleHom:
     """A hom determined by generator images, held as index tuples
     (``images``, the public form) and as target positions (``positions``).
 
-    Building one checks that each image is a target element and checks the
-    images against every source relation through ``_combine``.  The hom
-    searches build the homs their own relation test accepted through
-    ``_accepted``, which does not check them again.
+    ``ModuleHom(source, target, images)`` checks that each image is a target
+    element; the library builds its homs from target positions through
+    ``_at``.  Either way ``_check_relations`` checks the images against every
+    source relation through ``_combine``.
     """
 
     source: Module
@@ -431,25 +437,28 @@ class ModuleHom:
         positions = target._locate(raw % target.ring.order)
         if target._rows(positions).tolist() != rows:
             raise ValidationError("hom image is not a target element")
-        cols = source.relation_columns
-        if cols:
-            values = _combine(target, positions, np.array(cols, dtype=np.intp))
-            if (values != target._zero_pos).any():
-                raise ValidationError("images do not satisfy the source relations")
         object.__setattr__(self, "images", tuple(map(tuple, rows)))
         object.__setattr__(self, "positions", positions)
+        self._check_relations()
 
     @classmethod
-    def _accepted(
-        cls, source: Module, target: Module, positions, images, table=None
-    ) -> ModuleHom:
-        """A hom whose images already passed ``_hom_batches``' relation test;
-        ``table``, when given, is its already evaluated ``table``."""
+    def _at(cls, source: Module, target: Module, positions, table=None) -> ModuleHom:
+        """The hom sending generator j to the target element at
+        ``positions[j]``, with its ``table`` if already evaluated."""
         hom = object.__new__(cls)
+        images = tuple(map(tuple, target._rows(positions).tolist()))
         hom.__dict__.update(source=source, target=target, images=images, positions=positions)
+        hom._check_relations()
         if table is not None:
             hom.__dict__["table"] = table
         return hom
+
+    def _check_relations(self) -> None:
+        cols = self.source.relation_columns
+        if cols:
+            values = _combine(self.target, self.positions, np.array(cols, dtype=np.intp))
+            if (values != self.target._zero_pos).any():
+                raise ValidationError("images do not satisfy the source relations")
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -486,7 +495,7 @@ def compose(outer: ModuleHom, inner: ModuleHom) -> ModuleHom:
         raise RingMismatchError("homs do not compose: target/source mismatch")
     # the images of inner's generators only, not outer's whole table
     values = _combine(outer.target, outer.positions, outer.source._rows(inner.positions))
-    return ModuleHom(inner.source, outer.target, outer.target._rows(values).tolist())
+    return ModuleHom._at(inner.source, outer.target, values)
 
 
 def _relation_values(target: Module, columns, choices):
@@ -558,22 +567,41 @@ def _decode(choices, numbers) -> np.ndarray:
     return picks
 
 
-def _hom_batches(m1: Module, m2: Module):
-    """Target positions of the generator images of every hom m1 -> m2, in
-    lexicographic order, one array (homs x m1.k) per chunk of candidates.
+def _homs(m1: Module, m2: Module, keep=None):
+    """The homs m1 -> m2 in lexicographic generator-image order, or those
+    whose table rows ``keep(tables)`` marks.
 
     Candidates are the tuples of ``_image_choices``, numbered in mixed radix
     (t_0 most significant), so filtering each coordinate keeps the order of
     all tuples of m2 elements; a candidate is a hom when every relation
-    column of m1 evaluates to zero on it (``_relation_values``).
+    column of m1 evaluates to zero on it (``_relation_values``).  The homs
+    are evaluated a run at a time into one ``_combine`` table (homs x |m1|
+    positions, from at most ``_CHUNK`` raw entries), the first run one hom
+    long and each next one twice as long, as callers often stop early.
     """
     if m1.ring is not m2.ring:
         raise RingMismatchError("hom set needs modules over the same ring")
     choices = _image_choices(m1, m2)
-    lo = 0
+    cap = max(1, _CHUNK // max(m1.cardinality * m2.k, 1))
+    lo, step = 0, 1
     for values in _relation_values(m2, m1.relation_columns, choices):
-        yield _decode(choices, lo + (values == m2._zero_pos).all(axis=1).nonzero()[0])
+        batch = _decode(choices, lo + (values == m2._zero_pos).all(axis=1).nonzero()[0])
         lo += len(values)
+        while len(batch):
+            part, batch = batch[:step], batch[step:]
+            step = min(2 * step, cap)
+            tables = _combine(m2, part, m1._digits)
+            if keep is not None:
+                marked = keep(tables)
+                part, tables = part[marked], tables[marked]
+            for pos, table in zip(part, tables):
+                yield ModuleHom._at(m1, m2, pos, table)
+
+
+def _injective(tables: np.ndarray) -> np.ndarray:
+    """Which rows of hom tables are injective: no nonzero source element --
+    every position but 0 -- maps to zero, which is position 0."""
+    return ~(tables[:, 1:] == 0).any(axis=1)
 
 
 def iter_homs(m1: Module, m2: Module):
@@ -584,36 +612,7 @@ def iter_homs(m1: Module, m2: Module):
     ``max_hom_candidates`` bounds their number.  Homs are built and yielded
     lazily, so a caller that stops early scans the same prefix of candidates.
     """
-    for batch in _hom_batches(m1, m2):
-        # decoded a slice at a time, as callers often stop after a few homs
-        for s in range(0, len(batch), 256):
-            part = batch[s : s + 256]
-            for pos, rows in zip(part, m2._rows(part).tolist()):
-                yield ModuleHom._accepted(m1, m2, pos, tuple(map(tuple, rows)))
-
-
-def _injective_homs(m1: Module, m2: Module):
-    """The injective homs m1 -> m2, in ``iter_homs`` order.
-
-    Injectivity is tested a run of homs at a time on one ``_combine`` table
-    (homs x |m1| positions, from at most ``_CHUNK`` raw entries): a hom is
-    injective when no nonzero element of m1 -- every position but 0 -- maps
-    to zero.  The first run is one hom long and each next one twice as
-    long, as callers often stop at the first hom found.  Only injective homs
-    are built, each with its evaluated table.
-    """
-    cap = max(1, _CHUNK // max(m1.cardinality * m2.k, 1))
-    step = 1
-    for batch in _hom_batches(m1, m2):
-        lo = 0
-        while lo < len(batch):
-            part = batch[lo : lo + step]
-            lo, step = lo + step, min(2 * step, cap)
-            tables = _combine(m2, part, m1._digits)
-            injective = ~(tables[:, 1:] == m2._zero_pos).any(axis=1)
-            found = part[injective]
-            for pos, rows, table in zip(found, m2._rows(found).tolist(), tables[injective]):
-                yield ModuleHom._accepted(m1, m2, pos, tuple(map(tuple, rows)), table)
+    yield from _homs(m1, m2)
 
 
 def hom_set(m1: Module, m2: Module) -> list:
@@ -643,7 +642,7 @@ def submodule(ambient: Module, target: np.ndarray):
     mod = Module(Presentation(ring, coefficients.k, cols))
     if mod.cardinality != int(target.sum()):
         raise ConsistencyError("recovered presentation has the wrong cardinality")
-    embedding = ModuleHom(mod, ambient, ambient._rows(gens).tolist())
+    embedding = ModuleHom._at(mod, ambient, np.array(gens, dtype=np.intp))
     return mod, embedding
 
 
@@ -665,7 +664,7 @@ def cokernel(h: ModuleHom):
     extra = tuple(tuple(ring.elements[i] for i in g) for g in img_gens)
     pres = Presentation(ring, t.k, tuple(t.presentation.relations) + extra)
     coker = Module(pres)
-    proj = ModuleHom(t, coker, coker.generator_images())
+    proj = ModuleHom._at(t, coker, coker._unit_positions())
     return coker, proj
 
 
@@ -690,7 +689,7 @@ def is_isomorphic(m1: Module, m2: Module):
         if minimal_generators(m1)[0] != minimal_generators(m2)[0]:
             return False, None
     # equal cardinalities: the first injective hom is bijective
-    witness = next(_injective_homs(m1, m2), None)
+    witness = next(_homs(m1, m2, _injective), None)
     return witness is not None, witness
 
 
@@ -701,9 +700,9 @@ def minimal_generators(m: Module):
             "minimal generators are only well-behaved over local rings; decompose first"
         )
     if "minimal" not in m._cache:
-        picks = _generators(m, np.ones(m.cardinality, dtype=bool))
-        m._cache["minimal"] = (len(picks), list(map(tuple, m._rows(picks).tolist())))
-    return m._cache["minimal"]
+        picks = np.array(_generators(m, np.ones(m.cardinality, dtype=bool)), dtype=np.intp)
+        m._cache["minimal"] = picks, (len(picks), list(map(tuple, m._rows(picks).tolist())))
+    return m._cache["minimal"][1]
 
 
 def is_projective(m: Module) -> bool:
@@ -717,8 +716,8 @@ def is_projective(m: Module) -> bool:
 
 def free_cover(m: Module) -> ModuleHom:
     """Minimal surjection R^g -> M on the canonical minimal generator list."""
-    g, gens = minimal_generators(m)
-    return ModuleHom(free_module(m.ring, g), m, tuple(gens))
+    g, _ = minimal_generators(m)
+    return ModuleHom._at(free_module(m.ring, g), m, m._cache["minimal"][0])
 
 
 def decompose_over_product(m: Module, dec: IdempotentDecomposition) -> list:
@@ -771,9 +770,7 @@ def free_summand_split(m: Module):
     rank, current = 0, m
     while (free := current.free_element_mask()).any():
         pivot = int(free.argmax())
-        splitting = next(
-            (cand for cand in iter_homs(current, r1) if cand.table[pivot] == one), None
-        )
+        splitting = next(_homs(current, r1, lambda tables: tables[:, pivot] == one), None)
         if splitting is None:
             raise ConsistencyError(
                 "free cyclic submodule failed to split over a quasi-Frobenius ring"

@@ -421,7 +421,7 @@ class StructureConstantRing(_DigitRing):
         self.spec = spec
         self.n = spec.n
         self.dim = spec.dim
-        self._parts = (ZmodRing(Zmod(spec.n), guards),) * spec.dim
+        self._parts = (_subring(Zmod(spec.n), guards),) * spec.dim
         terms = {}
         for i in range(spec.dim):
             for j in range(spec.dim):

@@ -71,6 +71,15 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+def test_residue_memo_answers_only_under_the_same_guards(capsys):
+    # the guard-hit run gives the same exit code after a default-guard run of
+    # the same ring in the same process as it does on its own
+    assert run_cli(capsys, "classify", "Z/4")[0] == 0
+    code, _, err = run_cli(capsys, "classify", "Z/4", "--max-hom-enumeration", "1")
+    assert code == 3
+    assert "guard" in err
+
+
 def test_guard_exit_code(capsys):
     code, _, err = run_cli(capsys, "classify", "Z/5000")
     assert code == 3

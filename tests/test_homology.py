@@ -79,13 +79,15 @@ def test_witness_rank_is_the_least_rank_reaching_the_square(ring_order, square, 
 
 
 def test_internal_paths_build_no_element_tuples(monkeypatch, capsys):
-    # element tuples are the public form only: the SGP decision, resolutions,
-    # splitting and Ext all run on positions
+    # element and hom-image tuples are the public form only: the SGP
+    # decision, resolutions, splitting and Ext all run on positions, and
+    # every hom is built from positions, not parsed from its images
     def refuse(self):
         raise AssertionError("element tuples built on an internal path")
 
     monkeypatch.setattr(Module, "elements", property(refuse))
     monkeypatch.setattr(Module, "index", property(refuse))
+    monkeypatch.setattr(ModuleHom, "__post_init__", refuse)
     z8 = _ring("Z/8")
     m = _mod(z8, "2,0;0,4")
     verdict = is_strongly_gorenstein_projective(m)
@@ -413,7 +415,8 @@ def test_periodic_map_is_read_off_the_validated_witness(monkeypatch):
 
     monkeypatch.setattr(homology, "is_isomorphic", refuse)
     monkeypatch.setattr(modules, "submodule", refuse)
-    monkeypatch.setattr(modules, "_injective_homs", refuse)
+    monkeypatch.setattr(modules, "_homs", refuse)
+    monkeypatch.setattr(homology, "_homs", refuse)
     res = strongly_complete_resolution(w)
     assert res.rank == w.rank == 2
     report = check_complete_resolution(res)

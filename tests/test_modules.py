@@ -19,7 +19,8 @@ from finring.errors import (
 )
 from finring import modules
 from finring.guards import Guards
-from finring.ideals import ideal_generated, idempotent_decomposition, unique_maximal_ideal
+from finring.homology import dual_hom
+from finring.ideals import ideal_generated, idempotent_decomposition, is_local, unique_maximal_ideal
 from finring.modules import (
     Module,
     ModuleHom,
@@ -813,11 +814,45 @@ def test_batched_injectivity_matches_per_hom_test(pair, chunk):
     saved = modules._CHUNK
     modules._CHUNK = chunk or saved
     try:
-        batched = list(modules._injective_homs(m1, m2))
-        single = [h for h in iter_homs(m1, m2) if h.is_injective()]
+        batched = list(modules._homs(m1, m2, modules._injective))
     finally:
         modules._CHUNK = saved
+    # the reference side is brute force: iter_homs shares the batched scan
+    single = [ModuleHom(m1, m2, images) for images in _ref_homs(m1, m2)]
+    single = [h for h in single if h.is_injective()]
     assert [h.images for h in batched] == [h.images for h in single]
     for b, h in zip(batched, single):
         assert np.array_equal(b.positions, h.positions)
-        assert np.array_equal(b.table, ModuleHom(m1, m2, h.images).table)
+        assert np.array_equal(b.table, h.table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_hom_pairs(), st.data())
+def test_the_public_constructor_rebuilds_every_internal_hom(pair, data):
+    # homs built from positions read back the images the public constructor
+    # parses into the same positions and table; bad positions are refused
+    m1, m2 = pair
+    assume(m2.cardinality**m1.k <= 729)
+    homs = hom_set(m1, m2)
+    h = data.draw(st.sampled_from(homs))
+    built = [h, kernel(h)[1], image(h)[1], cokernel(h)[1]]
+    built += [compose(cokernel(h)[1], h), compose(h, kernel(h)[1])]
+    if is_local(m1.ring):
+        built += [free_cover(m1), free_cover(m2), compose(h, free_cover(m1))]
+    free = free_module(m1.ring, data.draw(st.integers(0, 2)))
+    entry = st.integers(0, free.cardinality - 1)
+    endo = data.draw(st.lists(entry, min_size=free.k, max_size=free.k))
+    endo = ModuleHom._at(free, free, np.array(endo, dtype=np.intp))
+    built += [endo, dual_hom(endo)]
+    for hom in built:
+        ref = ModuleHom(hom.source, hom.target, hom.images)
+        assert ref == hom
+        assert np.array_equal(ref.positions, hom.positions)
+        assert np.array_equal(ref.table, hom.table)
+    entry = st.integers(0, m2.cardinality - 1)
+    positions = np.array(data.draw(st.lists(entry, min_size=m1.k, max_size=m1.k)), dtype=np.intp)
+    if tuple(map(tuple, m2._rows(positions).tolist())) in {g.images for g in homs}:
+        assert np.array_equal(ModuleHom._at(m1, m2, positions).positions, positions)
+    else:
+        with pytest.raises(ValidationError, match="images do not satisfy the source relations"):
+            ModuleHom._at(m1, m2, positions)

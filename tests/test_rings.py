@@ -542,6 +542,14 @@ def test_table_build_reads_the_part_tables():
     assert gf9.mul((1, 2), (2, 2)) == gf9.elements[gf9._mul(5, 8)]
 
 
+def test_structure_constant_rings_share_their_verified_digit_ring():
+    first = build_ring(parse_ring_spec(SQUARE_ZERO_PAIR))
+    second = build_ring(parse_ring_spec(SQUARE_ZERO_PAIR))
+    assert first is not second
+    assert first._parts[0] is second._parts[0]
+    assert first._parts[0] is rings._SUBRINGS[Zmod(first.n), DEFAULT_GUARDS]
+
+
 def test_products_share_identical_factors_while_alive(monkeypatch):
     verified = []
     real = rings.verify_ring_axioms
