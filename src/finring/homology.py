@@ -111,7 +111,7 @@ def _exactness(f: ModuleHom, g: ModuleHom):
     if f.target is not g.source:
         raise ConsistencyError("exactness needs maps through one middle module")
     in_image = f.image_mask()
-    in_kernel = g.table == g.target._zero_pos
+    in_kernel = g.table == 0
     return (
         bool((in_image == in_kernel).all()),
         int(in_image.sum()),
@@ -167,7 +167,7 @@ def ext1(m: Module, q: Module) -> ExtGroup:
     syzygy, inclusion = kernel(cover)
     choices = _image_choices(syzygy, q)
     values = _relation_values(q, syzygy.relation_columns, choices)
-    in_kernel = np.concatenate([(v == q._zero_pos).all(axis=1) for v in values])
+    in_kernel = np.concatenate([(v == 0).all(axis=1) for v in values])
     # place[j, x]: what t_j = x adds to a candidate's number; where x is not
     # among choices[j], -|candidates|, which makes any number negative
     place = np.full((len(choices), q.cardinality), -len(in_kernel))

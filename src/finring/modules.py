@@ -12,7 +12,10 @@ code to the position of its coset, so sums and scalar multiples are array
 lookups: the ring tables on each coordinate, then ``rep``
 (``Module._locate``).  A free module -- no relations, or relations that span
 only zero -- is R^k itself: ``rep`` is the identity and no coset is
-labelled.  ``Presentation`` holds element values, the public-facing form.
+labelled.  The relations are positions as well: ``relation_columns`` holds
+one read-only row of k ring positions per column.  ``Presentation`` holds
+element values, the public-facing form, which ``Module(presentation)`` turns
+into positions once.
 
 Everything above the element level works on these positions as well.  A
 submodule is a boolean mask over positions, grown by one greedy span
@@ -32,10 +35,11 @@ guard): this keeps the lexicographic order of the homs and makes the guard
 count only the tuples a search can visit, numbered in mixed radix
 (``_decode``).  One scan, ``_homs``, serves every hom search: it evaluates
 the tables of a run of homs at once and builds those its caller's mask
-keeps, e.g. the injective ones.  Every hom is built from positions by
-``ModuleHom._at``, with the public constructor's relation check.
-Index tuples appear only at the public edge: ``Module.elements`` and
-``index`` (built from ``_digits`` on first use), ``ModuleHom.images`` and
+keeps, e.g. the injective ones.  Every module the library derives is
+built from positions by ``Module._on``, and every hom by ``ModuleHom._at``,
+with the public constructor's relation check.  Element values and index
+tuples appear only at the public edge: ``Module.elements``, ``index`` and
+``presentation`` (derived on first use), ``ModuleHom.images`` and
 ``ModuleHom.apply``.
 
 Everything here is immutable after construction and deterministic: every
@@ -129,7 +133,7 @@ def _greedy_span(m, target: np.ndarray, member=None):
     """
     if member is None:
         member = np.zeros(len(target), dtype=bool)
-        member[m._zero_pos] = True
+        member[0] = True
     else:
         member = member.copy()
     picks = []
@@ -157,7 +161,7 @@ def _generators(m, target: np.ndarray) -> list:
     if len(picks) < 2 or not is_local(ring):  # no pick, or one: already minimal
         return picks
     max_ideal = unique_maximal_ideal(ring)
-    scalars = np.array(max_ideal.generator_indices or [ring.index[ring.zero]])
+    scalars = np.array(max_ideal.generator_indices or [0])
     products = m._locate(m._tables[1][scalars[:, None, None], m._rows(span.nonzero()[0])])
     first, every = np.zeros((2, len(span)), dtype=bool)
     first[products[0]] = every[products] = True
@@ -253,8 +257,21 @@ class Module:
     """Enumerated cosets of R^k modulo the relation-column span."""
 
     def __init__(self, presentation: Presentation):
-        ring = presentation.ring
-        k = presentation.generators
+        index = presentation.ring.index
+        cols = [[index[v] for v in col] for col in presentation.relations]
+        self._build(presentation.ring, presentation.generators, cols)
+        self.presentation = presentation
+
+    @classmethod
+    def _on(cls, ring: Ring, k: int, columns=()) -> Module:
+        """R^k modulo the span of ``columns``, c rows of k ring positions: the
+        build of every module the library derives, whose ``presentation``
+        is derived on first read."""
+        m = object.__new__(cls)
+        m._build(ring, k, columns)
+        return m
+
+    def _build(self, ring: Ring, k: int, columns) -> None:
         n = ring.order
         raw = n**k
         if raw > ring.guards.max_module_raw:
@@ -264,26 +281,22 @@ class Module:
                 "max_module_raw", raw, ring.guards.max_module_raw,
             )
         self.ring = ring
-        self.presentation = presentation
         self.k = k
-        self.relation_columns = [
-            tuple(ring.index[v] for v in col) for col in presentation.relations
-        ]
-        self.zero = (ring.index[ring.zero],) * k
+        self.relation_columns = np.array(columns, dtype=np.intp).reshape(len(columns), k)
+        self.relation_columns.flags.writeable = False
+        self.zero = (0,) * k
         self._cache: dict = {}
         # first R^k itself: every raw code is its own position, zero is code 0
         self._tables = ring.tables()
         self._weights = n ** np.arange(k - 1, -1, -1, dtype=np.intp)
         self.rep = np.arange(raw)
         self._digits = np.indices((n,) * k, dtype=np.intp).reshape(k, raw).T
-        self._zero_pos = 0
         # the span of the relation columns, as a mask over raw codes
         member = np.zeros(raw, dtype=bool)
         member[0] = True
         for col in self.relation_columns:
-            code = np.array(col, dtype=np.intp) @ self._weights
-            if not member[code]:  # else R * col already lies in the span
-                _grow(self, member, list(col))
+            if not member[col @ self._weights]:  # else R * col already lies in the span
+                _grow(self, member, col)
         self.span = member.nonzero()[0]
         if len(self.span) > 1:
             self.rep, codes = _label_cosets(
@@ -292,6 +305,13 @@ class Module:
             self._digits = self._digits[codes]
         if len(self._digits) * len(self.span) != raw:
             raise ConsistencyError("coset count times span size misses |R|^k")
+
+    @cached_property
+    def presentation(self) -> Presentation:
+        """The relations as element values: derived on first use unless given."""
+        els = self.ring.elements
+        cols = tuple(tuple(els[i] for i in col) for col in self.relation_columns.tolist())
+        return Presentation(self.ring, self.k, cols)
 
     @cached_property
     def elements(self) -> list:
@@ -324,20 +344,16 @@ class Module:
 
     def _unit_positions(self) -> np.ndarray:
         """Positions of the classes of the standard basis vectors of R^k."""
-        units = np.full((self.k, self.k), self.ring.index[self.ring.zero])
-        np.fill_diagonal(units, self.ring.index[self.ring.one])
+        units = np.zeros((self.k, self.k), dtype=np.intp)
+        np.fill_diagonal(units, self.ring._one_pos)
         return self._locate(units)
-
-    def generator_images(self) -> list:
-        """Classes of the standard basis vectors of R^k."""
-        return list(map(tuple, self._rows(self._unit_positions()).tolist()))
 
     def _kills(self):
         """[r, x]: whether r * x = 0, for every element x and a run of r at a time."""
         _, mul, _ = self._tables
         step = max(1, _CHUNK // max(self._digits.size, 1))
         for lo in range(0, self.ring.order, step):
-            yield self._locate(mul[lo : lo + step, self._digits]) == self._zero_pos
+            yield self._locate(mul[lo : lo + step, self._digits]) == 0
 
     def annihilator_index_set(self) -> frozenset:
         """Ring elements (as indices) killing the whole module."""
@@ -352,7 +368,7 @@ class Module:
 
 
 def free_module(ring: Ring, rank: int) -> Module:
-    return Module(Presentation(ring, rank, ()))
+    return Module._on(ring, rank)
 
 
 def regular_module(ring: Ring) -> Module:
@@ -364,8 +380,7 @@ def regular_module(ring: Ring) -> Module:
 
 def quotient_by_ideal(ring: Ring, ideal: Ideal) -> Module:
     """R/I, presented on one generator with I's generators as relations."""
-    cols = tuple((g,) for g in ideal.generators)
-    return Module(Presentation(ring, 1, cols))
+    return Module._on(ring, 1, ideal.generator_indices)
 
 
 def ideal_as_module(ring: Ring, ideal: Ideal):
@@ -378,11 +393,10 @@ def ideal_as_module(ring: Ring, ideal: Ideal):
 def direct_sum(m1: Module, m2: Module) -> Module:
     if m1.ring is not m2.ring:
         raise RingMismatchError("direct sum needs modules over the same ring")
-    ring = m1.ring
-    z = ring.zero
-    cols = [tuple(col) + (z,) * m2.k for col in m1.presentation.relations]
-    cols += [(z,) * m1.k + tuple(col) for col in m2.presentation.relations]
-    return Module(Presentation(ring, m1.k + m2.k, tuple(cols)))
+    # block-diagonal columns, padded with zero, which is position 0
+    c1 = np.pad(m1.relation_columns, ((0, 0), (0, m2.k)))
+    c2 = np.pad(m2.relation_columns, ((0, 0), (m1.k, 0)))
+    return Module._on(m1.ring, m1.k + m2.k, np.concatenate([c1, c2]))
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +410,7 @@ def _combine(target: Module, positions, coeffs: np.ndarray) -> np.ndarray:
     the result has shape ``positions.shape[:-1] + (len(coeffs),)``."""
     positions = np.asarray(positions, dtype=np.intp)
     if positions.shape[-1] == 0:
-        return np.full(positions.shape[:-1] + (len(coeffs),), target._zero_pos)
+        return np.zeros(positions.shape[:-1] + (len(coeffs),), dtype=np.intp)
     add, mul, _ = target._tables
     rows = target._rows(positions)[..., None, :, :]  # [..., 1, j, coordinate]
     acc = mul[coeffs[:, :1], rows[..., 0, :]]
@@ -455,10 +469,8 @@ class ModuleHom:
 
     def _check_relations(self) -> None:
         cols = self.source.relation_columns
-        if cols:
-            values = _combine(self.target, self.positions, np.array(cols, dtype=np.intp))
-            if (values != self.target._zero_pos).any():
-                raise ValidationError("images do not satisfy the source relations")
+        if len(cols) and _combine(self.target, self.positions, cols).any():
+            raise ValidationError("images do not satisfy the source relations")
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -481,13 +493,8 @@ class ModuleHom:
     def is_surjective(self) -> bool:
         return bool(self.image_mask().all())
 
-    def is_bijective(self) -> bool:
-        return (
-            self.source.cardinality == self.target.cardinality and self.is_injective()
-        )
-
     def is_zero(self) -> bool:
-        return bool((self.positions == self.target._zero_pos).all())
+        return not self.positions.any()
 
 
 def compose(outer: ModuleHom, inner: ModuleHom) -> ModuleHom:
@@ -508,13 +515,12 @@ def _relation_values(target: Module, columns, choices):
     The sum is an outer sum over j of the scaled choices c_j * t_j.
     """
     add, mul, _ = target._tables
-    cols = np.array(columns, dtype=np.intp).reshape(len(columns), len(choices))
-    # terms[j][t, c] = raw row of cols[c, j] * (the t-th choice for t_j)
+    # terms[j][t, c] = raw row of columns[c, j] * (the t-th choice for t_j)
     terms = [
-        mul[cols[:, j, None, None], target._digits[choice][None]].swapaxes(0, 1)
+        mul[columns[:, j, None, None], target._digits[choice][None]].swapaxes(0, 1)
         for j, choice in enumerate(choices)
     ]
-    zero = np.full((len(cols), target.k), target.ring.index[target.ring.zero])
+    zero = np.zeros((len(columns), target.k), dtype=np.intp)
     for rows in _outer_sums(add, terms, zero):
         yield target._locate(rows)
 
@@ -536,7 +542,7 @@ def _image_choices(m1: Module, m2: Module) -> list:
         _, mul, _ = m1._tables
         # ann[r, j]: whether r * e_j = 0 in m1; r * e_j is the raw code
         # r * n^(k-1-j), as zero is element 0
-        ann = m1.rep[np.arange(m1.ring.order)[:, None] * m1._weights] == m1._zero_pos
+        ann = m1.rep[np.arange(m1.ring.order)[:, None] * m1._weights] == 0
         ann[0] = False  # zero kills everything: nothing to test
         choices = []
         for rest in ann.T:
@@ -544,7 +550,7 @@ def _image_choices(m1: Module, m2: Module) -> list:
             while rest.any():
                 a = int(rest.argmax())
                 rest[mul[a]] = False
-                keep &= m2._locate(mul[a, m2._digits]) == m2._zero_pos
+                keep &= m2._locate(mul[a, m2._digits]) == 0
             choices.append(keep.nonzero()[0])
     guards = m1.ring.guards
     count = prod(len(c) for c in choices)
@@ -585,7 +591,7 @@ def _homs(m1: Module, m2: Module, keep=None):
     cap = max(1, _CHUNK // max(m1.cardinality * m2.k, 1))
     lo, step = 0, 1
     for values in _relation_values(m2, m1.relation_columns, choices):
-        batch = _decode(choices, lo + (values == m2._zero_pos).all(axis=1).nonzero()[0])
+        batch = _decode(choices, lo + (values == 0).all(axis=1).nonzero()[0])
         lo += len(values)
         while len(batch):
             part, batch = batch[:step], batch[step:]
@@ -633,13 +639,11 @@ def submodule(ambient: Module, target: np.ndarray):
     positions of ``_combine`` over every element of the free module R^k,
     and form its relation submodule, presented by its own ``_generators``.
     """
-    ring = ambient.ring
     gens = _generators(ambient, target)
-    coefficients = free_module(ring, len(gens))  # its guard bounds the scan of R^k
-    relations = _combine(ambient, gens, coefficients._digits) == ambient._zero_pos
+    coefficients = free_module(ambient.ring, len(gens))  # its guard bounds the scan of R^k
+    relations = _combine(ambient, gens, coefficients._digits) == 0
     rel_gens = coefficients._rows(_generators(coefficients, relations))
-    cols = tuple(tuple(ring.elements[i] for i in col) for col in rel_gens.tolist())
-    mod = Module(Presentation(ring, coefficients.k, cols))
+    mod = Module._on(ambient.ring, coefficients.k, rel_gens)
     if mod.cardinality != int(target.sum()):
         raise ConsistencyError("recovered presentation has the wrong cardinality")
     embedding = ModuleHom._at(mod, ambient, np.array(gens, dtype=np.intp))
@@ -648,7 +652,7 @@ def submodule(ambient: Module, target: np.ndarray):
 
 def kernel(h: ModuleHom):
     """Kernel as a presented module plus its embedding into the source."""
-    return submodule(h.source, h.table == h.target._zero_pos)
+    return submodule(h.source, h.table == 0)
 
 
 def image(h: ModuleHom):
@@ -659,11 +663,8 @@ def image(h: ModuleHom):
 def cokernel(h: ModuleHom):
     """Cokernel, the target modulo the image's ``_generators``, plus the projection."""
     t = h.target
-    ring = t.ring
-    img_gens = t._rows(_generators(t, h.image_mask())).tolist()
-    extra = tuple(tuple(ring.elements[i] for i in g) for g in img_gens)
-    pres = Presentation(ring, t.k, tuple(t.presentation.relations) + extra)
-    coker = Module(pres)
+    img_gens = t._rows(_generators(t, h.image_mask()))
+    coker = Module._on(t.ring, t.k, np.concatenate([t.relation_columns, img_gens]))
     proj = ModuleHom._at(t, coker, coker._unit_positions())
     return coker, proj
 
@@ -724,11 +725,10 @@ def decompose_over_product(m: Module, dec: IdempotentDecomposition) -> list:
     """Components e_i M as modules over the local factors; re-sum is verified."""
     if dec.ring is not m.ring:
         raise PreconditionError("decomposition belongs to a different ring")
-    relations = np.array(m.relation_columns, dtype=np.intp)  # one row per column
-    comps = []
-    for fring, proj in zip(dec.factor_rings, dec.projections):
-        cols = [[fring.elements[i] for i in col] for col in proj[relations].tolist()]
-        comps.append(Module(Presentation(fring, m.k, tuple(map(tuple, cols)))))
+    comps = [
+        Module._on(fring, m.k, proj[m.relation_columns])
+        for fring, proj in zip(dec.factor_rings, dec.projections)
+    ]
     _verify_decomposition(m, dec, comps)
     return comps
 
@@ -766,11 +766,11 @@ def free_summand_split(m: Module):
     if quasi_frobenius_certificate(ring) is not None:
         raise PreconditionError("free-summand splitting requires a quasi-Frobenius ring")
     r1 = regular_module(ring)
-    one = ring.index[ring.one]  # R's positions are its element indices
     rank, current = 0, m
     while (free := current.free_element_mask()).any():
         pivot = int(free.argmax())
-        splitting = next(_homs(current, r1, lambda tables: tables[:, pivot] == one), None)
+        # R's positions are its element positions: send the pivot to one
+        splitting = next(_homs(current, r1, lambda t: t[:, pivot] == ring._one_pos), None)
         if splitting is None:
             raise ConsistencyError(
                 "free cyclic submodule failed to split over a quasi-Frobenius ring"

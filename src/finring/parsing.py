@@ -132,6 +132,13 @@ class _Cursor:
             raise self.error("expected an integer")
         return int(self.text[start : self.pos])
 
+    def exponent(self) -> int:
+        """The integer after a ``^``; a negative one is a parse error at its sign."""
+        if (k := self.integer()) < 0:
+            self.pos = self.text.rindex("-", 0, self.pos)
+            raise self.error(f"negative exponent {k}")
+        return k
+
 
 # ---------------------------------------------------------------------------
 # ring specs
@@ -192,7 +199,7 @@ def _parse_base(cur: _Cursor) -> RingSpec:
         save = cur.pos
         q = cur.integer()
         if cur.eat("^"):
-            q = q ** cur.integer()
+            q = q ** cur.exponent()
         cur.expect(")")
         pk = _prime_power(q)
         if pk is None:
@@ -253,7 +260,7 @@ def _signed_terms(cur: _Cursor, term):
 def _power(cur: _Cursor) -> int:
     """The exponent k of an ``x`` or ``x^k`` factor."""
     cur.expect("x")
-    return cur.integer() if cur.eat("^") else 1
+    return cur.exponent() if cur.eat("^") else 1
 
 
 def _parse_int_poly(cur: _Cursor) -> list[int]:

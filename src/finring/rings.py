@@ -29,9 +29,10 @@ axiom check are all derived from those three in :class:`Ring`.
 
 The ring laws are checked once, where arithmetic is defined: the axiom
 check runs on ``Z/n`` and on each quotient level, whose ops compute; a
-structure-constant algebra checks its basis laws, which is exhaustive by
-trilinearity; a product acts digitwise on factors checked on their own, and
-a product of rings is a ring, so it is not checked again.
+structure-constant algebra checks its other laws on the basis, which is
+exhaustive by trilinearity, and distributes by its bilinear product formula
+whatever the table; a product acts digitwise on factors checked on their
+own, and a product of rings is a ring, so it is not checked again.
 
 Ring values are immutable after construction and operations are pure, so
 rings can be shared freely across threads.
@@ -92,8 +93,8 @@ class StructureConstants:
 
     ``table[i][j][k]`` is the bk-coefficient of bi*bj; ``unit`` is the
     coefficient vector of the multiplicative identity.  Commutativity,
-    associativity, distributivity and the unit law are all checked on the
-    basis at build time (which is exhaustive, by bilinearity).
+    associativity and the unit law are checked on the basis at build time
+    (exhaustive, by bilinearity); distributivity holds for every table.
     """
 
     n: int
@@ -246,6 +247,8 @@ class Ring:
         if self.spec is not None:
             return spec_text(self.spec)
         return self._describe()
+
+    _one_pos = functools.cached_property(lambda self: self.index[self.one])  # one's position
 
     def _describe(self) -> str:
         return f"<ring of order {self.order}>"
@@ -445,31 +448,21 @@ class StructureConstantRing(_DigitRing):
         return self._join([v % self.n for v in res])
 
     def _check_basis_laws(self):
-        # bilinearity makes basis-level checks exhaustive for the whole ring
+        # bilinearity makes basis-level checks exhaustive for the whole ring,
+        # and distributivity holds for any table: _mul is bilinear, _add digitwise
         d, tab = self.dim, self.spec.table
         basis = [tuple(1 if t == k else 0 for t in range(d)) for k in range(d)]
-        for i in range(d):
-            for j in range(d):
-                if tab[i][j] != tab[j][i]:
-                    raise AxiomViolation(
-                        f"structure constants are not commutative at b{i}*b{j}"
-                    )
+        for i, j in itertools.product(range(d), repeat=2):
+            if tab[i][j] != tab[j][i]:
+                raise AxiomViolation(f"structure constants are not commutative at b{i}*b{j}")
         for j, bj in enumerate(basis):
             if self.mul(self.one, bj) != bj:
                 raise AxiomViolation(f"unit vector does not act as identity on b{j}")
-        for i, bi in enumerate(basis):
-            for j, bj in enumerate(basis):
-                for k, bk in enumerate(basis):
-                    if self.mul(self.mul(bi, bj), bk) != self.mul(bi, self.mul(bj, bk)):
-                        raise AxiomViolation(
-                            f"structure constants are not associative at (b{i},b{j},b{k})"
-                        )
-                    lhs = self.mul(bi, self.add(bj, bk))
-                    rhs = self.add(self.mul(bi, bj), self.mul(bi, bk))
-                    if lhs != rhs:
-                        raise AxiomViolation(
-                            f"structure constants are not distributive at (b{i},b{j},b{k})"
-                        )
+        for (i, bi), (j, bj), (k, bk) in itertools.product(enumerate(basis), repeat=3):
+            if self.mul(self.mul(bi, bj), bk) != self.mul(bi, self.mul(bj, bk)):
+                raise AxiomViolation(
+                    f"structure constants are not associative at (b{i},b{j},b{k})"
+                )
 
 
 class ProductRing(_DigitRing):
@@ -661,5 +654,5 @@ def units_mask(ring: Ring) -> np.ndarray:
     key = "units_mask"
     if key not in ring._cache:
         _, mul, _ = ring.tables()
-        ring._cache[key] = (mul == ring.index[ring.one]).any(axis=1)
+        ring._cache[key] = (mul == ring._one_pos).any(axis=1)
     return ring._cache[key]

@@ -40,8 +40,6 @@ from .ideals import (
     unique_maximal_ideal,
 )
 from .modules import (
-    Module,
-    Presentation,
     direct_sum,
     decompose_over_product,
     free_summand_split,
@@ -385,8 +383,8 @@ def check_sgp_sum_closure(rings, _flags):
 @_check("sgp-summand-asymmetry")
 def check_sgp_summand_asymmetry(rings, flags):
     ring = build_ring(parse_ring_spec("Z/8"), flags["guards"])
-    small = Module(Presentation(ring, 1, ((2,),)))
-    medium = Module(Presentation(ring, 1, ((4,),)))
+    small = quotient_by_ideal(ring, ideal_generated(ring, [2]))
+    medium = quotient_by_ideal(ring, ideal_generated(ring, [4]))
     total = direct_sum(small, medium)
     v_small = is_strongly_gorenstein_projective(small)
     v_medium = is_strongly_gorenstein_projective(medium)

@@ -71,6 +71,22 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["module", "sgp", "--ring", "GF(2)[x]/(x^3)", "--rel", "x^-1"],
+        ["classify", "GF(2)[x]/(x^2+x^-1)"],
+        ["classify", "GF(2^-1)"],
+    ],
+)
+def test_negative_exponent_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: negative exponent -1")
+    assert "Traceback" not in err
+
+
 def test_residue_memo_answers_only_under_the_same_guards(capsys):
     # the guard-hit run gives the same exit code after a default-guard run of
     # the same ring in the same process as it does on its own

@@ -15,7 +15,10 @@ generators, not minimal ones: no earlier code printed them, so their digests
 were recorded from the first code that decided them, with the verdicts
 checked by hand -- over GF(2)[x]/(x^k) the exponents {1, k-1} are invariant
 under a -> k - a, the chain-ring rule for SGP, and the Z/8[x]/(x^2) witness
-passes ``_validate_witness``.  A change that alters any of
+passes ``_validate_witness``.  The resolution of the residue field of the
+non-chain ring GF(2)[x]/(x^2)[x]/(x^2), whose syzygies are all modules the
+library derives, was recorded before derived modules were built from ring
+positions instead of element values.  A change that alters any of
 these bytes changes a witness, an ordering or a number in the report, which
 the canonical-order contract forbids.  ``GOLDEN_TEXT`` pins the text
 output of some commands the same way.
@@ -92,6 +95,10 @@ GOLDEN = [
     (
         ["module", "sgp", "--ring", "Z/8[x]/(x^2)", "--rel", "2,0;0,4"],
         "edbce54875055f2fddd891d470475bc6dfbb5219fc170181861448e96ee955ad",
+    ),
+    (
+        ["resolve", "--ring", "GF(2)[x]/(x^2)[x]/(x^2)", "--rel", "(x),x", "--length", "4"],
+        "0579f48404340cf6ca60fa4d6438cdd950f168ee8243c07b61ad74ff65f6d96d",
     ),
 ]
 

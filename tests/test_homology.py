@@ -80,26 +80,33 @@ def test_witness_rank_is_the_least_rank_reaching_the_square(ring_order, square, 
 
 def test_internal_paths_build_no_element_tuples(monkeypatch, capsys):
     # element and hom-image tuples are the public form only: the SGP
-    # decision, resolutions, splitting and Ext all run on positions, and
-    # every hom is built from positions, not parsed from its images
+    # decision, resolutions, splitting and Ext all run on positions, every
+    # hom is built from positions, not parsed from its images, and every
+    # module the library derives is built from positions, not presented by
+    # element values
     def refuse(self):
         raise AssertionError("element tuples built on an internal path")
 
     monkeypatch.setattr(Module, "elements", property(refuse))
     monkeypatch.setattr(Module, "index", property(refuse))
     monkeypatch.setattr(ModuleHom, "__post_init__", refuse)
-    z8 = _ring("Z/8")
-    m = _mod(z8, "2,0;0,4")
-    verdict = is_strongly_gorenstein_projective(m)
-    assert verdict.decision
-    assert check_complete_resolution(strongly_complete_resolution(verdict.witness)).passed
-    assert free_resolution(_mod(_ring("GF(2)[x]/(x^4)"), "x,0;0,x^3"), 3).length == 3
-    assert free_summand_split(direct_sum(m, regular_module(z8)))[0] == 1
-    assert ext1(_mod(z8, "2"), regular_module(z8)).is_zero
-    assert is_strongly_gorenstein_projective(_mod(_ring("Z/4 x Z/3"), "(2,0)")).components
     argv = ["module", "sgp", "--ring", "Z/8", "--rel", "2,0;0,4", "--json"]
     assert cli.main(argv) == 0
     capsys.readouterr()
+    z8 = _ring("Z/8")
+    m, m2 = _mod(z8, "2,0;0,4"), _mod(z8, "2")
+    tower = _mod(_ring("GF(2)[x]/(x^4)"), "x,0;0,x^3")
+    product = _mod(_ring("Z/4 x Z/3"), "(2,0)")
+    residue = _mod(_ring("GF(2)[x]/(x^2)[x]/(x^2)"), "(x),x")
+    monkeypatch.setattr(Presentation, "__post_init__", refuse)  # the inputs are built
+    verdict = is_strongly_gorenstein_projective(m)
+    assert verdict.decision
+    assert check_complete_resolution(strongly_complete_resolution(verdict.witness)).passed
+    assert free_resolution(tower, 3).length == 3
+    assert free_resolution(residue, 4).ranks == (1, 2, 3, 4)
+    assert free_summand_split(direct_sum(m, regular_module(z8)))[0] == 1
+    assert ext1(m2, regular_module(z8)).is_zero
+    assert is_strongly_gorenstein_projective(product).components
 
 
 def test_free_cover():
@@ -111,7 +118,8 @@ def test_free_cover():
     cover = free_cover(_mod(z8, "2,0;0,4"))
     assert cover.source.k == 2
     cover = free_cover(free_module(z8, 2))
-    assert cover.source.k == 2 and cover.is_bijective()
+    assert cover.source.k == 2 and cover.source.cardinality == cover.target.cardinality
+    assert cover.is_injective()
     with pytest.raises(NonLocalRingError):
         free_cover(regular_module(_ring("Z/12")))
 

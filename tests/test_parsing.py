@@ -69,6 +69,35 @@ def test_parse_error_position():
         parse_ring_spec("Z/4 junk")
 
 
+@pytest.mark.parametrize(
+    "parse,text,position",
+    [
+        ("element", "x^-1", 2),
+        ("element", "x^-2+x", 2),
+        ("element", "1+3*x^-1", 6),
+        ("spec", "GF(2)[x]/(x^2+x^-1)", 16),
+        ("spec", "GF(2^-1)", 5),
+    ],
+)
+def test_negative_exponents_are_parse_errors_at_the_sign(parse, text, position):
+    # read as a signed integer, x^-1 would be 1 and GF(2^-1) of order 0.5:
+    # the error stands at the sign
+    with pytest.raises(ParseError, match="negative exponent -") as err:
+        if parse == "element":
+            parse_element(build_ring(parse_ring_spec("GF(2)[x]/(x^3)")), text)
+        else:
+            parse_ring_spec(text)
+    assert err.value.position == position
+    assert text[position] == "-"
+
+
+def test_unsigned_and_plus_signed_exponents_still_parse():
+    ring = build_ring(parse_ring_spec("GF(2)[x]/(x^3)"))
+    assert parse_element(ring, "x^0") == (1, 0, 0)
+    assert parse_element(ring, "x^+2") == (0, 0, 1)
+    assert parse_ring_spec("GF(2^+2)") == parse_ring_spec("GF(4)")
+
+
 def test_validation_errors():
     with pytest.raises(ParseError):
         parse_ring_spec("Z/1")

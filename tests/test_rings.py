@@ -120,6 +120,45 @@ def test_structure_constant_shape_validation():
         StructureConstants(2, 1, (((1,),),), (0,))  # zero unit vector
 
 
+# every structure-constant ring the tests and the catalogs build
+_SC_TEXTS = [
+    "SC(2;1;1;1)",
+    "SC(2;2;0,0,1,0,1,0,0,1;0,1)",
+    "SC(2;3;1,0,0,0,1,0,0,0,1,0,1,0,0,0,0,0,0,0,0,0,1,0,0,0,0,0,0;1,0,0)",
+] + [text for name in ("default", "quick") for _, text in catalog_specs(name)]
+
+
+def test_structure_constant_rings_pass_the_full_axiom_check():
+    # a structure-constant ring is checked only on its basis laws; the
+    # generic check, distributivity among its laws, is the reference
+    specs = set()
+    for text in _SC_TEXTS:
+        spec = parse_ring_spec(text)
+        factors = spec.factors if isinstance(spec, Product) else (spec,)
+        specs.update(f for f in factors if isinstance(f, StructureConstants))
+    assert len(specs) == 3  # the last text above is the square-zero pair
+    for spec in specs:
+        verify_ring_axioms(build_ring(spec))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 2), st.data())
+def test_structure_constants_distribute_for_every_table(n, dim, data):
+    # why the basis check has no distributivity test: the product is
+    # bilinear by its formula and the sum digitwise, whatever the table
+    table = data.draw(st.lists(st.integers(0, n - 1), min_size=dim**3, max_size=dim**3))
+    nested = tuple(
+        tuple(tuple(table[(i * dim + j) * dim + k] for k in range(dim)) for j in range(dim))
+        for i in range(dim)
+    )
+    spec = StructureConstants(n, dim, nested, (1,) + (0,) * (dim - 1))
+    with mock.patch.object(rings.StructureConstantRing, "_check_basis_laws"):
+        ring = rings.StructureConstantRing(spec, DEFAULT_GUARDS)
+    add, mul, _ = ring.tables()
+    a, b, c = np.ix_(*[np.arange(ring.order)] * 3)
+    assert (mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]).all()
+
+
 def test_construction_guard():
     with pytest.raises(GuardExceeded):
         build_ring(Zmod(5000))
