@@ -24,10 +24,8 @@ per-factor verdicts instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from math import prod
-
-import numpy as np
 
 from .errors import (
     ConsistencyError,
@@ -35,15 +33,14 @@ from .errors import (
     RingMismatchError,
     ValidationError,
 )
-from .ideals import ideal_generated, idempotent_decomposition, is_local, wrap_ideal
+from .ideals import idempotent_decomposition, is_local
 from .modules import (
     Module,
     ModuleHom,
-    _decode,
+    _accepted,
     _homs,
     _image_choices,
     _injective,
-    _relation_values,
     compose,
     cokernel,
     decompose_over_product,
@@ -125,10 +122,10 @@ def _exactness(f: ModuleHom, g: ModuleHom):
 
 @dataclass(frozen=True)
 class ExtGroup:
-    """Ext^1(M, Q) as a finite group: its order and its annihilator ideal."""
+    """Ext^1(M, Q) as a finite group: its order, the order of Hom(S, Q) for
+    the first syzygy S, and the order of the image of Hom(F, Q) in it."""
 
     order: int
-    annihilator: object
     kernel_order: int
     image_order: int
 
@@ -138,71 +135,37 @@ class ExtGroup:
 
 
 def ext1(m: Module, q: Module) -> ExtGroup:
-    """Ext^1(m, q) = Hom(S, q) / {f . i : f in Hom(F, q)} for the first
-    syzygy i: S -> F of m's minimal free cover F = R^{g0}, by enumeration.
+    """Ext^1(m, q) by the exact sequence 0 -> Hom(m, q) -> Hom(F, q) ->
+    Hom(S, q) -> Ext^1(m, q) -> 0, for m's minimal free cover F = R^{g0}
+    and its first syzygy S.
 
-    Hom(S, q) is a boolean mask over the hom search's candidates for S -> q
-    (``_image_choices``), and each f in q^{g0} is evaluated on S's
-    generators (``_relation_values``) and numbered into that space; both
-    scans pass the hom guard.  Over a product ring both modules are
-    decomposed and the component Ext groups combined (Ext is additive).
+    Both hom orders count the accepted candidates of one scan
+    (``_accepted``), and each scan passes the hom guard: Hom(S, q) out of
+    S's filtered candidates (``_image_choices``), and Hom(m, q) as the maps
+    F -> q that vanish on S's generators, whose image in Hom(S, q) has
+    |q|^{g0} / |Hom(m, q)| elements.  Over a product ring both modules are
+    decomposed and the component orders multiplied (Ext is additive).
     """
     if m.ring is not q.ring:
         raise RingMismatchError("ext needs modules over the same ring")
-    ring = m.ring
-    dec = idempotent_decomposition(ring)
+    dec = idempotent_decomposition(m.ring)
     if not dec.is_trivial:
-        mcomps = decompose_over_product(m, dec)
-        qcomps = decompose_over_product(q, dec)
-        parts = [ext1(mc, qc) for mc, qc in zip(mcomps, qcomps)]
-        # the factor annihilators are ideals of the parent ring; Ext's is their sum
-        gens = [g for p in parts for g in p.annihilator.generators]
-        return ExtGroup(
-            prod(p.order for p in parts),
-            wrap_ideal(ring, ideal_generated(ring, gens).indices),
-            prod(p.kernel_order for p in parts),
-            prod(p.image_order for p in parts),
-        )
+        pairs = zip(decompose_over_product(m, dec), decompose_over_product(q, dec))
+        parts = [astuple(ext1(mc, qc)) for mc, qc in pairs]
+        return ExtGroup(*map(prod, zip(*parts)))
     cover = free_cover(m)
     syzygy, inclusion = kernel(cover)
-    choices = _image_choices(syzygy, q)
-    values = _relation_values(q, syzygy.relation_columns, choices)
-    in_kernel = np.concatenate([(v == 0).all(axis=1) for v in values])
-    # place[j, x]: what t_j = x adds to a candidate's number; where x is not
-    # among choices[j], -|candidates|, which makes any number negative
-    place = np.full((len(choices), q.cardinality), -len(in_kernel))
-    for j, c in enumerate(choices):
-        place[j, c] = np.arange(len(c)) * prod(map(len, choices[j + 1 :]))
 
-    def numbers(picks):
-        found = place[np.arange(len(choices)), picks].sum(axis=-1)
-        if (found < 0).any():
-            raise ConsistencyError("a hom out of the syzygy is not among its candidates")
-        return found
+    def count(columns, choices):
+        return sum(map(len, _accepted(q, columns, choices)))
 
-    in_image = np.zeros(len(in_kernel), dtype=bool)
+    kernel_order = count(syzygy.relation_columns, _image_choices(syzygy, q))
     generators = cover.source._rows(inclusion.positions)
-    for restricted in _relation_values(q, generators, _image_choices(cover.source, q)):
-        in_image[numbers(restricted)] = True
-    if (in_image > in_kernel).any():
-        raise ConsistencyError("Hom-dual image is not inside the Hom-dual kernel")
-    kernel_order, image_order = int(in_kernel.sum()), int(in_image.sum())
-    if kernel_order % image_order:
+    homs = count(generators, _image_choices(cover.source, q))
+    image_order, rest = divmod(q.cardinality**cover.source.k, homs)
+    if rest or kernel_order % image_order:
         raise ConsistencyError("Ext quotient size is not integral")
-    # r kills Ext iff r * v lies in the image for every v in the kernel
-    scaled = q._locate(q._tables[1][:, q._digits])  # [r, x]: position of r * x
-    kernel_tuples = _decode(choices, in_kernel.nonzero()[0])
-    ann_indices = [
-        r
-        for r in range(ring.order)
-        if in_image[numbers(scaled[r, kernel_tuples])].all()
-    ]
-    return ExtGroup(
-        kernel_order // image_order,
-        wrap_ideal(ring, ann_indices),
-        kernel_order,
-        image_order,
-    )
+    return ExtGroup(kernel_order // image_order, kernel_order, image_order)
 
 
 # ---------------------------------------------------------------------------

@@ -143,10 +143,6 @@ def _ideal_of(ring: Ring, bits: int, generator_indices=None) -> Ideal:
     return Ideal(ring, indices, tuple(int(g) for g in generator_indices))
 
 
-def wrap_ideal(ring: Ring, indices) -> Ideal:
-    return _ideal_of(ring, _bitsets(ring).bits(np.fromiter(indices, dtype=np.intp)))
-
-
 def ideal_generated(ring: Ring, gens) -> Ideal:
     """Smallest ideal containing ``gens`` (element values)."""
     for g in gens:

@@ -26,16 +26,17 @@ combination evaluator ``_combine`` turns them into the position of every
 source element (``ModuleHom.table``), checks them against the source
 relations, and finds a submodule's relations as the zero positions of the
 combinations of its generators over all of R^k.  The exhaustive searches
-over tuples of target elements -- every candidate hom, and both scans of
-``ext1`` -- go through ``_relation_values``, which evaluates all their
-linear combinations at once as a broadcast outer sum through the ring tables
+over tuples of target elements -- the hom candidates, which ``_homs``
+decodes, and the two hom counts of ``ext1`` -- take the one stream
+``_accepted``: the mixed-radix numbers of the tuples on which every
+relation column vanishes, found by evaluating all their linear
+combinations at once as a broadcast outer sum through the ring tables
 (``_outer_sums``).  Each search first narrows each generator's images to the
 elements killed by its annihilator (``_image_choices``, which holds the hom
 guard): this keeps the lexicographic order of the homs and makes the guard
-count only the tuples a search can visit, numbered in mixed radix
-(``_decode``).  One scan, ``_homs``, serves every hom search: it evaluates
-the tables of a run of homs at once and builds those its caller's mask
-keeps, e.g. the injective ones.  Every module the library derives is
+count only the tuples a search can visit.  One scan, ``_homs``, serves
+every hom search: it evaluates the tables of a run of homs at once and
+builds those its caller's mask keeps, e.g. the injective ones.  Every module the library derives is
 built from positions by ``Module._on``, and every hom by ``ModuleHom._at``,
 with the public constructor's relation check.  Element values and index
 tuples appear only at the public edge: ``Module.elements``, ``index`` and
@@ -505,14 +506,14 @@ def compose(outer: ModuleHom, inner: ModuleHom) -> ModuleHom:
     return ModuleHom._at(inner.source, outer.target, values)
 
 
-def _relation_values(target: Module, columns, choices):
-    """Target positions of sum_j c_j * t_j for every column c (one ring
-    index per choice) and every tuple t with t_j in ``choices[j]``, an
-    ascending array of target positions.
+def _accepted(target: Module, columns, choices):
+    """The numbers of the tuples t, with t_j in ``choices[j]`` (ascending
+    target positions), on which sum_j c_j * t_j is zero for every column c
+    (one ring index per choice): one ascending array per chunk of tuples.
 
-    Tuples run in mixed-radix order (t_0 most significant), a chunk at a
-    time: each array yielded has one row per tuple and one entry per column.
-    The sum is an outer sum over j of the scaled choices c_j * t_j.
+    Tuples are numbered in mixed radix (t_0 most significant).  The sums
+    are an outer sum over j of the scaled choices c_j * t_j, evaluated a
+    chunk at a time through the ring tables (``_outer_sums``).
     """
     add, mul, _ = target._tables
     # terms[j][t, c] = raw row of columns[c, j] * (the t-th choice for t_j)
@@ -521,8 +522,11 @@ def _relation_values(target: Module, columns, choices):
         for j, choice in enumerate(choices)
     ]
     zero = np.zeros((len(columns), target.k), dtype=np.intp)
+    lo = 0
     for rows in _outer_sums(add, terms, zero):
-        yield target._locate(rows)
+        vanish = (target._locate(rows) == 0).all(axis=1)
+        yield lo + vanish.nonzero()[0]
+        lo += len(vanish)
 
 
 def _image_choices(m1: Module, m2: Module) -> list:
@@ -580,7 +584,7 @@ def _homs(m1: Module, m2: Module, keep=None):
     Candidates are the tuples of ``_image_choices``, numbered in mixed radix
     (t_0 most significant), so filtering each coordinate keeps the order of
     all tuples of m2 elements; a candidate is a hom when every relation
-    column of m1 evaluates to zero on it (``_relation_values``).  The homs
+    column of m1 evaluates to zero on it (``_accepted``).  The homs
     are evaluated a run at a time into one ``_combine`` table (homs x |m1|
     positions, from at most ``_CHUNK`` raw entries), the first run one hom
     long and each next one twice as long, as callers often stop early.
@@ -589,10 +593,9 @@ def _homs(m1: Module, m2: Module, keep=None):
         raise RingMismatchError("hom set needs modules over the same ring")
     choices = _image_choices(m1, m2)
     cap = max(1, _CHUNK // max(m1.cardinality * m2.k, 1))
-    lo, step = 0, 1
-    for values in _relation_values(m2, m1.relation_columns, choices):
-        batch = _decode(choices, lo + (values == 0).all(axis=1).nonzero()[0])
-        lo += len(values)
+    step = 1
+    for numbers in _accepted(m2, m1.relation_columns, choices):
+        batch = _decode(choices, numbers)
         while len(batch):
             part, batch = batch[:step], batch[step:]
             step = min(2 * step, cap)

@@ -12,7 +12,9 @@ A quotient tower may be at most ``MAX_QUOTIENT_DEPTH`` levels deep (GF(q)
 sugar counts as one level).  Every level of degree >= 2 at least doubles
 the order, so a deeper tower of such levels exceeds any constructible ring
 anyway, and levels of degree 1 add nothing; deeper nesting is a parse
-error, raised before any ring is built.
+error, raised before any ring is built.  So are, for the same reason, a
+modulus of degree d >= log2 ``ORDER_CAP`` (its ring has at least 2^d
+elements) and ``GF(q)`` with q >= 2^64.
 
 Element literals: integers for Z/n (reduced mod n), polynomials
 ``a0+a1*x+...`` for quotients (coefficients are integers, or parenthesized
@@ -31,6 +33,7 @@ from functools import partial
 
 from .errors import ParseError, ValidationError
 from .rings import (
+    ORDER_CAP,
     PolyQuotient,
     PolyQuotientRing,
     Product,
@@ -61,20 +64,29 @@ GF_MODULI = {
 }
 
 
+def _is_prime(n: int) -> bool:
+    """Whether n >= 2 is prime: Miller-Rabin to the prime bases up to 37,
+    which is exact for n < 3.3 * 10^24."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % a == 0:
+            return n == a
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
+            return False
+    return True
+
+
 def _prime_power(q: int):
+    """(p, k) with q = p^k for a prime p, else None; for q < 2^64, whose
+    roots of degree k >= 2 a float finds exactly."""
     if q < 2:
         return None
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            return (p, k) if m == 1 else None
-        p += 1
-    return (q, 1)
+    for k in range(1, q.bit_length()):
+        p = q if k == 1 else round(q ** (1 / k))
+        if p**k == q and _is_prime(p):
+            return p, k
+    return None
 
 
 MAX_QUOTIENT_DEPTH = 64
@@ -130,7 +142,11 @@ class _Cursor:
         if self.pos == digits:
             self.pos = start
             raise self.error("expected an integer")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # more digits than Python converts
+            self.pos = start
+            raise self.error("integer literal too long") from None
 
     def exponent(self) -> int:
         """The integer after a ``^``; a negative one is a parse error at its sign."""
@@ -198,9 +214,13 @@ def _parse_base(cur: _Cursor) -> RingSpec:
         cur.expect("(")
         save = cur.pos
         q = cur.integer()
-        if cur.eat("^"):
-            q = q ** cur.exponent()
+        k = cur.exponent() if cur.eat("^") else 1
         cur.expect(")")
+        # |q|^k >= 2^64 once (bits - 1) * k >= 64: such a power is never formed
+        if (q.bit_length() - 1) * k >= 64 or (q**k).bit_length() > 64:
+            cur.pos = save
+            raise cur.error("GF(q) needs q below 2^64")
+        q = q**k
         pk = _prime_power(q)
         if pk is None:
             cur.pos = save
@@ -231,7 +251,7 @@ def _parse_base(cur: _Cursor) -> RingSpec:
         if len(flat) != dim**3:
             cur.pos = save
             raise cur.error(
-                f"structure-constant table needs {dim ** 3} entries, got {len(flat)}"
+                f"structure-constant table needs {dim}^3 entries, got {len(flat)}"
             )
         table = tuple(
             tuple(
@@ -269,6 +289,8 @@ def _parse_int_poly(cur: _Cursor) -> list[int]:
     for sign, (coef, power) in _signed_terms(cur, _parse_int_term):
         coeffs[power] = coeffs.get(power, 0) + sign * coef
     degree = max(coeffs)
+    if degree >= ORDER_CAP.bit_length():
+        raise cur.error(f"a modulus of degree {degree} makes a ring too large to build")
     return [coeffs.get(k, 0) for k in range(degree + 1)]
 
 
@@ -356,11 +378,12 @@ def _parse_poly_term(ring: PolyQuotientRing, x, cur: _Cursor):
 
 
 def _embed_coeff_times_power(ring: PolyQuotientRing, coeff, x, power: int):
-    base = ring.base
-    embedded = (coeff,) + (base.zero,) * (ring.deg - 1)
-    result = embedded
-    for _ in range(power):
-        result = ring.mul(result, x)
+    """coeff * x^power, by square-and-multiply."""
+    result = (coeff,) + (ring.base.zero,) * (ring.deg - 1)
+    while power:
+        if power & 1:
+            result = ring.mul(result, x)
+        x, power = ring.mul(x, x), power >> 1
     return result
 
 

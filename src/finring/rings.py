@@ -45,7 +45,7 @@ import itertools
 import random
 import weakref
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 import numpy as np
 
@@ -143,16 +143,28 @@ class Product:
 RingSpec = Zmod | PolyQuotient | StructureConstants | Product
 
 
+#: orders are computed exactly below this bound and read as it above: no ring
+#: that large is built, and its decimal text passes Python's 4300-digit limit
+ORDER_CAP = 10**4300
+
+
 def spec_order(spec: RingSpec) -> int:
-    """Cardinality of the ring a spec will build, computed without building."""
+    """Cardinality of the ring a spec will build, computed without building;
+    ``ORDER_CAP`` for every order at or above it, so no huge integer is formed."""
     if isinstance(spec, Zmod):
-        return spec.n
+        return min(spec.n, ORDER_CAP)
     if isinstance(spec, PolyQuotient):
-        return spec_order(spec.base) ** spec.degree
-    if isinstance(spec, StructureConstants):
-        return spec.n ** spec.dim
+        base = spec_order(spec.base)
+        # base^d >= 2^((bits - 1) * d): the cap is passed without the power
+        if (base.bit_length() - 1) * spec.degree >= ORDER_CAP.bit_length():
+            return ORDER_CAP
+        return min(base**spec.degree, ORDER_CAP)
+    if isinstance(spec, StructureConstants):  # dim^3 table entries bound dim
+        return min(spec.n**spec.dim, ORDER_CAP)
     if isinstance(spec, Product):
-        return prod(spec_order(f) for f in spec.factors)
+        return functools.reduce(
+            lambda a, b: min(a * b, ORDER_CAP), map(spec_order, spec.factors)
+        )
     raise TypeError(f"not a ring spec: {spec!r}")
 
 
@@ -527,8 +539,9 @@ def build_ring(spec: RingSpec, guards: Guards | None = None) -> Ring:
     guards = guards or DEFAULT_GUARDS
     order = spec_order(spec)
     if order > guards.max_ring_order:
+        shown = order if order < ORDER_CAP else "at least 10^4300"
         raise GuardExceeded(
-            f"ring of order {order} exceeds the construction guard "
+            f"ring of order {shown} exceeds the construction guard "
             f"({guards.max_ring_order})",
             "max_ring_order", order, guards.max_ring_order,
         )

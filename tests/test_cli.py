@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -503,10 +504,15 @@ _FUZZ_BAD_SPECS = [
     "Z/5000", "Z/", "Z/1", "Z/0", "Z/-3", "GF(6)", "GF(128)", "Z/4[x]/(2*x^2+1)",
     "Z/4 x", "x", "", "Q", "SC(2;1;1;1)", "SC(2;1;1;0)", "SC(2;2;1;1,0)",
     "Z/2[x]/(x+1" , "Z/2[x]/(x^2)[x]/", "Z/9 junk", "Z/99999999999999999999",
+    # orders too large to form or print, and GF(q) beyond a trial division
+    "GF(2)" + "[x]/(x^2)" * 14, "GF(2)[x]/(x^1000000)", "GF(2)" + "[x]/(x^64)" * 6,
+    "Z/4[x]/(x^2+x^100000000)", "GF(1000000000000000003)", "GF(1000000007^2)",
+    "GF(2^20000)", "GF(2^99999999999)",
 ]
 _FUZZ_GOOD_RELS = ["2,0;0,4", "2", "4", "", "0;0", "x", "1+x", "(1,0)", "(1,2),(0,1)"]
 _FUZZ_BAD_RELS = [
     "2,0;4", "1,2;3", ";", "2;;", "a", "b1", "((1))", "2,", "-3", "99999999999999999999",
+    "x^10000000",
 ]
 _FUZZ_VALUES = ["-1", "0", "1", "5", "100", "5000", "x", "1e3", ""]
 _FUZZ_FLAGS = [
@@ -556,3 +562,39 @@ def test_cli_fuzz_exit_codes_and_no_traceback(argv):
             code = exc.code
     assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue() + out.getvalue()
+
+
+# each once ended in a traceback, a MemoryError or a run of many seconds
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["classify", "GF(2)" + "[x]/(x^2)" * 14], 3),
+        (["classify", "GF(2)[x]/(x^1000000)"], 2),
+        (["classify", "GF(2)" + "[x]/(x^64)" * 6], 3),
+        (["classify", "Z/4[x]/(x^2+x^100000000)"], 2),
+        (["classify", "GF(1000000000000000003)"], 3),
+        (["classify", "GF(1000000007^2)"], 2),
+        (["classify", "GF(2^20000)"], 2),
+        (["classify", "GF(2^99999999999)"], 2),
+        (["classify", "Z/" + "9" * 5000], 2),
+        (["classify", "SC(2;" + "9" * 4000 + ";1;1)"], 2),
+        (["module", "sgp", "--ring", "Z/4", "--rel", "x^10000000"], 2),
+    ],
+)
+def test_huge_inputs_answer_at_once_on_one_line(argv, code):
+    start = time.perf_counter()
+    result, _, err = _call(argv)
+    assert time.perf_counter() - start < 1
+    assert result == code
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_huge_power_in_a_relation_decides_at_once():
+    start = time.perf_counter()
+    result, out, err = _call(
+        ["module", "sgp", "--ring", "GF(2)[x]/(x^2)", "--rel", "x^10000000", "--json"]
+    )
+    assert time.perf_counter() - start < 1
+    assert (result, err) == (0, "")
+    # x^10000000 = 0 presents the free module R
+    assert json.loads(out)["sgp"] is True

@@ -19,7 +19,6 @@ from finring.ideals import (
     jacobson_radical,
     maximal_ideals,
     unique_maximal_ideal,
-    wrap_ideal,
 )
 from finring.parsing import parse_ring_spec
 from finring.rings import Zmod, build_ring
@@ -334,7 +333,6 @@ def test_bitset_ideals_match_set_reference(name, data):
         assert _fields(annihilator(ring, ideal)) == _ref_annihilator(
             ring, ideal.generator_indices
         )
-        assert _fields(wrap_ideal(ring, ideal.indices)) == _ref_wrap(ring, ideal.indices)
     # after it: the same answers, now the lattice's own objects
     assert annihilator(ring, generated) in lattice
     assert _fields(annihilator(ring, generated)) == _fields(ann)

@@ -5,18 +5,21 @@ from hypothesis import strategies as st
 from finring.classify import SQUARE_ZERO_PAIR
 from finring.errors import ParseError
 from finring.parsing import (
+    _prime_power,
     format_element,
     parse_element,
     parse_presentation,
     parse_ring_spec,
 )
 from finring.rings import (
+    ORDER_CAP,
     PolyQuotient,
     Product,
     StructureConstants,
     Zmod,
     build_ring,
     spec_char,
+    spec_order,
     spec_text,
 )
 
@@ -47,6 +50,73 @@ def test_gf_sugar():
         parse_ring_spec("GF(6)")
     with pytest.raises(ParseError):
         parse_ring_spec("GF(121)")  # prime-power above the shipped table
+
+
+def _ref_prime_power(q):
+    """The trial-division reference the Miller-Rabin test replaced."""
+    if q < 2:
+        return None
+    p = 2
+    while p * p <= q:
+        if q % p == 0:
+            k = 0
+            m = q
+            while m % p == 0:
+                m //= p
+                k += 1
+            return (p, k) if m == 1 else None
+        p += 1
+    return (q, 1)
+
+
+def test_prime_power_matches_trial_division_up_to_1e5():
+    assert all(_prime_power(q) == _ref_prime_power(q) for q in range(-2, 100_001))
+
+
+@pytest.mark.parametrize(
+    "q,expected",
+    [
+        (10**18 + 3, (10**18 + 3, 1)),  # prime
+        (1_000_000_007**2, (1_000_000_007, 2)),
+        (2**63, (2, 63)),
+        (3**40, (3, 40)),
+        (2**64 - 59, (2**64 - 59, 1)),  # the largest prime below 2^64
+        (4_294_967_291 * 4_294_967_279, None),  # two primes near 2^32
+        (3_215_031_751, None),  # a strong pseudoprime to the bases 2, 3, 5, 7
+    ],
+)
+def test_prime_power_of_large_q(q, expected):
+    assert _prime_power(q) == expected
+
+
+def test_gf_beyond_2_64_is_refused_before_the_power_is_formed():
+    assert parse_ring_spec("GF(18446744073709551557)") == Zmod(2**64 - 59)
+    for text in ("GF(18446744073709551616)", "GF(2^64)", "GF(2^99999999999)", "GF(-2^64)"):
+        with pytest.raises(ParseError, match="GF\\(q\\) needs q below 2\\^64"):
+            parse_ring_spec(text)
+
+
+def test_spec_order_saturates_at_the_cap():
+    assert spec_order(parse_ring_spec("GF(2)" + "[x]/(x^2)" * 12)) == 2**4096
+    assert spec_order(parse_ring_spec("GF(2)" + "[x]/(x^2)" * 14)) == ORDER_CAP
+    assert spec_order(parse_ring_spec("GF(2)" + "[x]/(x^64)" * 6)) == ORDER_CAP
+    assert spec_order(parse_ring_spec("Z/3 x GF(2)[x]/(x^14000)")) == 3 * 2**14000
+    assert spec_order(parse_ring_spec("GF(2)[x]/(x^14280) x Z/9 x Z/11")) == ORDER_CAP
+
+
+def test_modulus_degree_is_bounded_before_its_coefficients_are_listed():
+    degree = ORDER_CAP.bit_length()
+    assert spec_order(parse_ring_spec(f"GF(2)[x]/(x^{degree - 1})")) == 2 ** (degree - 1)
+    with pytest.raises(ParseError, match=f"modulus of degree {degree} "):
+        parse_ring_spec(f"GF(2)[x]/(x^{degree})")
+    with pytest.raises(ParseError, match="modulus of degree 100000000 "):
+        parse_ring_spec("Z/4[x]/(x^2+x^100000000)")
+
+
+def test_integer_literals_beyond_pythons_digit_limit_are_parse_errors():
+    with pytest.raises(ParseError, match="integer literal too long") as err:
+        parse_ring_spec("Z/" + "9" * 5000)
+    assert err.value.position == 2
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64])
@@ -194,6 +264,16 @@ def test_powers_reduce_in_literals():
     gf4 = build_ring(parse_ring_spec("GF(4)"))
     # x^2 = x + 1 under x^2+x+1
     assert parse_element(gf4, "x^2") == (1, 1)
+
+
+def test_huge_powers_in_literals_take_logarithmic_time():
+    dual = build_ring(parse_ring_spec("GF(2)[x]/(x^2)"))
+    assert parse_element(dual, "x^1000000000000000000") == (0, 0)
+    assert parse_element(dual, "1+x^1000000000000000000") == (1, 0)
+    gf4 = build_ring(parse_ring_spec("GF(4)"))
+    # x has order 3 in GF(4)^*: x^(3m+1) = x
+    assert parse_element(gf4, f"x^{3 * 10**18 + 1}") == (0, 1)
+    assert parse_element(gf4, f"(1)*x^{3 * 10**18 + 2}") == (1, 1)
 
 
 def test_presentation_parsing():
