@@ -40,7 +40,6 @@ from .homology import (
     SgpObstruction,
     SgpVerdict,
     SgpWitness,
-    StronglyCompleteResolution,
     check_complete_resolution,
     ext1,
     find_sgp_witness,

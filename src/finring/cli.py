@@ -244,12 +244,12 @@ def _verdict_payload(verdict) -> dict:
         payload["embedding"] = [
             _literals(ring, img) for img in verdict.witness.embedding.images
         ]
-        res = strongly_complete_resolution(verdict.witness)
+        periodic = strongly_complete_resolution(verdict.witness)
         payload["resolution"] = {
-            "rank": res.rank,
-            "map": [_literals(ring, img) for img in res.map.images],
+            "rank": verdict.witness.rank,
+            "map": [_literals(ring, img) for img in periodic.images],
             # forward_exact, dual_exact, then the four orders, in field order
-            **asdict(check_complete_resolution(res)),
+            **asdict(check_complete_resolution(periodic)),
         }
     if verdict.components is not None:
         payload["factors"] = [_verdict_payload(v) for v in verdict.components]

@@ -3,11 +3,11 @@
 A module M over a local ring is strongly Gorenstein projective when it sits
 in a short exact sequence 0 -> M -> R^n -> M -> 0 and Ext^1(M, Q) vanishes
 for every projective Q.  Both halves are decided here with explicit data: a
-witness embedding plus projection, or a named obstruction.  Splicing a
-witness with itself yields the doubly infinite periodic complex
-... -> R^n -f-> R^n -f-> R^n -> ... with f = embedding . projection, read
-off the witness that ``_validate_witness`` checked: kernel(f) = image(f) =
-image(embedding), as the embedding is injective and the projection onto,
+witness embedding plus projection, or a named obstruction.  A witness
+checks its sequence when it is made, so splicing it with itself yields the
+doubly infinite periodic complex ... -> R^n -f-> R^n -f-> R^n -> ... with
+f = embedding . projection and nothing left to check: kernel(f) = image(f)
+= image(embedding), as the embedding is injective and the projection onto,
 and the embedding maps M onto image(f).  ``check_complete_resolution``
 verifies image(f) = kernel(f) together with exactness of the Hom(-, R) dual.
 
@@ -174,13 +174,26 @@ def ext1(m: Module, q: Module) -> ExtGroup:
 
 @dataclass(frozen=True)
 class SgpWitness:
-    """A verified short exact sequence 0 -> M -> R^rank -> M -> 0."""
+    """A short exact sequence 0 -> M -> R^rank -> M -> 0, checked when it
+    is made: a witness that breaks a law raises ``ConsistencyError``."""
 
     module: Module
     rank: int
     embedding: ModuleHom
     projection: ModuleHom
-    ext_vanishes: bool | None
+
+    def __post_init__(self):
+        m = self.module
+        if self.embedding.source is not m or self.projection.target is not m:
+            raise ConsistencyError("witness maps do not start and end at the module")
+        if m.ring.order**self.rank != m.cardinality**2:
+            raise ConsistencyError("witness rank violates |R|^n = |M|^2")
+        if not self.embedding.is_injective():
+            raise ConsistencyError("witness embedding is not injective")
+        if not self.projection.is_surjective():
+            raise ConsistencyError("witness projection is not surjective")
+        if not _exactness(self.embedding, self.projection)[0]:
+            raise ConsistencyError("witness sequence is not exact in the middle")
 
 
 @dataclass(frozen=True)
@@ -199,20 +212,6 @@ class SgpVerdict:
     obstruction: SgpObstruction | None = None
     ext: ExtGroup | None = None
     components: tuple | None = None
-
-
-def _validate_witness(w: SgpWitness) -> None:
-    ring = w.module.ring
-    if w.embedding.source is not w.module or w.projection.target is not w.module:
-        raise ConsistencyError("witness maps do not start and end at the module")
-    if ring.order**w.rank != w.module.cardinality**2:
-        raise ConsistencyError("witness rank violates |R|^n = |M|^2")
-    if not w.embedding.is_injective():
-        raise ConsistencyError("witness embedding is not injective")
-    if not w.projection.is_surjective():
-        raise ConsistencyError("witness projection is not surjective")
-    if not _exactness(w.embedding, w.projection)[0]:
-        raise ConsistencyError("witness sequence is not exact in the middle")
 
 
 def witness_rank(ring_order: int, square: int) -> int:
@@ -249,9 +248,7 @@ def find_sgp_witness(m: Module):
         coker, proj = cokernel(h)
         found, iso = is_isomorphic(coker, m)
         if found:
-            witness = SgpWitness(m, rank, h, compose(iso, proj), None)
-            _validate_witness(witness)
-            return witness
+            return SgpWitness(m, rank, h, compose(iso, proj))
     return SgpObstruction(
         "no_embedding_with_self_cokernel",
         f"no injective map into R^{rank} has cokernel isomorphic to the module",
@@ -275,9 +272,7 @@ def is_strongly_gorenstein_projective(m: Module) -> SgpVerdict:
         return SgpVerdict(False, m, obstruction=outcome)
     ext = ext1(m, regular_module(ring))
     if ext.is_zero:
-        return SgpVerdict(
-            True, m, witness=replace(outcome, ext_vanishes=True), ext=ext
-        )
+        return SgpVerdict(True, m, witness=outcome, ext=ext)
     return SgpVerdict(
         False,
         m,
@@ -292,26 +287,16 @@ def is_strongly_gorenstein_projective(m: Module) -> SgpVerdict:
 # periodic complexes
 
 
-@dataclass(frozen=True)
-class StronglyCompleteResolution:
-    """The periodic complex ... -> R^n -f-> R^n -f-> ... with M = image(f)."""
+def strongly_complete_resolution(w: SgpWitness) -> ModuleHom:
+    """The periodic map f = embedding . projection of a witness, whose
+    complex ... -> R^n -f-> R^n -f-> ... has M = image(f).
 
-    ring: object
-    rank: int
-    map: ModuleHom
-
-
-def strongly_complete_resolution(w: SgpWitness) -> StronglyCompleteResolution:
-    """Splice a witness into its periodic map f = embedding . projection.
-
-    The witness is checked once, by ``_validate_witness``, and the rest
-    follows: the embedding is injective, so kernel(f) = kernel(projection) =
+    The witness was checked when it was made, and the rest follows: the
+    embedding is injective, so kernel(f) = kernel(projection) =
     image(embedding); the projection is surjective, so image(f) =
     image(embedding).  So f is exact and the embedding maps M onto image(f).
     """
-    _validate_witness(w)
-    f = compose(w.embedding, w.projection)
-    return StronglyCompleteResolution(w.module.ring, w.rank, f)
+    return compose(w.embedding, w.projection)
 
 
 @dataclass(frozen=True)
@@ -336,15 +321,12 @@ def dual_hom(h: ModuleHom) -> ModuleHom:
     return ModuleHom._at(free, free, free._locate(free._rows(h.positions).T))
 
 
-def check_complete_resolution(res) -> CompleteResolutionReport:
-    """Verify image = kernel for the periodic map and for its Hom(-, R) dual.
+def check_complete_resolution(hom: ModuleHom) -> CompleteResolutionReport:
+    """Verify image = kernel for a periodic map and for its Hom(-, R) dual.
 
-    Accepts a resolution or a bare free endomorphism; failures are reported,
-    not raised, so degenerate maps can be inspected.
+    Failures are reported, not raised, so degenerate maps can be inspected.
     """
-    hom = res.map if isinstance(res, StronglyCompleteResolution) else res
-    free = hom.source
-    if free is not hom.target:
+    if hom.source is not hom.target:
         raise ValidationError("periodic check expects an endomorphism")
     dual = dual_hom(hom)
     exact, im, ker = _exactness(hom, hom)

@@ -21,8 +21,8 @@ Element literals: integers for Z/n (reduced mod n), polynomials
 base literals over a non-prime base), combinations of ``b0..b{d-1}`` for
 structure-constant rings, tuples ``(e1,e2)`` for products.
 
-Presentation matrices: rows separated by ``;``, entries by commas at paren
-depth 0, each entry an element literal.  Row i lists the coefficients of
+Presentation matrices: rows separated by ``;``, entries by commas, each
+entry an element literal.  Row i lists the coefficients of
 generator i across the relation columns; ``2,0;0,4`` over Z/8 presents
 R^2 / <(2,0), (0,4)>.
 """
@@ -32,6 +32,8 @@ from __future__ import annotations
 from functools import partial
 
 from .errors import ParseError, ValidationError
+from .ideals import IdempotentFactorRing
+from .modules import Presentation
 from .rings import (
     ORDER_CAP,
     PolyQuotient,
@@ -317,8 +319,6 @@ def parse_element(ring: Ring, text: str):
 
 
 def _parse_element(ring: Ring, cur: _Cursor):
-    from .ideals import IdempotentFactorRing  # cycle-free at call time
-
     if isinstance(ring, ZmodRing):
         return cur.integer() % ring.n
     if isinstance(ring, ProductRing):
@@ -407,8 +407,6 @@ def _parse_sc_term(ring: StructureConstantRing, cur: _Cursor):
 
 def format_element(ring: Ring, value) -> str:
     """Canonical literal printer; round-trips through :func:`parse_element`."""
-    from .ideals import IdempotentFactorRing
-
     if isinstance(ring, ZmodRing):
         return str(value)
     if isinstance(ring, ProductRing):
@@ -439,44 +437,30 @@ def format_element(ring: Ring, value) -> str:
 # presentation matrices
 
 
-def _split_depth0(text: str, sep: str) -> list[str]:
-    parts = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == sep and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
-    return parts
-
-
-def parse_presentation(ring: Ring, text: str):
+def parse_presentation(ring: Ring, text: str) -> Presentation:
     """Parse a relation matrix into a Presentation over ``ring``.
 
-    An empty string presents the zero module (no generators).
+    An empty string presents the zero module (no generators).  One cursor
+    reads the whole matrix, so every error points into ``text``.
     """
-    from .modules import Presentation
-
-    stripped = text.strip()
-    if not stripped:
+    cur = _Cursor(text)
+    if cur.at_end():
         return Presentation(ring, 0, ())
-    rows = []
-    for row_text in _split_depth0(stripped, ";"):
-        entries = [parse_element(ring, e) for e in _split_depth0(row_text, ",")]
-        rows.append(entries)
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ParseError("ragged presentation matrix", text, 0)
-    columns = tuple(
-        tuple(rows[i][j] for i in range(len(rows))) for j in range(width)
-    )
+    rows, row = [], []
+    while True:
+        row.append(_parse_element(ring, cur))
+        if cur.eat(","):
+            continue
+        if rows and len(row) != len(rows[0]):
+            raise cur.error("ragged presentation matrix")
+        rows.append(row)
+        row = []
+        if not cur.eat(";"):
+            break
+    if not cur.at_end():
+        raise cur.error("expected ',', ';' or the end of the matrix")
     # drop all-zero columns; they present nothing
-    columns = tuple(c for c in columns if any(v != ring.zero for v in c))
+    columns = tuple(c for c in zip(*rows) if any(v != ring.zero for v in c))
     return Presentation(ring, len(rows), columns)
 
 

@@ -401,8 +401,8 @@ def check_sgp_summand_asymmetry(rings, flags):
             f"Z/8: expected (False, False, True), got "
             f"({v_small.decision}, {v_medium.decision}, {v_total.decision})"
         )
-    resolution = strongly_complete_resolution(v_total.witness)
-    if not check_complete_resolution(resolution).passed:
+    periodic = strongly_complete_resolution(v_total.witness)
+    if not check_complete_resolution(periodic).passed:
         raise _Counterexample("periodic resolution failed its checks")
     return "over Z/8 the sum is SGP while both summands are not"
 

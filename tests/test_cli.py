@@ -19,7 +19,14 @@ from finring.errors import GuardExceeded
 from finring.guards import Guards
 from finring.homology import ext1
 from finring.ideals import enumerate_ideals, unique_maximal_ideal
-from finring.modules import Module, Presentation, hom_set, regular_module, submodule
+from finring.modules import (
+    Module,
+    ModuleHom,
+    Presentation,
+    hom_set,
+    regular_module,
+    submodule,
+)
 from finring.parsing import parse_ring_spec
 from finring.rings import Zmod, build_ring
 
@@ -283,6 +290,38 @@ def test_module_sgp_builds_the_periodic_resolution_once(capsys, monkeypatch, jso
     )
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_module_sgp_checks_its_witness_once(capsys, monkeypatch, json_flag):
+    # the witness checks its sequence when it is made, and no caller again
+    calls = []
+    check = ModuleHom.is_injective
+
+    def counting(self):
+        calls.append(self)
+        return check(self)
+
+    monkeypatch.setattr(ModuleHom, "is_injective", counting)
+    code, _, _ = run_cli(
+        capsys, "module", "sgp", "--ring", "Z/8", "--rel", "2,0;0,4", *json_flag
+    )
+    assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "rel,position",
+    [("1,2;3,x", 6), ("2,;4", 2), ("2;", 2), ("2,0;0", 5), ("2,0;0,4)", 7)],
+)
+def test_presentation_errors_point_into_the_whole_matrix(capsys, rel, position):
+    code, out, err = run_cli(capsys, "module", "sgp", "--ring", "Z/8", "--rel", rel)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: ")
+    assert err.endswith(f" (at position {position} in {rel!r})\n")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def _tower(depth):

@@ -15,9 +15,10 @@ generators, not minimal ones: no earlier code printed them, so their digests
 were recorded from the first code that decided them, with the verdicts
 checked by hand -- over GF(2)[x]/(x^k) the exponents {1, k-1} are invariant
 under a -> k - a, the chain-ring rule for SGP, and the Z/8[x]/(x^2) witness
-passes ``_validate_witness``.  The resolution of the residue field of the
-non-chain ring GF(2)[x]/(x^2)[x]/(x^2), whose syzygies are all modules the
-library derives, was recorded before derived modules were built from ring
+passes the sequence checks that ``SgpWitness`` runs when it is built.  The
+resolution of the residue field of the non-chain ring
+GF(2)[x]/(x^2)[x]/(x^2), whose syzygies are all modules the library
+derives, was recorded before derived modules were built from ring
 positions instead of element values.  A change that alters any of
 these bytes changes a witness, an ordering or a number in the report, which
 the canonical-order contract forbids.  ``GOLDEN_TEXT`` pins the text

@@ -1,4 +1,5 @@
 import itertools
+import re
 from dataclasses import replace
 from math import prod
 
@@ -249,7 +250,6 @@ def test_sgp_verdicts_over_z8():
     total = is_strongly_gorenstein_projective(_mod(z8, "2,0;0,4"))
     assert total.decision
     assert total.witness.rank == 2
-    assert total.witness.ext_vanishes
     assert total.ext.is_zero
 
 
@@ -315,11 +315,11 @@ def test_cyclic_sgp_ideal_annihilator_law():
 def test_strongly_complete_resolution_round_trip():
     z4 = _ring("Z/4")
     w = find_sgp_witness(_mod(z4, "2"))
-    res = strongly_complete_resolution(w)
-    assert res.rank == 1
+    f = strongly_complete_resolution(w)
+    assert w.rank == 1
     # f is multiplication by 2 on R
-    assert res.map.images == ((2,),)
-    report = check_complete_resolution(res)
+    assert f.images == ((2,),)
+    report = check_complete_resolution(f)
     assert report.passed
     assert report.image_order == report.kernel_order == 2
     assert report.dual_image_order == report.dual_kernel_order == 2
@@ -380,31 +380,41 @@ def _bad_witness(kind):
         # a valid sequence for Z/2, but the witness names another module
         w = find_sgp_witness(_mod(z4, "2"))
         return replace(w, module=_mod(z4, "2"))
+    if kind == "rank":
+        # the same valid sequence, but |R|^2 = 16 is not |Z/2|^2 = 4
+        return replace(find_sgp_witness(_mod(z4, "2")), rank=2)
+    m = _mod(z4, "2")
+    free = regular_module(z4)
     if kind == "embedding":
         # 0 -> Z/2 -0-> R -> Z/2 -> 0: the embedding kills the generator
-        m = _mod(z4, "2")
-        free = regular_module(z4)
         embedding = ModuleHom(m, free, ((0,),))
-        return SgpWitness(m, 1, embedding, ModuleHom(free, m, ((1,),)), None)
+        return SgpWitness(m, 1, embedding, ModuleHom(free, m, ((1,),)))
+    if kind == "projection":
+        # 0 -> Z/2 -2-> R -0-> Z/2 -> 0: the projection kills everything
+        embedding = ModuleHom(m, free, ((2,),))
+        return SgpWitness(m, 1, embedding, ModuleHom(free, m, ((0,),)))
     # 0 -> R -> R^2 -> R -> 0 by the first inclusion and the first projection:
     # both maps are fine, but the image (a, 0) is not the kernel (0, b)
     m = regular_module(z4)
     free = free_module(z4, 2)
     embedding = ModuleHom(m, free, ((1, 0),))
-    return SgpWitness(m, 2, embedding, ModuleHom(free, m, ((1,), (0,))), None)
+    return SgpWitness(m, 2, embedding, ModuleHom(free, m, ((1,), (0,))))
 
 
 @pytest.mark.parametrize(
     "kind,message",
     [
         ("module", "witness maps do not start and end at the module"),
+        ("rank", "witness rank violates |R|^n = |M|^2"),
         ("embedding", "witness embedding is not injective"),
+        ("projection", "witness projection is not surjective"),
         ("middle", "witness sequence is not exact in the middle"),
     ],
 )
 def test_strongly_complete_resolution_validates_the_witness(kind, message):
-    with pytest.raises(ConsistencyError, match=message):
-        strongly_complete_resolution(_bad_witness(kind))
+    # a witness checks its sequence when it is built
+    with pytest.raises(ConsistencyError, match=re.escape(message)):
+        _bad_witness(kind)
 
 
 def test_periodic_map_is_read_off_the_validated_witness(monkeypatch):
@@ -420,9 +430,10 @@ def test_periodic_map_is_read_off_the_validated_witness(monkeypatch):
     monkeypatch.setattr(modules, "submodule", refuse)
     monkeypatch.setattr(modules, "_homs", refuse)
     monkeypatch.setattr(homology, "_homs", refuse)
-    res = strongly_complete_resolution(w)
-    assert res.rank == w.rank == 2
-    report = check_complete_resolution(res)
+    f = strongly_complete_resolution(w)
+    assert f.source is f.target is w.embedding.target
+    assert f.source.k == w.rank == 2
+    report = check_complete_resolution(f)
     assert report.passed
     assert report.image_order == report.kernel_order == w.module.cardinality
 
