@@ -356,12 +356,17 @@ class Module:
         for lo in range(0, self.ring.order, step):
             yield self._locate(mul[lo : lo + step, self._digits]) == 0
 
-    def annihilator_index_set(self) -> frozenset:
-        """Ring elements (as indices) killing the whole module."""
-        if "ann" not in self._cache:
-            ann = np.concatenate([part.all(axis=1) for part in self._kills()]).nonzero()[0]
-            self._cache["ann"] = frozenset(ann.tolist())
-        return self._cache["ann"]
+    def kill_counts(self) -> tuple:
+        """a_r(M) = |{x : r * x = 0}| = |Hom(R/rR, M)| for every ring position r.
+
+        An isomorphism invariant that anyone can recount: a_0(M) = |M|, and
+        r kills M exactly when a_r(M) = |M|, so equal counts mean equal
+        cardinality and equal annihilators.
+        """
+        if "kills" not in self._cache:
+            counts = np.concatenate([part.sum(axis=1) for part in self._kills()])
+            self._cache["kills"] = tuple(counts.tolist())
+        return self._cache["kills"]
 
     def free_element_mask(self) -> np.ndarray:
         """Mask over the positions: the elements x with r * x = 0 only for r = 0."""
@@ -493,9 +498,6 @@ class ModuleHom:
 
     def is_surjective(self) -> bool:
         return bool(self.image_mask().all())
-
-    def is_zero(self) -> bool:
-        return not self.positions.any()
 
 
 def compose(outer: ModuleHom, inner: ModuleHom) -> ModuleHom:
@@ -677,21 +679,17 @@ def cokernel(h: ModuleHom):
 
 
 def is_isomorphic(m1: Module, m2: Module):
-    """(found, witness): brute-force search with invariant pre-filters.
+    """(found, witness): one invariant, then a search.
 
-    Filters: cardinality, module annihilator, and (over local rings) minimal
-    generator count.  The witness is the first bijective hom in canonical
-    order.
+    An isomorphism maps {x : r * x = 0} onto {y : r * y = 0}, so modules
+    whose ``kill_counts`` differ anywhere are not isomorphic, and the
+    differing entry is the certificate.  Otherwise the witness is the first
+    bijective hom in canonical order.
     """
     if m1.ring is not m2.ring:
         raise RingMismatchError("isomorphism test needs modules over the same ring")
-    if m1.cardinality != m2.cardinality:
+    if m1.cardinality != m2.cardinality or m1.kill_counts() != m2.kill_counts():
         return False, None
-    if m1.annihilator_index_set() != m2.annihilator_index_set():
-        return False, None
-    if is_local(m1.ring):
-        if minimal_generators(m1)[0] != minimal_generators(m2)[0]:
-            return False, None
     # equal cardinalities: the first injective hom is bijective
     witness = next(_homs(m1, m2, _injective), None)
     return witness is not None, witness

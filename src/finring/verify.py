@@ -16,10 +16,10 @@ import numpy as np
 
 from .classify import (
     SQUARE_ZERO_PAIR,
+    _residue_sgp_decision,
     catalog_rings,
     classify,
     nonzero_proper_ideals,
-    residue_field_sgp,
 )
 from .errors import FinringError
 from .guards import DEFAULT_GUARDS, Guards
@@ -477,7 +477,8 @@ def check_sg_route_agreement(rings, flags):
         ideal_route = len(nonzero_proper_ideals(ring)) <= 1
         if fault:
             ideal_route = not ideal_route  # harness self-test: one classifier negated
-        module_route = residue_field_sgp(ring).decision
+        # classify's memo: classification-chain has already decided these
+        module_route = _residue_sgp_decision(ring)
         if ideal_route != module_route:
             raise _Counterexample(
                 f"counterexample {label}: ideal-count route says {ideal_route}, "

@@ -19,7 +19,11 @@ passes the sequence checks that ``SgpWitness`` runs when it is built.  The
 resolution of the residue field of the non-chain ring
 GF(2)[x]/(x^2)[x]/(x^2), whose syzygies are all modules the library
 derives, was recorded before derived modules were built from ring
-positions instead of element values.  A change that alters any of
+positions instead of element values.  The two ``module sgp`` requests
+over that ring, the first ``module sgp`` goldens over a ring that is not a
+chain ring, were recorded while ``is_isomorphic`` still filtered on the
+minimal generator count, before it filtered on ``Module.kill_counts``
+alone.  A change that alters any of
 these bytes changes a witness, an ordering or a number in the report, which
 the canonical-order contract forbids.  ``GOLDEN_TEXT`` pins the text
 output of some commands the same way.
@@ -100,6 +104,14 @@ GOLDEN = [
     (
         ["resolve", "--ring", "GF(2)[x]/(x^2)[x]/(x^2)", "--rel", "(x),x", "--length", "4"],
         "0579f48404340cf6ca60fa4d6438cdd950f168ee8243c07b61ad74ff65f6d96d",
+    ),
+    (
+        ["module", "sgp", "--ring", "GF(2)[x]/(x^2)[x]/(x^2)", "--rel", "(x),0;0,x"],
+        "4b56c29c557fc73b69fa0add508aa894659993e5f080027cafe757dbfe6e159b",
+    ),
+    (
+        ["module", "sgp", "--ring", "GF(2)[x]/(x^2)[x]/(x^2)", "--rel", "(x),x,0,0;0,0,(x),x"],
+        "3e61c680959b3c72ca5a3c323b6538e98d20b5c0b701cb3b502aa67aafcd45f0",
     ),
 ]
 

@@ -45,8 +45,8 @@ from finring.modules import (
     regular_module,
     submodule,
 )
-from finring.parsing import parse_presentation, parse_ring_spec
-from finring.rings import Ring, Zmod, build_ring, spec_order
+from finring.parsing import parse_element, parse_presentation, parse_ring_spec
+from finring.rings import Ring, Zmod, build_ring, spec_order, units_mask
 from finring.verify import _sample_modules
 
 
@@ -205,6 +205,26 @@ def test_isomorphism_is_equivalence_on_a_catalog():
             for k in range(n):
                 if rel[i][j] and rel[j][k]:
                     assert rel[i][k]
+
+
+def test_kill_counts_reject_a_pair_that_the_old_filters_passed(monkeypatch):
+    # R/(2x) + R/(x) and R/(2x) + R/(2, 2x) over Z/4[x]/(x^2): both have 32
+    # elements, annihilator {0, 2x} and two minimal generators, but 2 kills 8
+    # elements of the first and 16 of the second, so no hom is scanned
+    ring = _ring("Z/4[x]/(x^2)")
+    m1, m2 = _mod(ring, "2*x,0;0,x"), _mod(ring, "2*x,0,0;0,2,2*x")
+    a1, a2 = m1.kill_counts(), m2.kill_counts()
+    assert m1.cardinality == m2.cardinality == a1[0] == a2[0] == 32
+    assert [r for r, a in enumerate(a1) if a == 32] == [r for r, a in enumerate(a2) if a == 32]
+    assert minimal_generators(m1)[0] == minimal_generators(m2)[0] == 2
+    two = ring.index[parse_element(ring, "2")]
+    assert (a1[two], a2[two]) == (8, 16)
+
+    def refuse(*_args):
+        raise AssertionError("the hom scan ran")
+
+    monkeypatch.setattr(modules, "_homs", refuse)
+    assert is_isomorphic(m1, m2) == (False, None)
 
 
 def test_minimal_generators():
@@ -598,6 +618,38 @@ def test_free_element_mask_matches_brute_force(pres):
 
 @settings(max_examples=60, deadline=None)
 @given(_presentations())
+def test_kill_counts_match_brute_force(pres):
+    ring, k, cols = pres
+    m = Module._on(ring, k, np.array(cols, dtype=np.intp).reshape(len(cols), k))
+    ref = BruteModule(ring, k, cols)
+    counts = [sum(ref.scal(r, x) == ref.zero for x in m.elements) for r in range(ring.order)]
+    assert list(m.kill_counts()) == counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(_presentations(), st.data())
+def test_kill_counts_do_not_depend_on_the_presentation(pres, data):
+    # a unit multiple of a column, a redundant sum of columns and a
+    # permutation of the generators present the same module
+    ring, k, cols = pres
+    add, mul, _ = ring.tables()
+    cols = np.array(cols, dtype=np.intp).reshape(len(cols), k)
+    changed = cols.copy()
+    if len(cols):
+        i = data.draw(st.integers(0, len(cols) - 1))
+        unit = data.draw(st.sampled_from(units_mask(ring).nonzero()[0].tolist()))
+        changed[i] = mul[unit, cols[i]]
+        a, b = data.draw(st.integers(0, len(cols) - 1)), data.draw(st.integers(0, len(cols) - 1))
+        r = data.draw(st.integers(0, ring.order - 1))
+        changed = np.concatenate([changed, add[mul[r, cols[a]], cols[b]][None, :]])
+    changed = changed[:, data.draw(st.permutations(range(k)))]
+    changed = changed[data.draw(st.permutations(range(len(changed))))]
+    m1, m2 = Module._on(ring, k, cols), Module._on(ring, k, changed)
+    assert m1.kill_counts() == m2.kill_counts()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_presentations())
 def test_modules_built_from_positions_equal_the_public_build(pres):
     # the private constructor the library uses and the public one meet in
     # the same build: same cosets, same span, same positional relations, and
@@ -703,6 +755,43 @@ def _hom_pairs(draw):
         return Module(Presentation(ring, k, values))
 
     return module(), module()
+
+
+@functools.cache
+def _two_generator_modules(text):
+    """Every R^2 / (c) and R/(a) + R/(b) over ``_PROPERTY_RINGS[text]`` with at
+    most 27 elements: pairs of equal order, isomorphic or not, are common
+    among them, where two independent ``_hom_pairs`` draws rarely have
+    equal order unless both are zero."""
+    ring = _PROPERTY_RINGS[text]
+    cols = [[c] for c in itertools.product(range(ring.order), repeat=2)]
+    cols += [[(a, 0), (0, b)] for a, b in itertools.product(range(ring.order), repeat=2)]
+    mods = [Module._on(ring, 2, np.array(c, dtype=np.intp)) for c in cols]
+    return [m for m in mods if m.cardinality <= 27]
+
+
+@st.composite
+def _equal_order_pairs(draw):
+    mods = _two_generator_modules(draw(st.sampled_from(sorted(_PROPERTY_RINGS))))
+    m1 = draw(st.sampled_from(mods))
+    return m1, draw(st.sampled_from([m for m in mods if m.cardinality == m1.cardinality]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_equal_order_pairs())
+def test_isomorphic_exactly_when_a_brute_force_hom_is_bijective(pair):
+    # the reference has no filter: every hom, each checked on every coset
+    m1, m2 = pair
+    ref1, ref2 = BruteModule.of(m1), BruteModule.of(m2)
+    cosets = {ref1.least(raw) for raw in itertools.product(range(m1.ring.order), repeat=m1.k)}
+    bijective = [
+        images
+        for images in _ref_homs(m1, m2)
+        if len({ref2.combination(x, images) for x in cosets}) == m2.cardinality
+    ]
+    found, witness = is_isomorphic(m1, m2)
+    assert found == bool(bijective)
+    assert witness is None if not found else witness.images == bijective[0]
 
 
 @settings(max_examples=40, deadline=None)
