@@ -75,9 +75,16 @@ class FreeResolution:
         return len(self.covers)
 
 
+#: longest resolution built: over a chain ring the ranks repeat with period
+#: at most 2, and elsewhere the module guard stops the growth within a few steps
+MAX_RESOLUTION_LENGTH = 64
+
+
 def free_resolution(m: Module, length: int) -> FreeResolution:
-    if length < 1:
-        raise ValidationError("resolution length must be >= 1")
+    if not 1 <= length <= MAX_RESOLUTION_LENGTH:
+        raise ValidationError(
+            f"resolution length must be between 1 and {MAX_RESOLUTION_LENGTH}, got {length}"
+        )
     covers = []
     diffs = []
     target = m

@@ -22,10 +22,14 @@ order, which makes every output of the library deterministic.
 An element's position is its index in that order, and it is a mixed-radix
 number with the first coordinate most significant: base-ring digits for a
 quotient, residues mod n for structure constants, factor positions for a
-product.  Each ring class defines its arithmetic exactly once, as ``_add``,
-``_mul`` and ``_neg`` on positions, which may be Python ints or whole numpy
-arrays at once.  Value-level arithmetic, the operation tables and the
-axiom check are all derived from those three in :class:`Ring`.
+product.  Those three share one carrier, the product of their parts'
+carriers, with ``+`` and ``-`` digitwise.  A quotient and a structure-constant
+algebra are free over one base part and share one bilinear ``*``, read from
+the products of their basis vectors (the reduced powers of x, or the table);
+a product multiplies digitwise.  Arithmetic is defined exactly once, as
+``_add``, ``_mul`` and ``_neg`` on positions, which may be Python ints or
+whole numpy arrays at once.  Value-level arithmetic, the operation tables
+and the axiom check are all derived from those three in :class:`Ring`.
 
 The ring laws are checked once, where arithmetic is defined: the axiom
 check runs on ``Z/n`` and on each quotient level, whose ops compute; a
@@ -361,9 +365,29 @@ class ZmodRing(Ring):
 class _DigitRing(Ring):
     """Positions are digit strings, one position of ``_parts[t]`` per digit t,
     the first digit most significant; addition and negation act digitwise.
-    Parts are shared, verified sub-rings (see :func:`build_ring`); the ops read
-    their tables when built, and only a table build here builds them.
+    The carrier is the product of the parts' carriers.  Parts are shared,
+    verified sub-rings (see :func:`build_ring`); the ops read their tables
+    when built, and only a table build here builds them.
+
+    A quotient or structure-constant ring is a free algebra over its one
+    base part, and ``table[s][t]`` gives the base positions of the product
+    of basis vectors s and t; ``_mul`` is the bilinear product it defines.
     """
+
+    def __init__(self, spec: RingSpec, parts, guards: Guards, table=()):
+        super().__init__(guards)
+        self.spec = spec
+        self._parts = tuple(parts)
+        self.elements = list(itertools.product(*(p.elements for p in self._parts)))
+        self.index = {x: i for i, x in enumerate(self.elements)}
+        self.zero = tuple(p.zero for p in self._parts)
+        # {(s, t): [(k, c), ...]}, the nonzero constants only (position 0 is zero)
+        self._terms = {
+            (s, t): nz
+            for s, row in enumerate(table)
+            for t, vec in enumerate(row)
+            if (nz := [(k, int(c)) for k, c in enumerate(vec) if c])
+        }
 
     def _split(self, p):
         digits = []
@@ -385,79 +409,50 @@ class _DigitRing(Ring):
     def _neg(self, i):
         return self._join([f._neg(a) for f, a in zip(self._parts, self._split(i))])
 
+    def _mul(self, i, j):
+        # res_k = sum over (s, t) of x_s * y_t * c_(s,t,k), in the base
+        base = self._parts[0]
+        one = base._one_pos
+        x, y = self._split(i), self._split(j)
+        res = [0] * len(x)
+        for (s, t), terms in self._terms.items():
+            xy = base._prod(x[s], y[t])
+            for k, c in terms:
+                res[k] = base._sum(res[k], xy if c == one else base._prod(xy, c))
+        return self._join(res)
+
 
 class PolyQuotientRing(_DigitRing):
     """base[x]/(f) with f monic: elements are coefficient tuples of length deg f,
     positions one base digit per coefficient, the constant term first."""
 
     def __init__(self, spec: PolyQuotient, base: Ring, guards: Guards):
-        super().__init__(guards)
-        self.spec = spec
-        self.base = base
         d = spec.degree
-        self.deg = d
         modulus = tuple(base.scalar_from_int(c) for c in spec.modulus)
         if modulus[-1] != base.one:
             raise ValidationError("quotient modulus must be monic over the base ring")
-        self.modulus = modulus
-        self._parts = (base,) * d
-        # base positions of x^d = -(m0 + ... + m_{d-1} x^{d-1}), then of
-        # x^(d+1) .. x^(2d-2)
+        # base positions of x^0 .. x^(2d-2), reduced by
+        # x^d = -(m0 + ... + m_{d-1} x^{d-1})
         xd = [base._neg(base.index[c]) for c in modulus[:-1]]
-        pows = [xd]
-        for _ in range(d - 2):
-            prev = pows[-1]
-            shifted = [0] + prev[:-1]
-            pows.append([base._add(s, base._mul(prev[-1], c)) for s, c in zip(shifted, xd)])
-        self._pows = pows
-        self.elements = list(itertools.product(base.elements, repeat=d))
-        self.index = {x: i for i, x in enumerate(self.elements)}
-        self.zero = (base.zero,) * d
+        pows = [[base._one_pos if k == e else 0 for k in range(d)] for e in range(d)]
+        for _ in range(d - 1):
+            *low, top = pows[-1]
+            pows.append([base._add(s, base._mul(top, c)) for s, c in zip([0, *low], xd)])
+        table = [[pows[s + t] for t in range(d)] for s in range(d)]
+        super().__init__(spec, (base,) * d, guards, table)
+        self.base, self.deg, self.modulus = base, d, modulus
         self.one = (base.one,) + (base.zero,) * (d - 1)
-
-    def _mul(self, i, j):
-        base, d = self.base, self.deg
-        x, y = self._split(i), self._split(j)
-        conv = [0] * (2 * d - 1)  # base position 0 is zero
-        for s, a in enumerate(x):
-            for t, b in enumerate(y):
-                conv[s + t] = base._sum(conv[s + t], base._prod(a, b))
-        res = conv[:d]
-        for c, p in zip(conv[d:], self._pows):
-            res = [base._sum(v, base._prod(c, pc)) for v, pc in zip(res, p)]
-        return self._join(res)
 
 
 class StructureConstantRing(_DigitRing):
     """Positions are coefficient vectors, one Z/n digit per basis vector, b0 first."""
 
     def __init__(self, spec: StructureConstants, guards: Guards):
-        super().__init__(guards)
-        self.spec = spec
-        self.n = spec.n
-        self.dim = spec.dim
-        self._parts = (_subring(Zmod(spec.n), guards),) * spec.dim
-        terms = {}
-        for i in range(spec.dim):
-            for j in range(spec.dim):
-                nz = [(k, c) for k, c in enumerate(spec.table[i][j]) if c]
-                if nz:
-                    terms[(i, j)] = nz
-        self._terms = terms
-        self.elements = list(itertools.product(range(self.n), repeat=self.dim))
-        self.index = {x: i for i, x in enumerate(self.elements)}
-        self.zero = (0,) * self.dim
+        parts = (_subring(Zmod(spec.n), guards),) * spec.dim
+        super().__init__(spec, parts, guards, spec.table)
+        self.n, self.dim = spec.n, spec.dim
         self.one = spec.unit
         self._check_basis_laws()
-
-    def _mul(self, i, j):
-        x, y = self._split(i), self._split(j)
-        res = [0] * self.dim
-        for (a, b), ks in self._terms.items():
-            c = x[a] * y[b]
-            for k, tc in ks:
-                res[k] = res[k] + c * tc
-        return self._join([v % self.n for v in res])
 
     def _check_basis_laws(self):
         # bilinearity makes basis-level checks exhaustive for the whole ring,
@@ -481,13 +476,8 @@ class ProductRing(_DigitRing):
     """Positions are digit strings of factor positions; all three ops act digitwise."""
 
     def __init__(self, spec: Product, factors: list[Ring], guards: Guards):
-        super().__init__(guards)
-        self.spec = spec
-        self.factors = tuple(factors)
-        self._parts = self.factors
-        self.elements = list(itertools.product(*(f.elements for f in factors)))
-        self.index = {x: i for i, x in enumerate(self.elements)}
-        self.zero = tuple(f.zero for f in factors)
+        super().__init__(spec, factors, guards)
+        self.factors = self._parts
         self.one = tuple(f.one for f in factors)
 
     def _mul(self, i, j):

@@ -21,7 +21,7 @@ from .classify import (
     classify,
     nonzero_proper_ideals,
 )
-from .errors import FinringError
+from .errors import FinringError, GuardExceeded
 from .guards import DEFAULT_GUARDS, Guards
 from .homology import (
     check_complete_resolution,
@@ -549,6 +549,8 @@ def run_verification(
     for check in CHECKS:
         try:
             results.append(check(rings, flags))
+        except GuardExceeded:
+            raise  # a resource limit, not a failed law: the caller reports it
         except FinringError as exc:
             results.append(CheckResult(check.report_name, False, f"internal error: {exc}"))
     return results

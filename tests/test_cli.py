@@ -174,6 +174,23 @@ def test_resolve_command(capsys):
     assert payload["exact"] is True
 
 
+def test_resolve_length_is_bounded(capsys):
+    # refused before any cover is built; the console-script check in CI
+    # shows that --length 1000000000 answers at once too
+    for length in ("0", "65"):
+        code, out, err = run_cli(
+            capsys, "resolve", "--ring", "Z/4", "--rel", "2", "--length", length
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"invalid input: resolution length must be between 1 and 64, got {length}\n"
+        )
+    code, out, _ = run_cli(
+        capsys, "resolve", "--ring", "Z/4", "--rel", "2", "--length", "64", "--json"
+    )
+    assert code == 0 and json.loads(out)["ranks"] == [1] * 64
+
+
 def test_verify_paper_quick(capsys):
     code, out, _ = run_cli(capsys, "verify-paper", "--catalog", "quick")
     assert code == 0
@@ -435,6 +452,11 @@ def test_guard_exceeded_names_guard_request_and_limit(site):
         ),
         (
             ["module", "sgp", "--ring", "Z/16", "--rel", "0;0"],
+            "raise it with --max-hom-enumeration",
+        ),
+        # a guard hit inside a check is a resource limit, not a failed law
+        (
+            ["verify-paper", "--catalog", "quick", "--max-hom-enumeration", "1"],
             "raise it with --max-hom-enumeration",
         ),
     ],

@@ -308,6 +308,14 @@ REFERENCE_SPECS = [
     SQUARE_ZERO_PAIR,
     "Z/4 x GF(4) x Z/3",
     "Z/4 x GF(9) x Z/2",  # order 72: sampled check, table read from the factors'
+    # the bilinear quotient product on chain rings, a degree-1 modulus, a
+    # non-unit constant term, a Galois ring and a tower
+    "GF(2)[x]/(x^4)",
+    "GF(3)[x]/(x^3)",
+    "GF(3)[x]/(x+1)",
+    "Z/4[x]/(x^2+2)",
+    "Z/4[x]/(x^2+x+1)",
+    "GF(2)[x]/(x^3)[x]/(x^2)",
 ]
 
 
@@ -327,6 +335,21 @@ def test_arithmetic_and_tables_match_reference(text):
     assert neg.tolist() == [idx[ref.neg(x)] for x in els]
 
 
+def _digit_rings(ring):
+    if isinstance(ring, rings._DigitRing):
+        yield ring
+    for part in set(ring._parts):
+        yield from _digit_rings(part)
+
+
+@pytest.mark.parametrize("text", REFERENCE_SPECS)
+def test_digit_ring_carrier_is_the_product_of_its_parts(text):
+    for ring in _digit_rings(build_ring(parse_ring_spec(text))):
+        parts = ring._parts
+        assert ring.elements == list(itertools.product(*(p.elements for p in parts)))
+        assert ring.zero == tuple(p.zero for p in parts)
+
+
 def test_idempotent_factor_matches_parent_reference():
     text = "Z/4 x GF(2)[x]/(x^2)"
     ring = build_ring(parse_ring_spec(text))
@@ -344,14 +367,15 @@ def test_idempotent_factor_matches_parent_reference():
 
 
 def test_large_quotient_matches_reference_without_tables():
-    spec = parse_ring_spec("GF(2)[x]/(x^7)")
-    ring = build_ring(spec)
-    assert ring._tables is None  # the sampled axiom check builds no table
-    ref = reference(spec)
-    rnd = random.Random(7)
-    pairs = [(rnd.choice(ring.elements), rnd.choice(ring.elements)) for _ in range(300)]
-    assert_matches_reference(ring, ref, pairs)
-    assert ring._tables is None
+    for text in ("GF(2)[x]/(x^7)", "GF(2)[x]/(x^10)"):
+        spec = parse_ring_spec(text)
+        ring = build_ring(spec)
+        assert ring._tables is None  # the sampled axiom check builds no table
+        ref = reference(spec)
+        rnd = random.Random(7)
+        pairs = [(rnd.choice(ring.elements), rnd.choice(ring.elements)) for _ in range(300)]
+        assert_matches_reference(ring, ref, pairs)
+        assert ring._tables is None
 
 
 # ---------------------------------------------------------------------------
