@@ -22,8 +22,9 @@ class Guards:
     #: largest raw tuple space R^k explored when presenting a module
     max_module_raw: int = 65536
     #: largest candidate count for hom-set style enumerations: the image
-    #: tuples left after each generator's images are filtered by its
-    #: annihilator, counted for each hom search and each Ext^1 scan
+    #: tuples left after each listed element's images are filtered by its
+    #: annihilator (and, in an injective search, by dropping zero for a
+    #: nonzero element), counted for each hom search and each Ext^1 scan
     max_hom_candidates: int = 1_000_000
     #: triples sampled when a ring is too big for exhaustive axiom checks
     axiom_sample_count: int = 512

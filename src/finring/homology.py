@@ -149,9 +149,11 @@ def ext1(m: Module, q: Module) -> ExtGroup:
     Both hom orders count the accepted candidates of one scan
     (``_accepted``), and each scan passes the hom guard: Hom(S, q) out of
     S's filtered candidates (``_image_choices``), and Hom(m, q) as the maps
-    F -> q that vanish on S's generators, whose image in Hom(S, q) has
-    |q|^{g0} / |Hom(m, q)| elements.  Over a product ring both modules are
-    decomposed and the component orders multiplied (Ext is additive).
+    F -> q that vanish on S's generators, out of the images that the
+    annihilators of m's minimal generators (``cover.positions``) allow.
+    Its image in Hom(S, q) has |q|^{g0} / |Hom(m, q)| elements.  Over a
+    product ring both modules are decomposed and the component orders
+    multiplied (Ext is additive).
     """
     if m.ring is not q.ring:
         raise RingMismatchError("ext needs modules over the same ring")
@@ -168,7 +170,7 @@ def ext1(m: Module, q: Module) -> ExtGroup:
 
     kernel_order = count(syzygy.relation_columns, _image_choices(syzygy, q))
     generators = cover.source._rows(inclusion.positions)
-    homs = count(generators, _image_choices(cover.source, q))
+    homs = count(generators, _image_choices(m, q, cover.positions))
     image_order, rest = divmod(q.cardinality**cover.source.k, homs)
     if rest or kernel_order % image_order:
         raise ConsistencyError("Ext quotient size is not integral")

@@ -26,17 +26,18 @@ combination evaluator ``_combine`` turns them into the position of every
 source element (``ModuleHom.table``), checks them against the source
 relations, and finds a submodule's relations as the zero positions of the
 combinations of its generators over all of R^k.  The exhaustive searches
-over tuples of target elements -- the hom candidates, which ``_homs``
-decodes, and the two hom counts of ``ext1`` -- take the one stream
-``_accepted``: the mixed-radix numbers of the tuples on which every
-relation column vanishes, found by evaluating all their linear
-combinations at once as a broadcast outer sum through the ring tables
-(``_outer_sums``).  Each search first narrows each generator's images to the
-elements killed by its annihilator (``_image_choices``, which holds the hom
-guard): this keeps the lexicographic order of the homs and makes the guard
-count only the tuples a search can visit.  One scan, ``_homs``, serves
-every hom search: it evaluates the tables of a run of homs at once and
-builds those its caller's mask keeps, e.g. the injective ones.  Every module the library derives is
+over tuples of target elements -- the hom candidates of ``_homs`` and the
+two hom counts of ``ext1`` -- take the one stream ``_accepted``: the tuples
+on which ``_combine`` of every relation column vanishes, a run of tuples at
+a time.  Each search first narrows the images of each listed source
+element, the generators unless a caller lists others, by two rules
+(``_image_choices``, which holds the hom guard): an element's image is
+killed by its annihilator, and in an injective search a nonzero element's
+image is not zero.  This keeps the lexicographic order of the homs and
+makes the guard count only the tuples a search can visit.  One scan,
+``_homs``, serves every hom search: it evaluates the tables of each
+accepted run and builds those its caller's mask keeps, e.g. the injective
+ones.  Every module the library derives is
 built from positions by ``Module._on``, and every hom by ``ModuleHom._at``,
 with the public constructor's relation check.  Element values and index
 tuples appear only at the public edge: ``Module.elements``, ``index`` and
@@ -99,7 +100,7 @@ class Presentation:
 
 
 # ---------------------------------------------------------------------------
-# positions, spans and outer sums
+# positions and spans
 #
 # The helpers below work on the positions of a module: ``_rows`` maps
 # positions to raw index rows (last axis k), ``_locate`` maps raw rows, which
@@ -173,43 +174,6 @@ def _generators(m, target: np.ndarray) -> list:
         if int(ms.sum()) * q ** len(picks) != size:
             raise ConsistencyError("generator count disagrees with dim S/mS")
     return picks
-
-
-def _outer_sums(add, terms, zero: np.ndarray):
-    """Raw rows of terms[0][i_0] + ... + terms[-1][i_last] for every index
-    tuple, in mixed-radix order (i_0 most significant), a chunk at a time.
-
-    Each term is an array of raw rows whose first axis is the choice; the
-    trailing axes have ``zero``'s shape (the sum of no terms).  The trailing
-    terms whose outer sum fits in ``_CHUNK`` entries are summed once, and
-    each chunk adds a run of leading choices to that block.  The first run
-    is one choice long and each next one twice as long, up to ``_CHUNK``
-    entries: callers often stop at the first accepted tuple.
-    """
-    width = max(zero.size, 1)
-    block = zero[None]
-    split = len(terms)
-    while split and len(block) * len(terms[split - 1]) * width <= _CHUNK:
-        split -= 1
-        block = add[terms[split][:, None], block[None]]
-        block = block.reshape(block.shape[0] * block.shape[1], *zero.shape)
-    heads = terms[:split]
-    if not heads:
-        yield block
-        return
-    count = prod(len(t) for t in heads)
-    cap = max(1, _CHUNK // (len(block) * width))
-    lo, step = 0, 1
-    while lo < count:
-        codes = np.arange(lo, min(lo + step, count))
-        lo, step = lo + step, min(2 * step, cap)
-        acc = None
-        for t in reversed(heads):  # least significant first
-            term = t[codes % len(t)]
-            acc = term if acc is None else add[acc, term]
-            codes = codes // len(t)
-        rows = add[acc[:, None], block[None]]
-        yield rows.reshape(len(acc) * len(block), *zero.shape)
 
 
 def _label_cosets(add, span: np.ndarray, weights, raw: int):
@@ -509,55 +473,58 @@ def compose(outer: ModuleHom, inner: ModuleHom) -> ModuleHom:
 
 
 def _accepted(target: Module, columns, choices):
-    """The numbers of the tuples t, with t_j in ``choices[j]`` (ascending
-    target positions), on which sum_j c_j * t_j is zero for every column c
-    (one ring index per choice): one ascending array per chunk of tuples.
+    """The tuples t, with t_j in ``choices[j]`` (ascending target
+    positions), on which sum_j c_j * t_j is zero for every column c (one
+    ring index per choice): one array of position rows per run of tuples,
+    in lexicographic order.
 
-    Tuples are numbered in mixed radix (t_0 most significant).  The sums
-    are an outer sum over j of the scaled choices c_j * t_j, evaluated a
-    chunk at a time through the ring tables (``_outer_sums``).
+    The tuples are numbered in mixed radix (t_0 most significant) and
+    decoded a run of numbers at a time, and ``_combine`` evaluates the
+    columns on each run.  The first run is one tuple long and each next one
+    twice as long, up to ``_CHUNK`` raw entries: callers often stop at the
+    first accepted tuple.
     """
-    add, mul, _ = target._tables
-    # terms[j][t, c] = raw row of columns[c, j] * (the t-th choice for t_j)
-    terms = [
-        mul[columns[:, j, None, None], target._digits[choice][None]].swapaxes(0, 1)
-        for j, choice in enumerate(choices)
-    ]
-    zero = np.zeros((len(columns), target.k), dtype=np.intp)
-    lo = 0
-    for rows in _outer_sums(add, terms, zero):
-        vanish = (target._locate(rows) == 0).all(axis=1)
-        yield lo + vanish.nonzero()[0]
-        lo += len(vanish)
+    count = prod(len(c) for c in choices)
+    cap = max(1, _CHUNK // max((len(columns) + len(choices)) * target.k, 1))
+    lo, step = 0, 1
+    while lo < count:
+        numbers = np.arange(lo, min(lo + step, count))
+        lo, step = lo + step, min(2 * step, cap)
+        tuples = np.empty((len(numbers), len(choices)), dtype=np.intp)
+        for j in reversed(range(len(choices))):  # least significant first
+            tuples[:, j] = choices[j][numbers % len(choices[j])]
+            numbers = numbers // len(choices[j])
+        yield tuples[(_combine(target, tuples, columns) == 0).all(axis=1)]
 
 
-def _image_choices(m1: Module, m2: Module) -> list:
-    """For each generator e_j of m1, the ascending positions of the elements
-    t of m2 with a * t = 0 for every a in Ann(e_j): the only images a hom
-    can give e_j.
+def _image_choices(m1: Module, m2: Module, positions=None, injective=False) -> list:
+    """For each listed element x_j of m1, at ``positions`` (by default its
+    generators), the ascending positions of the elements t of m2 with
+    a * t = 0 for every a in Ann(x_j): the only images a hom can give x_j.
+    In an injective scan a nonzero x_j is never offered zero.
 
-    A generator with zero annihilator keeps every position.  Otherwise the
-    tests run over the least nonzero a of Ann(e_j) not yet settled, and
+    The tests run over the least nonzero a of Ann(x_j) not yet settled, and
     each test a * t = 0 settles every multiple r * a as well, so a principal
-    annihilator costs one test.  The guard bounds the number of tuples,
-    which is the number of candidates any scan over them visits.
+    annihilator costs one test and a zero one none.  The guard bounds the
+    number of tuples, which is the number of candidates any scan over them
+    visits.
     """
-    if len(m1.span) == 1:  # a free module: every annihilator is zero
-        choices = [np.arange(m2.cardinality)] * m1.k
-    else:
-        _, mul, _ = m1._tables
-        # ann[r, j]: whether r * e_j = 0 in m1; r * e_j is the raw code
-        # r * n^(k-1-j), as zero is element 0
-        ann = m1.rep[np.arange(m1.ring.order)[:, None] * m1._weights] == 0
-        ann[0] = False  # zero kills everything: nothing to test
-        choices = []
-        for rest in ann.T:
-            keep = np.ones(m2.cardinality, dtype=bool)
-            while rest.any():
-                a = int(rest.argmax())
-                rest[mul[a]] = False
-                keep &= m2._locate(mul[a, m2._digits]) == 0
-            choices.append(keep.nonzero()[0])
+    if positions is None:
+        positions = m1._unit_positions()
+    _, mul, _ = m1._tables
+    # ann[r, j]: whether r * x_j = 0 in m1, as zero is element 0
+    ann = m1._locate(mul[:, m1._rows(positions)]) == 0
+    ann[0] = False  # zero kills everything: nothing to test
+    choices = []
+    for rest, x in zip(ann.T, positions):
+        keep = np.ones(m2.cardinality, dtype=bool)
+        while rest.any():
+            a = int(rest.argmax())
+            rest[mul[a]] = False
+            keep &= m2._locate(mul[a, m2._digits]) == 0
+        if injective and x:  # an injective hom sends no nonzero element to 0
+            keep[0] = False
+        choices.append(keep.nonzero()[0])
     guards = m1.ring.guards
     count = prod(len(c) for c in choices)
     if count > guards.max_hom_candidates:
@@ -569,50 +536,37 @@ def _image_choices(m1: Module, m2: Module) -> list:
     return choices
 
 
-def _decode(choices, numbers) -> np.ndarray:
-    """The tuples (one row of positions each) with the given numbers among
-    the tuples of ``choices``, numbered in mixed radix, t_0 most significant."""
-    picks = np.empty((len(numbers), len(choices)), dtype=np.intp)
-    for j in reversed(range(len(choices))):  # least significant first
-        picks[:, j] = choices[j][numbers % len(choices[j])]
-        numbers = numbers // len(choices[j])
-    return picks
+def _injective(tables: np.ndarray) -> np.ndarray:
+    """Which rows of hom tables are injective: no nonzero source element --
+    every position but 0 -- maps to zero, which is position 0."""
+    return ~(tables[:, 1:] == 0).any(axis=1)
 
 
 def _homs(m1: Module, m2: Module, keep=None):
     """The homs m1 -> m2 in lexicographic generator-image order, or those
     whose table rows ``keep(tables)`` marks.
 
-    Candidates are the tuples of ``_image_choices``, numbered in mixed radix
-    (t_0 most significant), so filtering each coordinate keeps the order of
-    all tuples of m2 elements; a candidate is a hom when every relation
-    column of m1 evaluates to zero on it (``_accepted``).  The homs
-    are evaluated a run at a time into one ``_combine`` table (homs x |m1|
-    positions, from at most ``_CHUNK`` raw entries), the first run one hom
-    long and each next one twice as long, as callers often stop early.
+    Candidates are the tuples of ``_image_choices``, so filtering each
+    coordinate keeps the order of all tuples of m2 elements; the scan for
+    ``_injective`` homs offers no nonzero generator zero.  A candidate is a
+    hom when every relation column of m1 evaluates to zero on it
+    (``_accepted``).  The homs of each accepted run are evaluated into
+    ``_combine`` tables (homs x |m1| positions) a slice of at most
+    ``_CHUNK`` raw entries at a time.
     """
     if m1.ring is not m2.ring:
         raise RingMismatchError("hom set needs modules over the same ring")
-    choices = _image_choices(m1, m2)
-    cap = max(1, _CHUNK // max(m1.cardinality * m2.k, 1))
-    step = 1
-    for numbers in _accepted(m2, m1.relation_columns, choices):
-        batch = _decode(choices, numbers)
-        while len(batch):
-            part, batch = batch[:step], batch[step:]
-            step = min(2 * step, cap)
+    choices = _image_choices(m1, m2, injective=keep is _injective)
+    step = max(1, _CHUNK // max(m1.cardinality * m2.k, 1))
+    for batch in _accepted(m2, m1.relation_columns, choices):
+        for lo in range(0, len(batch), step):
+            part = batch[lo : lo + step]
             tables = _combine(m2, part, m1._digits)
             if keep is not None:
                 marked = keep(tables)
                 part, tables = part[marked], tables[marked]
             for pos, table in zip(part, tables):
                 yield ModuleHom._at(m1, m2, pos, table)
-
-
-def _injective(tables: np.ndarray) -> np.ndarray:
-    """Which rows of hom tables are injective: no nonzero source element --
-    every position but 0 -- maps to zero, which is position 0."""
-    return ~(tables[:, 1:] == 0).any(axis=1)
 
 
 def iter_homs(m1: Module, m2: Module):

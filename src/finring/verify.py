@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -92,15 +93,17 @@ def _check(name):
 
 
 def _sample_modules(ring, include_sums=False):
-    """Small canonical test modules: R, the quotients R/I, optionally a sum."""
-    mods = [("R", regular_module(ring))]
+    """Small canonical test modules, each built when it is drawn: R, the
+    quotients R/I, optionally the first R/I plus R."""
+    yield "R", regular_module(ring)
+    first = None
     for ideal in nonzero_proper_ideals(ring):
         gens = ",".join(map(repr, ideal.generators))
-        mods.append((f"R/({gens})", quotient_by_ideal(ring, ideal)))
-    if include_sums and len(mods) > 1:
-        name, m = mods[1]
-        mods.append((f"{name}+R", direct_sum(m, regular_module(ring))))
-    return mods
+        name, m = f"R/({gens})", quotient_by_ideal(ring, ideal)
+        first = first or (name, m)
+        yield name, m
+    if include_sums and first:
+        yield f"{first[0]}+R", direct_sum(first[1], regular_module(ring))
 
 
 def _local(rings, max_order):
@@ -207,7 +210,7 @@ def check_hom_sets_are_exactly_the_linear_maps(rings, _flags):
     for label, ring in _local(rings, 9):
         add, mul, _ = ring.tables()
         r = np.arange(ring.order)[:, None, None]
-        mods = _sample_modules(ring)[:3]
+        mods = list(islice(_sample_modules(ring), 3))
         for _, m1 in mods:
             # positions of a + b for every pair (a, b) and of r * a for every (r, a)
             d1 = m1._digits
@@ -229,7 +232,7 @@ def check_hom_sets_are_exactly_the_linear_maps(rings, _flags):
 def check_kernel_image_counts(rings, _flags):
     checked = 0
     for label, ring in _local(rings, 9):
-        mods = _sample_modules(ring)[:3]
+        mods = list(islice(_sample_modules(ring), 3))
         for _, m1 in mods:
             for _, m2 in mods:
                 for h in hom_set(m1, m2):
@@ -290,7 +293,7 @@ def check_product_decomposition(rings, _flags):
         dec = idempotent_decomposition(ring)
         if dec.is_trivial or ring.order > 64:
             continue
-        for name, m in _sample_modules(ring)[:3]:
+        for name, m in islice(_sample_modules(ring), 3):
             comps = decompose_over_product(m, dec)  # verifies the re-sum internally
             size = 1
             for c in comps:

@@ -421,11 +421,10 @@ GUARD_SITES = {
         ),
         ("max_module_raw", 256, 20),
     ),
+    # Ext^1(R, R) over Z/4: the cover scan offers R's generator all 4
+    # elements of R, as its annihilator is zero
     "ext1": (
-        lambda: ext1(
-            Module(Presentation(r := _z(4, max_hom_candidates=3), 1, ((2,),))),
-            regular_module(r),
-        ),
+        lambda: ext1(*[regular_module(_z(4, max_hom_candidates=3))] * 2),
         ("max_hom_candidates", 4, 3),
     ),
 }
@@ -439,6 +438,17 @@ def test_guard_exceeded_names_guard_request_and_limit(site):
     exc = info.value
     assert (exc.guard, exc.requested, exc.limit) == (guard, requested, limit)
     assert f"{requested}" in str(exc) and f"{limit}" in str(exc)
+
+
+def test_witness_search_guard_counts_only_nonzero_images(capsys):
+    # Z/5 + Z/25 into R^3 over Z/25: e_0, killed by 5, has the 125 elements
+    # of R^3 killed by 5 as images and e_1 all 15,625.  An injective hom
+    # sends neither generator to zero, so the scan counts 124 * 15,624
+    # tuples, not 125 * 15,625 = 1,953,125.
+    code, out, err = run_cli(capsys, "module", "sgp", "--ring", "Z/25", "--rel", "5,0;0,0")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("guard exceeded: hom enumeration would scan 1937376 candidates ")
 
 
 @pytest.mark.parametrize(

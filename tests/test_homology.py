@@ -175,8 +175,9 @@ def test_ext_nonzero_over_square_zero_algebra():
 def test_ext_scans_are_counted_by_the_hom_guard():
     # Ext^1(R/m, R) over the square-zero algebra: the syzygy m has two
     # generators, each killed by m, so its hom candidates are the 4 x 4
-    # tuples of socle elements, and the cover R restricts from R's 8
-    # elements.  Neither scan counts the 8^2 tuples of R^2.
+    # tuples of socle elements, and the cover scan offers R/m's generator,
+    # also killed by m, the same 4 elements.  Neither scan counts the 8^2
+    # tuples of R^2.
     def ext(**guards):
         ring = build_ring(parse_ring_spec(SQUARE_ZERO_PAIR), Guards(**guards))
         m = quotient_by_ideal(ring, unique_maximal_ideal(ring))
@@ -191,6 +192,15 @@ def test_ext_scans_are_counted_by_the_hom_guard():
         16,
         15,
     )
+
+
+def test_ext_cover_scan_offers_only_images_the_annihilators_allow():
+    # Ext^1(R/(2), R) over Z/4: R/(2)'s generator is killed by 2, so the
+    # cover scan offers it the 2 elements of R killed by 2, not all 4, and
+    # the syzygy 2R has the same 2 images
+    ring = build_ring(parse_ring_spec("Z/4"), Guards(max_hom_candidates=2))
+    found = ext1(_mod(ring, "2"), regular_module(ring))
+    assert (found.order, found.kernel_order, found.image_order) == (1, 2, 2)
 
 
 def test_ext_over_product_ring():

@@ -797,8 +797,8 @@ def test_isomorphic_exactly_when_a_brute_force_hom_is_bijective(pair):
 @settings(max_examples=40, deadline=None)
 @given(_hom_pairs())
 def test_building_a_hom_accepts_exactly_the_enumerated_homs(pair):
-    # the two relation paths: iter_homs' outer-sum test, and the check on
-    # building a hom from given images
+    # the two relation paths: iter_homs' test of a run of candidates, and
+    # the check on building a hom from given images
     m1, m2 = pair
     assume(m2.cardinality**m1.k <= 729)
     homs = {h.images: h for h in hom_set(m1, m2)}
