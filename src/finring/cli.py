@@ -36,12 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .guards import DEFAULT_GUARDS
-from .homology import (
-    check_complete_resolution,
-    free_resolution,
-    is_strongly_gorenstein_projective,
-    strongly_complete_resolution,
-)
+from .homology import free_resolution, is_strongly_gorenstein_projective
 from .ideals import enumerate_ideals, idempotent_decomposition
 from .modules import Module
 from .parsing import format_element, parse_presentation, parse_ring_spec
@@ -228,7 +223,7 @@ def _run_decompose(args) -> int:
 
 
 def _verdict_payload(verdict) -> dict:
-    """JSON fields of a verdict, with the periodic resolution of its witness."""
+    """JSON fields of a verdict, with the periodic resolution it holds."""
     payload = {
         "sgp": verdict.decision,
         "rank": verdict.witness.rank if verdict.witness else None,
@@ -244,12 +239,11 @@ def _verdict_payload(verdict) -> dict:
         payload["embedding"] = [
             _literals(ring, img) for img in verdict.witness.embedding.images
         ]
-        periodic = strongly_complete_resolution(verdict.witness)
         payload["resolution"] = {
             "rank": verdict.witness.rank,
-            "map": [_literals(ring, img) for img in periodic.images],
+            "map": [_literals(ring, img) for img in verdict.periodic.images],
             # forward_exact, dual_exact, then the four orders, in field order
-            **asdict(check_complete_resolution(periodic)),
+            **asdict(verdict.resolution),
         }
     if verdict.components is not None:
         payload["factors"] = [_verdict_payload(v) for v in verdict.components]

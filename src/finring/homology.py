@@ -1,15 +1,20 @@
 """Free resolutions, Ext groups, and strongly-Gorenstein-projective decisions.
 
 A module M over a local ring is strongly Gorenstein projective when it sits
-in a short exact sequence 0 -> M -> R^n -> M -> 0 and Ext^1(M, Q) vanishes
-for every projective Q.  Both halves are decided here with explicit data: a
-witness embedding plus projection, or a named obstruction.  A witness
-checks its sequence when it is made, so splicing it with itself yields the
-doubly infinite periodic complex ... -> R^n -f-> R^n -f-> R^n -> ... with
-f = embedding . projection and nothing left to check: kernel(f) = image(f)
-= image(embedding), as the embedding is injective and the projection onto,
-and the embedding maps M onto image(f).  ``check_complete_resolution``
-verifies image(f) = kernel(f) together with exactness of the Hom(-, R) dual.
+in a short exact sequence 0 -> M -i-> R^n -p-> M -> 0 and Ext^1(M, Q)
+vanishes for every projective Q.  Both halves are decided here with
+explicit data: a witness embedding plus projection, or a named obstruction.
+A witness checks its sequence when it is made, so splicing it with itself
+yields the doubly infinite periodic complex ... -> R^n -f-> R^n -f-> ...
+with f = i . p and nothing left to check: kernel(f) = image(f) = image(i),
+as i is injective and p onto.  ``check_complete_resolution`` verifies
+image(f) = kernel(f) together with exactness of the Hom(-, R) dual.
+
+The Ext half is read off that dual, so no second resolution is built.
+Hom(-, R) turns the witness into 0 -> M* -p*-> (R^n)* -i*-> M* ->
+Ext^1(M, R) -> 0.  As f* = p* . i* with p* injective, kernel(f*) =
+kernel(i*) = image(p*), which is M*, and image(f*) is image(i*), so
+|Ext^1(M, R)| = |kernel f*| / |image f*|.
 
 Testing Ext against Q = R alone suffices: over a finite ring Ext^1 out of a
 finitely presented module commutes with finite direct sums in the second
@@ -40,7 +45,6 @@ from .modules import (
     _accepted,
     _homs,
     _image_choices,
-    _injective,
     compose,
     cokernel,
     decompose_over_product,
@@ -48,7 +52,6 @@ from .modules import (
     free_module,
     is_isomorphic,
     kernel,
-    regular_module,
 )
 
 
@@ -129,12 +132,18 @@ def _exactness(f: ModuleHom, g: ModuleHom):
 
 @dataclass(frozen=True)
 class ExtGroup:
-    """Ext^1(M, Q) as a finite group: its order, the order of Hom(S, Q) for
-    the first syzygy S, and the order of the image of Hom(F, Q) in it."""
+    """Ext^1(M, Q) as a finite group, for a presentation 0 -> S -> F -> M
+    -> 0 with F free: its order, the order of Hom(S, Q), and the order of
+    the image of Hom(F, Q) in it.  ``ext1`` takes the minimal free cover;
+    an SGP verdict takes its witness, S = M and F = R^n, and Q = R."""
 
     order: int
     kernel_order: int
     image_order: int
+
+    def __post_init__(self):
+        if self.order * self.image_order != self.kernel_order:
+            raise ConsistencyError("Ext quotient size is not integral")
 
     @property
     def is_zero(self) -> bool:
@@ -172,7 +181,7 @@ def ext1(m: Module, q: Module) -> ExtGroup:
     generators = cover.source._rows(inclusion.positions)
     homs = count(generators, _image_choices(m, q, cover.positions))
     image_order, rest = divmod(q.cardinality**cover.source.k, homs)
-    if rest or kernel_order % image_order:
+    if rest:
         raise ConsistencyError("Ext quotient size is not integral")
     return ExtGroup(kernel_order // image_order, kernel_order, image_order)
 
@@ -215,12 +224,17 @@ class SgpObstruction:
 
 @dataclass(frozen=True)
 class SgpVerdict:
+    """A decision and its evidence: over a local ring a positive verdict holds
+    its witness, the periodic map f and f's report, which gives ``ext``."""
+
     decision: bool
     module: Module
     witness: SgpWitness | None = None
     obstruction: SgpObstruction | None = None
     ext: ExtGroup | None = None
     components: tuple | None = None
+    periodic: ModuleHom | None = None
+    resolution: CompleteResolutionReport | None = None
 
 
 def witness_rank(ring_order: int, square: int) -> int:
@@ -253,7 +267,7 @@ def find_sgp_witness(m: Module):
             f"|M|^2 = {square} is not a power of |R| = {ring.order}",
         )
     target = free_module(ring, rank)
-    for h in _homs(m, target, _injective):
+    for h in _homs(m, target, injective=True):
         coker, proj = cokernel(h)
         found, iso = is_isomorphic(coker, m)
         if found:
@@ -265,7 +279,8 @@ def find_sgp_witness(m: Module):
 
 
 def is_strongly_gorenstein_projective(m: Module) -> SgpVerdict:
-    """Witness search plus Ext^1(M, R) = 0; componentwise over products."""
+    """Witness search, then Ext^1(M, R) = 0 read off the witness's dual
+    periodic complex; componentwise over products."""
     ring = m.ring
     dec = idempotent_decomposition(ring)
     if not dec.is_trivial:
@@ -279,17 +294,14 @@ def is_strongly_gorenstein_projective(m: Module) -> SgpVerdict:
     outcome = find_sgp_witness(m)
     if isinstance(outcome, SgpObstruction):
         return SgpVerdict(False, m, obstruction=outcome)
-    ext = ext1(m, regular_module(ring))
+    periodic = strongly_complete_resolution(outcome)
+    report = check_complete_resolution(periodic)
+    kernel_order, image_order = report.dual_kernel_order, report.dual_image_order
+    ext = ExtGroup(kernel_order // image_order, kernel_order, image_order)
     if ext.is_zero:
-        return SgpVerdict(True, m, witness=outcome, ext=ext)
-    return SgpVerdict(
-        False,
-        m,
-        obstruction=SgpObstruction(
-            "ext_nonzero", f"Ext^1(M, R) has order {ext.order}"
-        ),
-        ext=ext,
-    )
+        return SgpVerdict(True, m, outcome, ext=ext, periodic=periodic, resolution=report)
+    obstruction = SgpObstruction("ext_nonzero", f"Ext^1(M, R) has order {ext.order}")
+    return SgpVerdict(False, m, obstruction=obstruction, ext=ext)
 
 
 # ---------------------------------------------------------------------------

@@ -36,13 +36,12 @@ killed by its annihilator, and in an injective search a nonzero element's
 image is not zero.  This keeps the lexicographic order of the homs and
 makes the guard count only the tuples a search can visit.  One scan,
 ``_homs``, serves every hom search: it evaluates the tables of each
-accepted run and builds those its caller's mask keeps, e.g. the injective
-ones.  Every module the library derives is
-built from positions by ``Module._on``, and every hom by ``ModuleHom._at``,
-with the public constructor's relation check.  Element values and index
-tuples appear only at the public edge: ``Module.elements``, ``index`` and
-``presentation`` (derived on first use), ``ModuleHom.images`` and
-``ModuleHom.apply``.
+accepted run and builds every hom, or only the injective ones.  Every
+module the library derives is built from positions by ``Module._on``, and
+every hom by ``ModuleHom._at``, with the public constructor's relation
+check.  Element values and index tuples appear only at the public edge:
+``Module.elements``, ``index`` and ``presentation`` (derived on first use),
+``ModuleHom.images`` and ``ModuleHom.apply``.
 
 Everything here is immutable after construction and deterministic: every
 generator pick is the least candidate in canonical order, hom sets are
@@ -536,34 +535,29 @@ def _image_choices(m1: Module, m2: Module, positions=None, injective=False) -> l
     return choices
 
 
-def _injective(tables: np.ndarray) -> np.ndarray:
-    """Which rows of hom tables are injective: no nonzero source element --
-    every position but 0 -- maps to zero, which is position 0."""
-    return ~(tables[:, 1:] == 0).any(axis=1)
-
-
-def _homs(m1: Module, m2: Module, keep=None):
-    """The homs m1 -> m2 in lexicographic generator-image order, or those
-    whose table rows ``keep(tables)`` marks.
+def _homs(m1: Module, m2: Module, injective=False):
+    """The homs m1 -> m2 in lexicographic generator-image order, or the
+    injective ones.
 
     Candidates are the tuples of ``_image_choices``, so filtering each
-    coordinate keeps the order of all tuples of m2 elements; the scan for
-    ``_injective`` homs offers no nonzero generator zero.  A candidate is a
-    hom when every relation column of m1 evaluates to zero on it
-    (``_accepted``).  The homs of each accepted run are evaluated into
-    ``_combine`` tables (homs x |m1| positions) a slice of at most
-    ``_CHUNK`` raw entries at a time.
+    coordinate keeps the order of all tuples of m2 elements; the injective
+    scan offers no nonzero generator zero.  A candidate is a hom when every
+    relation column of m1 evaluates to zero on it (``_accepted``).  The homs
+    of each accepted run are evaluated into ``_combine`` tables (homs x |m1|
+    positions) a slice of at most ``_CHUNK`` raw entries at a time; a hom
+    is injective when no nonzero source element -- every position but 0 --
+    maps to zero, which is position 0.
     """
     if m1.ring is not m2.ring:
         raise RingMismatchError("hom set needs modules over the same ring")
-    choices = _image_choices(m1, m2, injective=keep is _injective)
+    choices = _image_choices(m1, m2, injective=injective)
     step = max(1, _CHUNK // max(m1.cardinality * m2.k, 1))
     for batch in _accepted(m2, m1.relation_columns, choices):
         for lo in range(0, len(batch), step):
             part = batch[lo : lo + step]
             tables = _combine(m2, part, m1._digits)
-            if keep is not None:
-                marked = keep(tables)
+            if injective:
+                marked = (tables[:, 1:] != 0).all(axis=1)
                 part, tables = part[marked], tables[marked]
             for pos, table in zip(part, tables):
                 yield ModuleHom._at(m1, m2, pos, table)
@@ -645,7 +639,7 @@ def is_isomorphic(m1: Module, m2: Module):
     if m1.cardinality != m2.cardinality or m1.kill_counts() != m2.kill_counts():
         return False, None
     # equal cardinalities: the first injective hom is bijective
-    witness = next(_homs(m1, m2, _injective), None)
+    witness = next(_homs(m1, m2, injective=True), None)
     return witness is not None, witness
 
 
@@ -711,9 +705,9 @@ def free_summand_split(m: Module):
     """Maximal split M = R^rank + N with every element of N annihilated by
     something nonzero.  Requires a local quasi-Frobenius ring.
 
-    An element with zero annihilator spans a free cyclic submodule, which is
-    injective over a quasi-Frobenius ring and therefore splits off; the
-    splitting hom is found by explicit search over Hom(M, R).
+    An element x with zero annihilator spans Rx = R, which is injective
+    over a quasi-Frobenius ring, so Rx is a summand and M = Rx + M/Rx: the
+    complement is the cokernel of R -> M, 1 -> x, for the least such x.
     """
     ring = m.ring
     if not is_local(ring):
@@ -723,14 +717,7 @@ def free_summand_split(m: Module):
     r1 = regular_module(ring)
     rank, current = 0, m
     while (free := current.free_element_mask()).any():
-        pivot = int(free.argmax())
-        # R's positions are its element positions: send the pivot to one
-        splitting = next(_homs(current, r1, lambda t: t[:, pivot] == ring._one_pos), None)
-        if splitting is None:
-            raise ConsistencyError(
-                "free cyclic submodule failed to split over a quasi-Frobenius ring"
-            )
-        complement, _ = kernel(splitting)
+        complement, _ = cokernel(ModuleHom._at(r1, current, free.argmax(keepdims=True)))
         if complement.cardinality * ring.order != current.cardinality:
             raise ConsistencyError("split does not multiply out to the module size")
         current = complement

@@ -25,11 +25,9 @@ from .classify import (
 from .errors import FinringError, GuardExceeded
 from .guards import DEFAULT_GUARDS, Guards
 from .homology import (
-    check_complete_resolution,
     ext1,
     free_resolution,
     is_strongly_gorenstein_projective,
-    strongly_complete_resolution,
     witness_rank,
 )
 from .ideals import (
@@ -404,8 +402,7 @@ def check_sgp_summand_asymmetry(rings, flags):
             f"Z/8: expected (False, False, True), got "
             f"({v_small.decision}, {v_medium.decision}, {v_total.decision})"
         )
-    periodic = strongly_complete_resolution(v_total.witness)
-    if not check_complete_resolution(periodic).passed:
+    if not v_total.resolution.passed:
         raise _Counterexample("periodic resolution failed its checks")
     return "over Z/8 the sum is SGP while both summands are not"
 

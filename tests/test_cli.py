@@ -97,11 +97,22 @@ def test_negative_exponent_exits_2(capsys, argv):
 
 def test_residue_memo_answers_only_under_the_same_guards(capsys):
     # the guard-hit run gives the same exit code after a default-guard run of
-    # the same ring in the same process as it does on its own
-    assert run_cli(capsys, "classify", "Z/4")[0] == 0
-    code, _, err = run_cli(capsys, "classify", "Z/4", "--max-hom-enumeration", "1")
+    # the same ring in the same process as it does on its own: over Z/9 the
+    # witness search for the residue field scans 2 candidates
+    assert run_cli(capsys, "classify", "Z/9")[0] == 0
+    code, _, err = run_cli(capsys, "classify", "Z/9", "--max-hom-enumeration", "1")
     assert code == 3
     assert "guard" in err
+
+
+def test_z4_decides_under_a_one_candidate_hom_guard(capsys):
+    # the residue field Z/2 of Z/4 is SGP by its witness, whose search scans
+    # one candidate, and its Ext^1 is read off that witness: no Ext scan runs
+    # into the guard
+    code, out, err = run_cli(capsys, "classify", "Z/4", "--max-hom-enumeration", "1")
+    assert (code, err) == (0, "")
+    assert "SG-semisimple: yes" in out
+    assert (code, out, err) == run_cli(capsys, "classify", "Z/4")
 
 
 def test_guard_exit_code(capsys):
@@ -292,16 +303,16 @@ def test_guard_override_below_one_is_invalid_input(capsys, flag, value):
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
 def test_module_sgp_builds_the_periodic_resolution_once(capsys, monkeypatch, json_flag):
-    import finring.cli as cli
+    import finring.homology as homology
 
     calls = []
-    build = cli.strongly_complete_resolution
+    build = homology.strongly_complete_resolution
 
     def counting(witness):
         calls.append(witness)
         return build(witness)
 
-    monkeypatch.setattr(cli, "strongly_complete_resolution", counting)
+    monkeypatch.setattr(homology, "strongly_complete_resolution", counting)
     code, _, _ = run_cli(
         capsys, "module", "sgp", "--ring", "Z/8", "--rel", "2,0;0,4", *json_flag
     )

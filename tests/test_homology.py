@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from brute_force import BruteModule
 from finring import cli, homology, modules
-from finring.classify import SQUARE_ZERO_PAIR, nonzero_proper_ideals
+from finring.classify import SQUARE_ZERO_PAIR, catalog_specs, nonzero_proper_ideals
 from finring.errors import (
     ConsistencyError,
     GuardExceeded,
@@ -18,6 +18,7 @@ from finring.errors import (
 )
 from finring.guards import Guards
 from finring.homology import (
+    ExtGroup,
     SgpObstruction,
     SgpWitness,
     _verify_resolution_exactness,
@@ -32,6 +33,7 @@ from finring.homology import (
     witness_rank,
 )
 from finring.ideals import (
+    enumerate_ideals,
     ideal_generated,
     idempotent_decomposition,
     unique_maximal_ideal,
@@ -50,7 +52,7 @@ from finring.modules import (
     regular_module,
 )
 from finring.parsing import parse_presentation, parse_ring_spec
-from finring.rings import build_ring
+from finring.rings import build_ring, spec_order
 
 
 def _ring(text):
@@ -561,3 +563,73 @@ def test_ext1_matches_scalar_loops(chunk, pres):
     finally:
         modules._CHUNK = saved
     assert (ext.order, ext.kernel_order, ext.image_order) == _ref_ext1(m, q)
+
+
+# -- the SGP verdict reads Ext^1(M, R) off its own witness ---------------------
+
+
+# the catalog rings of order <= 27: the local ones, SQUARE_ZERO_PAIR among
+# them, and the products
+_SGP_RINGS = {
+    text: build_ring(spec)
+    for _, text in catalog_specs()
+    if spec_order(spec := parse_ring_spec(text)) <= 27
+}
+
+
+def _quotient_sum(text, picks):
+    ring = _SGP_RINGS[text]
+    ideals = enumerate_ideals(ring)
+    parts = [quotient_by_ideal(ring, ideals[i]) for i in picks]
+    return parts[0] if len(parts) == 1 else direct_sum(*parts)
+
+
+# R/I and R/I + R/J of at most |R| elements, so that every witness search
+# runs over R^1 or R^2 and ends within milliseconds
+_SGP_MODULES = [
+    (text, picks)
+    for text, ring in _SGP_RINGS.items()
+    for ideals in [enumerate_ideals(ring)]
+    for picks in itertools.chain(
+        itertools.combinations(range(len(ideals)), 1),
+        itertools.combinations_with_replacement(range(len(ideals)), 2),
+    )
+    if prod(ring.order // ideals[i].order for i in picks) <= ring.order
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_SGP_MODULES))
+@example(("Z/8", (1, 2)))  # Z/4 + Z/2: SGP with a rank-2 witness
+@example((f"Z/2 x {SQUARE_ZERO_PAIR}", (0,)))  # a product, free in each factor
+def test_verdict_ext_matches_ext1_on_every_witness(case):
+    m = _quotient_sum(*case)
+    verdict = is_strongly_gorenstein_projective(m)
+    if verdict.decision:
+        assert ext1(m, regular_module(m.ring)).is_zero
+    for local in verdict.components or (verdict,):
+        if local.witness is not None:
+            assert local.ext.order == ext1(local.module, regular_module(local.module.ring)).order
+            assert local.resolution == check_complete_resolution(local.periodic)
+            assert local.periodic == strongly_complete_resolution(local.witness)
+
+
+def test_sgp_verdict_computes_no_second_ext(monkeypatch):
+    # the witness's dual periodic complex gives Ext^1(M, R): no free cover of
+    # M is built to compute it again
+    def refuse(*args):
+        raise AssertionError("Ext^1 recomputed on the SGP path")
+
+    monkeypatch.setattr(homology, "ext1", refuse)
+    verdict = is_strongly_gorenstein_projective(_mod(_ring("Z/8"), "2,0;0,4"))
+    assert verdict.decision and verdict.ext.is_zero
+    # |ker f*| = |im f*| = |M*| = |Hom(Z/2 + Z/4, Z/8)| = 8
+    assert (verdict.ext.kernel_order, verdict.ext.image_order) == (8, 8)
+    product = is_strongly_gorenstein_projective(_mod(_ring("Z/4 x Z/3"), "(2,0)"))
+    assert product.decision and all(c.ext.is_zero for c in product.components)
+
+
+def test_ext_group_checks_its_quotient():
+    assert ExtGroup(2, 8, 4).order == 2
+    with pytest.raises(ConsistencyError, match="Ext quotient size is not integral"):
+        ExtGroup(1, 8, 4)

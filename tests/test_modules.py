@@ -20,7 +20,14 @@ from finring.errors import (
 from finring import modules
 from finring.guards import Guards
 from finring.homology import dual_hom
-from finring.ideals import ideal_generated, idempotent_decomposition, is_local, unique_maximal_ideal
+from finring.ideals import (
+    enumerate_ideals,
+    ideal_generated,
+    idempotent_decomposition,
+    is_local,
+    quasi_frobenius_certificate,
+    unique_maximal_ideal,
+)
 from finring.modules import (
     Module,
     ModuleHom,
@@ -410,6 +417,50 @@ def test_split_complement_has_torsion_only():
     assert not rest.free_element_mask().any()
     resum = direct_sum(free_module(z4, rank), rest)
     assert is_isomorphic(resum, mixed)[0]
+
+
+# the local quasi-Frobenius catalog rings of order <= 27, with their ideals
+_QF_LOCALS = {
+    label: (ring, enumerate_ideals(ring))
+    for label, ring in _catalog_rings_up_to(27)
+    if is_local(ring) and quasi_frobenius_certificate(ring) is None
+}
+
+
+@st.composite
+def _qf_quotient_sums(draw):
+    """R/I_1 + ... + R/I_k over a local QF ring: I = 0 gives a free summand."""
+    ring, ideals = _QF_LOCALS[draw(st.sampled_from(sorted(_QF_LOCALS)))]
+    k = draw(st.integers(1, 3 if ring.order <= 9 else 2))
+    picks = draw(st.lists(st.sampled_from(ideals), min_size=k, max_size=k))
+    return functools.reduce(direct_sum, [quotient_by_ideal(ring, i) for i in picks])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_qf_quotient_sums())
+def test_free_rank_is_the_socle_multiple_dimension(m):
+    # soc R is simple over a local QF ring and lies in every nonzero ideal,
+    # so s * x != 0 for s in soc R exactly when x is free: s * M = soc(R)^f
+    # for M = R^f + N, and f = log_q |s * M| with q = |R/m|
+    ring = m.ring
+    _, mul, _ = ring.tables()
+    maximal = list(unique_maximal_ideal(ring).indices)
+    s = next(s for s in range(1, ring.order) if not mul[s, maximal].any())
+    ref = BruteModule.of(m)
+    size = len({ref.scal(s, x) for x in m.elements})
+    rank, rest = free_summand_split(m)
+    assert (ring.order // len(maximal)) ** rank == size
+    assert rest.cardinality * ring.order**rank == m.cardinality
+
+
+def test_free_summand_split_takes_cokernels_not_hom_searches(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("free summand found by a hom search")
+
+    monkeypatch.setattr(modules, "_homs", refuse)
+    z4 = _ring("Z/4")
+    rank, rest = free_summand_split(direct_sum(free_module(z4, 2), _mod(z4, "2")))
+    assert rank == 2 and rest.cardinality == 2
 
 
 def test_submodule_round_trip():
@@ -925,7 +976,7 @@ def test_batched_injectivity_matches_per_hom_test(pair, chunk):
     saved = modules._CHUNK
     modules._CHUNK = chunk or saved
     try:
-        batched = list(modules._homs(m1, m2, modules._injective))
+        batched = list(modules._homs(m1, m2, injective=True))
     finally:
         modules._CHUNK = saved
     # the reference side is brute force: iter_homs shares the batched scan
