@@ -34,7 +34,7 @@ from .ideals import (
     unique_maximal_ideal,
 )
 from .homology import SgpVerdict, is_strongly_gorenstein_projective
-from .modules import quotient_by_ideal
+from .modules import Module, is_projective, quotient_by_ideal
 from .parsing import parse_ring_spec
 from .rings import Ring, build_ring, spec_order
 
@@ -100,10 +100,12 @@ def is_sg_semisimple(ring: Ring):
     return True, None
 
 
-def residue_field_sgp(local_ring: Ring) -> SgpVerdict:
-    """Is R/m strongly Gorenstein projective?  The module route to the SG test."""
-    m = unique_maximal_ideal(local_ring)
-    return is_strongly_gorenstein_projective(quotient_by_ideal(local_ring, m))
+def residue_field_sgp(local_ring: Ring, residue: Module | None = None) -> SgpVerdict:
+    """Is R/m strongly Gorenstein projective?  The module route to the SG
+    test; ``residue`` is R/m when the caller has already built it."""
+    if residue is None:
+        residue = quotient_by_ideal(local_ring, unique_maximal_ideal(local_ring))
+    return is_strongly_gorenstein_projective(residue)
 
 
 # memo keyed by the factor's addition and multiplication tables and its
@@ -116,7 +118,12 @@ def _residue_sgp_decision(factor: Ring) -> bool:
     add, mul, _ = factor.tables()
     key = (factor.order, add.tobytes(), mul.tobytes(), factor.guards)
     if key not in _RESIDUE_SGP_MEMO:
-        _RESIDUE_SGP_MEMO[key] = residue_field_sgp(factor).decision
+        # a projective P is SGP through the split 0 -> P -> P + P -> P -> 0,
+        # so a field's R/m = R needs no witness search
+        residue = quotient_by_ideal(factor, unique_maximal_ideal(factor))
+        _RESIDUE_SGP_MEMO[key] = (
+            is_projective(residue) or residue_field_sgp(factor, residue).decision
+        )
     return _RESIDUE_SGP_MEMO[key]
 
 

@@ -1,44 +1,70 @@
 """Ideal-theoretic data: lattices, annihilators, radicals, idempotent splitting.
 
-Internally an ideal is a Python-int bitset over element positions (bit p set
-when position p belongs to it), read off the ring's cached operation tables;
-the public :class:`Ideal` exposes sorted positions and element values.  Every
+An ideal is a Python-int bitset over element positions (bit p set when
+position p belongs to it), ``Ideal.bits``; its sorted positions,
+``Ideal.indices``, are derived on first use.  Over a ring with no parts to
+read, the bitsets come from the ring's cached operation tables.  Every
 principal ideal xR, and the annihilator of every element, comes from one
-pass over the multiplication table.  I + J is I translated over coset
-representatives of I inside J, |I + J| table reads in all.  The lattice is
-the closure of the zero ideal under adding principal ideals, which is
-complete for finite rings because every ideal is a finite sum of principal
-ideals.  Canonical generators are greedy: adjoin the least position not yet
-generated, the rule of ``modules._greedy_span``.
+pass over the multiplication table, on first use.  I + J is I translated
+over coset representatives of I inside J, |I + J| table reads in all.  The
+lattice is the closure of the zero ideal under adding principal ideals,
+which is complete for finite rings because every ideal is a finite sum of
+principal ideals.  Canonical generators are greedy: adjoin the least
+position not yet generated, the rule of ``modules._greedy_span``.
+
+A product of rings R_0 x ... x R_(k-1), whose position is a digit string
+of its parts' positions, reads the same structure off its parts by three
+theorems.  Its ideals are exactly the products I_0 x ... x I_(k-1) of the
+parts' ideals (multiply by the idempotent of each digit), so the lattice
+is formed from the parts' lattices, and the greedy generators have a
+closed form (:func:`_product_lattice`).  Ann(I_0 x ... x I_(k-1)) is the
+product of the Ann(I_t), a few dict lookups.  Its primitive idempotents
+are those of its parts, each in its own digit, and the factor at one of
+them is order-isomorphic to the part's factor, whose tables, bitsets and
+lattice it shares (:func:`_split_product`).  Its units are the tuples of
+its parts' units (``rings.units_mask``), and the locality test sums its
+nonunits through its ops, so classifying or splitting a product builds no
+table of its own, and only :func:`ideal_generated` builds the bitsets of
+its principal ideals.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import prod
 
 import numpy as np
 
 from .errors import ConsistencyError, GuardExceeded, NonLocalRingError, ValidationError
-from .rings import Ring, units_mask
+from .rings import _CHUNK, ProductRing, Ring, units_mask
 
 
 @dataclass(frozen=True)
 class Ideal:
-    """An ideal, carried as sorted element indices plus a generator witness.
+    """An ideal, carried as a bitset over element positions plus a generator witness.
 
-    ``indices`` is the full element set (sorted, canonical order) and
-    ``generator_indices`` a generating set: the elements are exactly the
-    closure of the generators under addition and external multiplication.
+    ``bits`` has bit p set when position p belongs to the ideal, and
+    ``indices``, derived from it on first use, is the full element set
+    (sorted, canonical order).  ``generator_indices`` is a generating set:
+    the elements are exactly the closure of the generators under addition
+    and external multiplication.
     """
 
     ring: Ring
-    indices: tuple
+    bits: int
     generator_indices: tuple
+
+    @cached_property
+    def indices(self) -> tuple:
+        return tuple(_positions(self.bits, self.ring.order).tolist())
 
     @property
     def order(self) -> int:
-        return len(self.indices)
+        return self.bits.bit_count()
 
     @property
     def elements(self) -> frozenset:
@@ -71,18 +97,45 @@ def _low(bits: int) -> int:
     return (bits & -bits).bit_length() - 1  # the least set position
 
 
+def _positions(bits: int, n: int) -> np.ndarray:
+    """The set positions of a bitset over n positions, ascending."""
+    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+
+
+@functools.cmp_to_key
+def _lattice_order(a: Ideal, b: Ideal) -> int:
+    """By cardinality, then by sorted positions.  Of two sets of one size,
+    the lesser holds the least position in which they differ: below it
+    their sorted lists agree, and there one list has it and the other a
+    larger one."""
+    if a.order != b.order:
+        return a.order - b.order
+    diff = a.bits ^ b.bits
+    return 0 if not diff else -1 if a.bits & diff & -diff else 1
+
+
 class _Bitsets:
-    """A ring's ideals as bitsets over element positions, with memos."""
+    """A ring's ideals as bitsets over element positions, with memos.  The
+    bits of every principal ideal xR and every Ann(x) are read off the
+    multiplication table on first use, in one pass each."""
 
     def __init__(self, ring: Ring):
-        add, mul, _ = ring.tables()
-        n, zero = ring.order, ring.index[ring.zero]
-        self.add, self.nbytes, self.zero = add, (n + 7) // 8, 1 << zero
-        rows = np.zeros((n, n), dtype=bool)
-        rows[np.arange(n)[:, None], mul] = True
-        self.principal = self._ints(rows)  # [x]: the bits of xR
-        self.killers = self._ints(mul.T == zero)  # [x]: the bits of Ann(x)
+        self.ring, self.nbytes = ring, (ring.order + 7) // 8
+        self.zero = 1 << ring.index[ring.zero]
         self._members, self._sums = {}, {}  # queries recur across a ring's checks
+
+    @cached_property
+    def principal(self) -> list:  # [x]: the bits of xR
+        _, mul, _ = self.ring.tables()
+        rows = np.zeros(mul.shape, dtype=bool)
+        rows[np.arange(len(mul))[:, None], mul] = True
+        return self._ints(rows)
+
+    @cached_property
+    def killers(self) -> list:  # [x]: the bits of Ann(x)
+        _, mul, _ = self.ring.tables()
+        return self._ints(mul.T == self.ring.index[self.ring.zero])
 
     def _ints(self, masks) -> list:
         packed = np.packbits(masks, axis=-1, bitorder="little")
@@ -95,8 +148,7 @@ class _Bitsets:
 
     def positions(self, bits: int) -> np.ndarray:
         if bits not in self._members:
-            raw = np.frombuffer(bits.to_bytes(self.nbytes, "little"), dtype=np.uint8)
-            self._members[bits] = np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+            self._members[bits] = _positions(bits, self.ring.order)
         return self._members[bits]
 
     def plus(self, a: int, b: int) -> int:
@@ -106,9 +158,10 @@ class _Bitsets:
         if a.bit_count() < b.bit_count():
             a, b = b, a
         if (a, b) not in self._sums:
+            add = self.ring.tables()[0]
             members, total, rest = self.positions(a), a, b & ~a
             while rest:
-                total |= self.bits(self.add[members, _low(rest)])
+                total |= self.bits(add[members, _low(rest)])
                 rest &= ~total
             self._sums[a, b] = total
         return self._sums[a, b]
@@ -133,32 +186,69 @@ def _bitsets(ring: Ring) -> _Bitsets:
 def _ideal_of(ring: Ring, bits: int, generator_indices=None) -> Ideal:
     """The ideal with these bits: the lattice's own object when the lattice
     is cached, else a new one, with greedy generators unless given."""
-    b = _bitsets(ring)
     if generator_indices is None:
         known = ring._cache.get("ideal_index", {}).get(bits)
         if known is not None:
             return known
-        generator_indices = b.generators(bits)
-    indices = tuple(b.positions(bits).tolist())
-    return Ideal(ring, indices, tuple(int(g) for g in generator_indices))
+        generator_indices = _bitsets(ring).generators(bits)
+    return Ideal(ring, bits, tuple(int(g) for g in generator_indices))
 
 
 def ideal_generated(ring: Ring, gens) -> Ideal:
     """Smallest ideal containing ``gens`` (element values)."""
+    index = ring.index
     for g in gens:
-        if g not in ring.index:
+        if g not in index:
             raise ValidationError(f"{g!r} is not an element of {ring.describe()}")
+    gen_idx = tuple(index[g] for g in gens)
     b = _bitsets(ring)
-    gen_idx = [ring.index[g] for g in gens]
     span = b.zero
     for g in gen_idx:
         span = b.plus(span, b.principal[g])
-    return _ideal_of(ring, span, gen_idx)
+    return Ideal(ring, span, gen_idx)
+
+
+def _strides(ring: ProductRing) -> list:
+    """The position weight of each digit of a product: t's is the order of the parts after t."""
+    return [prod(f.order for f in ring.factors[t + 1 :]) for t in range(len(ring.factors))]
+
+
+def _product_lattice(ring: ProductRing) -> list:
+    """The ideals I_0 x ... x I_(k-1), from the parts' lattices (module docstring).
+
+    Their canonical generators are the parts' in reverse digit order, g of
+    I_t at position g * stride_t, which is what the greedy rule picks.  While
+    digits t+1.. are spanned in full and digit t by J, a proper part of I_t,
+    the span is 0 x ... x J x I_(t+1) x ...; a position with a nonzero digit
+    before t exceeds every position whose digits before t are zero, so the
+    least position outside the span is g * stride_t for the least g of I_t
+    outside J, the part's own greedy pick, and adjoining it adds gR_t in
+    digit t.  The components of each ideal are kept, so an annihilator is
+    the product of the parts' (:func:`annihilator`).
+    """
+    strides = _strides(ring)
+    components, by_components, ideals = {}, {}, []
+    for combo in itertools.product(*map(enumerate_ideals, ring.factors)):
+        bits = combo[-1].bits
+        for part, stride in zip(combo[-2::-1], strides[-2::-1]):
+            bits = functools.reduce(operator.or_, (bits << d * stride for d in part.indices))
+        gens = [g * s for part, s in zip(combo[::-1], strides[::-1]) for g in part.generator_indices]
+        ideals.append(Ideal(ring, bits, tuple(gens)))
+        components[bits] = combo
+        by_components[tuple(part.bits for part in combo)] = ideals[-1]
+    ring._cache["ideal_components"] = components
+    ring._cache["ideal_by_components"] = by_components
+    return ideals
 
 
 def enumerate_ideals(ring: Ring) -> list:
-    """The complete ideal lattice, sorted by cardinality then element list:
-    the closure of the zero ideal under adding principal ideals."""
+    """The complete ideal lattice, sorted by cardinality then element list.
+
+    A product of rings takes the products of its parts' ideals, and a factor
+    ring that mirrors another ring (:class:`IdempotentFactorRing`) that
+    ring's ideals.  Any other ring takes the closure of the zero ideal under
+    adding principal ideals.
+    """
     if "ideal_lattice" in ring._cache:
         return ring._cache["ideal_lattice"]
     if ring.order > ring.guards.max_lattice_order:
@@ -167,20 +257,31 @@ def enumerate_ideals(ring: Ring) -> list:
             f"lattice guard ({ring.guards.max_lattice_order})",
             "max_lattice_order", ring.order, ring.guards.max_lattice_order,
         )
-    b = _bitsets(ring)
-    principal, found = set(b.principal), [b.zero]
-    for ideal in found:  # grows while it is scanned
-        found += {b.plus(ideal, p) for p in principal}.difference(found)
-    keyed = sorted((tuple(b.positions(a).tolist()), a) for a in found)
-    keyed.sort(key=lambda kb: len(kb[0]))
-    index = {a: Ideal(ring, idx, b.generators(a)) for idx, a in keyed}
-    ring._cache["ideal_index"] = index
-    ring._cache["ideal_lattice"] = list(index.values())
-    return ring._cache["ideal_lattice"]
+    mirror = getattr(ring, "mirror", None)
+    if mirror is not None:
+        ideals = [Ideal(ring, i.bits, i.generator_indices) for i in enumerate_ideals(mirror)]
+    elif isinstance(ring, ProductRing):
+        ideals = _product_lattice(ring)
+    else:
+        b = _bitsets(ring)
+        principal, found = set(b.principal), [b.zero]
+        for ideal in found:  # grows while it is scanned
+            found += {b.plus(ideal, p) for p in principal}.difference(found)
+        ideals = [Ideal(ring, a, b.generators(a)) for a in found]
+    ideals.sort(key=_lattice_order)
+    ring._cache["ideal_index"] = {ideal.bits: ideal for ideal in ideals}
+    ring._cache["ideal_lattice"] = ideals
+    return ideals
 
 
 def annihilator(ring: Ring, ideal: Ideal) -> Ideal:
-    """Ann(I) = {x : x*g = 0 for every g in I}; generators suffice."""
+    """Ann(I) = {x : x*g = 0 for every g in I}; generators suffice.  In a
+    product of rings with its lattice built, Ann(I_0 x ... x I_(k-1)) is
+    the product of the Ann(I_t)."""
+    components = ring._cache.get("ideal_components", {}).get(ideal.bits)
+    if components is not None:
+        anns = (annihilator(f, c).bits for f, c in zip(ring.factors, components))
+        return ring._cache["ideal_by_components"][tuple(anns)]
     bits = -1
     for g in ideal.generator_indices:
         bits &= _bitsets(ring).killers[g]
@@ -189,10 +290,9 @@ def annihilator(ring: Ring, ideal: Ideal) -> Ideal:
 
 def maximal_ideals(ring: Ring) -> list:
     if "maximal_ideals" not in ring._cache:
-        enumerate_ideals(ring)
-        proper = [(a, i) for a, i in ring._cache["ideal_index"].items() if i.is_proper]
+        proper = [i for i in enumerate_ideals(ring) if i.is_proper]
         ring._cache["maximal_ideals"] = [
-            ideal for a, ideal in proper if not any(a != b and a & ~b == 0 for b, _ in proper)
+            i for i in proper if not any(i is not j and i.bits & ~j.bits == 0 for j in proper)
         ]
     return ring._cache["maximal_ideals"]
 
@@ -207,10 +307,15 @@ def is_local(ring: Ring) -> bool:
         return ring._cache["is_local"]
     via_lattice = len(maximal_ideals(ring)) == 1
     units = units_mask(ring)
-    nonunit_idx = np.nonzero(~units)[0]
-    add_np, _, _ = ring.tables()
-    sums = add_np[np.ix_(nonunit_idx, nonunit_idx)]
-    via_nonunits = not units[sums].any()
+    nonunits = np.flatnonzero(~units)
+    # the sums of nonunits a block of rows at a time, through the table if
+    # built, else the ops (a product builds none to be classified), stopping
+    # at a unit
+    step = max(1, _CHUNK // len(nonunits))
+    via_nonunits = not any(
+        units[ring._sum(nonunits[s : s + step, None], nonunits)].any()
+        for s in range(0, len(nonunits), step)
+    )
     if via_lattice != via_nonunits:
         raise ConsistencyError(
             f"locality tests disagree on {ring.describe()}: "
@@ -230,7 +335,7 @@ def jacobson_radical(ring: Ring) -> Ideal:
     """Intersection of all maximal ideals."""
     common = -1
     for ideal in maximal_ideals(ring):
-        common &= _bitsets(ring).bits(list(ideal.indices))
+        common &= ideal.bits
     return _ideal_of(ring, common)
 
 
@@ -244,10 +349,12 @@ class IdempotentFactorRing(Ring):
     The carrier is a subset of the parent's elements; the embedding back
     into the parent is the identity on values.  A position is an index into
     the sorted parent positions of the carrier, and the arithmetic is the
-    parent's.
+    parent's.  A ``mirror`` is a ring with the same operation tables on
+    positions, as a product's factor has its part's factor's: this ring then
+    shares its tables and ideal bitsets and copies its lattice.
     """
 
-    def __init__(self, parent: Ring, e):
+    def __init__(self, parent: Ring, e, mirror: Ring | None = None):
         super().__init__(parent.guards)
         self.parent = parent
         self.idempotent = e
@@ -259,6 +366,12 @@ class IdempotentFactorRing(Ring):
         self.index = {x: i for i, x in enumerate(self.elements)}
         self.zero = parent.zero
         self.one = e
+        self.mirror = mirror
+        if mirror is not None:
+            if mirror.order != len(sub):
+                raise ConsistencyError("factor ring and its mirror differ in order")
+            self._tables = mirror.tables()
+            self._cache["ideal_bitsets"] = _bitsets(mirror)
 
     def _describe(self):
         return f"factor of {self.parent.describe()} at idempotent {self.idempotent!r}"
@@ -301,8 +414,52 @@ class IdempotentDecomposition:
         return len(self.idempotents) == 1
 
 
+def _split_by_tables(ring: Ring):
+    """(atoms, factors, projections) read off the multiplication table."""
+    _, mul_np, _ = ring.tables()
+    zero = ring.index[ring.zero]
+    ar = np.arange(ring.order)
+    nonzero = ar[(mul_np[ar, ar] == ar) & (ar != zero)]
+    # f lies below e when f*e == f; the atoms are the minimal nonzero idempotents
+    below = mul_np[np.ix_(nonzero, nonzero)] == nonzero[:, None]
+    np.fill_diagonal(below, False)
+    atoms = nonzero[~below.any(axis=0)].tolist()
+    if len(atoms) == 1:  # a local ring is its own factor, lattice and all
+        return atoms, (ring,), (ar,)
+    factors = tuple(IdempotentFactorRing(ring, ring.elements[e]) for e in atoms)
+    return atoms, factors, tuple(f._pos[mul_np[e]] for f, e in zip(factors, atoms))
+
+
+def _split_product(ring: ProductRing):
+    """(atoms, factors, projections) from the parts' splits.
+
+    The primitive idempotents of R_0 x ... x R_(k-1) are those of each part,
+    placed in its digit with zeros elsewhere, taken in position order.  At
+    an atom e of part t, eR is 0 x ... x eR_t x ... x 0, whose positions,
+    digit t times stride_t, are in the order of eR_t's: the factor mirrors
+    the part's factor, and projects r through the part's projection of r's
+    digit t.
+    """
+    ar = np.arange(ring.order)
+    pieces = sorted(
+        (part.index[e] * stride, part, stride, i)
+        for part, stride in zip(ring.factors, _strides(ring))
+        for i, e in enumerate(idempotent_decomposition(part).idempotents)
+    )
+    if len(pieces) == 1:  # a local ring is its own factor, as in _split_by_tables
+        return [pieces[0][0]], (ring,), (ar,)
+    atoms, factors, projections = [], [], []
+    for atom, part, stride, i in pieces:
+        split = idempotent_decomposition(part)
+        atoms.append(atom)
+        factors.append(IdempotentFactorRing(ring, ring.elements[atom], split.factor_rings[i]))
+        projections.append(split.projections[i][ar // stride % part.order])
+    return atoms, tuple(factors), tuple(projections)
+
+
 def idempotent_decomposition(ring: Ring) -> IdempotentDecomposition:
-    """Split the ring into local factors along its primitive idempotents.
+    """Split the ring into local factors along its primitive idempotents: a
+    product of rings from its parts' splits, any other ring from its table.
 
     Checked: the atoms are nonzero, pairwise orthogonal and sum to 1, the
     factor orders multiply to |R|, and each factor is local.  With the ring
@@ -313,32 +470,22 @@ def idempotent_decomposition(ring: Ring) -> IdempotentDecomposition:
     """
     if "idempotent_decomposition" in ring._cache:
         return ring._cache["idempotent_decomposition"]
-    _, mul_np, _ = ring.tables()
-    n = ring.order
+    split = _split_product if isinstance(ring, ProductRing) else _split_by_tables
+    atoms, factors, projections = split(ring)
     zero = ring.index[ring.zero]
-    ar = np.arange(n)
-    nonzero = ar[(mul_np[ar, ar] == ar) & (ar != zero)]
-    # f lies below e when f*e == f; the atoms are the minimal nonzero idempotents
-    below = mul_np[np.ix_(nonzero, nonzero)] == nonzero[:, None]
-    np.fill_diagonal(below, False)
-    atoms = nonzero[~below.any(axis=0)].tolist()
     els = ring.elements
-    # laws: pairwise orthogonal, summing to 1
+    # laws: nonzero, pairwise orthogonal, summing to 1
+    if zero in atoms:
+        raise ConsistencyError("a primitive idempotent is zero")
     total = ring.zero
     for e in atoms:
         total = ring.add(total, els[e])
     if total != ring.one:
         raise ConsistencyError("primitive idempotents do not sum to 1")
-    for a in range(len(atoms)):
-        for b in range(a + 1, len(atoms)):
-            if mul_np[atoms[a], atoms[b]] != zero:
-                raise ConsistencyError("primitive idempotents are not orthogonal")
-    if len(atoms) == 1:  # a local ring is its own factor, lattice and all
-        factors, projections = (ring,), (ar,)
-    else:
-        factors = tuple(IdempotentFactorRing(ring, els[e]) for e in atoms)
-        projections = tuple(f._pos[mul_np[e]] for f, e in zip(factors, atoms))
-    if prod(f.order for f in factors) != n:
+    for a, b in itertools.combinations(atoms, 2):
+        if ring._prod(a, b) != zero:
+            raise ConsistencyError("primitive idempotents are not orthogonal")
+    if prod(f.order for f in factors) != ring.order:
         raise ConsistencyError("factor cardinalities do not multiply to the ring order")
     for f in factors:
         if not is_local(f):
@@ -357,6 +504,6 @@ def idempotent_decomposition(ring: Ring) -> IdempotentDecomposition:
 def quasi_frobenius_certificate(ring: Ring):
     """None if Ann(Ann(I)) == I for every ideal, else the first failing ideal."""
     for ideal in enumerate_ideals(ring):
-        if annihilator(ring, annihilator(ring, ideal)).indices != ideal.indices:
+        if annihilator(ring, annihilator(ring, ideal)).bits != ideal.bits:
             return ideal
     return None

@@ -707,7 +707,8 @@ def free_summand_split(m: Module):
 
     An element x with zero annihilator spans Rx = R, which is injective
     over a quasi-Frobenius ring, so Rx is a summand and M = Rx + M/Rx: the
-    complement is the cokernel of R -> M, 1 -> x, for the least such x.
+    complement is the cokernel of R -> M, 1 -> x, for the least such x,
+    presented on its minimal generators.
     """
     ring = m.ring
     if not is_local(ring):
@@ -722,4 +723,6 @@ def free_summand_split(m: Module):
             raise ConsistencyError("split does not multiply out to the module size")
         current = complement
         rank += 1
+    if rank:  # a cokernel keeps M's k generators: present it on its own minimal ones
+        current, _ = submodule(current, np.ones(current.cardinality, dtype=bool))
     return rank, current

@@ -653,9 +653,14 @@ def unit_or_zero_divisor(ring: Ring, x) -> str:
 
 
 def units_mask(ring: Ring) -> np.ndarray:
-    """Boolean mask over element indices marking the units."""
+    """Boolean mask over element indices marking the units.  A product's
+    are the tuples of its factors' units, read off without its own table."""
     key = "units_mask"
     if key not in ring._cache:
-        _, mul, _ = ring.tables()
-        ring._cache[key] = (mul == ring._one_pos).any(axis=1)
+        if isinstance(ring, ProductRing):
+            masks = map(units_mask, ring.factors)
+            ring._cache[key] = functools.reduce(lambda a, b: (a[:, None] & b).ravel(), masks)
+        else:
+            _, mul, _ = ring.tables()
+            ring._cache[key] = (mul == ring._one_pos).any(axis=1)
     return ring._cache[key]

@@ -23,7 +23,11 @@ positions instead of element values.  The two ``module sgp`` requests
 over that ring, the first ``module sgp`` goldens over a ring that is not a
 chain ring, were recorded while ``is_isomorphic`` still filtered on the
 minimal generator count, before it filtered on ``Module.kill_counts``
-alone.  A change that alters any of
+alone.  The three ``classify`` requests under ``--max-hom-enumeration 3``
+stopped at the hom guard while the residue field of a field factor, R/m =
+R, went through the witness search instead of the projectivity test; their
+digests are those of the same requests under the default guards, recorded
+before that change.  A change that alters any of
 these bytes changes a witness, an ordering or a number in the report, which
 the canonical-order contract forbids.  ``GOLDEN_TEXT`` pins the text
 output of some commands the same way.
@@ -112,6 +116,18 @@ GOLDEN = [
     (
         ["module", "sgp", "--ring", "GF(2)[x]/(x^2)[x]/(x^2)", "--rel", "(x),x,0,0;0,0,(x),x"],
         "3e61c680959b3c72ca5a3c323b6538e98d20b5c0b701cb3b502aa67aafcd45f0",
+    ),
+    (
+        ["classify", "Z/5", "--max-hom-enumeration", "3"],
+        "e540dfd0568e85e42ebc23292371149146acbb08586fb1eb10153573bbcb22eb",
+    ),
+    (
+        ["classify", "GF(4)", "--max-hom-enumeration", "3"],
+        "e50a43b92df80cff634f441f8c9efd688541e58715f71807f7960a85b9f28870",
+    ),
+    (
+        ["classify", "Z/4 x Z/3", "--max-hom-enumeration", "3"],
+        "4df00e6b5cfde0ea25d34e76c9f4ea83dbfc01328dae4bb10249f7e71d166ccf",
     ),
 ]
 
