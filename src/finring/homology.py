@@ -42,15 +42,14 @@ from .ideals import idempotent_decomposition, is_local
 from .modules import (
     Module,
     ModuleHom,
-    _accepted,
-    _homs,
-    _image_choices,
+    _hom_count,
     compose,
     cokernel,
     decompose_over_product,
     free_cover,
     free_module,
     is_isomorphic,
+    iter_homs,
     kernel,
 )
 
@@ -155,12 +154,10 @@ def ext1(m: Module, q: Module) -> ExtGroup:
     Hom(S, q) -> Ext^1(m, q) -> 0, for m's minimal free cover F = R^{g0}
     and its first syzygy S.
 
-    Both hom orders count the accepted candidates of one scan
-    (``_accepted``), and each scan passes the hom guard: Hom(S, q) out of
-    S's filtered candidates (``_image_choices``), and Hom(m, q) as the maps
-    F -> q that vanish on S's generators, out of the images that the
-    annihilators of m's minimal generators (``cover.positions``) allow.
-    Its image in Hom(S, q) has |q|^{g0} / |Hom(m, q)| elements.  Over a
+    Both hom orders are counted on their modules' own presentations
+    (``_hom_count``), each scan within the hom guard: |Hom(S, q)|, and
+    |Hom(m, q)|, which is the same for any presentation of m.  The image of
+    Hom(F, q) in Hom(S, q) has |q|^{g0} / |Hom(m, q)| elements.  Over a
     product ring both modules are decomposed and the component orders
     multiplied (Ext is additive).
     """
@@ -172,15 +169,9 @@ def ext1(m: Module, q: Module) -> ExtGroup:
         parts = [astuple(ext1(mc, qc)) for mc, qc in pairs]
         return ExtGroup(*map(prod, zip(*parts)))
     cover = free_cover(m)
-    syzygy, inclusion = kernel(cover)
-
-    def count(columns, choices):
-        return sum(map(len, _accepted(q, columns, choices)))
-
-    kernel_order = count(syzygy.relation_columns, _image_choices(syzygy, q))
-    generators = cover.source._rows(inclusion.positions)
-    homs = count(generators, _image_choices(m, q, cover.positions))
-    image_order, rest = divmod(q.cardinality**cover.source.k, homs)
+    syzygy, _ = kernel(cover)
+    kernel_order = _hom_count(syzygy, q)
+    image_order, rest = divmod(q.cardinality**cover.source.k, _hom_count(m, q))
     if rest:
         raise ConsistencyError("Ext quotient size is not integral")
     return ExtGroup(kernel_order // image_order, kernel_order, image_order)
@@ -267,7 +258,7 @@ def find_sgp_witness(m: Module):
             f"|M|^2 = {square} is not a power of |R| = {ring.order}",
         )
     target = free_module(ring, rank)
-    for h in _homs(m, target, injective=True):
+    for h in iter_homs(m, target, injective=True):
         coker, proj = cokernel(h)
         found, iso = is_isomorphic(coker, m)
         if found:

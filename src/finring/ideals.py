@@ -183,15 +183,13 @@ def _bitsets(ring: Ring) -> _Bitsets:
     return ring._cache["ideal_bitsets"]
 
 
-def _ideal_of(ring: Ring, bits: int, generator_indices=None) -> Ideal:
+def _ideal_of(ring: Ring, bits: int) -> Ideal:
     """The ideal with these bits: the lattice's own object when the lattice
-    is cached, else a new one, with greedy generators unless given."""
-    if generator_indices is None:
-        known = ring._cache.get("ideal_index", {}).get(bits)
-        if known is not None:
-            return known
-        generator_indices = _bitsets(ring).generators(bits)
-    return Ideal(ring, bits, tuple(int(g) for g in generator_indices))
+    is cached, else a new one with greedy generators."""
+    known = ring._cache.get("ideal_index", {}).get(bits)
+    if known is not None:
+        return known
+    return Ideal(ring, bits, tuple(int(g) for g in _bitsets(ring).generators(bits)))
 
 
 def ideal_generated(ring: Ring, gens) -> Ideal:

@@ -26,22 +26,22 @@ combination evaluator ``_combine`` turns them into the position of every
 source element (``ModuleHom.table``), checks them against the source
 relations, and finds a submodule's relations as the zero positions of the
 combinations of its generators over all of R^k.  The exhaustive searches
-over tuples of target elements -- the hom candidates of ``_homs`` and the
-two hom counts of ``ext1`` -- take the one stream ``_accepted``: the tuples
-on which ``_combine`` of every relation column vanishes, a run of tuples at
-a time.  Each search first narrows the images of each listed source
-element, the generators unless a caller lists others, by two rules
-(``_image_choices``, which holds the hom guard): an element's image is
-killed by its annihilator, and in an injective search a nonzero element's
-image is not zero.  This keeps the lexicographic order of the homs and
-makes the guard count only the tuples a search can visit.  One scan,
-``_homs``, serves every hom search: it evaluates the tables of each
-accepted run and builds every hom, or only the injective ones.  Every
-module the library derives is built from positions by ``Module._on``, and
-every hom by ``ModuleHom._at``, with the public constructor's relation
-check.  Element values and index tuples appear only at the public edge:
-``Module.elements``, ``index`` and ``presentation`` (derived on first use),
-``ModuleHom.images`` and ``ModuleHom.apply``.
+over tuples of target elements take the one stream ``_accepted``: the
+tuples on which ``_combine`` of every relation column vanishes, a run of
+tuples at a time.  Each search first narrows the images of the source's
+generators by two rules (``_image_choices``, which holds the hom guard): a
+generator's image is killed by its annihilator, and in an injective search
+a nonzero generator's image is not zero.  This keeps the lexicographic
+order of the homs and makes the guard count only the tuples a search can
+visit.  One scan, ``iter_homs``, serves every hom search: it evaluates the
+tables of each accepted run and builds every hom, or only the injective
+ones.  One count, ``_hom_count``, sizes a hom group on the source's own
+presentation and builds no hom.  Every module the library derives is built
+from positions by ``Module._on``, and every hom by ``ModuleHom._at``, with
+the public constructor's relation check.  Element values and index tuples
+appear only at the public edge: ``Module.elements``, ``index`` and
+``presentation`` (derived on first use), ``ModuleHom.images`` and
+``ModuleHom.apply``.
 
 Everything here is immutable after construction and deterministic: every
 generator pick is the least candidate in canonical order, hom sets are
@@ -73,10 +73,7 @@ from .ideals import (
     quasi_frobenius_certificate,
     unique_maximal_ideal,
 )
-from .rings import Ring
-
-# entries per temporary array in the vectorised loops (int64: 256 KiB)
-_CHUNK = 1 << 15
+from .rings import _CHUNK, Ring
 
 
 @dataclass(frozen=True)
@@ -308,9 +305,7 @@ class Module:
 
     def _unit_positions(self) -> np.ndarray:
         """Positions of the classes of the standard basis vectors of R^k."""
-        units = np.zeros((self.k, self.k), dtype=np.intp)
-        np.fill_diagonal(units, self.ring._one_pos)
-        return self._locate(units)
+        return self.rep[self.ring._one_pos * self._weights]
 
     def _kills(self):
         """[r, x]: whether r * x = 0, for every element x and a run of r at a time."""
@@ -496,26 +491,25 @@ def _accepted(target: Module, columns, choices):
         yield tuples[(_combine(target, tuples, columns) == 0).all(axis=1)]
 
 
-def _image_choices(m1: Module, m2: Module, positions=None, injective=False) -> list:
-    """For each listed element x_j of m1, at ``positions`` (by default its
-    generators), the ascending positions of the elements t of m2 with
-    a * t = 0 for every a in Ann(x_j): the only images a hom can give x_j.
-    In an injective scan a nonzero x_j is never offered zero.
+def _image_choices(m1: Module, m2: Module, injective=False) -> list:
+    """For each generator x_j of m1, the ascending positions of the elements
+    t of m2 with a * t = 0 for every a in Ann(x_j): the only images a hom
+    can give x_j.  In an injective scan a nonzero x_j is never offered zero.
 
-    The tests run over the least nonzero a of Ann(x_j) not yet settled, and
-    each test a * t = 0 settles every multiple r * a as well, so a principal
+    r * x_j is the class of the raw row with r in coordinate j, whose code is
+    r * w_j, so Ann(x_j) is read off ``rep`` with no table.  The tests run
+    over the least nonzero a of Ann(x_j) not yet settled, and each test
+    a * t = 0 settles every multiple r * a as well, so a principal
     annihilator costs one test and a zero one none.  The guard bounds the
     number of tuples, which is the number of candidates any scan over them
     visits.
     """
-    if positions is None:
-        positions = m1._unit_positions()
     _, mul, _ = m1._tables
     # ann[r, j]: whether r * x_j = 0 in m1, as zero is element 0
-    ann = m1._locate(mul[:, m1._rows(positions)]) == 0
+    ann = m1.rep[np.arange(m1.ring.order)[:, None] * m1._weights] == 0
     ann[0] = False  # zero kills everything: nothing to test
     choices = []
-    for rest, x in zip(ann.T, positions):
+    for rest, x in zip(ann.T, m1._unit_positions()):
         keep = np.ones(m2.cardinality, dtype=bool)
         while rest.any():
             a = int(rest.argmax())
@@ -535,18 +529,19 @@ def _image_choices(m1: Module, m2: Module, positions=None, injective=False) -> l
     return choices
 
 
-def _homs(m1: Module, m2: Module, injective=False):
+def iter_homs(m1: Module, m2: Module, injective=False):
     """The homs m1 -> m2 in lexicographic generator-image order, or the
     injective ones.
 
-    Candidates are the tuples of ``_image_choices``, so filtering each
-    coordinate keeps the order of all tuples of m2 elements; the injective
-    scan offers no nonzero generator zero.  A candidate is a hom when every
-    relation column of m1 evaluates to zero on it (``_accepted``).  The homs
-    of each accepted run are evaluated into ``_combine`` tables (homs x |m1|
-    positions) a slice of at most ``_CHUNK`` raw entries at a time; a hom
-    is injective when no nonzero source element -- every position but 0 --
-    maps to zero, which is position 0.
+    Candidates are the tuples of ``_image_choices``, whose number the guard
+    ``max_hom_candidates`` bounds; filtering each coordinate keeps the order
+    of all tuples of m2 elements.  A candidate is a hom when every relation
+    column of m1 evaluates to zero on it (``_accepted``).  The homs of each
+    accepted run are evaluated into ``_combine`` tables (homs x |m1|
+    positions) a slice of at most ``_CHUNK`` raw entries at a time; a hom is
+    injective when no nonzero source element -- every position but 0 --
+    maps to zero, which is position 0.  Homs are built and yielded lazily,
+    so a caller that stops early scans a prefix of the candidates.
     """
     if m1.ring is not m2.ring:
         raise RingMismatchError("hom set needs modules over the same ring")
@@ -563,19 +558,13 @@ def _homs(m1: Module, m2: Module, injective=False):
                 yield ModuleHom._at(m1, m2, pos, table)
 
 
-def iter_homs(m1: Module, m2: Module):
-    """All homs m1 -> m2 in lexicographic generator-image order.
-
-    The candidates are the image tuples left after filtering each generator's
-    images by its annihilator (``_image_choices``), and the guard
-    ``max_hom_candidates`` bounds their number.  Homs are built and yielded
-    lazily, so a caller that stops early scans the same prefix of candidates.
-    """
-    yield from _homs(m1, m2)
-
-
 def hom_set(m1: Module, m2: Module) -> list:
     return list(iter_homs(m1, m2))
+
+
+def _hom_count(m1: Module, m2: Module) -> int:
+    """|Hom(m1, m2)|: the accepted candidates of the scan, with no hom built."""
+    return sum(map(len, _accepted(m2, m1.relation_columns, _image_choices(m1, m2))))
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +628,7 @@ def is_isomorphic(m1: Module, m2: Module):
     if m1.cardinality != m2.cardinality or m1.kill_counts() != m2.kill_counts():
         return False, None
     # equal cardinalities: the first injective hom is bijective
-    witness = next(_homs(m1, m2, injective=True), None)
+    witness = next(iter_homs(m1, m2, injective=True), None)
     return witness is not None, witness
 
 
@@ -674,10 +663,10 @@ def decompose_over_product(m: Module, dec: IdempotentDecomposition) -> list:
     """Components e_i M as modules over the local factors; re-sum is verified."""
     if dec.ring is not m.ring:
         raise PreconditionError("decomposition belongs to a different ring")
-    comps = [
-        Module._on(fring, m.k, proj[m.relation_columns])
-        for fring, proj in zip(dec.factor_rings, dec.projections)
-    ]
+    comps = []
+    for fring, proj in zip(dec.factor_rings, dec.projections):
+        cols = proj[m.relation_columns]  # a column that projects to zero relates nothing
+        comps.append(Module._on(fring, m.k, cols[cols.any(axis=1)]))
     _verify_decomposition(m, dec, comps)
     return comps
 

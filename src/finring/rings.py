@@ -228,8 +228,9 @@ def spec_text(spec: RingSpec) -> str:
 # ---------------------------------------------------------------------------
 # realized rings
 
-# entries per block of the table builder's temporaries
-_CHUNK = 1 << 16
+# entries per block of a vectorised loop's temporaries (int64: 256 KiB),
+# shared by the table builder, the ideal and the module layers
+_CHUNK = 1 << 15
 
 
 class Ring:

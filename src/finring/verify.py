@@ -66,8 +66,12 @@ class _Counterexample(Exception):
     """Raised by a check body at its first counterexample; the text is the detail."""
 
 
+#: every check, in the order it is defined and run
+CHECKS: list = []
+
+
 def _check(name):
-    """Declare a check's report name once.
+    """Declare a check's report name once and append it to ``CHECKS``.
 
     The decorated body returns its summary detail when the law holds and
     raises ``_Counterexample`` at the first violation; either way the check
@@ -85,6 +89,7 @@ def _check(name):
             return CheckResult(name, passed, detail)
 
         check.report_name = name
+        CHECKS.append(check)
         return check
 
     return declare
@@ -510,31 +515,6 @@ def check_landmark_classifications(rings, flags):
         if got != (ss, qf, sg):
             raise _Counterexample(f"{text}: expected {(ss, qf, sg)}, got {got}")
     return f"{len(expected)} landmark rings match"
-
-
-CHECKS = [
-    check_ring_axioms,
-    check_double_annihilator_containment,
-    check_ideal_lattice_fixpoint,
-    check_idempotent_splitting,
-    check_zmod_quasi_frobenius,
-    check_module_counting_laws,
-    check_hom_sets_are_exactly_the_linear_maps,
-    check_kernel_image_counts,
-    check_isomorphism_is_equivalence,
-    check_free_summand_split,
-    check_product_decomposition,
-    check_resolution_exactness,
-    check_qf_ext_vanishing,
-    check_sgp_witness_cardinality,
-    check_sgp_sum_closure,
-    check_sgp_summand_asymmetry,
-    check_cyclic_sgp_ideal_laws,
-    check_sgp_quotient_laws,
-    check_classification_chain,
-    check_sg_route_agreement,
-    check_landmark_classifications,
-]
 
 
 def run_verification(

@@ -440,8 +440,8 @@ def test_periodic_map_is_read_off_the_validated_witness(monkeypatch):
 
     monkeypatch.setattr(homology, "is_isomorphic", refuse)
     monkeypatch.setattr(modules, "submodule", refuse)
-    monkeypatch.setattr(modules, "_homs", refuse)
-    monkeypatch.setattr(homology, "_homs", refuse)
+    monkeypatch.setattr(modules, "iter_homs", refuse)
+    monkeypatch.setattr(homology, "iter_homs", refuse)
     f = strongly_complete_resolution(w)
     assert f.source is f.target is w.embedding.target
     assert f.source.k == w.rank == 2
@@ -633,3 +633,26 @@ def test_ext_group_checks_its_quotient():
     assert ExtGroup(2, 8, 4).order == 2
     with pytest.raises(ConsistencyError, match="Ext quotient size is not integral"):
         ExtGroup(1, 8, 4)
+
+
+# -- Ext^1 counts both Hom groups on their modules' own presentations ----------
+
+
+@pytest.mark.parametrize(
+    "k,cols",
+    [
+        (1, ((2,),)),  # R/(2) on one generator
+        (2, ((2, 0), (0, 1))),  # the second generator is killed outright
+        (2, ((1, 7), (2, 0))),  # x_0 = x_1, and 2 x_0 = 0
+    ],
+)
+def test_ext1_is_independent_of_the_presentation(k, cols):
+    # R/(2) over Z/8 is Z/2: Ext^1 into R vanishes (Z/8 is self-injective),
+    # into R/(4) = Z/4 it is Z/4 / 2Z/4, of order 2
+    z8 = _ring("Z/8")
+    m = Module(Presentation(z8, k, tuple(tuple(z8.elements[i] for i in c) for c in cols)))
+    assert m.cardinality == 2
+    for q, order in ((regular_module(z8), 1), (_mod(z8, "4"), 2)):
+        ext = ext1(m, q)
+        assert ext.order == order
+        assert (ext.order, ext.kernel_order, ext.image_order) == _ref_ext1(m, q)

@@ -230,7 +230,7 @@ def test_kill_counts_reject_a_pair_that_the_old_filters_passed(monkeypatch):
     def refuse(*_args):
         raise AssertionError("the hom scan ran")
 
-    monkeypatch.setattr(modules, "_homs", refuse)
+    monkeypatch.setattr(modules, "iter_homs", refuse)
     assert is_isomorphic(m1, m2) == (False, None)
 
 
@@ -457,7 +457,7 @@ def test_free_summand_split_takes_cokernels_not_hom_searches(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("free summand found by a hom search")
 
-    monkeypatch.setattr(modules, "_homs", refuse)
+    monkeypatch.setattr(modules, "iter_homs", refuse)
     z4 = _ring("Z/4")
     rank, rest = free_summand_split(direct_sum(free_module(z4, 2), _mod(z4, "2")))
     assert rank == 2 and rest.cardinality == 2
@@ -976,7 +976,7 @@ def test_batched_injectivity_matches_per_hom_test(pair, chunk):
     saved = modules._CHUNK
     modules._CHUNK = chunk or saved
     try:
-        batched = list(modules._homs(m1, m2, injective=True))
+        batched = list(iter_homs(m1, m2, injective=True))
     finally:
         modules._CHUNK = saved
     # the reference side is brute force: iter_homs shares the batched scan
@@ -1018,3 +1018,81 @@ def test_the_public_constructor_rebuilds_every_internal_hom(pair, data):
     else:
         with pytest.raises(ValidationError, match="images do not satisfy the source relations"):
             ModuleHom._at(m1, m2, positions)
+
+
+# -- one hom scan, one hom count ------------------------------------------------
+
+
+def _ref_image_choices(m1, m2, injective):
+    """The generator filter read off the multiplication table, as the scan
+    computed it before reading annihilators off ``rep``: the reference."""
+    _, mul, _ = m1._tables
+    units = np.zeros((m1.k, m1.k), dtype=np.intp)
+    np.fill_diagonal(units, m1.ring._one_pos)
+    positions = m1._locate(units)
+    ann = m1._locate(mul[:, m1._rows(positions)]) == 0
+    ann[0] = False
+    choices = []
+    for rest, x in zip(ann.T, positions):
+        keep = np.ones(m2.cardinality, dtype=bool)
+        while rest.any():
+            a = int(rest.argmax())
+            rest[mul[a]] = False
+            keep &= m2._locate(mul[a, m2._digits]) == 0
+        if injective and x:
+            keep[0] = False
+        choices.append(keep.nonzero()[0].tolist())
+    return positions.tolist(), choices
+
+
+@settings(max_examples=80, deadline=None)
+@given(_hom_pairs(), st.booleans())
+def test_generator_filter_reads_annihilators_off_rep(pair, injective):
+    # r * x_j is the class of the raw row with r in coordinate j, so the
+    # annihilators need no table gather
+    m1, m2 = pair
+    positions, choices = _ref_image_choices(m1, m2, injective)
+    assert m1._unit_positions().tolist() == positions
+    got = modules._image_choices(m1, m2, injective=injective)
+    assert [c.tolist() for c in got] == choices
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_hom_pairs(), _equal_order_pairs()), st.sampled_from([None, 7]))
+def test_injective_scan_is_the_injective_part_of_the_full_scan(pair, chunk):
+    m1, m2 = pair
+    assume(m2.cardinality**m1.k <= 6561)
+    saved = modules._CHUNK
+    modules._CHUNK = chunk or saved
+    try:
+        every = list(iter_homs(m1, m2))
+        injective = list(iter_homs(m1, m2, injective=True))
+    finally:
+        modules._CHUNK = saved
+    assert [h.images for h in injective] == [h.images for h in every if h.is_injective()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_hom_pairs(), st.sampled_from([None, 7]))
+def test_hom_count_is_the_size_of_the_hom_set(pair, chunk):
+    m1, m2 = pair
+    assume(m2.cardinality**m1.k <= 6561)
+    saved = modules._CHUNK
+    modules._CHUNK = chunk or saved
+    try:
+        count = modules._hom_count(m1, m2)
+    finally:
+        modules._CHUNK = saved
+    assert count == len(hom_set(m1, m2))
+
+
+def test_product_components_drop_relation_columns_that_project_to_zero():
+    ring = _ring("Z/4 x Z/9")
+    dec = idempotent_decomposition(ring)
+    # (2,0) relates only the Z/4 part, (0,3) only the Z/9 part
+    m = _mod(ring, "(2,0),(0,3)")
+    comps = decompose_over_product(m, dec)
+    assert [len(c.relation_columns) for c in comps] == [1, 1]
+    assert sorted(c.cardinality for c in comps) == [2, 3]
+    for comp in decompose_over_product(free_module(ring, 2), dec):
+        assert comp.relation_columns.shape == (0, 2)

@@ -88,3 +88,31 @@ def test_internal_errors_keep_the_check_report_name(monkeypatch):
     reported = [(r.name, r.passed, r.detail) for r in run_verification("quick")]
     assert ("hom-linearity", False, "internal error: boom") in reported
     assert ("iso-equivalence", False, "internal error: boom") in reported
+
+
+def test_checks_are_declared_once_in_report_order():
+    # each check joins CHECKS where it is defined, so the run order is the
+    # definition order
+    assert [c.report_name for c in CHECKS] == [
+        "ring-axioms",
+        "double-annihilator-containment",
+        "ideal-lattice-fixpoint",
+        "idempotent-splitting",
+        "zmod-quasi-frobenius",
+        "module-counting-laws",
+        "hom-linearity",
+        "kernel-image-counts",
+        "iso-equivalence",
+        "free-summand-split",
+        "product-decomposition",
+        "resolution-exactness",
+        "qf-ext-vanishing",
+        "sgp-witness-cardinality",
+        "sgp-sum-closure",
+        "sgp-summand-asymmetry",
+        "cyclic-sgp-ideal-laws",
+        "sgp-quotient-laws",
+        "classification-chain",
+        "sg-route-agreement",
+        "landmark-classifications",
+    ]
