@@ -22,9 +22,10 @@ argument, and every projective is a direct summand of a free module of
 finite rank here.
 
 Over a product ring every decision is taken componentwise along the
-idempotent decomposition; a witness inside a free module of a single rank
-need not exist there (component ranks can differ), so product verdicts carry
-per-factor verdicts instead.
+idempotent decomposition, and each local Ext^1 is kept on its part (see
+``ext1``); a witness inside a free module of a single rank need not exist
+there (component ranks can differ), so product verdicts carry per-factor
+verdicts instead.
 """
 
 from __future__ import annotations
@@ -159,7 +160,9 @@ def ext1(m: Module, q: Module) -> ExtGroup:
     |Hom(m, q)|, which is the same for any presentation of m.  The image of
     Hom(F, q) in Hom(S, q) has |q|^{g0} / |Hom(m, q)| elements.  Over a
     product ring both modules are decomposed and the component orders
-    multiplied (Ext is additive).
+    multiplied (Ext is additive).  A local result is kept on the end of
+    the ring's ``mirror`` chain, keyed by both presentations, so a part
+    shared between product builds computes each component once.
     """
     if m.ring is not q.ring:
         raise RingMismatchError("ext needs modules over the same ring")
@@ -168,13 +171,22 @@ def ext1(m: Module, q: Module) -> ExtGroup:
         pairs = zip(decompose_over_product(m, dec), decompose_over_product(q, dec))
         parts = [astuple(ext1(mc, qc)) for mc, qc in pairs]
         return ExtGroup(*map(prod, zip(*parts)))
+    root = m.ring  # a factor has its mirror's tables, and so its Ext orders
+    while getattr(root, "mirror", None) is not None:
+        root = root.mirror
+    memo = root._cache.setdefault("ext1", {})
+    pair = m.relation_columns, q.relation_columns
+    key = tuple(x for c in pair for x in (c.shape, c.tobytes()))
+    if key in memo:
+        return memo[key]
     cover = free_cover(m)
     syzygy, _ = kernel(cover)
     kernel_order = _hom_count(syzygy, q)
     image_order, rest = divmod(q.cardinality**cover.source.k, _hom_count(m, q))
     if rest:
         raise ConsistencyError("Ext quotient size is not integral")
-    return ExtGroup(kernel_order // image_order, kernel_order, image_order)
+    memo[key] = ExtGroup(kernel_order // image_order, kernel_order, image_order)
+    return memo[key]
 
 
 # ---------------------------------------------------------------------------

@@ -396,6 +396,13 @@ def _z(n, **guards):
     return build_ring(Zmod(n), Guards(**guards))
 
 
+def _ext1_after_default_build():
+    warm = build_ring(parse_ring_spec("Z/4 x Z/3"))
+    assert ext1(*[regular_module(warm)] * 2).is_zero
+    ring = build_ring(parse_ring_spec("Z/4 x Z/3"), Guards(max_hom_candidates=3))
+    return ext1(*[regular_module(ring)] * 2)
+
+
 GUARD_SITES = {
     "build_ring": (lambda: build_ring(Zmod(5000)), ("max_ring_order", 5000, 4096)),
     "enumerate_ideals": (
@@ -438,6 +445,10 @@ GUARD_SITES = {
         lambda: ext1(*[regular_module(_z(4, max_hom_candidates=3))] * 2),
         ("max_hom_candidates", 4, 3),
     ),
+    # the same Ext^1 over Z/4 x Z/3, after a build under the default guards
+    # has kept its Z/4 part's result: a build under a tighter guard has parts
+    # of its own, so it still scans R's generator over Z/4's 4 elements
+    "ext1-after-memo": (_ext1_after_default_build, ("max_hom_candidates", 4, 3)),
 }
 
 

@@ -1,10 +1,10 @@
 import itertools
 import re
-from dataclasses import replace
+from dataclasses import astuple, replace
 from math import prod
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from brute_force import BruteModule
@@ -555,14 +555,96 @@ def test_ext1_matches_scalar_loops(chunk, pres):
     values = tuple(tuple(ring.elements[i] for i in c) for c in cols)
     m = Module(Presentation(ring, k, values))
     q = _EXT_TARGETS[text][target]
-    saved = modules._CHUNK
-    # a tiny chunk runs every chunked loop over many small pieces
-    modules._CHUNK = chunk or saved
+    saved, accepted = modules._CHUNK, modules._accepted
+    chunks = []
+
+    def spy(*args):
+        chunks.append(modules._CHUNK)
+        return accepted(*args)
+
+    # a tiny chunk runs every chunked loop over many small pieces; a memo hit
+    # would run none of them, so every call computes afresh
+    _forget_ext1(ring)
+    modules._CHUNK, modules._accepted = chunk or saved, spy
     try:
         ext = ext1(m, q)
     finally:
-        modules._CHUNK = saved
-    assert (ext.order, ext.kernel_order, ext.image_order) == _ref_ext1(m, q)
+        modules._CHUNK, modules._accepted = saved, accepted
+    assert chunks and set(chunks) == {chunk or saved}
+    assert astuple(ext) == _ref_ext1(m, q)
+
+
+# -- Ext^1 over a product is kept on its parts, keyed by the presentations ----
+
+
+def _root(ring):
+    """The ring whose tables ``ring`` uses: its mirror's mirror, and so on."""
+    while getattr(ring, "mirror", None) is not None:
+        ring = ring.mirror
+    return ring
+
+
+def _forget_ext1(ring):
+    """Drop the Ext^1 memo of every local factor of ``ring``."""
+    for factor in idempotent_decomposition(ring).factor_rings:
+        _root(factor)._cache.pop("ext1", None)
+
+
+# two-part products of catalog parts, kept alive so that each product built
+# in a test shares its parts, and their Ext^1 memos, with one of these
+_SHARED_PRODUCTS = {
+    text: _ring(text)
+    for text in (
+        "Z/4 x Z/3",
+        "Z/4 x Z/5",
+        "Z/12 x Z/9",  # a non-local part
+        f"Z/2 x {SQUARE_ZERO_PAIR}",  # nonzero Ext
+    )
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(_SHARED_PRODUCTS)), st.data())
+def test_ext1_memo_is_sound_across_shared_parts(text, data):
+    ring = _ring(text)  # a new build over the live parts
+    assert ring.factors == _SHARED_PRODUCTS[text].factors
+    ideals = enumerate_ideals(ring)
+    index = st.integers(0, len(ideals) - 1)
+    picks = data.draw(st.lists(index, min_size=1, max_size=2))
+    parts = [quotient_by_ideal(ring, ideals[i]) for i in picks]
+    m = parts[0] if len(parts) == 1 else direct_sum(*parts)
+    for q in (regular_module(ring), quotient_by_ideal(ring, ideals[data.draw(index)])):
+        ext = ext1(m, q)
+        try:
+            ref = _ref_ext1(m, q)
+        except GuardExceeded:  # the reference's third syzygy outgrows R^k
+            assume(False)
+        assert astuple(ext) == ref
+
+
+def test_ext1_over_a_second_product_reuses_its_live_part(monkeypatch):
+    covers = []
+
+    def spy(m):
+        covers.append(_root(m.ring))
+        return free_cover(m)
+
+    monkeypatch.setattr(homology, "free_cover", spy)
+    first, second = _ring("Z/4 x Z/3"), _ring("Z/4 x Z/5")
+    z4 = first.factors[0]
+    assert second.factors[0] is z4
+    _forget_ext1(first)
+    ext = ext1(_mod(first, "(2,0)"), regular_module(first))
+    assert ext.is_zero and covers.count(z4) == 1
+    # over the second product, the Z/4 components of R/(2,0) and of R have
+    # the presentations they had over the first, on the same part: only the
+    # Z/5 component is computed
+    covers.clear()
+    ext = ext1(_mod(second, "(2,0)"), regular_module(second))
+    assert ext.is_zero and z4 not in covers
+    _forget_ext1(second)
+    assert astuple(ext1(_mod(second, "(2,0)"), regular_module(second))) == astuple(ext)
+    assert covers.count(z4) == 1
 
 
 # -- the SGP verdict reads Ext^1(M, R) off its own witness ---------------------
