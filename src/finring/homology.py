@@ -25,12 +25,14 @@ Over a product ring every decision is taken componentwise along the
 idempotent decomposition, and each local Ext^1 is kept on its part (see
 ``ext1``); a witness inside a free module of a single rank need not exist
 there (component ranks can differ), so product verdicts carry per-factor
-verdicts instead.
+verdicts instead.  Each SGP verdict is kept on its module, which the ring
+keeps once per presentation, so a module is decided once.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
+from itertools import starmap
 from math import prod
 
 from .errors import (
@@ -169,7 +171,7 @@ def ext1(m: Module, q: Module) -> ExtGroup:
     dec = idempotent_decomposition(m.ring)
     if not dec.is_trivial:
         pairs = zip(decompose_over_product(m, dec), decompose_over_product(q, dec))
-        parts = [astuple(ext1(mc, qc)) for mc, qc in pairs]
+        parts = [(e.order, e.kernel_order, e.image_order) for e in starmap(ext1, pairs)]
         return ExtGroup(*map(prod, zip(*parts)))
     root = m.ring  # a factor has its mirror's tables, and so its Ext orders
     while getattr(root, "mirror", None) is not None:
@@ -283,7 +285,14 @@ def find_sgp_witness(m: Module):
 
 def is_strongly_gorenstein_projective(m: Module) -> SgpVerdict:
     """Witness search, then Ext^1(M, R) = 0 read off the witness's dual
-    periodic complex; componentwise over products."""
+    periodic complex; componentwise over products.  The verdict is kept on
+    the module; a search stopped by a guard keeps nothing."""
+    if "sgp" not in m._cache:
+        m._cache["sgp"] = _sgp_verdict(m)
+    return m._cache["sgp"]
+
+
+def _sgp_verdict(m: Module) -> SgpVerdict:
     ring = m.ring
     dec = idempotent_decomposition(ring)
     if not dec.is_trivial:

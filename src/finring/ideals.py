@@ -199,11 +199,16 @@ def ideal_generated(ring: Ring, gens) -> Ideal:
         if g not in index:
             raise ValidationError(f"{g!r} is not an element of {ring.describe()}")
     gen_idx = tuple(index[g] for g in gens)
+    return Ideal(ring, _span_bits(ring, gen_idx), gen_idx)
+
+
+def _span_bits(ring: Ring, positions) -> int:
+    """The bits of the ideal generated by the elements at ``positions``."""
     b = _bitsets(ring)
     span = b.zero
-    for g in gen_idx:
+    for g in positions:
         span = b.plus(span, b.principal[g])
-    return Ideal(ring, span, gen_idx)
+    return span
 
 
 def _strides(ring: ProductRing) -> list:

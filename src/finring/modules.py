@@ -37,7 +37,10 @@ visit.  One scan, ``iter_homs``, serves every hom search: it evaluates the
 tables of each accepted run and builds every hom, or only the injective
 ones.  One count, ``_hom_count``, sizes a hom group on the source's own
 presentation and builds no hom.  Every module the library derives is built
-from positions by ``Module._on``, and every hom by ``ModuleHom._at``, with
+from positions by ``Module._on``, once per ring: the ring keeps it, keyed by
+its relation columns, and it keeps what it computes (kill counts, minimal
+generators, product components, SGP verdict); ``Module(presentation)`` is
+new on every call.  Every hom is built by ``ModuleHom._at``, with
 the public constructor's relation check.  Element values and index tuples
 appear only at the public edge: ``Module.elements``, ``index`` and
 ``presentation`` (derived on first use), ``ModuleHom.images`` and
@@ -227,10 +230,16 @@ class Module:
     def _on(cls, ring: Ring, k: int, columns=()) -> Module:
         """R^k modulo the span of ``columns``, c rows of k ring positions: the
         build of every module the library derives, whose ``presentation``
-        is derived on first read."""
-        m = object.__new__(cls)
-        m._build(ring, k, columns)
-        return m
+        is derived on first read.  One module per presentation and ring:
+        the ring keeps each one it builds, keyed by its relation columns."""
+        columns = np.array(columns, dtype=np.intp).reshape(len(columns), k)
+        memo = ring._cache.setdefault("modules", {})
+        key = k, len(columns), columns.tobytes()
+        if key not in memo:
+            m = object.__new__(cls)
+            m._build(ring, k, columns)
+            memo[key] = m
+        return memo[key]
 
     def _build(self, ring: Ring, k: int, columns) -> None:
         n = ring.order
@@ -243,7 +252,7 @@ class Module:
             )
         self.ring = ring
         self.k = k
-        self.relation_columns = np.array(columns, dtype=np.intp).reshape(len(columns), k)
+        self.relation_columns = np.asarray(columns, dtype=np.intp).reshape(len(columns), k)
         self.relation_columns.flags.writeable = False
         self.zero = (0,) * k
         self._cache: dict = {}
@@ -336,10 +345,8 @@ def free_module(ring: Ring, rank: int) -> Module:
 
 
 def regular_module(ring: Ring) -> Module:
-    """R as a module over itself (free of rank 1); cached on the ring."""
-    if "regular_module" not in ring._cache:
-        ring._cache["regular_module"] = free_module(ring, 1)
-    return ring._cache["regular_module"]
+    """R as a module over itself (free of rank 1), one per ring."""
+    return free_module(ring, 1)
 
 
 def quotient_by_ideal(ring: Ring, ideal: Ideal) -> Module:
@@ -663,11 +670,15 @@ def decompose_over_product(m: Module, dec: IdempotentDecomposition) -> list:
     """Components e_i M as modules over the local factors; re-sum is verified."""
     if dec.ring is not m.ring:
         raise PreconditionError("decomposition belongs to a different ring")
+    known = m._cache.get("components")
+    if known is not None and known[0] is dec:  # verified once per decomposition
+        return list(known[1])
     comps = []
     for fring, proj in zip(dec.factor_rings, dec.projections):
         cols = proj[m.relation_columns]  # a column that projects to zero relates nothing
         comps.append(Module._on(fring, m.k, cols[cols.any(axis=1)]))
     _verify_decomposition(m, dec, comps)
+    m._cache["components"] = dec, tuple(comps)
     return comps
 
 

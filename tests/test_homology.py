@@ -349,8 +349,8 @@ def test_periodic_check_negative_controls():
     assert not report.forward_exact
     assert report.image_order == 8 and report.kernel_order == 1
     with pytest.raises(ValidationError):
-        # a fresh free module is a different object, so this is not an endo
-        check_complete_resolution(ModuleHom(free, free_module(z8, 1), ((1,),)))
+        # the public constructor makes a new module, so this is not an endo
+        check_complete_resolution(ModuleHom(free, Module(Presentation(z8, 1, ())), ((1,),)))
 
 
 def test_dual_hom_is_transpose():
@@ -709,6 +709,44 @@ def test_sgp_verdict_computes_no_second_ext(monkeypatch):
     assert (verdict.ext.kernel_order, verdict.ext.image_order) == (8, 8)
     product = is_strongly_gorenstein_projective(_mod(_ring("Z/4 x Z/3"), "(2,0)"))
     assert product.decision and all(c.ext.is_zero for c in product.components)
+
+
+def _derived(ring, rel_text):
+    """The module the library derives for this presentation: the ring's own."""
+    given = _mod(ring, rel_text)
+    return Module._on(ring, given.k, given.relation_columns)
+
+
+def test_sgp_verdict_is_kept_on_its_module(monkeypatch):
+    z8, product = _ring("Z/8"), _ring("Z/4 x Z/3")
+    local, split = _derived(z8, "2,0;0,4"), _derived(product, "(2,0)")
+    verdicts = [is_strongly_gorenstein_projective(m) for m in (local, split)]
+
+    def refuse(*args):
+        raise AssertionError("a decided module searched again")
+
+    monkeypatch.setattr(homology, "find_sgp_witness", refuse)
+    assert is_strongly_gorenstein_projective(_derived(z8, "2,0;0,4")) is verdicts[0]
+    assert is_strongly_gorenstein_projective(split) is verdicts[1]
+    dec = idempotent_decomposition(product)
+    for comp, verdict in zip(decompose_over_product(split, dec), verdicts[1].components):
+        assert is_strongly_gorenstein_projective(comp) is verdict
+
+
+@pytest.mark.parametrize(
+    "text,rel_text",
+    [("Z/8", "2,0;0,4"), ("Z/8 x Z/3", "(2,1),(0,0);(0,0),(4,1)")],
+)
+def test_a_guarded_build_raises_after_a_default_build_decided(text, rel_text):
+    # each build keeps its own modules and verdicts: a default-guard verdict
+    # does not answer for a build whose guard stops the witness search
+    assert is_strongly_gorenstein_projective(_derived(_ring(text), rel_text)).decision
+    guarded = build_ring(parse_ring_spec(text), Guards(max_hom_candidates=3))
+    m = _derived(guarded, rel_text)
+    for _ in range(2):  # a guard hit is not kept as a verdict
+        with pytest.raises(GuardExceeded, match="hom enumeration would scan 45 candidates"):
+            is_strongly_gorenstein_projective(m)
+    assert "sgp" not in m._cache
 
 
 def test_ext_group_checks_its_quotient():

@@ -1,5 +1,8 @@
+import collections
+import contextlib
 import functools
 import itertools
+import types
 from math import prod
 
 import numpy as np
@@ -863,18 +866,59 @@ def test_building_a_hom_accepts_exactly_the_enumerated_homs(pair):
                 ModuleHom(m1, m2, images)
 
 
+@contextlib.contextmanager
+def _chunked(chunk, ring):
+    """Run the body with ``modules._CHUNK`` set to ``chunk`` (None keeps it).
+
+    A tiny chunk runs every chunked loop over many small pieces.  The ring
+    keeps every module it derives, and a module read back from there runs
+    no loop at all, so they are forgotten first.  Yields a record: the
+    modules built in the body (``built``) and, for each of the chunked loops
+    ``_grow``, ``_label_cosets`` and ``_accepted`` that ran, the values of
+    ``_CHUNK`` its calls saw (``chunks``).
+    """
+    saved, build = modules._CHUNK, Module._build
+    loops = {name: getattr(modules, name) for name in ("_grow", "_label_cosets", "_accepted")}
+    record = types.SimpleNamespace(built=[], chunks=collections.defaultdict(set))
+
+    def spy(loop):
+        def call(*args):
+            record.chunks[loop.__name__].add(modules._CHUNK)
+            return loop(*args)
+
+        return call
+
+    def spy_build(self, *args):
+        record.built.append(self)
+        return build(self, *args)
+
+    ring._cache.pop("modules", None)
+    modules._CHUNK, Module._build = chunk or saved, spy_build
+    for name, loop in loops.items():
+        setattr(modules, name, spy(loop))
+    try:
+        yield record
+    finally:
+        modules._CHUNK, Module._build = saved, build
+        for name, loop in loops.items():
+            setattr(modules, name, loop)
+
+
+def _built_in(record, *mods):
+    """Whether every one of ``mods`` was built in the body that ``record`` spied."""
+    return all(any(m is b for b in record.built) for m in mods)
+
+
 @settings(max_examples=40, deadline=None)
 @given(_presentations(), st.integers(0, 2), st.sampled_from([None, 7]))
 def test_homs_from_a_free_module_are_all_image_tuples(pres, k, chunk):
     ring, g, cols = pres
     m = Module(Presentation(ring, g, tuple(tuple(ring.elements[i] for i in c) for c in cols)))
     assume(m.cardinality**k <= 6561)
-    saved = modules._CHUNK
-    modules._CHUNK = chunk or saved
-    try:
-        images = [h.images for h in hom_set(free_module(ring, k), m)]
-    finally:
-        modules._CHUNK = saved
+    with _chunked(chunk, ring) as record:
+        free = free_module(ring, k)
+        images = [h.images for h in hom_set(free, m)]
+    assert _built_in(record, free) and record.chunks == {"_accepted": {chunk or modules._CHUNK}}
     # a source without relations: every tuple of images is a hom
     assert images == list(itertools.product(m.elements, repeat=k))
 
@@ -883,10 +927,8 @@ def test_homs_from_a_free_module_are_all_image_tuples(pres, k, chunk):
 @given(_hom_pairs(), st.sampled_from([None, 7]), st.data())
 def test_submodules_and_homs_match_brute_force(pair, chunk, data):
     m1, m2 = pair
-    saved = modules._CHUNK
-    # a tiny chunk runs every chunked loop over many small pieces
-    modules._CHUNK = chunk or saved
-    try:
+    derived = []
+    with _chunked(chunk, m1.ring) as record:
         homs = list(iter_homs(m1, m2))
         assert [h.images for h in homs] == _ref_homs(m1, m2)
         h = data.draw(st.sampled_from(homs))  # never empty: the zero hom
@@ -905,14 +947,19 @@ def test_submodules_and_homs_match_brute_force(pair, chunk, data):
             assert mod.cardinality == size
             if _ref_maximal(m1.ring) is not None:
                 assert mod.k == minimal_generators(mod)[0]
+            derived.append(mod)
         coker, _ = cokernel(h)
         img = sorted(set(values), key=m2.index.__getitem__)
         extra = _ref_generators(m2.ring, ref2.add, ref2.scal, m2.zero, img)
         assert coker.presentation.relations == tuple(m2.presentation.relations) + tuple(
             tuple(m2.ring.elements[i] for i in g) for g in extra
         )
-    finally:
-        modules._CHUNK = saved
+    # every derived module was built under the chunk, and a nonzero source
+    # has a nonzero kernel or image, whose span ``_grow`` marks
+    assert _built_in(record, coker, *derived)
+    patched = {chunk or modules._CHUNK}
+    assert all(seen == patched for seen in record.chunks.values())
+    assert "_grow" in record.chunks or m1.cardinality == 1
 
 
 # -- the annihilator-filtered hom search --------------------------------------
@@ -1096,3 +1143,55 @@ def test_product_components_drop_relation_columns_that_project_to_zero():
     assert sorted(c.cardinality for c in comps) == [2, 3]
     for comp in decompose_over_product(free_module(ring, 2), dec):
         assert comp.relation_columns.shape == (0, 2)
+
+
+# -- one module per presentation ------------------------------------------------
+
+
+def test_equal_presentations_on_one_ring_give_one_module():
+    z8 = _ring("Z/8")
+    m = Module._on(z8, 2, [[2, 0], [0, 4]])
+    assert Module._on(z8, 2, np.array([[2, 0], [0, 4]], dtype=np.intp)) is m
+    assert regular_module(z8) is free_module(z8, 1)
+    h = ModuleHom(regular_module(z8), regular_module(z8), ((2,),))
+    assert kernel(h)[0] is kernel(h)[0] and cokernel(h)[0] is cokernel(h)[0]
+    # the key is the columns' shape as well as their bytes
+    assert Module._on(z8, 0, np.zeros((1, 0), dtype=np.intp)) is not free_module(z8, 0)
+
+
+def test_two_builds_of_one_spec_share_no_module():
+    # modules over two builds do not mix, so neither does their memo
+    first, second = _ring("Z/8"), _ring("Z/8")
+    assert regular_module(first) is not regular_module(second)
+    assert regular_module(second).ring is second
+    m1, m2 = Module._on(first, 1, [[2]]), Module._on(second, 1, [[2]])
+    assert m1 is not m2 and m1.ring is first and m2.ring is second
+
+
+def test_reordered_relation_columns_give_distinct_modules():
+    z8 = _ring("Z/8")
+    m = Module._on(z8, 2, [[2, 0], [0, 4]])
+    swapped = Module._on(z8, 2, [[0, 4], [2, 0]])
+    assert swapped is not m
+    assert swapped.presentation.relations == ((0, 4), (2, 0))
+    assert is_isomorphic(m, swapped)[0]
+
+
+def test_the_public_constructor_makes_a_new_module_on_every_call():
+    z8 = _ring("Z/8")
+    pres = Presentation(z8, 1, ((2,),))
+    first, second = Module(pres), Module(pres)
+    assert first is not second and first is not Module._on(z8, 1, [[2]])
+    assert first.presentation is pres and second.presentation is pres
+
+
+def test_components_are_decomposed_and_verified_once(monkeypatch):
+    ring = _ring("Z/4 x Z/9")
+    dec = idempotent_decomposition(ring)
+    m = _mod(ring, "(2,3)")
+    comps = decompose_over_product(m, dec)
+    checked = []
+    monkeypatch.setattr(modules, "_verify_decomposition", lambda *args: checked.append(args))
+    again = decompose_over_product(m, dec)
+    assert again == comps and again is not comps and not checked
+    assert all(a is b for a, b in zip(again, comps))

@@ -116,3 +116,21 @@ def test_checks_are_declared_once_in_report_order():
         "sg-route-agreement",
         "landmark-classifications",
     ]
+
+
+def test_verify_paper_builds_each_derived_module_once_per_ring(monkeypatch):
+    # the default catalog derives about 4,500 modules over 1,336 distinct
+    # (ring, presentation) pairs; each ring keeps the modules it derives
+    from finring.modules import Module
+
+    builds = []
+    build = Module._build
+
+    def spy(self, *args):
+        builds.append(1)
+        return build(self, *args)
+
+    monkeypatch.setattr(Module, "_build", spy)
+    results = run_verification("default")
+    assert all(r.passed for r in results)
+    assert len(builds) <= 1400
