@@ -13,8 +13,9 @@ The three classes are nested:
 ``classify`` runs all three with certificates and, on small local factors,
 cross-validates the SG verdict through an independent module-level route:
 a local ring is SG-semisimple exactly when its residue field R/m is a
-strongly Gorenstein projective module.  Disagreement between the two routes
-is a hard internal error, never an output.
+strongly Gorenstein projective module (``residue_field_sgp(ring)`` builds
+R/m itself).  Disagreement between the two routes is a hard internal
+error, never an output.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .ideals import (
     unique_maximal_ideal,
 )
 from .homology import SgpVerdict, is_strongly_gorenstein_projective
-from .modules import Module, is_projective, quotient_by_ideal
+from .modules import is_projective, quotient_by_ideal
 from .parsing import parse_ring_spec
 from .rings import Ring, build_ring, spec_order
 
@@ -100,12 +101,11 @@ def is_sg_semisimple(ring: Ring):
     return True, None
 
 
-def residue_field_sgp(local_ring: Ring, residue: Module | None = None) -> SgpVerdict:
-    """Is R/m strongly Gorenstein projective?  The module route to the SG
-    test; ``residue`` is R/m when the caller has already built it."""
-    if residue is None:
-        residue = quotient_by_ideal(local_ring, unique_maximal_ideal(local_ring))
-    return is_strongly_gorenstein_projective(residue)
+def residue_field_sgp(local_ring: Ring) -> SgpVerdict:
+    """Is R/m strongly Gorenstein projective?  The module route to the SG test."""
+    return is_strongly_gorenstein_projective(
+        quotient_by_ideal(unique_maximal_ideal(local_ring))
+    )
 
 
 # memo keyed by the factor's addition and multiplication tables and its
@@ -120,10 +120,8 @@ def _residue_sgp_decision(factor: Ring) -> bool:
     if key not in _RESIDUE_SGP_MEMO:
         # a projective P is SGP through the split 0 -> P -> P + P -> P -> 0,
         # so a field's R/m = R needs no witness search
-        residue = quotient_by_ideal(factor, unique_maximal_ideal(factor))
-        _RESIDUE_SGP_MEMO[key] = (
-            is_projective(residue) or residue_field_sgp(factor, residue).decision
-        )
+        residue = quotient_by_ideal(unique_maximal_ideal(factor))
+        _RESIDUE_SGP_MEMO[key] = is_projective(residue) or residue_field_sgp(factor).decision
     return _RESIDUE_SGP_MEMO[key]
 
 

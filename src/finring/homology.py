@@ -4,11 +4,14 @@ A module M over a local ring is strongly Gorenstein projective when it sits
 in a short exact sequence 0 -> M -i-> R^n -p-> M -> 0 and Ext^1(M, Q)
 vanishes for every projective Q.  Both halves are decided here with
 explicit data: a witness embedding plus projection, or a named obstruction.
-A witness checks its sequence when it is made, so splicing it with itself
-yields the doubly infinite periodic complex ... -> R^n -f-> R^n -f-> ...
-with f = i . p and nothing left to check: kernel(f) = image(f) = image(i),
-as i is injective and p onto.  ``check_complete_resolution`` verifies
-image(f) = kernel(f) together with exactness of the Hom(-, R) dual.
+The search tries each image of an embedding M -> R^n once, as equal images
+give one cokernel.  A witness checks its sequence when it is made, and
+that its middle term is R^n: n generators and no relation.  So splicing it
+with itself yields the doubly infinite periodic complex ... -> R^n -f->
+R^n -f-> ... with f = i . p and nothing left to check: kernel(f) =
+image(f) = image(i), as i is injective and p onto.
+``check_complete_resolution`` verifies image(f) = kernel(f) together with
+exactness of the Hom(-, R) dual.
 
 The Ext half is read off that dual, so no second resolution is built.
 Hom(-, R) turns the witness into 0 -> M* -p*-> (R^n)* -i*-> M* ->
@@ -168,9 +171,8 @@ def ext1(m: Module, q: Module) -> ExtGroup:
     """
     if m.ring is not q.ring:
         raise RingMismatchError("ext needs modules over the same ring")
-    dec = idempotent_decomposition(m.ring)
-    if not dec.is_trivial:
-        pairs = zip(decompose_over_product(m, dec), decompose_over_product(q, dec))
+    if not idempotent_decomposition(m.ring).is_trivial:
+        pairs = zip(decompose_over_product(m), decompose_over_product(q))
         parts = [(e.order, e.kernel_order, e.image_order) for e in starmap(ext1, pairs)]
         return ExtGroup(*map(prod, zip(*parts)))
     root = m.ring  # a factor has its mirror's tables, and so its Ext orders
@@ -209,8 +211,9 @@ class SgpWitness:
         m = self.module
         if self.embedding.source is not m or self.projection.target is not m:
             raise ConsistencyError("witness maps do not start and end at the module")
-        if m.ring.order**self.rank != m.cardinality**2:
-            raise ConsistencyError("witness rank violates |R|^n = |M|^2")
+        free = self.embedding.target
+        if free.k != self.rank or len(free.span) > 1:
+            raise ConsistencyError("witness middle term is not R^rank")
         if not self.embedding.is_injective():
             raise ConsistencyError("witness embedding is not injective")
         if not self.projection.is_surjective():
@@ -271,8 +274,12 @@ def find_sgp_witness(m: Module):
             "cardinality",
             f"|M|^2 = {square} is not a power of |R| = {ring.order}",
         )
-    target = free_module(ring, rank)
-    for h in iter_homs(m, target, injective=True):
+    tried = set()  # equal images give one cokernel, so each image is tried once
+    for h in iter_homs(m, free_module(ring, rank), injective=True):
+        image = h.image_mask().tobytes()
+        if image in tried:
+            continue
+        tried.add(image)
         coker, proj = cokernel(h)
         found, iso = is_isomorphic(coker, m)
         if found:
@@ -293,11 +300,8 @@ def is_strongly_gorenstein_projective(m: Module) -> SgpVerdict:
 
 
 def _sgp_verdict(m: Module) -> SgpVerdict:
-    ring = m.ring
-    dec = idempotent_decomposition(ring)
-    if not dec.is_trivial:
-        comps = decompose_over_product(m, dec)
-        sub = tuple(is_strongly_gorenstein_projective(c) for c in comps)
+    if not idempotent_decomposition(m.ring).is_trivial:
+        sub = tuple(is_strongly_gorenstein_projective(c) for c in decompose_over_product(m))
         for fi, verdict in enumerate(sub):
             if not verdict.decision:
                 obs = replace(verdict.obstruction, factor=fi)

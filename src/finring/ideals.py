@@ -10,7 +10,8 @@ over coset representatives of I inside J, |I + J| table reads in all.  The
 lattice is the closure of the zero ideal under adding principal ideals,
 which is complete for finite rings because every ideal is a finite sum of
 principal ideals.  Canonical generators are greedy: adjoin the least
-position not yet generated, the rule of ``modules._greedy_span``.
+position not yet generated, the rule of ``modules._greedy_span``.  An
+``Ideal`` carries its ring, so ``annihilator(ideal)`` takes nothing else.
 
 A product of rings R_0 x ... x R_(k-1), whose position is a digit string
 of its parts' positions, reads the same structure off its parts by three
@@ -277,13 +278,14 @@ def enumerate_ideals(ring: Ring) -> list:
     return ideals
 
 
-def annihilator(ring: Ring, ideal: Ideal) -> Ideal:
+def annihilator(ideal: Ideal) -> Ideal:
     """Ann(I) = {x : x*g = 0 for every g in I}; generators suffice.  In a
     product of rings with its lattice built, Ann(I_0 x ... x I_(k-1)) is
     the product of the Ann(I_t)."""
+    ring = ideal.ring
     components = ring._cache.get("ideal_components", {}).get(ideal.bits)
     if components is not None:
-        anns = (annihilator(f, c).bits for f, c in zip(ring.factors, components))
+        anns = (annihilator(c).bits for c in components)
         return ring._cache["ideal_by_components"][tuple(anns)]
     bits = -1
     for g in ideal.generator_indices:
@@ -507,6 +509,6 @@ def idempotent_decomposition(ring: Ring) -> IdempotentDecomposition:
 def quasi_frobenius_certificate(ring: Ring):
     """None if Ann(Ann(I)) == I for every ideal, else the first failing ideal."""
     for ideal in enumerate_ideals(ring):
-        if annihilator(ring, annihilator(ring, ideal)).bits != ideal.bits:
+        if annihilator(annihilator(ideal)).bits != ideal.bits:
             return ideal
     return None

@@ -40,11 +40,13 @@ presentation and builds no hom.  Every module the library derives is built
 from positions by ``Module._on``, once per ring: the ring keeps it, keyed by
 its relation columns, and it keeps what it computes (kill counts, minimal
 generators, product components, SGP verdict); ``Module(presentation)`` is
-new on every call.  Every hom is built by ``ModuleHom._at``, with
-the public constructor's relation check.  Element values and index tuples
-appear only at the public edge: ``Module.elements``, ``index`` and
-``presentation`` (derived on first use), ``ModuleHom.images`` and
-``ModuleHom.apply``.
+new on every call.  ``quotient_by_ideal(I)`` and ``ideal_as_module(I)`` take
+their ring from I, and ``decompose_over_product(m)`` splits M along
+``idempotent_decomposition(m.ring)``.  Every hom is built by
+``ModuleHom._at``, with the public constructor's relation check.  Element
+values and index tuples appear only at the public edge:
+``Module.elements``, ``index`` and ``presentation`` (derived on first use),
+``ModuleHom.images`` and ``ModuleHom.apply``.
 
 Everything here is immutable after construction and deterministic: every
 generator pick is the least candidate in canonical order, hom sets are
@@ -349,16 +351,16 @@ def regular_module(ring: Ring) -> Module:
     return free_module(ring, 1)
 
 
-def quotient_by_ideal(ring: Ring, ideal: Ideal) -> Module:
+def quotient_by_ideal(ideal: Ideal) -> Module:
     """R/I, presented on one generator with I's generators as relations."""
-    return Module._on(ring, 1, ideal.generator_indices)
+    return Module._on(ideal.ring, 1, ideal.generator_indices)
 
 
-def ideal_as_module(ring: Ring, ideal: Ideal):
+def ideal_as_module(ideal: Ideal):
     """The ideal as a submodule of R; returns (module, embedding)."""
-    member = np.zeros(ring.order, dtype=bool)
+    member = np.zeros(ideal.ring.order, dtype=bool)
     member[list(ideal.indices)] = True
-    return submodule(regular_module(ring), member)
+    return submodule(regular_module(ideal.ring), member)
 
 
 def direct_sum(m1: Module, m2: Module) -> Module:
@@ -653,9 +655,8 @@ def minimal_generators(m: Module):
 
 def is_projective(m: Module) -> bool:
     """Projective = free over a finite local ring; componentwise over products."""
-    dec = idempotent_decomposition(m.ring)
-    if not dec.is_trivial:
-        return all(is_projective(c) for c in decompose_over_product(m, dec))
+    if not idempotent_decomposition(m.ring).is_trivial:
+        return all(is_projective(c) for c in decompose_over_product(m))
     # the minimal cover R^g -> M is onto, so it is bijective exactly when |M| = |R|^g
     return m.cardinality == m.ring.order ** minimal_generators(m)[0]
 
@@ -666,19 +667,17 @@ def free_cover(m: Module) -> ModuleHom:
     return ModuleHom._at(free_module(m.ring, g), m, m._cache["minimal"][0])
 
 
-def decompose_over_product(m: Module, dec: IdempotentDecomposition) -> list:
-    """Components e_i M as modules over the local factors; re-sum is verified."""
-    if dec.ring is not m.ring:
-        raise PreconditionError("decomposition belongs to a different ring")
-    known = m._cache.get("components")
-    if known is not None and known[0] is dec:  # verified once per decomposition
-        return list(known[1])
+def decompose_over_product(m: Module) -> list:
+    """Components e_i M over the local factors of m's ring; re-sum verified once."""
+    if "components" in m._cache:
+        return list(m._cache["components"])
+    dec = idempotent_decomposition(m.ring)
     comps = []
     for fring, proj in zip(dec.factor_rings, dec.projections):
         cols = proj[m.relation_columns]  # a column that projects to zero relates nothing
         comps.append(Module._on(fring, m.k, cols[cols.any(axis=1)]))
     _verify_decomposition(m, dec, comps)
-    m._cache["components"] = dec, tuple(comps)
+    m._cache["components"] = tuple(comps)
     return comps
 
 

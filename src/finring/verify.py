@@ -103,7 +103,7 @@ def _sample_modules(ring, include_sums=False):
     first = None
     for ideal in nonzero_proper_ideals(ring):
         gens = ",".join(map(repr, ideal.generators))
-        name, m = f"R/({gens})", quotient_by_ideal(ring, ideal)
+        name, m = f"R/({gens})", quotient_by_ideal(ideal)
         first = first or (name, m)
         yield name, m
     if include_sums and first:
@@ -136,7 +136,7 @@ def check_double_annihilator_containment(rings, _flags):
     count = 0
     for label, ring in rings:
         for ideal in enumerate_ideals(ring):
-            back = annihilator(ring, annihilator(ring, ideal))
+            back = annihilator(annihilator(ideal))
             if ideal.bits & ~back.bits:
                 raise _Counterexample(
                     f"{label}: I is not inside Ann(Ann(I)) for I of order {ideal.order}"
@@ -294,11 +294,10 @@ def check_free_summand_split(rings, _flags):
 def check_product_decomposition(rings, _flags):
     checked = 0
     for label, ring in rings:
-        dec = idempotent_decomposition(ring)
-        if dec.is_trivial or ring.order > 64:
+        if idempotent_decomposition(ring).is_trivial or ring.order > 64:
             continue
         for name, m in islice(_sample_modules(ring), 3):
-            comps = decompose_over_product(m, dec)  # verifies the re-sum internally
+            comps = decompose_over_product(m)  # verifies the re-sum internally
             size = 1
             for c in comps:
                 size *= c.cardinality
@@ -344,7 +343,7 @@ def check_qf_ext_vanishing(rings, flags):
                 checked += 1
     control = build_ring(parse_ring_spec(SQUARE_ZERO_PAIR), flags["guards"])
     ext = ext1(
-        quotient_by_ideal(control, unique_maximal_ideal(control)),
+        quotient_by_ideal(unique_maximal_ideal(control)),
         regular_module(control),
     )
     if ext.is_zero:
@@ -390,8 +389,8 @@ def check_sgp_sum_closure(rings, _flags):
 @_check("sgp-summand-asymmetry")
 def check_sgp_summand_asymmetry(rings, flags):
     ring = build_ring(parse_ring_spec("Z/8"), flags["guards"])
-    small = quotient_by_ideal(ring, ideal_generated(ring, [2]))
-    medium = quotient_by_ideal(ring, ideal_generated(ring, [4]))
+    small = quotient_by_ideal(ideal_generated(ring, [2]))
+    medium = quotient_by_ideal(ideal_generated(ring, [4]))
     total = direct_sum(small, medium)
     v_small = is_strongly_gorenstein_projective(small)
     v_medium = is_strongly_gorenstein_projective(medium)
@@ -430,15 +429,15 @@ def check_cyclic_sgp_ideal_laws(rings, _flags):
     hits = 0
     for label, ring in _local(rings, 64):
         for x, ideal in _local_principal_zero_divisor_ideals(ring):
-            mod, _ = ideal_as_module(ring, ideal)
+            mod, _ = ideal_as_module(ideal)
             if not is_strongly_gorenstein_projective(mod).decision:
                 continue
             hits += 1
-            ann = annihilator(ring, ideal)
-            ann_mod, _ = ideal_as_module(ring, ann)
+            ann = annihilator(ideal)
+            ann_mod, _ = ideal_as_module(ann)
             if not is_isomorphic(ann_mod, mod)[0]:
                 raise _Counterexample(f"{label}: Ann(xR) not isomorphic to xR for x={x!r}")
-            if annihilator(ring, ann).bits != ann.bits:
+            if annihilator(ann).bits != ann.bits:
                 raise _Counterexample(f"{label}: Ann(Ann(xR)) != Ann(xR) for x={x!r}")
     return f"{hits} cyclic SGP ideals satisfied both laws"
 
@@ -449,16 +448,14 @@ def check_sgp_quotient_laws(rings, _flags):
     for label, ring in _local(rings, 64):
         principal = {ideal.bits for _, ideal in _local_principal_zero_divisor_ideals(ring)}
         for ideal in nonzero_proper_ideals(ring):
-            if not is_strongly_gorenstein_projective(
-                quotient_by_ideal(ring, ideal)
-            ).decision:
+            if not is_strongly_gorenstein_projective(quotient_by_ideal(ideal)).decision:
                 continue
             hits += 1
             if ideal.bits not in principal:
                 raise _Counterexample(
                     f"{label}: R/I SGP but I not principal on a zero divisor"
                 )
-            mod, _ = ideal_as_module(ring, ideal)
+            mod, _ = ideal_as_module(ideal)
             if not is_strongly_gorenstein_projective(mod).decision:
                 raise _Counterexample(f"{label}: R/I SGP but I itself is not")
     return f"{hits} SGP quotients had cyclic SGP kernels"

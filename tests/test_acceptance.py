@@ -130,10 +130,10 @@ def test_criterion_5_square_zero_control(acceptance_log):
         cert = report.qf_certificate
         assert cert is not None and cert.order == 2
         ring = build_ring(parse_ring_spec(SQUARE_ZERO_PAIR))
-        again = annihilator(ring, annihilator(ring, cert))
+        again = annihilator(annihilator(cert))
         assert again.elements != cert.elements
         ext = ext1(
-            quotient_by_ideal(ring, unique_maximal_ideal(ring)),
+            quotient_by_ideal(unique_maximal_ideal(ring)),
             regular_module(ring),
         )
         assert ext.order != 1

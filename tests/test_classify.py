@@ -81,7 +81,7 @@ def test_square_zero_control_certificate():
     # the violating ideal is one of the three two-element ideals inside m,
     # generated by a degree-one basis vector; its double annihilator is m
     assert cert.order == 2
-    back = annihilator(ring, annihilator(ring, cert))
+    back = annihilator(annihilator(cert))
     assert back.order == 4
     assert back.elements != cert.elements
 

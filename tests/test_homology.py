@@ -167,7 +167,7 @@ def test_ext_vanishes_over_chain_rings():
 def test_ext_nonzero_over_square_zero_algebra():
     ring = _ring(SQUARE_ZERO_PAIR)
     m = unique_maximal_ideal(ring)
-    ext = ext1(quotient_by_ideal(ring, m), regular_module(ring))
+    ext = ext1(quotient_by_ideal(m), regular_module(ring))
     # by hand: kernel m x m (16 elements) over image {(0,0), (x,y)} (2)
     assert ext.kernel_order == 16
     assert ext.image_order == 2
@@ -182,7 +182,7 @@ def test_ext_scans_are_counted_by_the_hom_guard():
     # tuples of R^2.
     def ext(**guards):
         ring = build_ring(parse_ring_spec(SQUARE_ZERO_PAIR), Guards(**guards))
-        m = quotient_by_ideal(ring, unique_maximal_ideal(ring))
+        m = quotient_by_ideal(unique_maximal_ideal(ring))
         found = ext1(m, regular_module(ring))
         return found.order, found.kernel_order, found.image_order
 
@@ -218,7 +218,7 @@ def test_ext_over_product_with_nonzero_component():
         prod, [(1, (0, 0, 0)), (0, (0, 1, 0)), (0, (0, 0, 1))]
     )
     assert mixed.order == 32  # Z/8 x m
-    ext = ext1(quotient_by_ideal(prod, mixed), regular_module(prod))
+    ext = ext1(quotient_by_ideal(mixed), regular_module(prod))
     assert ext.order == 8
 
 
@@ -314,14 +314,14 @@ def test_witness_law_on_found_witnesses():
 def test_cyclic_sgp_ideal_annihilator_law():
     z4 = _ring("Z/4")
     two = ideal_generated(z4, [2])
-    mod, _ = ideal_as_module(z4, two)
+    mod, _ = ideal_as_module(two)
     assert is_strongly_gorenstein_projective(mod).decision
     from finring.ideals import annihilator
 
-    ann = annihilator(z4, two)
-    ann_mod, _ = ideal_as_module(z4, ann)
+    ann = annihilator(two)
+    ann_mod, _ = ideal_as_module(ann)
     assert is_isomorphic(ann_mod, mod)[0]
-    assert annihilator(z4, ann).elements == ann.elements
+    assert annihilator(ann).elements == ann.elements
 
 
 def test_strongly_complete_resolution_round_trip():
@@ -396,6 +396,12 @@ def _bad_witness(kind):
         # the same valid sequence, but |R|^2 = 16 is not |Z/2|^2 = 4
         return replace(find_sgp_witness(_mod(z4, "2")), rank=2)
     m = _mod(z4, "2")
+    if kind == "free":
+        # 0 -> Z/2 -> Z/2 + Z/2 -> Z/2 -> 0 by the first inclusion and the second
+        # projection: exact, and |R| = |Z/2|^2, but the middle term is not R
+        middle = direct_sum(m, m)
+        embedding = ModuleHom(m, middle, ((1, 0),))
+        return SgpWitness(m, 1, embedding, ModuleHom(middle, m, ((0,), (1,))))
     free = regular_module(z4)
     if kind == "embedding":
         # 0 -> Z/2 -0-> R -> Z/2 -> 0: the embedding kills the generator
@@ -417,7 +423,8 @@ def _bad_witness(kind):
     "kind,message",
     [
         ("module", "witness maps do not start and end at the module"),
-        ("rank", "witness rank violates |R|^n = |M|^2"),
+        ("rank", "witness middle term is not R^rank"),
+        ("free", "witness middle term is not R^rank"),
         ("embedding", "witness embedding is not injective"),
         ("projection", "witness projection is not surjective"),
         ("middle", "witness sequence is not exact in the middle"),
@@ -427,6 +434,28 @@ def test_strongly_complete_resolution_validates_the_witness(kind, message):
     # a witness checks its sequence when it is built
     with pytest.raises(ConsistencyError, match=re.escape(message)):
         _bad_witness(kind)
+
+
+def test_witness_search_tries_each_image_once(monkeypatch):
+    # every embedding of (Z/3)^2 into (Z/9)^2 has the socle 3R^2 as its
+    # image, so its 48 embeddings give one cokernel
+    m = _mod(_ring("Z/9"), "3,0;0,3")
+    scanned, built = [], []
+
+    def spy_homs(*args, **kwargs):
+        for h in modules.iter_homs(*args, **kwargs):
+            scanned.append(h)
+            yield h
+
+    def spy_cokernel(h):
+        built.append(h)
+        return modules.cokernel(h)
+
+    monkeypatch.setattr(homology, "iter_homs", spy_homs)
+    monkeypatch.setattr(homology, "cokernel", spy_cokernel)
+    monkeypatch.setattr(homology, "is_isomorphic", lambda *args: (False, None))
+    assert find_sgp_witness(m).kind == "no_embedding_with_self_cokernel"
+    assert len(scanned) == 48 and len(built) == 1
 
 
 def test_periodic_map_is_read_off_the_validated_witness(monkeypatch):
@@ -482,7 +511,7 @@ def _ref_ext1(m, q):
         parts = [
             _ref_ext1(mc, qc)
             for mc, qc in zip(
-                decompose_over_product(m, dec), decompose_over_product(q, dec)
+                decompose_over_product(m), decompose_over_product(q)
             )
         ]
         return tuple(prod(p[i] for p in parts) for i in range(3))
@@ -524,7 +553,7 @@ _EXT_RINGS = {
 # annihilator filter also runs on torsion targets
 _EXT_TARGETS = {
     text: [regular_module(ring)]
-    + [quotient_by_ideal(ring, ideal) for ideal in nonzero_proper_ideals(ring)[:2]]
+    + [quotient_by_ideal(ideal) for ideal in nonzero_proper_ideals(ring)[:2]]
     for text, ring in _EXT_RINGS.items()
 }
 
@@ -611,9 +640,9 @@ def test_ext1_memo_is_sound_across_shared_parts(text, data):
     ideals = enumerate_ideals(ring)
     index = st.integers(0, len(ideals) - 1)
     picks = data.draw(st.lists(index, min_size=1, max_size=2))
-    parts = [quotient_by_ideal(ring, ideals[i]) for i in picks]
+    parts = [quotient_by_ideal(ideals[i]) for i in picks]
     m = parts[0] if len(parts) == 1 else direct_sum(*parts)
-    for q in (regular_module(ring), quotient_by_ideal(ring, ideals[data.draw(index)])):
+    for q in (regular_module(ring), quotient_by_ideal(ideals[data.draw(index)])):
         ext = ext1(m, q)
         try:
             ref = _ref_ext1(m, q)
@@ -662,7 +691,7 @@ _SGP_RINGS = {
 def _quotient_sum(text, picks):
     ring = _SGP_RINGS[text]
     ideals = enumerate_ideals(ring)
-    parts = [quotient_by_ideal(ring, ideals[i]) for i in picks]
+    parts = [quotient_by_ideal(ideals[i]) for i in picks]
     return parts[0] if len(parts) == 1 else direct_sum(*parts)
 
 
@@ -728,8 +757,7 @@ def test_sgp_verdict_is_kept_on_its_module(monkeypatch):
     monkeypatch.setattr(homology, "find_sgp_witness", refuse)
     assert is_strongly_gorenstein_projective(_derived(z8, "2,0;0,4")) is verdicts[0]
     assert is_strongly_gorenstein_projective(split) is verdicts[1]
-    dec = idempotent_decomposition(product)
-    for comp, verdict in zip(decompose_over_product(split, dec), verdicts[1].components):
+    for comp, verdict in zip(decompose_over_product(split), verdicts[1].components):
         assert is_strongly_gorenstein_projective(comp) is verdict
 
 

@@ -24,6 +24,7 @@ from finring import modules
 from finring.guards import Guards
 from finring.homology import dual_hom
 from finring.ideals import (
+    annihilator,
     enumerate_ideals,
     ideal_generated,
     idempotent_decomposition,
@@ -140,7 +141,7 @@ def test_hom_set_counts():
         m = _mod(z8, rel)
         assert len(hom_set(regular_module(z8), m)) == m.cardinality
     # maps from R/(2) into the submodule 2R of R over Z/8
-    two_r, _ = ideal_as_module(z8, ideal_generated(z8, [2]))
+    two_r, _ = ideal_as_module(ideal_generated(z8, [2]))
     assert len(hom_set(_mod(z8, "2"), two_r)) == 2
 
 
@@ -187,13 +188,13 @@ def test_counting_laws_over_all_homs():
 
 def test_isomorphism_examples():
     z4 = _ring("Z/4")
-    two_ideal, _ = ideal_as_module(z4, ideal_generated(z4, [2]))
+    two_ideal, _ = ideal_as_module(ideal_generated(z4, [2]))
     ok, witness = is_isomorphic(two_ideal, _mod(z4, "2"))
     assert ok and witness.source.cardinality == witness.target.cardinality
     assert witness.is_injective()
     z8 = _ring("Z/8")
     assert not is_isomorphic(_mod(z8, "2"), _mod(z8, "4"))[0]
-    two_r, _ = ideal_as_module(z8, ideal_generated(z8, [2]))
+    two_r, _ = ideal_as_module(ideal_generated(z8, [2]))
     assert is_isomorphic(two_r, _mod(z8, "4"))[0]
 
 
@@ -204,7 +205,7 @@ def test_isomorphism_is_equivalence_on_a_catalog():
         _mod(z8, "4"),
         regular_module(z8),
         _mod(z8, "2,0;0,4"),
-        ideal_as_module(z8, ideal_generated(z8, [4]))[0],
+        ideal_as_module(ideal_generated(z8, [4]))[0],
     ]
     n = len(mods)
     rel = [[is_isomorphic(a, b)[0] for b in mods] for a in mods]
@@ -303,10 +304,9 @@ def test_is_projective_matches_the_free_cover_route(monkeypatch):
     assert {expected for _, _, expected in cases} == {True, False}
     # over a product, the answer is the AND of the component answers
     prod_ring = _ring("Z/4 x Z/3")
-    dec = idempotent_decomposition(prod_ring)
     answers = set()
     for name, m in _sample_modules(prod_ring, include_sums=True):
-        parts = [by_cover(c) for c in decompose_over_product(m, dec)]
+        parts = [by_cover(c) for c in decompose_over_product(m)]
         assert is_projective(m) == all(parts), name
         answers.add(all(parts))
     assert answers == {True, False}
@@ -349,7 +349,7 @@ def test_decompose_over_product_reads_the_projections(monkeypatch):
         counters = [_CountingIndex(f.index) for f in dec.factor_rings]
         for f, counter in zip(dec.factor_rings, counters):
             monkeypatch.setattr(f, "index", counter)
-        comps = decompose_over_product(m, dec)
+        comps = decompose_over_product(m)
         _verify_decomposition(m, dec, comps)
         # each component is built from the projected relation positions, so
         # no factor index is read
@@ -360,13 +360,13 @@ def test_decompose_over_product():
     z12 = _ring("Z/12")
     dec = idempotent_decomposition(z12)
     m = _mod(z12, "6")  # six-element cyclic module
-    comps = decompose_over_product(m, dec)
+    comps = decompose_over_product(m)
     assert [c.cardinality for c in comps] == [3, 2]
     free = regular_module(z12)
-    for comp, factor in zip(decompose_over_product(free, dec), dec.factor_rings):
+    for comp, factor in zip(decompose_over_product(free), dec.factor_rings):
         assert comp.cardinality == factor.order
     zero = _mod(z12, "")
-    assert [c.cardinality for c in decompose_over_product(zero, dec)] == [1, 1]
+    assert [c.cardinality for c in decompose_over_product(zero)] == [1, 1]
 
 
 def test_free_summand_split():
@@ -436,7 +436,7 @@ def _qf_quotient_sums(draw):
     ring, ideals = _QF_LOCALS[draw(st.sampled_from(sorted(_QF_LOCALS)))]
     k = draw(st.integers(1, 3 if ring.order <= 9 else 2))
     picks = draw(st.lists(st.sampled_from(ideals), min_size=k, max_size=k))
-    return functools.reduce(direct_sum, [quotient_by_ideal(ring, i) for i in picks])
+    return functools.reduce(direct_sum, [quotient_by_ideal(i) for i in picks])
 
 
 @settings(max_examples=60, deadline=None)
@@ -481,7 +481,7 @@ def test_local_submodules_are_presented_on_minimal_generators():
     ker, _ = kernel(ModuleHom(regular_module(r), _mod(r, "1"), [(0,)]))
     assert ker.k == 1
     r2 = _ring("GF(2)[x]/(x^2)[x]/(x^2)")
-    ideal, _ = ideal_as_module(r2, unique_maximal_ideal(r2))
+    ideal, _ = ideal_as_module(unique_maximal_ideal(r2))
     assert ideal.k == 2
 
 
@@ -524,7 +524,7 @@ def test_compose_and_identity():
 )
 def test_decomposition_check_rejects_a_wrong_component(m):
     dec = idempotent_decomposition(m.ring)
-    comps = decompose_over_product(m, dec)
+    comps = decompose_over_product(m)
     _verify_decomposition(m, dec, comps)
     # a component too small to re-sum: the Z/4 part with its first coordinate killed
     four = next(i for i, f in enumerate(dec.factor_rings) if f.order == 4)
@@ -540,7 +540,7 @@ def test_decomposition_check_reads_no_ring_table(monkeypatch):
     ring = _ring(f"Z/8 x {SQUARE_ZERO_PAIR}")
     dec = idempotent_decomposition(ring)
     mods = [m for _, m in _sample_modules(ring, include_sums=True)] + [free_module(ring, 2)]
-    pairs = [(m, decompose_over_product(m, dec)) for m in mods]
+    pairs = [(m, decompose_over_product(m)) for m in mods]
 
     def refuse(self):
         raise AssertionError("a ring table was read")
@@ -601,7 +601,7 @@ def test_decomposition_map_is_additive_and_linear(text):
         scaled = np.array(
             [[pos[least(tuple(mul(r, t) for t in a))] for r in range(ring.order)] for a in span]
         )
-        for e, f, comp in zip(dec.idempotents, dec.factor_rings, decompose_over_product(m, dec)):
+        for e, f, comp in zip(dec.idempotents, dec.factor_rings, decompose_over_product(m)):
             fleast, fpos, fels = BruteModule.of(comp).least, comp.index, comp.elements
             fadd, fmul = _on_indices(f, f.add), _on_indices(f, f.mul)
             proj = [f.index[ring.mul(e, r)] for r in ring.elements]
@@ -1135,13 +1135,12 @@ def test_hom_count_is_the_size_of_the_hom_set(pair, chunk):
 
 def test_product_components_drop_relation_columns_that_project_to_zero():
     ring = _ring("Z/4 x Z/9")
-    dec = idempotent_decomposition(ring)
     # (2,0) relates only the Z/4 part, (0,3) only the Z/9 part
     m = _mod(ring, "(2,0),(0,3)")
-    comps = decompose_over_product(m, dec)
+    comps = decompose_over_product(m)
     assert [len(c.relation_columns) for c in comps] == [1, 1]
     assert sorted(c.cardinality for c in comps) == [2, 3]
-    for comp in decompose_over_product(free_module(ring, 2), dec):
+    for comp in decompose_over_product(free_module(ring, 2)):
         assert comp.relation_columns.shape == (0, 2)
 
 
@@ -1168,6 +1167,18 @@ def test_two_builds_of_one_spec_share_no_module():
     assert m1 is not m2 and m1.ring is first and m2.ring is second
 
 
+def test_ideal_constructions_live_over_the_ideal_s_ring():
+    # R/I, I as a module and Ann(I) take their ring from I alone
+    first, second = _ring("Z/8"), _ring("Z/8")
+    product = _ring("Z/4 x Z/3")
+    factor = idempotent_decomposition(product).factor_rings[0]
+    for ring in (first, second, _ring("GF(2)[x]/(x^3)"), factor, product):
+        for ideal in enumerate_ideals(ring):
+            assert quotient_by_ideal(ideal).ring is ring
+            assert ideal_as_module(ideal)[0].ring is ring
+            assert annihilator(ideal).ring is ring
+
+
 def test_reordered_relation_columns_give_distinct_modules():
     z8 = _ring("Z/8")
     m = Module._on(z8, 2, [[2, 0], [0, 4]])
@@ -1187,11 +1198,10 @@ def test_the_public_constructor_makes_a_new_module_on_every_call():
 
 def test_components_are_decomposed_and_verified_once(monkeypatch):
     ring = _ring("Z/4 x Z/9")
-    dec = idempotent_decomposition(ring)
     m = _mod(ring, "(2,3)")
-    comps = decompose_over_product(m, dec)
+    comps = decompose_over_product(m)
     checked = []
     monkeypatch.setattr(modules, "_verify_decomposition", lambda *args: checked.append(args))
-    again = decompose_over_product(m, dec)
+    again = decompose_over_product(m)
     assert again == comps and again is not comps and not checked
     assert all(a is b for a, b in zip(again, comps))

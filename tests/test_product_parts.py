@@ -104,7 +104,7 @@ def _assert_lattice_matches(ring, ref):
     lattice = enumerate_ideals(ring)
     assert [(i.indices, i.generator_indices) for i in lattice] == ref.lattice
     for ideal in lattice:
-        ann = annihilator(ring, ideal)
+        ann = annihilator(ideal)
         assert ann.indices == ref.annihilator(ideal.indices)
         assert any(ann is other for other in lattice)
 
@@ -177,6 +177,6 @@ def test_classifying_an_order_256_product_builds_no_principal_ideals():
 
 def test_free_summand_complement_is_presented_minimally():
     ring = _ring("Z/9")
-    m = direct_sum(quotient_by_ideal(ring, ideal_generated(ring, [3])), regular_module(ring))
+    m = direct_sum(quotient_by_ideal(ideal_generated(ring, [3])), regular_module(ring))
     rank, rest = free_summand_split(m)
     assert (rank, rest.k, rest.cardinality) == (1, 1, 3)
