@@ -14,8 +14,8 @@ The three classes are nested:
 cross-validates the SG verdict through an independent module-level route:
 a local ring is SG-semisimple exactly when its residue field R/m is a
 strongly Gorenstein projective module (``residue_field_sgp(ring)`` builds
-R/m itself).  Disagreement between the two routes is a hard internal
-error, never an output.
+R/m itself), decided on the factor's ``table_owner``.  Disagreement between
+the two routes is a hard internal error, never an output.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .ideals import (
 from .homology import SgpVerdict, is_strongly_gorenstein_projective
 from .modules import is_projective, quotient_by_ideal
 from .parsing import parse_ring_spec
-from .rings import Ring, build_ring, spec_order
+from .rings import Ring, build_ring, spec_order, table_owner
 
 
 @dataclass(frozen=True)
@@ -108,21 +108,13 @@ def residue_field_sgp(local_ring: Ring) -> SgpVerdict:
     )
 
 
-# memo keyed by the factor's addition and multiplication tables and its
-# guards: identical canonical tables give identical answers under the same
-# guards, and products share factor shapes heavily
-_RESIDUE_SGP_MEMO: dict = {}
-
-
 def _residue_sgp_decision(factor: Ring) -> bool:
-    add, mul, _ = factor.tables()
-    key = (factor.order, add.tobytes(), mul.tobytes(), factor.guards)
-    if key not in _RESIDUE_SGP_MEMO:
-        # a projective P is SGP through the split 0 -> P -> P + P -> P -> 0,
-        # so a field's R/m = R needs no witness search
-        residue = quotient_by_ideal(unique_maximal_ideal(factor))
-        _RESIDUE_SGP_MEMO[key] = is_projective(residue) or residue_field_sgp(factor).decision
-    return _RESIDUE_SGP_MEMO[key]
+    # the table owner keeps R/m and its verdict for all rings with its tables;
+    # a projective P is SGP through the split 0 -> P -> P + P -> P -> 0, so a
+    # field's R/m = R needs no witness search
+    owner = table_owner(factor)
+    residue = quotient_by_ideal(unique_maximal_ideal(owner))
+    return is_projective(residue) or residue_field_sgp(owner).decision
 
 
 def factor_summary(factor: Ring) -> FactorSummary:

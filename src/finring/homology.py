@@ -25,11 +25,11 @@ argument, and every projective is a direct summand of a free module of
 finite rank here.
 
 Over a product ring every decision is taken componentwise along the
-idempotent decomposition, and each local Ext^1 is kept on its part (see
-``ext1``); a witness inside a free module of a single rank need not exist
-there (component ranks can differ), so product verdicts carry per-factor
-verdicts instead.  Each SGP verdict is kept on its module, which the ring
-keeps once per presentation, so a module is decided once.
+idempotent decomposition, and each local Ext^1 is kept on its factor's
+table owner (see ``ext1``); a witness inside a free module of a single rank
+need not exist there (component ranks can differ), so product verdicts
+carry per-factor verdicts instead.  Each SGP verdict is kept on its module,
+which the ring keeps once per presentation, so a module is decided once.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from .modules import (
     iter_homs,
     kernel,
 )
+from .rings import table_owner
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +166,10 @@ def ext1(m: Module, q: Module) -> ExtGroup:
     |Hom(m, q)|, which is the same for any presentation of m.  The image of
     Hom(F, q) in Hom(S, q) has |q|^{g0} / |Hom(m, q)| elements.  Over a
     product ring both modules are decomposed and the component orders
-    multiplied (Ext is additive).  A local result is kept on the end of
-    the ring's ``mirror`` chain, keyed by both presentations, so a part
-    shared between product builds computes each component once.
+    multiplied (Ext is additive).  A local result is kept on the ring's
+    ``table_owner``, keyed by both presentations, so rings with equal tables
+    (a part shared between product builds, Z/2 and a factor of Z/6) compute
+    each component once.
     """
     if m.ring is not q.ring:
         raise RingMismatchError("ext needs modules over the same ring")
@@ -175,10 +177,7 @@ def ext1(m: Module, q: Module) -> ExtGroup:
         pairs = zip(decompose_over_product(m), decompose_over_product(q))
         parts = [(e.order, e.kernel_order, e.image_order) for e in starmap(ext1, pairs)]
         return ExtGroup(*map(prod, zip(*parts)))
-    root = m.ring  # a factor has its mirror's tables, and so its Ext orders
-    while getattr(root, "mirror", None) is not None:
-        root = root.mirror
-    memo = root._cache.setdefault("ext1", {})
+    memo = table_owner(m.ring)._cache.setdefault("ext1", {})
     pair = m.relation_columns, q.relation_columns
     key = tuple(x for c in pair for x in (c.shape, c.tobytes()))
     if key in memo:

@@ -43,10 +43,10 @@ generators, product components, SGP verdict); ``Module(presentation)`` is
 new on every call.  ``quotient_by_ideal(I)`` and ``ideal_as_module(I)`` take
 their ring from I, and ``decompose_over_product(m)`` splits M along
 ``idempotent_decomposition(m.ring)``.  Every hom is built by
-``ModuleHom._at``, with the public constructor's relation check.  Element
-values and index tuples appear only at the public edge:
-``Module.elements``, ``index`` and ``presentation`` (derived on first use),
-``ModuleHom.images`` and ``ModuleHom.apply``.
+``ModuleHom._at``, with the public constructor's relation check unless
+``_accepted`` has made it.  Element values and index tuples appear only
+at the public edge: ``Module.elements``, ``index`` and ``presentation``
+(derived on first use), ``ModuleHom.images`` and ``ModuleHom.apply``.
 
 Everything here is immutable after construction and deterministic: every
 generator pick is the least candidate in canonical order, hom sets are
@@ -399,8 +399,8 @@ class ModuleHom:
 
     ``ModuleHom(source, target, images)`` checks that each image is a target
     element; the library builds its homs from target positions through
-    ``_at``.  Either way ``_check_relations`` checks the images against every
-    source relation through ``_combine``.
+    ``_at``.  ``_check_relations`` checks the images against every source
+    relation through ``_combine``, unless ``_accepted`` already has.
     """
 
     source: Module
@@ -431,12 +431,13 @@ class ModuleHom:
     @classmethod
     def _at(cls, source: Module, target: Module, positions, table=None) -> ModuleHom:
         """The hom sending generator j to the target element at
-        ``positions[j]``, with its ``table`` if already evaluated."""
+        ``positions[j]``, with its ``table`` if ``_accepted`` has checked it."""
         hom = object.__new__(cls)
         images = tuple(map(tuple, target._rows(positions).tolist()))
         hom.__dict__.update(source=source, target=target, images=images, positions=positions)
-        hom._check_relations()
-        if table is not None:
+        if table is None:
+            hom._check_relations()
+        else:
             hom.__dict__["table"] = table
         return hom
 

@@ -39,7 +39,9 @@ whatever the table; a product acts digitwise on factors checked on their
 own, and a product of rings is a ring, so it is not checked again.
 
 Ring values are immutable after construction and operations are pure, so
-rings can be shared freely across threads.
+rings can be shared freely across threads.  What the tables determine (Ext
+orders, the residue field's SGP verdict) is kept on ``table_owner(ring)``,
+the first live ring with equal tables and guards.
 """
 
 from __future__ import annotations
@@ -499,6 +501,18 @@ def _subring(spec: RingSpec, guards: Guards) -> Ring:
     if ring is None:
         ring = _SUBRINGS[spec, guards] = _construct(spec, guards)
     return ring
+
+
+# the first live ring per (guards, order, table bytes); an entry dies with its ring
+_OWNERS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def table_owner(ring: Ring) -> Ring:
+    """The first live ring with ``ring``'s guards and operation tables."""
+    if "table_key" not in ring._cache:
+        add, mul, _ = ring.tables()
+        ring._cache["table_key"] = ring.guards, ring.order, add.tobytes(), mul.tobytes()
+    return _OWNERS.setdefault(ring._cache["table_key"], ring)
 
 
 def _construct(spec: RingSpec, guards: Guards) -> Ring:

@@ -480,7 +480,7 @@ def check_sg_route_agreement(rings, flags):
         ideal_route = len(nonzero_proper_ideals(ring)) <= 1
         if fault:
             ideal_route = not ideal_route  # harness self-test: one classifier negated
-        # classify's memo: classification-chain has already decided these
+        # kept on the table owner: classification-chain has already decided these
         module_route = _residue_sgp_decision(ring)
         if ideal_route != module_route:
             raise _Counterexample(

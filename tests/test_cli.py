@@ -123,6 +123,16 @@ def test_guard_exit_code(capsys):
     assert code == 3
 
 
+def test_module_sgp_over_a_degree_one_quotient(capsys):
+    # x is -1, a unit, in GF(3)[x]/(x+1) = GF(3): R/(x) is the zero module
+    code, out, _ = run_cli(
+        capsys, "module", "sgp", "--ring", "GF(3)[x]/(x+1)", "--rel", "x", "--json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["sgp"] is True and payload["rank"] == 0
+
+
 def test_module_sgp_positive(capsys):
     code, out, _ = run_cli(
         capsys, "module", "sgp", "--ring", "Z/8", "--rel", "2,0;0,4", "--json"

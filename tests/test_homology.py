@@ -1,5 +1,7 @@
+import gc
 import itertools
 import re
+import weakref
 from dataclasses import astuple, replace
 from math import prod
 
@@ -8,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from brute_force import BruteModule
-from finring import cli, homology, modules
+from finring import cli, homology, modules, rings
 from finring.classify import SQUARE_ZERO_PAIR, catalog_specs, nonzero_proper_ideals
 from finring.errors import (
     ConsistencyError,
@@ -52,7 +54,7 @@ from finring.modules import (
     regular_module,
 )
 from finring.parsing import parse_presentation, parse_ring_spec
-from finring.rings import build_ring, spec_order
+from finring.rings import build_ring, spec_order, table_owner
 
 
 def _ring(text):
@@ -603,20 +605,13 @@ def test_ext1_matches_scalar_loops(chunk, pres):
     assert astuple(ext) == _ref_ext1(m, q)
 
 
-# -- Ext^1 over a product is kept on its parts, keyed by the presentations ----
-
-
-def _root(ring):
-    """The ring whose tables ``ring`` uses: its mirror's mirror, and so on."""
-    while getattr(ring, "mirror", None) is not None:
-        ring = ring.mirror
-    return ring
+# -- Ext^1 is kept on its ring's table owner, keyed by the presentations ------
 
 
 def _forget_ext1(ring):
     """Drop the Ext^1 memo of every local factor of ``ring``."""
     for factor in idempotent_decomposition(ring).factor_rings:
-        _root(factor)._cache.pop("ext1", None)
+        table_owner(factor)._cache.pop("ext1", None)
 
 
 # two-part products of catalog parts, kept alive so that each product built
@@ -655,25 +650,65 @@ def test_ext1_over_a_second_product_reuses_its_live_part(monkeypatch):
     covers = []
 
     def spy(m):
-        covers.append(_root(m.ring))
+        covers.append(table_owner(m.ring))
         return free_cover(m)
 
     monkeypatch.setattr(homology, "free_cover", spy)
     first, second = _ring("Z/4 x Z/3"), _ring("Z/4 x Z/5")
     z4 = first.factors[0]
     assert second.factors[0] is z4
+    owner = table_owner(z4)
     _forget_ext1(first)
     ext = ext1(_mod(first, "(2,0)"), regular_module(first))
-    assert ext.is_zero and covers.count(z4) == 1
+    assert ext.is_zero and covers.count(owner) == 1
     # over the second product, the Z/4 components of R/(2,0) and of R have
-    # the presentations they had over the first, on the same part: only the
-    # Z/5 component is computed
+    # the presentations they had over the first, on the same part's owner:
+    # only the Z/5 component is computed
     covers.clear()
     ext = ext1(_mod(second, "(2,0)"), regular_module(second))
-    assert ext.is_zero and z4 not in covers
+    assert ext.is_zero and owner not in covers
     _forget_ext1(second)
     assert astuple(ext1(_mod(second, "(2,0)"), regular_module(second))) == astuple(ext)
-    assert covers.count(z4) == 1
+    assert covers.count(owner) == 1
+
+
+def test_rings_with_equal_tables_share_one_ext1_memo(monkeypatch):
+    z2 = _ring("Z/2")
+    factor = next(f for f in idempotent_decomposition(_ring("Z/6")).factor_rings if f.one == 3)
+    # {0, 3} in Z/6 adds and multiplies on positions as Z/2 does
+    assert table_owner(factor) is table_owner(z2)
+    covers = []
+
+    def spy(m):
+        covers.append(m.ring)
+        return free_cover(m)
+
+    monkeypatch.setattr(homology, "free_cover", spy)
+    _forget_ext1(z2)
+    ext = ext1(quotient_by_ideal(unique_maximal_ideal(z2)), regular_module(z2))
+    assert ext.is_zero and covers == [z2]
+    residue = quotient_by_ideal(unique_maximal_ideal(factor))
+    assert ext1(residue, regular_module(factor)) is ext and covers == [z2]
+
+
+def test_a_table_owner_lives_no_longer_than_its_rings():
+    guards = Guards(max_hom_candidates=123_457)  # no other ring has these guards
+
+    def owners():
+        return sum(key[0] == guards for key in rings._OWNERS.keys())
+
+    def decide():
+        ring = build_ring(parse_ring_spec("Z/9"), guards)
+        ext1(_mod(ring, "3"), regular_module(ring))
+        assert table_owner(ring) is ring and owners() == 1
+        return weakref.ref(ring)
+
+    # each build registers one owner, which goes with its ring: nothing
+    # accumulates across builds
+    for _ in range(3):
+        ref = decide()
+        gc.collect()
+        assert ref() is None and owners() == 0
 
 
 # -- the SGP verdict reads Ext^1(M, R) off its own witness ---------------------

@@ -1120,6 +1120,23 @@ def test_injective_scan_is_the_injective_part_of_the_full_scan(pair, chunk):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.one_of(_hom_pairs(), _equal_order_pairs()), st.booleans(), st.sampled_from([None, 7]))
+def test_every_scanned_hom_passes_the_public_relation_check(pair, injective, chunk):
+    # iter_homs builds its homs without a relation check of their own, as
+    # _accepted keeps only the candidates on which every relation vanishes;
+    # the public constructor runs the full check on each
+    m1, m2 = pair
+    assume(m2.cardinality**m1.k <= 6561)
+    with _chunked(chunk, m1.ring) as record:
+        homs = list(iter_homs(m1, m2, injective=injective))
+    assert record.chunks["_accepted"] == {chunk or modules._CHUNK}
+    for h in homs:
+        ref = ModuleHom(m1, m2, h.images)
+        assert np.array_equal(ref.positions, h.positions)
+        assert np.array_equal(ref.table, h.table)
+
+
+@settings(max_examples=60, deadline=None)
 @given(_hom_pairs(), st.sampled_from([None, 7]))
 def test_hom_count_is_the_size_of_the_hom_set(pair, chunk):
     m1, m2 = pair

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from finring.classify import SQUARE_ZERO_PAIR
 from finring.errors import ParseError
+from finring.ideals import idempotent_decomposition
 from finring.parsing import (
     _prime_power,
     format_element,
@@ -258,6 +259,20 @@ def test_element_literal_forms():
     )
     assert parse_element(sc, "b1+b2") == (0, 1, 1)
     assert parse_element(sc, "1") == (1, 0, 0)
+
+
+def test_x_over_a_degree_one_quotient_is_minus_the_constant_term():
+    # under x + 1, x reduces to -1, which is 2 in GF(3)
+    ring = build_ring(parse_ring_spec("GF(3)[x]/(x+1)"))
+    assert parse_element(ring, "x") == (2,)
+
+
+def test_literals_over_a_factor_ring_are_the_parent_s_inside_the_factor():
+    z6 = build_ring(parse_ring_spec("Z/6"))
+    factor = next(f for f in idempotent_decomposition(z6).factor_rings if f.one == 3)
+    assert parse_element(factor, format_element(factor, 3)) == 3
+    with pytest.raises(ParseError, match="element lies outside the factor ring"):
+        parse_element(factor, "2")
 
 
 def test_powers_reduce_in_literals():
