@@ -14,6 +14,18 @@ an internal consistency failure, printed as one ``internal error:`` line),
 2 parse error, 3 guard exceeded.  ``--json`` switches every command to a
 stable JSON report (fixed key order, canonical element literals, so equal
 inputs give byte-identical output).
+
+``main`` may serve many requests in one process, one at a time.  The
+process keeps one verified ring per parsed spec and guards for every ring
+of order at most ``rings.EXHAUSTIVE_ORDER`` (64), and at most 64 such
+rings, the least recently used dropped first (``_kept_ring``); a larger
+ring is built per request.  A kept ring carries into the next request only
+what its spec and guards determine: its tables and checked laws, ideal
+bitsets and lattice, maximal ideals, idempotent split, units and free
+modules R^k.  Each time it is handed out it drops the presented modules and
+Ext^1 results that earlier requests left on it, on its local factors and on
+their table owners, so serving many presentations over one ring does not
+grow the process.
 """
 
 from __future__ import annotations
@@ -40,7 +52,7 @@ from .homology import free_resolution, is_strongly_gorenstein_projective
 from .ideals import enumerate_ideals, idempotent_decomposition
 from .modules import Module
 from .parsing import format_element, parse_presentation, parse_ring_spec
-from .rings import build_ring
+from .rings import EXHAUSTIVE_ORDER, build_ring, spec_order, table_owner
 from .verify import run_verification
 
 SCHEMA_VERSION = 1
@@ -73,6 +85,37 @@ def _guards(args):
         for guard, flag in GUARD_FLAGS.items()
     }
     return DEFAULT_GUARDS.with_overrides(axiom_seed=getattr(args, "seed", None), **overrides)
+
+
+@functools.lru_cache(maxsize=64)
+def _kept_ring(spec, guards):
+    return build_ring(spec, guards)
+
+
+def _forget_presentations(ring) -> None:
+    """Drop the modules with relation columns, and the Ext^1 memo, that
+    earlier requests left on a kept ring, its local factors and their table
+    owners; the free modules R^k stay."""
+    dec = ring._cache.get("idempotent_decomposition")
+    factors = dec.factor_rings if dec is not None else ()
+    held = {ring, *factors}
+    held.update(table_owner(r) for r in list(held) if "table_key" in r._cache)
+    for r in held:
+        r._cache.pop("ext1", None)
+        memo = r._cache.get("modules", {})
+        for key in [key for key, m in memo.items() if len(m.relation_columns)]:
+            del memo[key]
+
+
+def _ring(text: str, guards):
+    """The ring of a spec text: kept for the process up to order
+    ``EXHAUSTIVE_ORDER`` (module docstring), built anew above it."""
+    spec = parse_ring_spec(text)
+    if spec_order(spec) > EXHAUSTIVE_ORDER:
+        return build_ring(spec, guards)
+    ring = _kept_ring(spec, guards)
+    _forget_presentations(ring)
+    return ring
 
 
 def _literals(ring, el) -> list:
@@ -127,7 +170,7 @@ def _classification_payload(report, radical_literal) -> dict:
 
 
 def _run_classify(args) -> int:
-    ring = build_ring(parse_ring_spec(args.spec), _guards(args))
+    ring = _ring(args.spec, _guards(args))
     report = classify(ring)
     literal = (
         format_element(ring, report.semisimple_certificate)
@@ -171,7 +214,7 @@ def _run_classify(args) -> int:
 
 
 def _run_ideals(args) -> int:
-    ring = build_ring(parse_ring_spec(args.spec), _guards(args))
+    ring = _ring(args.spec, _guards(args))
     lattice = enumerate_ideals(ring)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -195,7 +238,7 @@ def _run_ideals(args) -> int:
 
 
 def _run_decompose(args) -> int:
-    ring = build_ring(parse_ring_spec(args.spec), _guards(args))
+    ring = _ring(args.spec, _guards(args))
     dec = idempotent_decomposition(ring)
     factors = [factor_summary(f) for f in dec.factor_rings]
     payload = {
@@ -251,7 +294,7 @@ def _verdict_payload(verdict) -> dict:
 
 
 def _run_module_sgp(args) -> int:
-    ring = build_ring(parse_ring_spec(args.ring), _guards(args))
+    ring = _ring(args.ring, _guards(args))
     module = Module(parse_presentation(ring, args.rel))
     verdict = is_strongly_gorenstein_projective(module)
     payload = {
@@ -294,7 +337,7 @@ def _run_module_sgp(args) -> int:
 
 
 def _run_resolve(args) -> int:
-    ring = build_ring(parse_ring_spec(args.ring), _guards(args))
+    ring = _ring(args.ring, _guards(args))
     module = Module(parse_presentation(ring, args.rel))
     res = free_resolution(module, args.length)
     payload = {

@@ -229,21 +229,23 @@ class Module:
         self.presentation = presentation
 
     @classmethod
-    def _on(cls, ring: Ring, k: int, columns=()) -> Module:
+    def _on(cls, ring: Ring, k: int, columns=(), span=None) -> Module:
         """R^k modulo the span of ``columns``, c rows of k ring positions: the
         build of every module the library derives, whose ``presentation``
         is derived on first read.  One module per presentation and ring:
-        the ring keeps each one it builds, keyed by its relation columns."""
+        the ring keeps each one it builds, keyed by its relation columns.
+        A maker that already holds the span, a mask over the raw codes of
+        R^k, passes it as ``span``, and the build does not grow it again."""
         columns = np.array(columns, dtype=np.intp).reshape(len(columns), k)
         memo = ring._cache.setdefault("modules", {})
         key = k, len(columns), columns.tobytes()
         if key not in memo:
             m = object.__new__(cls)
-            m._build(ring, k, columns)
+            m._build(ring, k, columns, span)
             memo[key] = m
         return memo[key]
 
-    def _build(self, ring: Ring, k: int, columns) -> None:
+    def _build(self, ring: Ring, k: int, columns, span=None) -> None:
         n = ring.order
         raw = n**k
         if raw > ring.guards.max_module_raw:
@@ -264,12 +266,13 @@ class Module:
         self.rep = np.arange(raw)
         self._digits = np.indices((n,) * k, dtype=np.intp).reshape(k, raw).T
         # the span of the relation columns, as a mask over raw codes
-        member = np.zeros(raw, dtype=bool)
-        member[0] = True
-        for col in self.relation_columns:
-            if not member[col @ self._weights]:  # else R * col already lies in the span
-                _grow(self, member, col)
-        self.span = member.nonzero()[0]
+        if span is None:
+            span = np.zeros(raw, dtype=bool)
+            span[0] = True
+            for col in self.relation_columns:
+                if not span[col @ self._weights]:  # else R * col already lies in the span
+                    _grow(self, span, col)
+        self.span = span.nonzero()[0]
         if len(self.span) > 1:
             self.rep, codes = _label_cosets(
                 self._tables[0], self._digits[self.span], self._weights, raw
@@ -510,24 +513,29 @@ def _image_choices(m1: Module, m2: Module, injective=False) -> list:
     r * w_j, so Ann(x_j) is read off ``rep`` with no table.  The tests run
     over the least nonzero a of Ann(x_j) not yet settled, and each test
     a * t = 0 settles every multiple r * a as well, so a principal
-    annihilator costs one test and a zero one none.  The guard bounds the
-    number of tuples, which is the number of candidates any scan over them
-    visits.
+    annihilator costs one test and a zero one none.  Over R^k, whose
+    relations span zero alone, only r = 0 kills a generator, so no
+    annihilator is gathered and every position is offered.  The guard
+    bounds the number of tuples, which is the number of candidates any scan
+    over them visits.
     """
-    _, mul, _ = m1._tables
-    # ann[r, j]: whether r * x_j = 0 in m1, as zero is element 0
-    ann = m1.rep[np.arange(m1.ring.order)[:, None] * m1._weights] == 0
-    ann[0] = False  # zero kills everything: nothing to test
-    choices = []
-    for rest, x in zip(ann.T, m1._unit_positions()):
-        keep = np.ones(m2.cardinality, dtype=bool)
-        while rest.any():
-            a = int(rest.argmax())
-            rest[mul[a]] = False
-            keep &= m2._locate(mul[a, m2._digits]) == 0
-        if injective and x:  # an injective hom sends no nonzero element to 0
-            keep[0] = False
-        choices.append(keep.nonzero()[0])
+    if len(m1.span) == 1:  # R^k: only r = 0 kills a generator, and none is zero
+        choices = [np.arange(int(injective), m2.cardinality)] * m1.k
+    else:
+        _, mul, _ = m1._tables
+        # ann[r, j]: whether r * x_j = 0 in m1, as zero is element 0
+        ann = m1.rep[np.arange(m1.ring.order)[:, None] * m1._weights] == 0
+        ann[0] = False  # zero kills everything: nothing to test
+        choices = []
+        for rest, x in zip(ann.T, m1._unit_positions()):
+            keep = np.ones(m2.cardinality, dtype=bool)
+            while rest.any():
+                a = int(rest.argmax())
+                rest[mul[a]] = False
+                keep &= m2._locate(mul[a, m2._digits]) == 0
+            if injective and x:  # an injective hom sends no nonzero element to 0
+                keep[0] = False
+            choices.append(keep.nonzero()[0])
     guards = m1.ring.guards
     count = prod(len(c) for c in choices)
     if count > guards.max_hom_candidates:
@@ -595,7 +603,8 @@ def submodule(ambient: Module, target: np.ndarray):
     coefficients = free_module(ambient.ring, len(gens))  # its guard bounds the scan of R^k
     relations = _combine(ambient, gens, coefficients._digits) == 0
     rel_gens = coefficients._rows(_generators(coefficients, relations))
-    mod = Module._on(ambient.ring, coefficients.k, rel_gens)
+    # R^k is free, so its positions are raw codes and the mask is the span
+    mod = Module._on(ambient.ring, coefficients.k, rel_gens, relations)
     if mod.cardinality != int(target.sum()):
         raise ConsistencyError("recovered presentation has the wrong cardinality")
     embedding = ModuleHom._at(mod, ambient, np.array(gens, dtype=np.intp))
@@ -613,10 +622,13 @@ def image(h: ModuleHom):
 
 
 def cokernel(h: ModuleHom):
-    """Cokernel, the target modulo the image's ``_generators``, plus the projection."""
+    """Cokernel, the target modulo the image's ``_generators``, plus the
+    projection.  Its span is the preimage of the image in R^k."""
     t = h.target
-    img_gens = t._rows(_generators(t, h.image_mask()))
-    coker = Module._on(t.ring, t.k, np.concatenate([t.relation_columns, img_gens]))
+    image_mask = h.image_mask()
+    img_gens = t._rows(_generators(t, image_mask))
+    columns = np.concatenate([t.relation_columns, img_gens])
+    coker = Module._on(t.ring, t.k, columns, image_mask[t.rep])
     proj = ModuleHom._at(t, coker, coker._unit_positions())
     return coker, proj
 

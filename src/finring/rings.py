@@ -587,6 +587,11 @@ def _additive_generators(add, z) -> list[int]:
     return gens
 
 
+#: the largest order whose ring laws are checked on the whole operation tables;
+#: above it they are sampled
+EXHAUSTIVE_ORDER = 64
+
+
 @functools.lru_cache(maxsize=128)
 def _sample_draws(guards: Guards, n: int) -> np.ndarray:
     """``axiom_sample_count`` triples a, b, c of fixed-seed draws below n, from
@@ -626,7 +631,7 @@ def verify_ring_axioms(ring: Ring) -> None:
         raise AxiomViolation("zero or one is not a canonical element")
     z, e = ring.index[ring.zero], ring.index[ring.one]
     x = np.arange(n)
-    if n <= 64:
+    if n <= EXHAUSTIVE_ORDER:
         add, mul, neg = ring.tables()
         g = _additive_generators(add, z)
         ag, mg = add[g], mul[g]  # [k, y] = g + y and g * y

@@ -1,11 +1,13 @@
 import argparse
 import contextlib
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -16,13 +18,14 @@ import finring
 from finring.cli import main
 from finring.classify import SQUARE_ZERO_PAIR
 from finring.errors import GuardExceeded
-from finring.guards import Guards
+from finring.guards import DEFAULT_GUARDS, Guards
 from finring.homology import ext1
 from finring.ideals import enumerate_ideals, unique_maximal_ideal
 from finring.modules import (
     Module,
     ModuleHom,
     Presentation,
+    free_module,
     hom_set,
     regular_module,
     submodule,
@@ -553,19 +556,33 @@ def test_one_parser_per_process(monkeypatch):
     assert built == []
 
 
+_Z25_GUARD_HIT = ["module", "sgp", "--ring", "Z/25", "--rel", "5,0;0,0"]
+
+
 def test_in_process_calls_stay_independent(monkeypatch):
     # each argv as the first request of a fresh process is the reference; the
-    # same argvs interleaved in this process must give the same results
+    # same argvs interleaved in this process, over rings the process keeps,
+    # must give the same results
+    import finring.cli as cli
+
+    cli._kept_ring.cache_clear()
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to this
     sequence = [
         _Z8_SGP + ["--max-hom-enumeration", "2"],
         _Z8_SGP,
+        ["classify", "Z/8", "--json"],
         ["module", "sgp", "--ring", "Z/8", "--bogus"],
         _Z8_SGP,
+        ["ideals", "Z/8"],
+        ["module", "sgp", "--ring", "Z/4 x Z/3", "--rel", "(2,0)"],
         ["classify", "Z/128", "--seed", "5", "--json"],
         ["classify", "Z/128", "--json"],
         ["resolve", "--ring", "Z/8", "--rel", "2", "--length", "1"],
+        ["classify", "Z/8", "--json"],
         ["resolve", "--ring", "Z/8", "--rel", "2"],
+        _Z25_GUARD_HIT,
+        _Z25_GUARD_HIT,
+        ["module", "sgp", "--ring", "Z/25", "--rel", "5", "--json"],
     ]
     src = os.path.dirname(os.path.dirname(finring.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -580,9 +597,73 @@ def test_in_process_calls_stay_independent(monkeypatch):
             )
             fresh[tuple(argv)] = (proc.returncode, proc.stdout, proc.stderr)
     results = [_call(argv) for argv in sequence]
-    assert [code for code, _, _ in results] == [3, 0, 2, 0, 0, 0, 0, 0]
+    assert [code for code, _, _ in results] == [3, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 3, 3, 0]
     for argv, result in zip(sequence, results):
         assert result == fresh[tuple(argv)], argv
+
+
+class _BuildSpy:
+    """Counts the rings ``cli`` builds, by spec and guards."""
+
+    def __init__(self, monkeypatch):
+        import finring.cli as cli
+
+        self.built = []
+        cli._kept_ring.cache_clear()
+        monkeypatch.setattr(cli, "build_ring", self)
+
+    def __call__(self, spec, guards):
+        self.built.append((spec, guards))
+        return build_ring(spec, guards)
+
+
+def test_a_kept_ring_is_built_once_per_spec_and_guards(monkeypatch):
+    spy = _BuildSpy(monkeypatch)
+    requests = [
+        _Z8_SGP,
+        ["classify", "Z/8"],
+        ["ideals", "Z/8", "--json"],
+        ["decompose", "Z/8"],
+        ["resolve", "--ring", "Z/8", "--rel", "2"],
+        _Z8_SGP + ["--json"],
+    ]
+    assert [_call(argv)[0] for argv in requests] == [0] * 6
+    assert spy.built == [(Zmod(8), DEFAULT_GUARDS)]
+
+
+def test_each_guard_setting_keeps_its_own_ring(monkeypatch):
+    spy = _BuildSpy(monkeypatch)
+    for _ in range(2):
+        for extra in ([], ["--seed", "5"], ["--max-hom-enumeration", "2"]):
+            _call(["classify", "Z/8", *extra])
+    assert spy.built == [
+        (Zmod(8), DEFAULT_GUARDS),
+        (Zmod(8), DEFAULT_GUARDS.with_overrides(axiom_seed=5)),
+        (Zmod(8), DEFAULT_GUARDS.with_overrides(max_hom_candidates=2)),
+    ]
+
+
+def test_a_ring_above_order_64_is_built_per_request(monkeypatch):
+    spy = _BuildSpy(monkeypatch)
+    assert [_call(["classify", "Z/67"])[0] for _ in range(2)] == [0, 0]
+    assert spy.built == [(Zmod(67), DEFAULT_GUARDS)] * 2
+
+
+def test_a_kept_ring_drops_the_presented_modules_of_earlier_requests():
+    import finring.cli as cli
+
+    cli._kept_ring.cache_clear()
+    assert _call(_Z8_SGP)[0] == 0
+    ring = cli._kept_ring(Zmod(8), DEFAULT_GUARDS)
+    free = free_module(ring, 2)
+    presented = [m for m in ring._cache["modules"].values() if len(m.relation_columns)]
+    assert presented  # the witness search interns its cokernels
+    refs = [weakref.ref(m) for m in presented]
+    del presented
+    assert _call(["module", "sgp", "--ring", "Z/8", "--rel", "4"])[0] == 0
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
+    assert free_module(ring, 2) is free
 
 
 def test_dispatch_reads_the_handler_when_main_runs(monkeypatch):

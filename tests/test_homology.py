@@ -5,6 +5,7 @@ import weakref
 from dataclasses import astuple, replace
 from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -44,12 +45,16 @@ from finring.modules import (
     Module,
     ModuleHom,
     Presentation,
+    cokernel,
     decompose_over_product,
     direct_sum,
     free_module,
     free_summand_split,
+    hom_set,
     ideal_as_module,
+    image,
     is_isomorphic,
+    kernel,
     quotient_by_ideal,
     regular_module,
 )
@@ -603,6 +608,35 @@ def test_ext1_matches_scalar_loops(chunk, pres):
         modules._CHUNK, modules._accepted = saved, accepted
     assert chunks and set(chunks) == {chunk or saved}
     assert astuple(ext) == _ref_ext1(m, q)
+
+
+# -- a derived module takes the span its maker already holds -----------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_EXT_RINGS)), st.data())
+def test_derived_modules_take_the_span_their_maker_holds(text, data):
+    # the cokernel passes the preimage of the image and a submodule its
+    # relation mask; each must be the span the relation columns grow to
+    ring = _ring(text)  # a new build, whose module memo is its own
+    entry = st.integers(0, ring.order - 1)
+
+    def module():
+        k = data.draw(st.integers(0, 2 if ring.order < 16 else 1))
+        cols = data.draw(st.lists(st.tuples(*[entry] * k), max_size=2))
+        values = tuple(tuple(ring.elements[i] for i in c) for c in cols)
+        return Module(Presentation(ring, k, values))
+
+    m1, m2 = module(), module()
+    assume(m2.cardinality**m1.k <= 4096)
+    h = data.draw(st.sampled_from(hom_set(m1, m2)))
+    for make in (cokernel, kernel, image):
+        ring._cache.pop("modules", None)  # so the maker builds what it returns
+        derived, _ = make(h)
+        grown = object.__new__(Module)
+        grown._build(ring, derived.k, derived.relation_columns)
+        for attr in ("span", "rep", "_digits"):
+            assert np.array_equal(getattr(derived, attr), getattr(grown, attr)), (make, attr)
 
 
 # -- Ext^1 is kept on its ring's table owner, keyed by the presentations ------

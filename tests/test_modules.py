@@ -1104,6 +1104,31 @@ def test_generator_filter_reads_annihilators_off_rep(pair, injective):
     assert [c.tolist() for c in got] == choices
 
 
+@settings(max_examples=80, deadline=None)
+@given(_hom_pairs(), st.integers(0, 2), st.booleans())
+def test_generator_filter_matches_a_brute_force_annihilator_filter(pair, zero_columns, injective):
+    # zero_columns > 0 makes the source free: R^k, with no relation columns
+    # or with columns that span zero alone
+    m1, m2 = pair
+    if zero_columns:
+        zero = (m1.ring.zero,) * m1.k
+        m1 = Module(Presentation(m1.ring, m1.k, (zero,) * (zero_columns - 1)))
+    ref1, ref2 = BruteModule.of(m1), BruteModule.of(m2)
+    expected = []
+    for j in range(m1.k):
+        x = ref1.least(tuple(m1.ring._one_pos if i == j else 0 for i in range(m1.k)))
+        ann = [r for r in range(m1.ring.order) if ref1.scal(r, x) == ref1.zero]
+        keep = [
+            p
+            for p, t in enumerate(m2.elements)
+            if all(ref2.scal(a, t) == ref2.zero for a in ann)
+            and not (injective and x != ref1.zero and p == 0)
+        ]
+        expected.append(keep)
+    got = modules._image_choices(m1, m2, injective=injective)
+    assert [c.tolist() for c in got] == expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(_hom_pairs(), _equal_order_pairs()), st.sampled_from([None, 7]))
 def test_injective_scan_is_the_injective_part_of_the_full_scan(pair, chunk):
