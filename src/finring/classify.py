@@ -14,8 +14,9 @@ The three classes are nested:
 cross-validates the SG verdict through an independent module-level route:
 a local ring is SG-semisimple exactly when its residue field R/m is a
 strongly Gorenstein projective module (``residue_field_sgp(ring)`` builds
-R/m itself), decided on the factor's ``table_owner``.  Disagreement between
-the two routes is a hard internal error, never an output.
+R/m itself), decided once on the factor's ``table_owner``, which keeps the
+verdict.  Disagreement between the two routes is a hard internal error,
+never an output.
 """
 
 from __future__ import annotations
@@ -109,12 +110,15 @@ def residue_field_sgp(local_ring: Ring) -> SgpVerdict:
 
 
 def _residue_sgp_decision(factor: Ring) -> bool:
-    # the table owner keeps R/m and its verdict for all rings with its tables;
-    # a projective P is SGP through the split 0 -> P -> P + P -> P -> 0, so a
+    # the table owner keeps the verdict for all rings with its tables; a
+    # projective P is SGP through the split 0 -> P -> P + P -> P -> 0, so a
     # field's R/m = R needs no witness search
     owner = table_owner(factor)
-    residue = quotient_by_ideal(unique_maximal_ideal(owner))
-    return is_projective(residue) or residue_field_sgp(owner).decision
+    if "residue_sgp" not in owner._cache:
+        residue = quotient_by_ideal(unique_maximal_ideal(owner))
+        decided = is_projective(residue) or residue_field_sgp(owner).decision
+        owner._cache["residue_sgp"] = decided
+    return owner._cache["residue_sgp"]
 
 
 def factor_summary(factor: Ring) -> FactorSummary:

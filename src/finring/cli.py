@@ -15,17 +15,12 @@ an internal consistency failure, printed as one ``internal error:`` line),
 stable JSON report (fixed key order, canonical element literals, so equal
 inputs give byte-identical output).
 
-``main`` may serve many requests in one process, one at a time.  The
-process keeps one verified ring per parsed spec and guards for every ring
-of order at most ``rings.EXHAUSTIVE_ORDER`` (64), and at most 64 such
-rings, the least recently used dropped first (``_kept_ring``); a larger
-ring is built per request.  A kept ring carries into the next request only
-what its spec and guards determine: its tables and checked laws, ideal
-bitsets and lattice, maximal ideals, idempotent split, units and free
-modules R^k.  Each time it is handed out it drops the presented modules and
-Ext^1 results that earlier requests left on it, on its local factors and on
-their table owners, so serving many presentations over one ring does not
-grow the process.
+``main`` may serve many requests in one process, one at a time.  Its rings
+come from ``rings.kept_ring``: up to order 64 one per spec and guards for
+the process, with what their tables determine (lattice, split, free
+modules, the residue field's SGP verdict).  Each request starts with
+``rings.new_request()``, which drops the derived modules and Ext^1 results
+of the one before, so serving many presentations does not grow the process.
 """
 
 from __future__ import annotations
@@ -52,7 +47,7 @@ from .homology import free_resolution, is_strongly_gorenstein_projective
 from .ideals import enumerate_ideals, idempotent_decomposition
 from .modules import Module
 from .parsing import format_element, parse_presentation, parse_ring_spec
-from .rings import EXHAUSTIVE_ORDER, build_ring, spec_order, table_owner
+from .rings import kept_ring, new_request
 from .verify import run_verification
 
 SCHEMA_VERSION = 1
@@ -87,35 +82,9 @@ def _guards(args):
     return DEFAULT_GUARDS.with_overrides(axiom_seed=getattr(args, "seed", None), **overrides)
 
 
-@functools.lru_cache(maxsize=64)
-def _kept_ring(spec, guards):
-    return build_ring(spec, guards)
-
-
-def _forget_presentations(ring) -> None:
-    """Drop the modules with relation columns, and the Ext^1 memo, that
-    earlier requests left on a kept ring, its local factors and their table
-    owners; the free modules R^k stay."""
-    dec = ring._cache.get("idempotent_decomposition")
-    factors = dec.factor_rings if dec is not None else ()
-    held = {ring, *factors}
-    held.update(table_owner(r) for r in list(held) if "table_key" in r._cache)
-    for r in held:
-        r._cache.pop("ext1", None)
-        memo = r._cache.get("modules", {})
-        for key in [key for key, m in memo.items() if len(m.relation_columns)]:
-            del memo[key]
-
-
 def _ring(text: str, guards):
-    """The ring of a spec text: kept for the process up to order
-    ``EXHAUSTIVE_ORDER`` (module docstring), built anew above it."""
-    spec = parse_ring_spec(text)
-    if spec_order(spec) > EXHAUSTIVE_ORDER:
-        return build_ring(spec, guards)
-    ring = _kept_ring(spec, guards)
-    _forget_presentations(ring)
-    return ring
+    """The ring of a spec text, kept for the process up to order 64."""
+    return kept_ring(parse_ring_spec(text), guards)
 
 
 def _literals(ring, el) -> list:
@@ -453,6 +422,7 @@ def main(argv=None) -> int:
     """Run one request and return its exit code; may be called repeatedly in
     one process.  An argv that argparse rejects raises ``SystemExit(2)``."""
     args = build_parser().parse_args(argv)
+    new_request()
     try:
         return globals()[args.handler](args)
     except ParseError as exc:

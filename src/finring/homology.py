@@ -26,10 +26,11 @@ finite rank here.
 
 Over a product ring every decision is taken componentwise along the
 idempotent decomposition, and each local Ext^1 is kept on its factor's
-table owner (see ``ext1``); a witness inside a free module of a single rank
-need not exist there (component ranks can differ), so product verdicts
-carry per-factor verdicts instead.  Each SGP verdict is kept on its module,
-which the ring keeps once per presentation, so a module is decided once.
+table owner for the request (see ``ext1``); a witness inside a free module
+of a single rank need not exist there (component ranks can differ), so
+product verdicts carry per-factor verdicts instead.  Each SGP verdict is
+kept on its module, which its ring keeps once per presentation, so a module
+is decided once a request (a free module R^k once for its ring).
 """
 
 from __future__ import annotations
@@ -38,8 +39,11 @@ from dataclasses import dataclass, replace
 from itertools import starmap
 from math import prod
 
+import numpy as np
+
 from .errors import (
     ConsistencyError,
+    GuardExceeded,
     NonLocalRingError,
     RingMismatchError,
     ValidationError,
@@ -55,10 +59,11 @@ from .modules import (
     free_cover,
     free_module,
     is_isomorphic,
+    is_projective,
     iter_homs,
     kernel,
 )
-from .rings import table_owner
+from .rings import request_memo, table_owner
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +172,9 @@ def ext1(m: Module, q: Module) -> ExtGroup:
     Hom(F, q) in Hom(S, q) has |q|^{g0} / |Hom(m, q)| elements.  Over a
     product ring both modules are decomposed and the component orders
     multiplied (Ext is additive).  A local result is kept on the ring's
-    ``table_owner``, keyed by both presentations, so rings with equal tables
-    (a part shared between product builds, Z/2 and a factor of Z/6) compute
-    each component once.
+    ``table_owner`` for the request (``rings.request_memo``), keyed by both
+    presentations, so rings with equal tables (a kept part and the factors
+    of products over it, Z/2 and a factor of Z/6) compute each component once.
     """
     if m.ring is not q.ring:
         raise RingMismatchError("ext needs modules over the same ring")
@@ -177,7 +182,7 @@ def ext1(m: Module, q: Module) -> ExtGroup:
         pairs = zip(decompose_over_product(m), decompose_over_product(q))
         parts = [(e.order, e.kernel_order, e.image_order) for e in starmap(ext1, pairs)]
         return ExtGroup(*map(prod, zip(*parts)))
-    memo = table_owner(m.ring)._cache.setdefault("ext1", {})
+    memo = request_memo(table_owner(m.ring), "ext1")
     pair = m.relation_columns, q.relation_columns
     key = tuple(x for c in pair for x in (c.shape, c.tobytes()))
     if key in memo:
@@ -289,10 +294,26 @@ def find_sgp_witness(m: Module):
     )
 
 
+def _split_witness(m: Module) -> SgpWitness:
+    """0 -> M -> R^g + R^g -> M -> 0 for a projective M, which its minimal
+    cover R^g -> M maps onto bijectively: M goes into the first summand
+    through the cover's inverse, and the second summand onto M through the
+    cover.  R^2g's positions are raw codes, first coordinate most significant."""
+    cover = free_cover(m)
+    g, size = cover.source.k, cover.source.cardinality
+    inclusion = cover.table.argsort()[m._unit_positions()] * size
+    free = free_module(m.ring, 2 * g)
+    projection = np.concatenate([np.zeros(g, dtype=np.intp), cover.positions])
+    return SgpWitness(
+        m, 2 * g, ModuleHom._at(m, free, inclusion), ModuleHom._at(free, m, projection)
+    )
+
+
 def is_strongly_gorenstein_projective(m: Module) -> SgpVerdict:
     """Witness search, then Ext^1(M, R) = 0 read off the witness's dual
-    periodic complex; componentwise over products.  The verdict is kept on
-    the module; a search stopped by a guard keeps nothing."""
+    periodic complex; componentwise over products.  A projective module
+    whose search a guard stops takes the split witness instead.  The
+    verdict is kept on the module; a search stopped by a guard keeps nothing."""
     if "sgp" not in m._cache:
         m._cache["sgp"] = _sgp_verdict(m)
     return m._cache["sgp"]
@@ -306,7 +327,12 @@ def _sgp_verdict(m: Module) -> SgpVerdict:
                 obs = replace(verdict.obstruction, factor=fi)
                 return SgpVerdict(False, m, obstruction=obs, components=sub)
         return SgpVerdict(True, m, components=sub)
-    outcome = find_sgp_witness(m)
+    try:
+        outcome = find_sgp_witness(m)
+    except GuardExceeded:  # a projective module has a witness by construction
+        if not is_projective(m):
+            raise
+        outcome = _split_witness(m)
     if isinstance(outcome, SgpObstruction):
         return SgpVerdict(False, m, obstruction=outcome)
     periodic = strongly_complete_resolution(outcome)

@@ -37,11 +37,12 @@ visit.  One scan, ``iter_homs``, serves every hom search: it evaluates the
 tables of each accepted run and builds every hom, or only the injective
 ones.  One count, ``_hom_count``, sizes a hom group on the source's own
 presentation and builds no hom.  Every module the library derives is built
-from positions by ``Module._on``, once per ring: the ring keeps it, keyed by
-its relation columns, and it keeps what it computes (kill counts, minimal
-generators, product components, SGP verdict); ``Module(presentation)`` is
-new on every call.  ``quotient_by_ideal(I)`` and ``ideal_as_module(I)`` take
-their ring from I, and ``decompose_over_product(m)`` splits M along
+from positions by ``Module._on``, once per ring and request (R^k once per
+ring), keyed by its relation columns, and it keeps what it computes (kill
+counts, minimal generators, product components, SGP verdict);
+``Module(presentation)`` is new on every call.  ``quotient_by_ideal(I)``
+and ``ideal_as_module(I)`` take their ring from I, and
+``decompose_over_product(m)`` splits M along
 ``idempotent_decomposition(m.ring)``.  Every hom is built by
 ``ModuleHom._at``, with the public constructor's relation check unless
 ``_accepted`` has made it.  Element values and index tuples appear only
@@ -78,7 +79,7 @@ from .ideals import (
     quasi_frobenius_certificate,
     unique_maximal_ideal,
 )
-from .rings import _CHUNK, Ring
+from .rings import _CHUNK, Ring, request_memo
 
 
 @dataclass(frozen=True)
@@ -232,12 +233,14 @@ class Module:
     def _on(cls, ring: Ring, k: int, columns=(), span=None) -> Module:
         """R^k modulo the span of ``columns``, c rows of k ring positions: the
         build of every module the library derives, whose ``presentation``
-        is derived on first read.  One module per presentation and ring:
-        the ring keeps each one it builds, keyed by its relation columns.
+        is derived on first read.  One module per presentation and ring,
+        keyed by its relation columns: the ring keeps each free module R^k,
+        and each other one for the request (``rings.request_memo``).
         A maker that already holds the span, a mask over the raw codes of
         R^k, passes it as ``span``, and the build does not grow it again."""
         columns = np.array(columns, dtype=np.intp).reshape(len(columns), k)
-        memo = ring._cache.setdefault("modules", {})
+        free = ring._cache.setdefault("free_modules", {})
+        memo = request_memo(ring, "modules") if len(columns) else free
         key = k, len(columns), columns.tobytes()
         if key not in memo:
             m = object.__new__(cls)

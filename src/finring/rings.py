@@ -39,9 +39,12 @@ whatever the table; a product acts digitwise on factors checked on their
 own, and a product of rings is a ring, so it is not checked again.
 
 Ring values are immutable after construction and operations are pure, so
-rings can be shared freely across threads.  What the tables determine (Ext
-orders, the residue field's SGP verdict) is kept on ``table_owner(ring)``,
-the first live ring with equal tables and guards.
+rings can be shared freely across threads.  What the tables determine
+lives with the ring (on ``table_owner(ring)``, the first live ring with
+equal tables and guards, for Ext orders and the residue field's SGP
+verdict), and ``kept_ring`` keeps rings up to order 64, bases and parts
+included, for the process.  What a request derives lives in a
+``request_memo`` until the next ``new_request``.
 """
 
 from __future__ import annotations
@@ -451,7 +454,7 @@ class StructureConstantRing(_DigitRing):
     """Positions are coefficient vectors, one Z/n digit per basis vector, b0 first."""
 
     def __init__(self, spec: StructureConstants, guards: Guards):
-        parts = (_subring(Zmod(spec.n), guards),) * spec.dim
+        parts = (kept_ring(Zmod(spec.n), guards),) * spec.dim
         super().__init__(spec, parts, guards, spec.table)
         self.n, self.dim = spec.n, spec.dim
         self.one = spec.unit
@@ -492,43 +495,71 @@ class ProductRing(_DigitRing):
 # construction and verification
 
 
-# verified bases and factors, shared while alive: one ring per (spec, guards)
-_SUBRINGS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-def _subring(spec: RingSpec, guards: Guards) -> Ring:
-    ring = _SUBRINGS.get((spec, guards))
-    if ring is None:
-        ring = _SUBRINGS[spec, guards] = _construct(spec, guards)
-    return ring
-
-
 # the first live ring per (guards, order, table bytes); an entry dies with its ring
 _OWNERS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def table_owner(ring: Ring) -> Ring:
-    """The first live ring with ``ring``'s guards and operation tables."""
+    """The first live ring with ``ring``'s guards and operation tables; a
+    ring that mirrors another (a product's factor) has its mirror's owner."""
+    ring = getattr(ring, "mirror", None) or ring
     if "table_key" not in ring._cache:
         add, mul, _ = ring.tables()
         ring._cache["table_key"] = ring.guards, ring.order, add.tobytes(), mul.tobytes()
     return _OWNERS.setdefault(ring._cache["table_key"], ring)
 
 
+# the rings holding request memos, which the next request drops
+_REQUEST_HOLDERS: weakref.WeakSet = weakref.WeakSet()
+
+
+def new_request() -> None:
+    """Start a request: drop every memo :func:`request_memo` handed out."""
+    for ring in _REQUEST_HOLDERS:
+        ring._cache.pop("request", None)
+    _REQUEST_HOLDERS.clear()
+
+
+def request_memo(ring: Ring, name: str) -> dict:
+    """``ring``'s memo ``name`` until the next :func:`new_request`; with the
+    ring, for a caller that never starts a request."""
+    if "request" not in ring._cache:
+        ring._cache["request"] = {}
+        _REQUEST_HOLDERS.add(ring)
+    return ring._cache["request"].setdefault(name, {})
+
+
 def _construct(spec: RingSpec, guards: Guards) -> Ring:
+    order = spec_order(spec)
+    if order > guards.max_ring_order:
+        shown = order if order < ORDER_CAP else "at least 10^4300"
+        raise GuardExceeded(
+            f"ring of order {shown} exceeds the construction guard "
+            f"({guards.max_ring_order})",
+            "max_ring_order", order, guards.max_ring_order,
+        )
     # the axiom check runs only where arithmetic is computed (module docstring)
     if isinstance(spec, StructureConstants):
         return StructureConstantRing(spec, guards)
     if isinstance(spec, Product):
-        return ProductRing(spec, [_subring(f, guards) for f in spec.factors], guards)
+        return ProductRing(spec, [kept_ring(f, guards) for f in spec.factors], guards)
     if isinstance(spec, Zmod):
         ring = ZmodRing(spec, guards)
     elif isinstance(spec, PolyQuotient):
-        ring = PolyQuotientRing(spec, _subring(spec.base, guards), guards)
+        ring = PolyQuotientRing(spec, kept_ring(spec.base, guards), guards)
     else:
         raise TypeError(f"not a ring spec: {spec!r}")
     verify_ring_axioms(ring)
     return ring
+
+
+_kept = functools.lru_cache(maxsize=64)(_construct)
+
+
+def kept_ring(spec: RingSpec, guards: Guards) -> Ring:
+    """The one verified ring per spec and guards of order at most 64, the 64
+    most recently used kept for the process; a larger ring is built anew."""
+    return (_construct if spec_order(spec) > EXHAUSTIVE_ORDER else _kept)(spec, guards)
 
 
 def build_ring(spec: RingSpec, guards: Guards | None = None) -> Ring:
@@ -538,19 +569,10 @@ def build_ring(spec: RingSpec, guards: Guards | None = None) -> Ring:
     structure-constant ring checks its basis laws, and a product inherits
     its factors' laws.  Each call returns a new ring, distinct from every
     other (modules over two builds do not mix), but its bases and factors
-    are shared: while a sub-ring of equal spec and guards is alive, it is
-    reused, verified once.
+    come from :func:`kept_ring`: up to order 64 they are verified once for
+    the process.
     """
-    guards = guards or DEFAULT_GUARDS
-    order = spec_order(spec)
-    if order > guards.max_ring_order:
-        shown = order if order < ORDER_CAP else "at least 10^4300"
-        raise GuardExceeded(
-            f"ring of order {shown} exceeds the construction guard "
-            f"({guards.max_ring_order})",
-            "max_ring_order", order, guards.max_ring_order,
-        )
-    return _construct(spec, guards)
+    return _construct(spec, guards or DEFAULT_GUARDS)
 
 
 def _ring_laws(add, mul, neg, a, b, c, x, z, e):

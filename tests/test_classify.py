@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from finring.classify import (
@@ -14,6 +16,7 @@ from finring.classify import (
 from finring.errors import GuardExceeded
 from finring.ideals import annihilator, enumerate_ideals, is_local
 from finring.parsing import parse_ring_spec
+from finring.guards import DEFAULT_GUARDS
 from finring.rings import build_ring, spec_order, table_owner
 
 
@@ -147,6 +150,22 @@ def test_residue_memo_tells_rings_with_equal_mul_tables_apart():
     # so R/m and its verdict are kept on two owners, one for each ring
     assert table_owner(z4) is not table_owner(dual_numbers)
     assert classify(z4).sg_semisimple and classify(dual_numbers).sg_semisimple
+
+
+def test_the_residue_verdict_is_decided_once_per_owner(monkeypatch):
+    classify_module = sys.modules["finring.classify"]
+    calls = []
+    monkeypatch.setattr(
+        classify_module, "residue_field_sgp", lambda r: calls.append(r) or residue_field_sgp(r)
+    )
+    guards = DEFAULT_GUARDS.with_overrides(max_hom_candidates=123_461)  # a new owner
+    first = build_ring(parse_ring_spec("Z/8"), guards)
+    assert not classify(first).sg_semisimple and calls == [first]
+    # a second build with equal tables, and a product's factor mirroring a
+    # kept Z/8, read the verdict their owner keeps
+    for text in ("Z/8", "Z/8 x Z/3"):
+        assert not classify(build_ring(parse_ring_spec(text), guards)).sg_semisimple
+    assert calls == [first]
 
 
 def test_classify_checks_the_lattice_guard_before_building_tables():

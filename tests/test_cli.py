@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import gc
 import io
 import json
@@ -31,6 +32,7 @@ from finring.modules import (
     submodule,
 )
 from finring.parsing import parse_ring_spec
+from finring import rings
 from finring.rings import Zmod, build_ring
 
 
@@ -496,7 +498,7 @@ def test_witness_search_guard_counts_only_nonzero_images(capsys):
             "raise it with --max-module-size",
         ),
         (
-            ["module", "sgp", "--ring", "Z/16", "--rel", "0;0"],
+            ["module", "sgp", "--ring", "Z/25", "--rel", "5,0;0,0"],
             "raise it with --max-hom-enumeration",
         ),
         # a guard hit inside a check is a resource limit, not a failed law
@@ -559,13 +561,19 @@ def test_one_parser_per_process(monkeypatch):
 _Z25_GUARD_HIT = ["module", "sgp", "--ring", "Z/25", "--rel", "5,0;0,0"]
 
 
+def _fresh_kept_rings(monkeypatch, construct=None):
+    """An empty ring cache for this test, over ``construct`` (the real
+    ``rings._construct`` by default); the process's own comes back after."""
+    cache = functools.lru_cache(maxsize=64)(construct or rings._construct)
+    monkeypatch.setattr(rings, "_kept", cache)
+
+
 def test_in_process_calls_stay_independent(monkeypatch):
     # each argv as the first request of a fresh process is the reference; the
     # same argvs interleaved in this process, over rings the process keeps,
-    # must give the same results
-    import finring.cli as cli
-
-    cli._kept_ring.cache_clear()
+    # must give the same results.  Z/4 x Z/27 is above order 64 and built
+    # per request, over the kept ring that the Z/4 requests are handed.
+    _fresh_kept_rings(monkeypatch)
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to this
     sequence = [
         _Z8_SGP + ["--max-hom-enumeration", "2"],
@@ -583,6 +591,12 @@ def test_in_process_calls_stay_independent(monkeypatch):
         _Z25_GUARD_HIT,
         _Z25_GUARD_HIT,
         ["module", "sgp", "--ring", "Z/25", "--rel", "5", "--json"],
+        ["classify", "Z/4 x Z/27", "--json"],
+        ["module", "sgp", "--ring", "Z/4", "--rel", "2", "--json"],
+        ["classify", "Z/4"],
+        ["module", "sgp", "--ring", "Z/4 x Z/27", "--rel", "(2,3)", "--json"],
+        ["classify", "Z/4 x Z/27", "--json"],
+        ["module", "sgp", "--ring", "Z/4", "--rel", "2", "--json"],
     ]
     src = os.path.dirname(os.path.dirname(finring.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -597,24 +611,25 @@ def test_in_process_calls_stay_independent(monkeypatch):
             )
             fresh[tuple(argv)] = (proc.returncode, proc.stdout, proc.stderr)
     results = [_call(argv) for argv in sequence]
-    assert [code for code, _, _ in results] == [3, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 3, 3, 0]
+    assert [code for code, _, _ in results] == [3, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 3, 3] + [0] * 7
     for argv, result in zip(sequence, results):
         assert result == fresh[tuple(argv)], argv
 
 
 class _BuildSpy:
-    """Counts the rings ``cli`` builds, by spec and guards."""
+    """Counts the rings built through ``rings._construct`` by spec and
+    guards, over an empty ring cache: the command line's rings and their
+    bases and parts, kept or not."""
 
     def __init__(self, monkeypatch):
-        import finring.cli as cli
-
         self.built = []
-        cli._kept_ring.cache_clear()
-        monkeypatch.setattr(cli, "build_ring", self)
+        self.construct = rings._construct
+        _fresh_kept_rings(monkeypatch, self)
+        monkeypatch.setattr(rings, "_construct", self)
 
     def __call__(self, spec, guards):
         self.built.append((spec, guards))
-        return build_ring(spec, guards)
+        return self.construct(spec, guards)
 
 
 def test_a_kept_ring_is_built_once_per_spec_and_guards(monkeypatch):
@@ -649,14 +664,24 @@ def test_a_ring_above_order_64_is_built_per_request(monkeypatch):
     assert spy.built == [(Zmod(67), DEFAULT_GUARDS)] * 2
 
 
-def test_a_kept_ring_drops_the_presented_modules_of_earlier_requests():
-    import finring.cli as cli
+def test_a_request_is_handed_the_kept_part_of_an_earlier_product(monkeypatch):
+    spy = _BuildSpy(monkeypatch)
+    product = parse_ring_spec("Z/4 x Z/27")
+    for argv in (["classify", "Z/4 x Z/27"], ["classify", "Z/4"], ["classify", "Z/27"]):
+        assert _call(argv)[0] == 0
+    # the product is above order 64, its parts are not; the later requests
+    # build nothing
+    assert spy.built == [(product, DEFAULT_GUARDS), *((f, DEFAULT_GUARDS) for f in product.factors)]
+    z4 = rings.kept_ring(Zmod(4), DEFAULT_GUARDS)
+    assert build_ring(product).factors[0] is z4
 
-    cli._kept_ring.cache_clear()
+
+def test_a_kept_ring_drops_the_presented_modules_of_earlier_requests(monkeypatch):
+    _fresh_kept_rings(monkeypatch)
     assert _call(_Z8_SGP)[0] == 0
-    ring = cli._kept_ring(Zmod(8), DEFAULT_GUARDS)
+    ring = rings.kept_ring(Zmod(8), DEFAULT_GUARDS)
     free = free_module(ring, 2)
-    presented = [m for m in ring._cache["modules"].values() if len(m.relation_columns)]
+    presented = list(rings.request_memo(ring, "modules").values())
     assert presented  # the witness search interns its cokernels
     refs = [weakref.ref(m) for m in presented]
     del presented
@@ -664,6 +689,33 @@ def test_a_kept_ring_drops_the_presented_modules_of_earlier_requests():
     gc.collect()
     assert [ref() for ref in refs] == [None] * len(refs)
     assert free_module(ring, 2) is free
+
+
+def test_a_request_drops_what_the_last_one_derived_on_parts_and_owners(monkeypatch):
+    # Z/4 x Z/27 is built per request, and its factors' table owners are
+    # its kept parts, so R/m of each factor is derived on a ring the
+    # request is never handed; verify-paper keeps Ext^1 results on the
+    # owners of the factors of the products it builds, kept parts among them
+    # (guards no other test uses, so no owner has decided R/m before)
+    _fresh_kept_rings(monkeypatch)
+    extra = ["--max-hom-enumeration", "999983"]
+    guards = DEFAULT_GUARDS.with_overrides(max_hom_candidates=999983)
+    product = parse_ring_spec("Z/4 x Z/27")
+    owners = [rings.table_owner(rings.kept_ring(f, guards)) for f in product.factors]
+    held = []
+    for argv in (["classify", "Z/4 x Z/27"], ["verify-paper", "--catalog", "quick"]):
+        assert _call(argv + extra)[0] == 0
+        memos = [r._cache["request"] for r in list(rings._REQUEST_HOLDERS)]
+        if argv[0] == "classify":
+            assert all(rings.request_memo(owner, "modules") for owner in owners)
+        else:
+            assert any(memo.get("ext1") for memo in memos)
+        held.extend(weakref.ref(v) for memo in memos for d in memo.values() for v in d.values())
+        del memos
+    assert _call(["ideals", "Z/3"])[0] == 0
+    gc.collect()
+    assert [ref() for ref in held] == [None] * len(held)
+    assert not any("request" in owner._cache for owner in owners)
 
 
 def test_dispatch_reads_the_handler_when_main_runs(monkeypatch):

@@ -27,7 +27,13 @@ alone.  The three ``classify`` requests under ``--max-hom-enumeration 3``
 stopped at the hom guard while the residue field of a field factor, R/m =
 R, went through the witness search instead of the projectivity test; their
 digests are those of the same requests under the default guards, recorded
-before that change.  A change that alters any of
+before that change.  The four ``module sgp`` requests on free
+modules added last stopped at the hom guard while every projective module
+went through the witness search: no earlier code printed them, so their
+digests were recorded from the first code that decided them, and each
+witness, where the search does not fit the guard the split sequence
+0 -> P -> P + P -> P -> 0, passed the sequence checks of ``SgpWitness``.
+A change that alters any of
 these bytes changes a witness, an ordering or a number in the report, which
 the canonical-order contract forbids.  ``GOLDEN_TEXT`` pins the text
 output of some commands the same way.
@@ -128,6 +134,22 @@ GOLDEN = [
     (
         ["classify", "Z/4 x Z/3", "--max-hom-enumeration", "3"],
         "4df00e6b5cfde0ea25d34e76c9f4ea83dbfc01328dae4bb10249f7e71d166ccf",
+    ),
+    (
+        ["module", "sgp", "--ring", "Z/8", "--rel", "0;0"],
+        "ca2a5901fe02ea0c82fe01169744096ec4a68930c85ad8d06310afda62630608",
+    ),
+    (
+        ["module", "sgp", "--ring", "Z/8", "--rel", "1;0;0"],
+        "86744a300cccae86b319129d4697e7d9bae805190603888b1fa78e19221f1e6e",
+    ),
+    (
+        ["module", "sgp", "--ring", "Z/4 x Z/9", "--rel", "(0,0);(0,0)"],
+        "30c46832a2218d8a3596455337cfd287f4b82d225e51de4ec279707f2dbda280",
+    ),
+    (
+        ["module", "sgp", "--ring", "GF(2)[x]/(x^2)[x]/(x^2)", "--rel", "0;0"],
+        "902986a0de4369e18bdf9b6eb7cecca4f24702d2711d9552bb316b7f03e88289",
     ),
 ]
 

@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from brute_force import BruteModule
+from memos import forget_memos
 from finring import cli, homology, modules, rings
 from finring.classify import SQUARE_ZERO_PAIR, catalog_specs, nonzero_proper_ideals
 from finring.errors import (
@@ -276,6 +277,34 @@ def test_projective_modules_are_sgp():
     z4 = _ring("Z/4")
     verdict = is_strongly_gorenstein_projective(regular_module(z4))
     assert verdict.decision and verdict.witness.rank == 2
+
+
+@pytest.mark.parametrize("rel_text", ["0;0", "1;0;0"])
+def test_a_projective_module_past_the_hom_guard_takes_the_split_witness(rel_text):
+    m = _mod(_ring("Z/8"), rel_text)  # R^2, on two or three generators
+    with pytest.raises(GuardExceeded, match="hom enumeration"):
+        find_sgp_witness(m)
+    verdict = is_strongly_gorenstein_projective(m)
+    w = verdict.witness
+    assert verdict.decision and verdict.ext.is_zero and w.rank == 4
+    # M goes into the first summand of R^2 + R^2, and the second maps onto M
+    assert all(img[2:] == (0, 0) for img in w.embedding.images)
+    assert all(pos == 0 for pos in w.projection.positions[:2])
+    assert verdict.resolution.passed
+
+
+def test_a_module_that_is_not_projective_still_stops_at_the_hom_guard():
+    m = _mod(_ring("Z/25"), "5,0;0,0")  # R/(5) + R
+    with pytest.raises(GuardExceeded, match="hom enumeration"):
+        is_strongly_gorenstein_projective(m)
+
+
+def test_a_projective_module_within_the_guard_keeps_the_first_witness():
+    m = _mod(_ring("Z/4"), "0;0")
+    found = find_sgp_witness(m)
+    assert is_strongly_gorenstein_projective(m).witness.embedding.images == (
+        found.embedding.images
+    )
 
 
 def test_zero_module_is_sgp():
@@ -600,7 +629,7 @@ def test_ext1_matches_scalar_loops(chunk, pres):
 
     # a tiny chunk runs every chunked loop over many small pieces; a memo hit
     # would run none of them, so every call computes afresh
-    _forget_ext1(ring)
+    forget_memos()
     modules._CHUNK, modules._accepted = chunk or saved, spy
     try:
         ext = ext1(m, q)
@@ -631,7 +660,7 @@ def test_derived_modules_take_the_span_their_maker_holds(text, data):
     assume(m2.cardinality**m1.k <= 4096)
     h = data.draw(st.sampled_from(hom_set(m1, m2)))
     for make in (cokernel, kernel, image):
-        ring._cache.pop("modules", None)  # so the maker builds what it returns
+        forget_memos(ring)  # so the maker builds what it returns
         derived, _ = make(h)
         grown = object.__new__(Module)
         grown._build(ring, derived.k, derived.relation_columns)
@@ -642,30 +671,21 @@ def test_derived_modules_take_the_span_their_maker_holds(text, data):
 # -- Ext^1 is kept on its ring's table owner, keyed by the presentations ------
 
 
-def _forget_ext1(ring):
-    """Drop the Ext^1 memo of every local factor of ``ring``."""
-    for factor in idempotent_decomposition(ring).factor_rings:
-        table_owner(factor)._cache.pop("ext1", None)
-
-
-# two-part products of catalog parts, kept alive so that each product built
-# in a test shares its parts, and their Ext^1 memos, with one of these
-_SHARED_PRODUCTS = {
-    text: _ring(text)
-    for text in (
-        "Z/4 x Z/3",
-        "Z/4 x Z/5",
-        "Z/12 x Z/9",  # a non-local part
-        f"Z/2 x {SQUARE_ZERO_PAIR}",  # nonzero Ext
-    )
-}
+# two-part products of catalog parts of order at most 64: each product built
+# in a test shares its kept parts, and their Ext^1 memos, with the others
+_SHARED_PRODUCTS = (
+    "Z/4 x Z/3",
+    "Z/4 x Z/5",
+    "Z/12 x Z/9",  # a non-local part
+    f"Z/2 x {SQUARE_ZERO_PAIR}",  # nonzero Ext
+)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(sorted(_SHARED_PRODUCTS)), st.data())
 def test_ext1_memo_is_sound_across_shared_parts(text, data):
-    ring = _ring(text)  # a new build over the live parts
-    assert ring.factors == _SHARED_PRODUCTS[text].factors
+    ring = _ring(text)  # a new build over the kept parts
+    assert ring.factors == tuple(rings.kept_ring(f, ring.guards) for f in ring.spec.factors)
     ideals = enumerate_ideals(ring)
     index = st.integers(0, len(ideals) - 1)
     picks = data.draw(st.lists(index, min_size=1, max_size=2))
@@ -692,7 +712,7 @@ def test_ext1_over_a_second_product_reuses_its_live_part(monkeypatch):
     z4 = first.factors[0]
     assert second.factors[0] is z4
     owner = table_owner(z4)
-    _forget_ext1(first)
+    forget_memos()
     ext = ext1(_mod(first, "(2,0)"), regular_module(first))
     assert ext.is_zero and covers.count(owner) == 1
     # over the second product, the Z/4 components of R/(2,0) and of R have
@@ -701,7 +721,7 @@ def test_ext1_over_a_second_product_reuses_its_live_part(monkeypatch):
     covers.clear()
     ext = ext1(_mod(second, "(2,0)"), regular_module(second))
     assert ext.is_zero and owner not in covers
-    _forget_ext1(second)
+    forget_memos()
     assert astuple(ext1(_mod(second, "(2,0)"), regular_module(second))) == astuple(ext)
     assert covers.count(owner) == 1
 
@@ -718,11 +738,22 @@ def test_rings_with_equal_tables_share_one_ext1_memo(monkeypatch):
         return free_cover(m)
 
     monkeypatch.setattr(homology, "free_cover", spy)
-    _forget_ext1(z2)
+    forget_memos()
     ext = ext1(quotient_by_ideal(unique_maximal_ideal(z2)), regular_module(z2))
     assert ext.is_zero and covers == [z2]
     residue = quotient_by_ideal(unique_maximal_ideal(factor))
     assert ext1(residue, regular_module(factor)) is ext and covers == [z2]
+
+
+def test_a_product_factor_is_owned_through_its_kept_part():
+    # asked first, the factor still resolves to its part's owner, so what
+    # the owner keeps outlives the product
+    guards = Guards(max_hom_candidates=123_459)  # no other ring has these guards
+    product = build_ring(parse_ring_spec("Z/4 x Z/27"), guards)
+    factors = idempotent_decomposition(product).factor_rings
+    owners = [table_owner(f) for f in factors]
+    parts = [rings.kept_ring(parse_ring_spec(t), guards) for t in ("Z/27", "Z/4")]
+    assert owners == parts
 
 
 def test_a_table_owner_lives_no_longer_than_its_rings():

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from brute_force import BruteModule, ring_lists
+from memos import forget_memos
 from finring.classify import SQUARE_ZERO_PAIR, catalog_specs
 from finring.errors import (
     ConsistencyError,
@@ -892,7 +893,7 @@ def _chunked(chunk, ring):
         record.built.append(self)
         return build(self, *args)
 
-    ring._cache.pop("modules", None)
+    forget_memos(ring)
     modules._CHUNK, Module._build = chunk or saved, spy_build
     for name, loop in loops.items():
         setattr(modules, name, spy(loop))

@@ -610,10 +610,10 @@ def test_structure_constant_rings_share_their_verified_digit_ring():
     second = build_ring(parse_ring_spec(SQUARE_ZERO_PAIR))
     assert first is not second
     assert first._parts[0] is second._parts[0]
-    assert first._parts[0] is rings._SUBRINGS[Zmod(first.n), DEFAULT_GUARDS]
+    assert first._parts[0] is rings.kept_ring(Zmod(first.n), DEFAULT_GUARDS)
 
 
-def test_products_share_identical_factors_while_alive(monkeypatch):
+def test_products_share_their_kept_factors(monkeypatch):
     verified = []
     real = rings.verify_ring_axioms
     monkeypatch.setattr(rings, "verify_ring_axioms", lambda r: (verified.append(r), real(r)))
@@ -625,18 +625,25 @@ def test_products_share_identical_factors_while_alive(monkeypatch):
     assert second.factors[0] is first.factors[1]
     assert second.factors[1] is first.factors[0]
     assert verified == []
-    # quotient bases are shared the same way
+    # quotient bases are shared the same way, and so is the ring the
+    # command line hands out for a spec
     tower = build_ring(parse_ring_spec("GF(49)[x]/(x^2)"))
     assert tower.base is first.factors[1]
+    assert rings.kept_ring(parse_ring_spec("GF(49)"), DEFAULT_GUARDS) is tower.base
     # the top level is a new ring on every call, and other guards build their own
     assert build_ring(parse_ring_spec("Z/59 x GF(49)")) is not first
     seeded = build_ring(parse_ring_spec("Z/59 x GF(49)"), Guards(axiom_seed=7))
     assert seeded.factors[1] is not first.factors[1]
     assert seeded.factors[1].guards == Guards(axiom_seed=7)
-    # an entry lives only as long as some ring holds it
-    key = (parse_ring_spec("Z/59"), DEFAULT_GUARDS)
-    assert key in rings._SUBRINGS
-    del first, second, tower
-    verified.clear()
+    # a part outlives every ring built over it
+    part = first.factors[0]
+    del first, second, tower, seeded
     gc.collect()
-    assert key not in rings._SUBRINGS
+    assert build_ring(parse_ring_spec("Z/59 x Z/3")).factors[0] is part
+
+
+def test_a_part_above_order_64_is_built_for_each_ring():
+    first = build_ring(parse_ring_spec("Z/67 x Z/2"))
+    second = build_ring(parse_ring_spec("Z/67 x Z/3"))
+    assert first.factors[0] is not second.factors[0]
+    assert first.factors[1] is rings.kept_ring(Zmod(2), DEFAULT_GUARDS)
