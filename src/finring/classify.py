@@ -38,7 +38,7 @@ from .ideals import (
 from .homology import SgpVerdict, is_strongly_gorenstein_projective
 from .modules import is_projective, quotient_by_ideal
 from .parsing import parse_ring_spec
-from .rings import Ring, build_ring, spec_order, table_owner
+from .rings import Ring, build_ring, kept, spec_order, table_owner
 
 
 @dataclass(frozen=True)
@@ -109,16 +109,13 @@ def residue_field_sgp(local_ring: Ring) -> SgpVerdict:
     )
 
 
-def _residue_sgp_decision(factor: Ring) -> bool:
-    # the table owner keeps the verdict for all rings with its tables; a
+@kept("residue_sgp")
+def _residue_sgp_decision(owner: Ring) -> bool:
+    # taken on table_owner(factor), it is kept for all rings with its tables; a
     # projective P is SGP through the split 0 -> P -> P + P -> P -> 0, so a
     # field's R/m = R needs no witness search
-    owner = table_owner(factor)
-    if "residue_sgp" not in owner._cache:
-        residue = quotient_by_ideal(unique_maximal_ideal(owner))
-        decided = is_projective(residue) or residue_field_sgp(owner).decision
-        owner._cache["residue_sgp"] = decided
-    return owner._cache["residue_sgp"]
+    residue = quotient_by_ideal(unique_maximal_ideal(owner))
+    return is_projective(residue) or residue_field_sgp(owner).decision
 
 
 def factor_summary(factor: Ring) -> FactorSummary:
@@ -145,7 +142,7 @@ def classify(ring: Ring) -> ClassificationReport:
         factors.append(factor_summary(factor))
         if factor.order <= 64:
             ideal_route = len(nonzero_proper_ideals(factor)) <= 1
-            module_route = _residue_sgp_decision(factor)
+            module_route = _residue_sgp_decision(table_owner(factor))
             if ideal_route != module_route:
                 raise ConsistencyError(
                     f"SG routes disagree on factor {fi} of {ring.describe()}: "

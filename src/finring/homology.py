@@ -63,7 +63,7 @@ from .modules import (
     iter_homs,
     kernel,
 )
-from .rings import request_memo, table_owner
+from .rings import kept, request_memo, table_owner
 
 
 # ---------------------------------------------------------------------------
@@ -309,17 +309,12 @@ def _split_witness(m: Module) -> SgpWitness:
     )
 
 
+@kept("sgp")
 def is_strongly_gorenstein_projective(m: Module) -> SgpVerdict:
     """Witness search, then Ext^1(M, R) = 0 read off the witness's dual
     periodic complex; componentwise over products.  A projective module
     whose search a guard stops takes the split witness instead.  The
     verdict is kept on the module; a search stopped by a guard keeps nothing."""
-    if "sgp" not in m._cache:
-        m._cache["sgp"] = _sgp_verdict(m)
-    return m._cache["sgp"]
-
-
-def _sgp_verdict(m: Module) -> SgpVerdict:
     if not idempotent_decomposition(m.ring).is_trivial:
         sub = tuple(is_strongly_gorenstein_projective(c) for c in decompose_over_product(m))
         for fi, verdict in enumerate(sub):

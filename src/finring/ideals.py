@@ -41,7 +41,7 @@ from math import prod
 import numpy as np
 
 from .errors import ConsistencyError, GuardExceeded, NonLocalRingError, ValidationError
-from .rings import _CHUNK, ProductRing, Ring, units_mask
+from .rings import _CHUNK, ProductRing, Ring, kept, units_mask
 
 
 @dataclass(frozen=True)
@@ -178,10 +178,12 @@ class _Bitsets:
         return tuple(gens)
 
 
+@kept("ideal_bitsets")
 def _bitsets(ring: Ring) -> _Bitsets:
-    if "ideal_bitsets" not in ring._cache:
-        ring._cache["ideal_bitsets"] = _Bitsets(ring)
-    return ring._cache["ideal_bitsets"]
+    """A ring's bitsets; a ring that mirrors another (a product's factor)
+    shares its mirror's, as their tables are equal."""
+    mirror = getattr(ring, "mirror", None)
+    return _Bitsets(ring) if mirror is None else _bitsets(mirror)
 
 
 def _ideal_of(ring: Ring, bits: int) -> Ideal:
@@ -245,6 +247,7 @@ def _product_lattice(ring: ProductRing) -> list:
     return ideals
 
 
+@kept("ideal_lattice")
 def enumerate_ideals(ring: Ring) -> list:
     """The complete ideal lattice, sorted by cardinality then element list.
 
@@ -253,8 +256,6 @@ def enumerate_ideals(ring: Ring) -> list:
     ring's ideals.  Any other ring takes the closure of the zero ideal under
     adding principal ideals.
     """
-    if "ideal_lattice" in ring._cache:
-        return ring._cache["ideal_lattice"]
     if ring.order > ring.guards.max_lattice_order:
         raise GuardExceeded(
             f"ideal enumeration over a ring of order {ring.order} exceeds the "
@@ -274,7 +275,6 @@ def enumerate_ideals(ring: Ring) -> list:
         ideals = [Ideal(ring, a, b.generators(a)) for a in found]
     ideals.sort(key=_lattice_order)
     ring._cache["ideal_index"] = {ideal.bits: ideal for ideal in ideals}
-    ring._cache["ideal_lattice"] = ideals
     return ideals
 
 
@@ -293,23 +293,19 @@ def annihilator(ideal: Ideal) -> Ideal:
     return _ideal_of(ring, bits & ((1 << ring.order) - 1))
 
 
+@kept("maximal_ideals")
 def maximal_ideals(ring: Ring) -> list:
-    if "maximal_ideals" not in ring._cache:
-        proper = [i for i in enumerate_ideals(ring) if i.is_proper]
-        ring._cache["maximal_ideals"] = [
-            i for i in proper if not any(i is not j and i.bits & ~j.bits == 0 for j in proper)
-        ]
-    return ring._cache["maximal_ideals"]
+    proper = [i for i in enumerate_ideals(ring) if i.is_proper]
+    return [i for i in proper if not any(i is not j and i.bits & ~j.bits == 0 for j in proper)]
 
 
+@kept("is_local")
 def is_local(ring: Ring) -> bool:
     """True iff the ring has a unique maximal ideal.
 
     Runs both the lattice route and the nonunits-closed-under-addition route
     and insists they agree.
     """
-    if "is_local" in ring._cache:
-        return ring._cache["is_local"]
     via_lattice = len(maximal_ideals(ring)) == 1
     units = units_mask(ring)
     nonunits = np.flatnonzero(~units)
@@ -326,7 +322,6 @@ def is_local(ring: Ring) -> bool:
             f"locality tests disagree on {ring.describe()}: "
             f"lattice={via_lattice}, nonunits={via_nonunits}"
         )
-    ring._cache["is_local"] = via_lattice
     return via_lattice
 
 
@@ -376,7 +371,6 @@ class IdempotentFactorRing(Ring):
             if mirror.order != len(sub):
                 raise ConsistencyError("factor ring and its mirror differ in order")
             self._tables = mirror.tables()
-            self._cache["ideal_bitsets"] = _bitsets(mirror)
 
     def _describe(self):
         return f"factor of {self.parent.describe()} at idempotent {self.idempotent!r}"
@@ -451,8 +445,6 @@ def _split_product(ring: ProductRing):
         for part, stride in zip(ring.factors, _strides(ring))
         for i, e in enumerate(idempotent_decomposition(part).idempotents)
     )
-    if len(pieces) == 1:  # a local ring is its own factor, as in _split_by_tables
-        return [pieces[0][0]], (ring,), (ar,)
     atoms, factors, projections = [], [], []
     for atom, part, stride, i in pieces:
         split = idempotent_decomposition(part)
@@ -462,6 +454,7 @@ def _split_product(ring: ProductRing):
     return atoms, tuple(factors), tuple(projections)
 
 
+@kept("idempotent_decomposition")
 def idempotent_decomposition(ring: Ring) -> IdempotentDecomposition:
     """Split the ring into local factors along its primitive idempotents: a
     product of rings from its parts' splits, any other ring from its table.
@@ -473,8 +466,6 @@ def idempotent_decomposition(ring: Ring) -> IdempotentDecomposition:
     since e_i^2 = e_i, and x = sum of the e_i x makes it injective, hence
     bijective by the orders.
     """
-    if "idempotent_decomposition" in ring._cache:
-        return ring._cache["idempotent_decomposition"]
     split = _split_product if isinstance(ring, ProductRing) else _split_by_tables
     atoms, factors, projections = split(ring)
     zero = ring.index[ring.zero]
@@ -497,9 +488,7 @@ def idempotent_decomposition(ring: Ring) -> IdempotentDecomposition:
             raise ConsistencyError(f"factor {f.describe()} is not local")
     for p in projections:
         p.setflags(write=False)
-    dec = IdempotentDecomposition(ring, tuple(els[e] for e in atoms), factors, projections)
-    ring._cache["idempotent_decomposition"] = dec
-    return dec
+    return IdempotentDecomposition(ring, tuple(els[e] for e in atoms), factors, projections)
 
 
 # ---------------------------------------------------------------------------

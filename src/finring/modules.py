@@ -79,7 +79,7 @@ from .ideals import (
     quasi_frobenius_certificate,
     unique_maximal_ideal,
 )
-from .rings import _CHUNK, Ring, request_memo
+from .rings import _CHUNK, Ring, kept, request_memo
 
 
 @dataclass(frozen=True)
@@ -239,8 +239,7 @@ class Module:
         A maker that already holds the span, a mask over the raw codes of
         R^k, passes it as ``span``, and the build does not grow it again."""
         columns = np.array(columns, dtype=np.intp).reshape(len(columns), k)
-        free = ring._cache.setdefault("free_modules", {})
-        memo = request_memo(ring, "modules") if len(columns) else free
+        memo = request_memo(ring, "modules") if len(columns) else _free_modules(ring)
         key = k, len(columns), columns.tobytes()
         if key not in memo:
             m = object.__new__(cls)
@@ -331,6 +330,7 @@ class Module:
         for lo in range(0, self.ring.order, step):
             yield self._locate(mul[lo : lo + step, self._digits]) == 0
 
+    @kept("kills")
     def kill_counts(self) -> tuple:
         """a_r(M) = |{x : r * x = 0}| = |Hom(R/rR, M)| for every ring position r.
 
@@ -338,14 +338,15 @@ class Module:
         r kills M exactly when a_r(M) = |M|, so equal counts mean equal
         cardinality and equal annihilators.
         """
-        if "kills" not in self._cache:
-            counts = np.concatenate([part.sum(axis=1) for part in self._kills()])
-            self._cache["kills"] = tuple(counts.tolist())
-        return self._cache["kills"]
+        counts = np.concatenate([part.sum(axis=1) for part in self._kills()])
+        return tuple(counts.tolist())
 
     def free_element_mask(self) -> np.ndarray:
         """Mask over the positions: the elements x with r * x = 0 only for r = 0."""
         return sum(part.sum(axis=0) for part in self._kills()) == 1
+
+
+_free_modules = kept("free_modules")(lambda ring: {})  # R^k, by Module._on's key
 
 
 def free_module(ring: Ring, rank: int) -> Module:
@@ -657,16 +658,15 @@ def is_isomorphic(m1: Module, m2: Module):
     return witness is not None, witness
 
 
+@kept("minimal")
 def minimal_generators(m: Module):
     """(count, generator list) over a local ring: M's own ``_generators``, dim M/mM."""
     if not is_local(m.ring):
         raise NonLocalRingError(
             "minimal generators are only well-behaved over local rings; decompose first"
         )
-    if "minimal" not in m._cache:
-        picks = np.array(_generators(m, np.ones(m.cardinality, dtype=bool)), dtype=np.intp)
-        m._cache["minimal"] = picks, (len(picks), list(map(tuple, m._rows(picks).tolist())))
-    return m._cache["minimal"][1]
+    picks = _generators(m, np.ones(m.cardinality, dtype=bool))
+    return len(picks), list(map(tuple, m._rows(picks).tolist()))
 
 
 def is_projective(m: Module) -> bool:
@@ -679,22 +679,26 @@ def is_projective(m: Module) -> bool:
 
 def free_cover(m: Module) -> ModuleHom:
     """Minimal surjection R^g -> M on the canonical minimal generator list."""
-    g, _ = minimal_generators(m)
-    return ModuleHom._at(free_module(m.ring, g), m, m._cache["minimal"][0])
+    g, gens = minimal_generators(m)
+    # each generator is its coset's representative, so it locates its own position
+    positions = m._locate(np.array(gens, dtype=np.intp).reshape(g, m.k))
+    return ModuleHom._at(free_module(m.ring, g), m, positions)
 
 
 def decompose_over_product(m: Module) -> list:
     """Components e_i M over the local factors of m's ring; re-sum verified once."""
-    if "components" in m._cache:
-        return list(m._cache["components"])
+    return list(_components(m))
+
+
+@kept("components")
+def _components(m: Module) -> tuple:
     dec = idempotent_decomposition(m.ring)
     comps = []
     for fring, proj in zip(dec.factor_rings, dec.projections):
         cols = proj[m.relation_columns]  # a column that projects to zero relates nothing
         comps.append(Module._on(fring, m.k, cols[cols.any(axis=1)]))
     _verify_decomposition(m, dec, comps)
-    m._cache["components"] = tuple(comps)
-    return comps
+    return tuple(comps)
 
 
 def _verify_decomposition(m: Module, dec: IdempotentDecomposition, comps) -> None:

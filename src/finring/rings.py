@@ -39,12 +39,13 @@ whatever the table; a product acts digitwise on factors checked on their
 own, and a product of rings is a ring, so it is not checked again.
 
 Ring values are immutable after construction and operations are pure, so
-rings can be shared freely across threads.  What the tables determine
-lives with the ring (on ``table_owner(ring)``, the first live ring with
-equal tables and guards, for Ext orders and the residue field's SGP
-verdict), and ``kept_ring`` keeps rings up to order 64, bases and parts
-included, for the process.  What a request derives lives in a
-``request_memo`` until the next ``new_request``.
+rings can be shared freely across threads.  ``kept_ring`` keeps rings up to
+order 64, bases and parts included, for the process.  What is derived from
+a ring or module is kept in one of two ways: a ``@kept(key)`` function
+keeps its value for the object's life (on ``table_owner(ring)``, the first
+live ring with equal tables and guards, for what the tables alone decide),
+and what a request derives lives in a ``request_memo`` until the next
+``new_request``.
 """
 
 from __future__ import annotations
@@ -144,8 +145,8 @@ class Product:
                 flat.extend(f.factors)
             else:
                 flat.append(f)
-        if not flat:
-            raise ValidationError("a product needs at least one factor")
+        if len(flat) < 2:  # one factor would describe itself but print as a tuple
+            raise ValidationError("a product needs at least two factors")
         object.__setattr__(self, "factors", tuple(flat))
 
 
@@ -256,7 +257,6 @@ class Ring:
     def __init__(self, guards: Guards):
         self.guards = guards
         self._tables = None
-        self._int_images = None
         self._cache: dict = {}
 
     # -- carrier ------------------------------------------------------------
@@ -303,22 +303,21 @@ class Ring:
     @property
     def char(self) -> int:
         """Additive order of 1."""
-        return len(self._one_multiples())
+        return len(self._int_images)
 
-    def _one_multiples(self):
+    @functools.cached_property
+    def _int_images(self) -> list:
         # images[k] == k * 1 for 0 <= k < char
-        if self._int_images is None:
-            images = [self.zero]
-            cur = self.one
-            while cur != self.zero:
-                images.append(cur)
-                cur = self.add(cur, self.one)
-            self._int_images = images
-        return self._int_images
+        images = [self.zero]
+        cur = self.one
+        while cur != self.zero:
+            images.append(cur)
+            cur = self.add(cur, self.one)
+        return images
 
     def scalar_from_int(self, k: int):
         """The image of the integer k, i.e. k * 1."""
-        images = self._one_multiples()
+        images = self._int_images
         return images[k % len(images)]
 
     # -- cached operation tables ----------------------------------------------
@@ -495,6 +494,26 @@ class ProductRing(_DigitRing):
 # construction and verification
 
 
+def kept(key: str):
+    """Decorator: compute ``fn(obj)`` once and keep it in ``obj._cache[key]``
+    for the life of ``obj``, a ring or a module.  A call that raises keeps
+    nothing, so the next call computes again."""
+    def keep(fn):
+        @functools.wraps(fn)
+        def once(obj):
+            if key not in obj._cache:
+                obj._cache[key] = fn(obj)
+            return obj._cache[key]
+        return once
+    return keep
+
+
+@kept("table_key")
+def _table_key(ring: Ring) -> tuple:
+    add, mul, _ = ring.tables()
+    return ring.guards, ring.order, add.tobytes(), mul.tobytes()
+
+
 # the first live ring per (guards, order, table bytes); an entry dies with its ring
 _OWNERS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
@@ -503,10 +522,7 @@ def table_owner(ring: Ring) -> Ring:
     """The first live ring with ``ring``'s guards and operation tables; a
     ring that mirrors another (a product's factor) has its mirror's owner."""
     ring = getattr(ring, "mirror", None) or ring
-    if "table_key" not in ring._cache:
-        add, mul, _ = ring.tables()
-        ring._cache["table_key"] = ring.guards, ring.order, add.tobytes(), mul.tobytes()
-    return _OWNERS.setdefault(ring._cache["table_key"], ring)
+    return _OWNERS.setdefault(_table_key(ring), ring)
 
 
 # the rings holding request memos, which the next request drops
@@ -694,15 +710,12 @@ def unit_or_zero_divisor(ring: Ring, x) -> str:
     return "unit" if units_mask(ring)[ring.index[x]] else "zero_divisor"
 
 
+@kept("units_mask")
 def units_mask(ring: Ring) -> np.ndarray:
     """Boolean mask over element indices marking the units.  A product's
     are the tuples of its factors' units, read off without its own table."""
-    key = "units_mask"
-    if key not in ring._cache:
-        if isinstance(ring, ProductRing):
-            masks = map(units_mask, ring.factors)
-            ring._cache[key] = functools.reduce(lambda a, b: (a[:, None] & b).ravel(), masks)
-        else:
-            _, mul, _ = ring.tables()
-            ring._cache[key] = (mul == ring._one_pos).any(axis=1)
-    return ring._cache[key]
+    if isinstance(ring, ProductRing):
+        masks = map(units_mask, ring.factors)
+        return functools.reduce(lambda a, b: (a[:, None] & b).ravel(), masks)
+    _, mul, _ = ring.tables()
+    return (mul == ring._one_pos).any(axis=1)

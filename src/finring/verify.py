@@ -53,7 +53,7 @@ from .modules import (
     regular_module,
 )
 from .parsing import parse_ring_spec
-from .rings import build_ring, unit_or_zero_divisor
+from .rings import build_ring, table_owner, unit_or_zero_divisor
 
 
 @dataclass(frozen=True)
@@ -481,7 +481,7 @@ def check_sg_route_agreement(rings, flags):
         if fault:
             ideal_route = not ideal_route  # harness self-test: one classifier negated
         # kept on the table owner: classification-chain has already decided these
-        module_route = _residue_sgp_decision(ring)
+        module_route = _residue_sgp_decision(table_owner(ring))
         if ideal_route != module_route:
             raise _Counterexample(
                 f"counterexample {label}: ideal-count route says {ideal_route}, "

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finring.classify import SQUARE_ZERO_PAIR
-from finring.errors import ParseError
+from finring.errors import ParseError, ValidationError
 from finring.ideals import idempotent_decomposition
 from finring.parsing import (
     _prime_power,
@@ -41,6 +41,15 @@ def test_products_flatten():
     assert spec == Product((Zmod(2), Zmod(3), Zmod(5)))
     nested = Product((Product((Zmod(2), Zmod(3))), Zmod(5)))
     assert nested == spec
+
+
+@pytest.mark.parametrize("factors", [(), (Zmod(8),), (PolyQuotient(Zmod(2), (0, 0, 1)),)])
+def test_a_product_needs_two_factors(factors):
+    # a one-factor product would describe itself as its factor, which
+    # parses back to the factor, yet print its elements as 1-tuples
+    with pytest.raises(ValidationError, match="at least two factors"):
+        Product(factors)
+    assert Product((Product((Zmod(2), Zmod(3))),)) == parse_ring_spec("Z/2 x Z/3")
 
 
 def test_gf_sugar():
