@@ -26,15 +26,14 @@ class Guards:
     #: annihilator (and, in an injective search, by dropping zero for a
     #: nonzero element), counted for each hom search and each Ext^1 scan
     max_hom_candidates: int = 1_000_000
-    #: triples sampled when a ring is too big for exhaustive axiom checks
-    axiom_sample_count: int = 512
-    #: fixed seed for that sampling; reports stay reproducible
+    #: fixed seed for the sampled axiom check of a Z/n too big for an
+    #: exhaustive one; reports stay reproducible
     axiom_seed: int = 1729
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if (f.name.startswith("max_") or f.name == "axiom_sample_count") and value < 1:
+            if f.name.startswith("max_") and value < 1:
                 raise ValidationError(f"guard {f.name} must be at least 1, got {value}")
 
     def with_overrides(self, **kwargs) -> "Guards":

@@ -37,15 +37,12 @@ from .modules import Presentation
 from .rings import (
     ORDER_CAP,
     PolyQuotient,
-    PolyQuotientRing,
     Product,
-    ProductRing,
     Ring,
     RingSpec,
     StructureConstantRing,
     StructureConstants,
     Zmod,
-    ZmodRing,
     power_text,
     spec_text,
     sum_text,
@@ -319,9 +316,9 @@ def parse_element(ring: Ring, text: str):
 
 
 def _parse_element(ring: Ring, cur: _Cursor):
-    if isinstance(ring, ZmodRing):
-        return cur.integer() % ring.n
-    if isinstance(ring, ProductRing):
+    if isinstance(ring.spec, Zmod):
+        return cur.integer() % ring.spec.n
+    if isinstance(ring.spec, Product):
         cur.expect("(")
         parts = []
         for i, factor in enumerate(ring.factors):
@@ -330,9 +327,9 @@ def _parse_element(ring: Ring, cur: _Cursor):
             parts.append(_parse_element(factor, cur))
         cur.expect(")")
         return tuple(parts)
-    if isinstance(ring, PolyQuotientRing):
+    if isinstance(ring.spec, PolyQuotient):
         return _signed_sum(ring, cur, partial(_parse_poly_term, ring, _x(ring)))
-    if isinstance(ring, StructureConstantRing):
+    if isinstance(ring.spec, StructureConstants):
         return _signed_sum(ring, cur, partial(_parse_sc_term, ring))
     if isinstance(ring, IdempotentFactorRing):
         value = _parse_element(ring.parent, cur)
@@ -350,15 +347,15 @@ def _signed_sum(ring: Ring, cur: _Cursor, term):
     return result
 
 
-def _x(ring: PolyQuotientRing):
+def _x(ring: StructureConstantRing):
     """The class of x in the quotient; in degree 1, x itself reduces to -m0."""
     base = ring.base
-    if ring.deg >= 2:
-        return (base.zero, base.one) + (base.zero,) * (ring.deg - 2)
-    return (base.neg(ring.modulus[0]),)
+    if ring.dim >= 2:
+        return (base.zero, base.one) + (base.zero,) * (ring.dim - 2)
+    return (base.neg(base.scalar_from_int(ring.spec.modulus[0])),)
 
 
-def _parse_poly_term(ring: PolyQuotientRing, x, cur: _Cursor):
+def _parse_poly_term(ring: StructureConstantRing, x, cur: _Cursor):
     base = ring.base
     ch = cur.peek()
     coeff = None
@@ -377,9 +374,9 @@ def _parse_poly_term(ring: PolyQuotientRing, x, cur: _Cursor):
     raise cur.error("expected a polynomial element term")
 
 
-def _embed_coeff_times_power(ring: PolyQuotientRing, coeff, x, power: int):
+def _embed_coeff_times_power(ring: StructureConstantRing, coeff, x, power: int):
     """coeff * x^power, by square-and-multiply."""
-    result = (coeff,) + (ring.base.zero,) * (ring.deg - 1)
+    result = (coeff,) + (ring.base.zero,) * (ring.dim - 1)
     while power:
         if power & 1:
             result = ring.mul(result, x)
@@ -388,7 +385,7 @@ def _embed_coeff_times_power(ring: PolyQuotientRing, coeff, x, power: int):
 
 
 def _parse_sc_term(ring: StructureConstantRing, cur: _Cursor):
-    n, dim = ring.n, ring.dim
+    n, dim = ring.spec.n, ring.dim
     ch = cur.peek()
     if ch.isdigit() or ch in "+-":
         coef = cur.integer()
@@ -407,15 +404,15 @@ def _parse_sc_term(ring: StructureConstantRing, cur: _Cursor):
 
 def format_element(ring: Ring, value) -> str:
     """Canonical literal printer; round-trips through :func:`parse_element`."""
-    if isinstance(ring, ZmodRing):
+    if isinstance(ring.spec, Zmod):
         return str(value)
-    if isinstance(ring, ProductRing):
+    if isinstance(ring.spec, Product):
         parts = [format_element(f, v) for f, v in zip(ring.factors, value)]
         return "(" + ",".join(parts) + ")"
-    if isinstance(ring, PolyQuotientRing):
+    if isinstance(ring.spec, PolyQuotient):
         base = ring.base
         # coefficients over a base other than Z/n print as parenthesized literals
-        wrap = "{}" if isinstance(base, ZmodRing) else "({})"
+        wrap = "{}" if isinstance(base.spec, Zmod) else "({})"
         return sum_text(
             (
                 "" if c == base.one and k else wrap.format(format_element(base, c)),
@@ -424,7 +421,7 @@ def format_element(ring: Ring, value) -> str:
             for k, c in enumerate(value)
             if c != base.zero
         )
-    if isinstance(ring, StructureConstantRing):
+    if isinstance(ring.spec, StructureConstants):
         return sum_text(
             ("" if c == 1 else str(c), f"b{k}") for k, c in enumerate(value) if c
         )

@@ -24,19 +24,19 @@ number with the first coordinate most significant: base-ring digits for a
 quotient, residues mod n for structure constants, factor positions for a
 product.  Those three share one carrier, the product of their parts'
 carriers, with ``+`` and ``-`` digitwise.  A quotient and a structure-constant
-algebra are free over one base part and share one bilinear ``*``, read from
-the products of their basis vectors (the reduced powers of x, or the table);
-a product multiplies digitwise.  Arithmetic is defined exactly once, as
+algebra are one class, free over one base part, whose bilinear ``*`` is read
+from the products of its basis vectors (the reduced powers of x, or the
+table); a product multiplies digitwise.  Arithmetic is defined exactly once, as
 ``_add``, ``_mul`` and ``_neg`` on positions, which may be Python ints or
 whole numpy arrays at once.  Value-level arithmetic, the operation tables
 and the axiom check are all derived from those three in :class:`Ring`.
 
-The ring laws are checked once, where arithmetic is defined: the axiom
-check runs on ``Z/n`` and on each quotient level, whose ops compute; a
-structure-constant algebra checks its other laws on the basis, which is
-exhaustive by trilinearity, and distributes by its bilinear product formula
-whatever the table; a product acts digitwise on factors checked on their
-own, and a product of rings is a ring, so it is not checked again.
+The ring laws are checked once, where arithmetic is defined, by one of two
+rules: the axiom check runs on ``Z/n``, and a free algebra checks its laws
+on its basis, exhaustive at every order as its base is a verified
+commutative ring and its ``*`` is bilinear over it.  A product acts
+digitwise on factors checked on their own, and a product of rings is a
+ring, so it is not checked again.
 
 Ring values are immutable after construction and operations are pure, so
 rings can be shared freely across threads.  ``kept_ring`` keeps rings up to
@@ -373,26 +373,15 @@ class _DigitRing(Ring):
     The carrier is the product of the parts' carriers.  Parts are shared,
     verified sub-rings (see :func:`build_ring`); the ops read their tables
     when built, and only a table build here builds them.
-
-    A quotient or structure-constant ring is a free algebra over its one
-    base part, and ``table[s][t]`` gives the base positions of the product
-    of basis vectors s and t; ``_mul`` is the bilinear product it defines.
     """
 
-    def __init__(self, spec: RingSpec, parts, guards: Guards, table=()):
+    def __init__(self, spec: RingSpec, parts, guards: Guards):
         super().__init__(guards)
         self.spec = spec
         self._parts = tuple(parts)
         self.elements = list(itertools.product(*(p.elements for p in self._parts)))
         self.index = {x: i for i, x in enumerate(self.elements)}
         self.zero = tuple(p.zero for p in self._parts)
-        # {(s, t): [(k, c), ...]}, the nonzero constants only (position 0 is zero)
-        self._terms = {
-            (s, t): nz
-            for s, row in enumerate(table)
-            for t, vec in enumerate(row)
-            if (nz := [(k, int(c)) for k, c in enumerate(vec) if c])
-        }
 
     def _split(self, p):
         digits = []
@@ -414,9 +403,30 @@ class _DigitRing(Ring):
     def _neg(self, i):
         return self._join([f._neg(a) for f, a in zip(self._parts, self._split(i))])
 
+
+class StructureConstantRing(_DigitRing):
+    """A free algebra over one verified base part, ``base[x]/(f)`` on the
+    powers of x or a structure-constant algebra on b0..b{d-1}: elements are
+    coefficient tuples, positions one base digit per basis vector, the first
+    most significant.  ``table[s][t]`` gives the base positions of the
+    product of basis vectors s and t; ``_mul`` is the bilinear product it
+    defines.  The ring laws are checked on the basis when built."""
+
+    def __init__(self, spec: RingSpec, base: Ring, table, unit: tuple, guards: Guards):
+        super().__init__(spec, (base,) * len(table), guards)
+        self.base, self.dim, self.one = base, len(table), unit
+        # {(s, t): [(k, c), ...]}, the nonzero constants only (position 0 is zero)
+        self._terms = {
+            (s, t): nz
+            for s, row in enumerate(table)
+            for t, vec in enumerate(row)
+            if (nz := [(k, int(c)) for k, c in enumerate(vec) if c])
+        }
+        self._check_basis_laws()
+
     def _mul(self, i, j):
         # res_k = sum over (s, t) of x_s * y_t * c_(s,t,k), in the base
-        base = self._parts[0]
+        base = self.base
         one = base._one_pos
         x, y = self._split(i), self._split(j)
         res = [0] * len(x)
@@ -426,55 +436,37 @@ class _DigitRing(Ring):
                 res[k] = base._sum(res[k], xy if c == one else base._prod(xy, c))
         return self._join(res)
 
-
-class PolyQuotientRing(_DigitRing):
-    """base[x]/(f) with f monic: elements are coefficient tuples of length deg f,
-    positions one base digit per coefficient, the constant term first."""
-
-    def __init__(self, spec: PolyQuotient, base: Ring, guards: Guards):
-        d = spec.degree
-        modulus = tuple(base.scalar_from_int(c) for c in spec.modulus)
-        if modulus[-1] != base.one:
-            raise ValidationError("quotient modulus must be monic over the base ring")
-        # base positions of x^0 .. x^(2d-2), reduced by
-        # x^d = -(m0 + ... + m_{d-1} x^{d-1})
-        xd = [base._neg(base.index[c]) for c in modulus[:-1]]
-        pows = [[base._one_pos if k == e else 0 for k in range(d)] for e in range(d)]
-        for _ in range(d - 1):
-            *low, top = pows[-1]
-            pows.append([base._add(s, base._mul(top, c)) for s, c in zip([0, *low], xd)])
-        table = [[pows[s + t] for t in range(d)] for s in range(d)]
-        super().__init__(spec, (base,) * d, guards, table)
-        self.base, self.deg, self.modulus = base, d, modulus
-        self.one = (base.one,) + (base.zero,) * (d - 1)
-
-
-class StructureConstantRing(_DigitRing):
-    """Positions are coefficient vectors, one Z/n digit per basis vector, b0 first."""
-
-    def __init__(self, spec: StructureConstants, guards: Guards):
-        parts = (kept_ring(Zmod(spec.n), guards),) * spec.dim
-        super().__init__(spec, parts, guards, spec.table)
-        self.n, self.dim = spec.n, spec.dim
-        self.one = spec.unit
-        self._check_basis_laws()
-
     def _check_basis_laws(self):
-        # bilinearity makes basis-level checks exhaustive for the whole ring,
-        # and distributivity holds for any table: _mul is bilinear, _add digitwise
-        d, tab = self.dim, self.spec.table
-        basis = [tuple(1 if t == k else 0 for t in range(d)) for k in range(d)]
-        for i, j in itertools.product(range(d), repeat=2):
-            if tab[i][j] != tab[j][i]:
-                raise AxiomViolation(f"structure constants are not commutative at b{i}*b{j}")
-        for j, bj in enumerate(basis):
-            if self.mul(self.one, bj) != bj:
-                raise AxiomViolation(f"unit vector does not act as identity on b{j}")
-        for (i, bi), (j, bj), (k, bk) in itertools.product(enumerate(basis), repeat=3):
-            if self.mul(self.mul(bi, bj), bk) != self.mul(bi, self.mul(bj, bk)):
-                raise AxiomViolation(
-                    f"structure constants are not associative at (b{i},b{j},b{k})"
-                )
+        # the base is a verified commutative ring and _mul is bilinear over it,
+        # so these laws on basis pairs and triples hold on the whole ring, and
+        # _add is digitwise, so distributivity holds for any table
+        basis = self.base._one_pos * self.base.order ** np.arange(self.dim - 1, -1, -1)
+
+        def mul(a, b):  # a table with no nonzero constant multiplies to the scalar 0
+            return np.broadcast_to(self._mul(a, b), np.broadcast(a, b).shape)
+
+        pairs = mul(basis[:, None], basis)  # [i, j] = bi * bj
+        for message, broken in (
+            ("structure constants are not commutative at b{}*b{}", pairs != pairs.T),
+            ("unit vector does not act as identity on b{}", mul(self._one_pos, basis) != basis),
+            ("structure constants are not associative at (b{},b{},b{})",
+             mul(pairs[:, :, None], basis) != mul(basis[:, None, None], pairs)),
+        ):
+            if broken.any():  # the first in row-major order, as loops would meet it
+                raise AxiomViolation(message.format(*np.argwhere(broken)[0]))
+
+
+def _power_table(base: Ring, coeffs: tuple) -> list:
+    """The basis products of base[x]/(f), f's integer coefficients ``coeffs``
+    ascending: ``table[s][t]`` holds the base positions of x^(s+t) reduced
+    by x^d = -(f0 + ... + f_{d-1} x^{d-1})."""
+    d = len(coeffs) - 1
+    xd = [base._neg(base.index[base.scalar_from_int(c)]) for c in coeffs[:-1]]
+    pows = [[base._one_pos if k == e else 0 for k in range(d)] for e in range(d)]
+    for _ in range(d - 1):
+        *low, top = pows[-1]
+        pows.append([base._add(s, base._mul(top, c)) for s, c in zip([0, *low], xd)])
+    return [[pows[s + t] for t in range(d)] for s in range(d)]
 
 
 class ProductRing(_DigitRing):
@@ -554,19 +546,22 @@ def _construct(spec: RingSpec, guards: Guards) -> Ring:
             f"({guards.max_ring_order})",
             "max_ring_order", order, guards.max_ring_order,
         )
-    # the axiom check runs only where arithmetic is computed (module docstring)
-    if isinstance(spec, StructureConstants):
-        return StructureConstantRing(spec, guards)
-    if isinstance(spec, Product):
-        return ProductRing(spec, [kept_ring(f, guards) for f in spec.factors], guards)
     if isinstance(spec, Zmod):
         ring = ZmodRing(spec, guards)
-    elif isinstance(spec, PolyQuotient):
-        ring = PolyQuotientRing(spec, kept_ring(spec.base, guards), guards)
+        verify_ring_axioms(ring)
+        return ring
+    if isinstance(spec, Product):  # a product of rings is a ring
+        return ProductRing(spec, [kept_ring(f, guards) for f in spec.factors], guards)
+    if isinstance(spec, PolyQuotient):
+        base = kept_ring(spec.base, guards)
+        table = _power_table(base, spec.modulus)
+        unit = (base.one,) + (base.zero,) * (spec.degree - 1)
+    elif isinstance(spec, StructureConstants):
+        base = kept_ring(Zmod(spec.n), guards)
+        table, unit = spec.table, spec.unit
     else:
         raise TypeError(f"not a ring spec: {spec!r}")
-    verify_ring_axioms(ring)
-    return ring
+    return StructureConstantRing(spec, base, table, unit, guards)
 
 
 _kept = functools.lru_cache(maxsize=64)(_construct)
@@ -581,9 +576,9 @@ def kept_ring(spec: RingSpec, guards: Guards) -> Ring:
 def build_ring(spec: RingSpec, guards: Guards | None = None) -> Ring:
     """Realize a spec, its ring laws checked where its arithmetic is defined.
 
-    ``Z/n`` and each quotient level go through :func:`verify_ring_axioms`, a
-    structure-constant ring checks its basis laws, and a product inherits
-    its factors' laws.  Each call returns a new ring, distinct from every
+    ``Z/n`` goes through :func:`verify_ring_axioms`, each quotient level
+    and structure-constant ring checks its laws on its basis, and a product
+    inherits its factors'.  Each call returns a new ring, distinct from every
     other (modules over two builds do not mix), but its bases and factors
     come from :func:`kept_ring`: up to order 64 they are verified once for
     the process.
@@ -630,23 +625,23 @@ def _additive_generators(add, z) -> list[int]:
 EXHAUSTIVE_ORDER = 64
 
 
-@functools.lru_cache(maxsize=128)
+#: triples a, b, c a sampled axiom check draws
+AXIOM_SAMPLE_COUNT = 512
+
+
 def _sample_draws(guards: Guards, n: int) -> np.ndarray:
-    """``axiom_sample_count`` triples a, b, c of fixed-seed draws below n, from
-    one ``Random(axiom_seed)`` in that order.  Cached and read-only: the
-    sampled checks of rings of one order share it."""
+    """``AXIOM_SAMPLE_COUNT`` triples a, b, c of fixed-seed draws below n,
+    from one ``Random(axiom_seed)`` in that order."""
     rnd = random.Random(guards.axiom_seed)
-    draws = [rnd.randrange(n) for _ in range(3 * guards.axiom_sample_count)]
-    out = np.array(draws, dtype=np.int64).reshape(guards.axiom_sample_count, 3)
-    out.flags.writeable = False
-    return out
+    draws = [rnd.randrange(n) for _ in range(3 * AXIOM_SAMPLE_COUNT)]
+    return np.array(draws, dtype=np.int64).reshape(AXIOM_SAMPLE_COUNT, 3)
 
 
 def verify_ring_axioms(ring: Ring) -> None:
     """Check the ring laws on element positions.
 
-    Construction runs it on ``Z/n`` and each ``base[x]/(f)``, the rings
-    whose ops compute (see :func:`build_ring`).  Up to order 64 the check is
+    Construction runs it on ``Z/n`` alone (see :func:`build_ring`); on any
+    other ring it is the reference check.  Up to order 64 it is
     exhaustive, via additive generators, on the operation tables.  The
     commutativity laws are checked on every pair, the zero, negation and
     one laws on every element, and each law in three variables only for its
@@ -659,7 +654,7 @@ def verify_ring_axioms(ring: Ring) -> None:
     instance of a law, so a ring passes exactly when every triple does;
     when one fails, all are checked in the order of ``_ring_laws``.
 
-    Above order 64 no table is built: ``axiom_sample_count`` triples
+    Above order 64 no table is built: ``AXIOM_SAMPLE_COUNT`` triples
     drawn from ``Random(axiom_seed)`` (a, b, c per sample) go through the
     ring's position ops, and so do the identity, zero and negation laws on
     every element.

@@ -125,9 +125,9 @@ def _local(rings, max_order):
 
 @_check("ring-axioms")
 def check_ring_axioms(rings, _flags):
-    # construction checks the laws where arithmetic is defined (Z/n and each
-    # quotient level by the axiom check, structure constants on their basis)
-    # and products inherit their factors'; arriving here means they all held
+    # construction checks the laws where arithmetic is defined (Z/n by the
+    # axiom check, each quotient level and structure-constant ring on its
+    # basis) and products inherit their factors'; arriving here means they held
     return f"{len(rings)} catalog rings built and verified"
 
 

@@ -84,6 +84,12 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+def test_a_table_with_no_nonzero_constant_exits_2(capsys):
+    code, out, err = run_cli(capsys, "classify", "SC(2;1;0;1)")
+    assert (code, out) == (2, "")
+    assert err == "invalid input: unit vector does not act as identity on b0\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from finring.classify import SQUARE_ZERO_PAIR, catalog_specs
@@ -113,6 +113,61 @@ def test_structure_constant_validation():
         build_ring(StructureConstants(2, 3, table, (1, 0, 0)))
 
 
+@pytest.mark.parametrize("text", ["SC(2;1;0;1)", "SC(2;2;0,0,0,0,0,0,0,0;1,0)"])
+def test_a_table_with_no_nonzero_constant_breaks_the_unit_law(text):
+    # every product is the scalar 0 here, not an array of positions
+    with pytest.raises(AxiomViolation, match=r"^unit vector does not act as identity on b0$"):
+        build_ring(parse_ring_spec(text))
+
+
+def _first_broken_basis_law(table, unit, n):
+    """The message a basis check reports first, from loops over the basis of
+    a (Z/n)-algebra whose ``table[i][j]`` is the coefficient vector of bi*bj."""
+    d = len(table)
+
+    def mul(x, y):
+        return tuple(
+            sum(x[s] * y[t] * table[s][t][k] for s in range(d) for t in range(d)) % n
+            for k in range(d)
+        )
+
+    basis = [tuple(int(t == k) for t in range(d)) for k in range(d)]
+    for i, j in itertools.product(range(d), repeat=2):
+        if mul(basis[i], basis[j]) != mul(basis[j], basis[i]):
+            return f"structure constants are not commutative at b{i}*b{j}"
+    for j in range(d):
+        if mul(unit, basis[j]) != basis[j]:
+            return f"unit vector does not act as identity on b{j}"
+    for i, j, k in itertools.product(range(d), repeat=3):
+        bi, bj, bk = basis[i], basis[j], basis[k]
+        if mul(mul(bi, bj), bk) != mul(bi, mul(bj, bk)):
+            return f"structure constants are not associative at (b{i},b{j},b{k})"
+    return None
+
+
+@pytest.mark.parametrize("pairs,k", [([(1, 2)], 7), ([(1, 2), (2, 1)], 0), ([(3, 3)], 7)])
+def test_a_broken_quotient_above_order_64_names_its_first_broken_law(monkeypatch, pairs, k):
+    # x^8 over GF(2) has 256 elements: its laws are still checked on the whole
+    # basis, not on sampled triples; flip the x^k coefficient of bi*bj
+    real = rings._power_table
+    broken = []
+
+    def power_table(base, coeffs):
+        table = [[list(vec) for vec in row] for row in real(base, coeffs)]
+        for i, j in pairs:
+            table[i][j][k] ^= 1
+        broken.append(table)
+        return table
+
+    monkeypatch.setattr(rings, "_power_table", power_table)
+    spec = parse_ring_spec("GF(2)[x]/(x^8)")
+    assert spec_order(spec) == 256
+    with pytest.raises(AxiomViolation) as raised:
+        build_ring(spec)
+    want = _first_broken_basis_law(broken[0], (1,) + (0,) * 7, 2)
+    assert want is not None and str(raised.value) == want
+
+
 def test_structure_constant_shape_validation():
     with pytest.raises(ValidationError):
         StructureConstants(2, 2, ((0,),), (1, 0))
@@ -128,17 +183,71 @@ _SC_TEXTS = [
 ] + [text for name in ("default", "quick") for _, text in catalog_specs(name)]
 
 
+def _algebra_levels(spec):
+    """Every quotient level and structure-constant spec inside ``spec``."""
+    if isinstance(spec, Product):
+        return {level for f in spec.factors for level in _algebra_levels(f)}
+    if isinstance(spec, PolyQuotient):
+        return {spec} | _algebra_levels(spec.base)
+    return {spec} if isinstance(spec, StructureConstants) else set()
+
+
 def test_structure_constant_rings_pass_the_full_axiom_check():
-    # a structure-constant ring is checked only on its basis laws; the
-    # generic check, distributivity among its laws, is the reference
+    # a free algebra is checked only on its basis laws; the generic check,
+    # distributivity among its laws, is the reference
     specs = set()
-    for text in _SC_TEXTS:
-        spec = parse_ring_spec(text)
-        factors = spec.factors if isinstance(spec, Product) else (spec,)
-        specs.update(f for f in factors if isinstance(f, StructureConstants))
-    assert len(specs) == 3  # the last text above is the square-zero pair
+    for text in _SC_TEXTS + [f"{SQUARE_ZERO_PAIR}[x]/(x^2)"]:
+        specs |= _algebra_levels(parse_ring_spec(text))
+    kinds = [type(spec) for spec in specs]
+    # the three texts above, the square-zero pair the last, and nine quotient
+    # levels, the tower over the square-zero pair among them
+    assert (kinds.count(StructureConstants), kinds.count(PolyQuotient)) == (3, 9)
     for spec in specs:
         verify_ring_axioms(build_ring(spec))
+
+
+def _draw_algebra(data):
+    """A structure-constant spec over Z/2, Z/3 or Z/4 of order <= 64; half
+    are drawn commutative with unit b0, so that some of them are rings."""
+    n = data.draw(st.sampled_from([2, 3, 4]), label="n")
+    dim = data.draw(st.integers(1, {2: 6, 3: 3, 4: 3}[n]), label="dim")
+    coeff = st.integers(0, n - 1)
+    flat = data.draw(st.lists(coeff, min_size=dim**3, max_size=dim**3), label="table")
+    rows = [flat[s : s + dim] for s in range(0, dim**3, dim)]
+    table = [rows[i * dim : (i + 1) * dim] for i in range(dim)]
+    if data.draw(st.booleans(), label="commutative with unit b0"):
+        for i, j in itertools.product(range(dim), repeat=2):
+            table[i][j] = table[min(i, j)][max(i, j)]
+            if 0 in (i, j):
+                table[i][j] = [int(k == i + j) for k in range(dim)]
+        unit = (1,) + (0,) * (dim - 1)
+    else:
+        unit = tuple(data.draw(st.lists(coeff, min_size=dim, max_size=dim), label="unit"))
+        assume(any(unit))
+    nested = tuple(tuple(tuple(vec) for vec in row) for row in table)
+    return StructureConstants(n, dim, nested, unit)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_the_basis_check_agrees_with_the_reference_check(data):
+    spec = _draw_algebra(data)
+    try:
+        build_ring(spec)
+    except AxiomViolation as error:
+        checked = str(error)
+    else:
+        checked = None
+    with mock.patch.object(rings.StructureConstantRing, "_check_basis_laws"):
+        unchecked = build_ring(spec)
+    try:
+        verify_ring_axioms(unchecked)
+    except AxiomViolation:
+        assert checked is not None
+    else:
+        assert checked is None
+    # the reported law is the first one that loops over the basis meet
+    assert checked == _first_broken_basis_law(spec.table, spec.unit, spec.n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -152,8 +261,9 @@ def test_structure_constants_distribute_for_every_table(n, dim, data):
         for i in range(dim)
     )
     spec = StructureConstants(n, dim, nested, (1,) + (0,) * (dim - 1))
+    base = rings.kept_ring(Zmod(n), DEFAULT_GUARDS)
     with mock.patch.object(rings.StructureConstantRing, "_check_basis_laws"):
-        ring = rings.StructureConstantRing(spec, DEFAULT_GUARDS)
+        ring = rings.StructureConstantRing(spec, base, spec.table, spec.unit, DEFAULT_GUARDS)
     add, mul, _ = ring.tables()
     a, b, c = np.ix_(*[np.arange(ring.order)] * 3)
     assert (mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]).all()
@@ -164,22 +274,39 @@ def test_construction_guard():
         build_ring(Zmod(5000))
 
 
-@pytest.mark.parametrize("count", [0, -5])
-def test_guards_reject_a_sample_count_below_one(count):
-    # no sampled triple would run, and a ring above order 64 would pass unchecked
-    with pytest.raises(ValidationError, match="axiom_sample_count"):
-        build_ring(Zmod(128), Guards(axiom_sample_count=count))
-
-
 def test_only_rings_that_compute_arithmetic_run_the_axiom_check(monkeypatch):
-    verified = []
+    verified, checked = [], []
     real = rings.verify_ring_axioms
     monkeypatch.setattr(rings, "verify_ring_axioms", lambda r: (verified.append(r), real(r)))
+    basis_laws = rings.StructureConstantRing._check_basis_laws
+    monkeypatch.setattr(
+        rings.StructureConstantRing,
+        "_check_basis_laws",
+        lambda r: (checked.append(r), basis_laws(r)),
+    )
     guards = Guards(axiom_seed=43)  # fresh sub-rings: nothing is shared with other tests
-    for text in ("Z/4 x GF(9) x Z/2", SQUARE_ZERO_PAIR, f"Z/8 x {SQUARE_ZERO_PAIR}"):
+    texts = (
+        "Z/4 x GF(9) x Z/2",
+        SQUARE_ZERO_PAIR,
+        f"Z/8 x {SQUARE_ZERO_PAIR}",
+        "GF(2)[x]/(x^2)[x]/(x^2+1)",
+        "GF(2)[x]/(x^8)",
+    )
+    for text in texts:
         build_ring(parse_ring_spec(text), guards)
-    assert [r.describe() for r in verified] == ["Z/4", "Z/3", "Z/3[x]/(2+2*x+x^2)", "Z/2", "Z/8"]
-    assert all(type(r) in (ZmodRing, rings.PolyQuotientRing) for r in verified)
+    assert [r.describe() for r in verified] == ["Z/4", "Z/3", "Z/2", "Z/8"]
+    assert all(type(r) is ZmodRing for r in verified)
+    # each quotient level and structure-constant ring once when it is built:
+    # a top-level ring on every build, a kept part (order <= 64) once
+    assert [r.describe() for r in checked] == [
+        "Z/3[x]/(2+2*x+x^2)",
+        SQUARE_ZERO_PAIR,
+        SQUARE_ZERO_PAIR,
+        "Z/2[x]/(x^2)",
+        "Z/2[x]/(x^2)[x]/(1+x^2)",
+        "Z/2[x]/(x^8)",
+    ]
+    assert all(r._tables is None for r in checked)  # the basis check builds no table
 
 
 def test_sampled_axiom_path_for_large_rings():
@@ -546,7 +673,7 @@ def test_sampled_axiom_check_uses_the_seeded_draws():
     n, guards = 128, DEFAULT_GUARDS
     verify_ring_axioms(Recording(Zmod(n), guards))
     rnd = random.Random(guards.axiom_seed)
-    triples = [[rnd.randrange(n) for _ in range(3)] for _ in range(guards.axiom_sample_count)]
+    triples = [[rnd.randrange(n) for _ in range(3)] for _ in range(rings.AXIOM_SAMPLE_COUNT)]
     a, b, c = (list(t) for t in zip(*triples))
     assert calls[0] == (a, b)  # add(a, b)
     assert calls[3][1] == c  # add(add(a, b), c), after its inner add
@@ -556,24 +683,12 @@ def test_sampled_axiom_check_uses_the_seeded_draws():
 
 def test_sample_draws_repeat_the_seeded_sequences():
     guards = DEFAULT_GUARDS
-    count = guards.axiom_sample_count
+    count = rings.AXIOM_SAMPLE_COUNT
     rnd = random.Random(guards.axiom_seed)
     triples = [[rnd.randrange(128) for _ in range(3)] for _ in range(count)]
     draws = rings._sample_draws(guards, 128)
     assert draws.dtype == np.int64 and draws.shape == (count, 3)
     assert draws.tolist() == triples
-    assert not draws.flags.writeable
-    with pytest.raises(ValueError):
-        draws[0, 0] = 0
-
-
-def test_rings_of_one_order_share_the_sampled_draws():
-    guards = Guards(axiom_seed=31)  # a key no other test draws with
-    before = rings._sample_draws.cache_info()
-    build_ring(parse_ring_spec("Z/128"), guards)
-    build_ring(parse_ring_spec("GF(2)[x]/(x^7)"), guards)
-    after = rings._sample_draws.cache_info()
-    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +725,7 @@ def test_structure_constant_rings_share_their_verified_digit_ring():
     second = build_ring(parse_ring_spec(SQUARE_ZERO_PAIR))
     assert first is not second
     assert first._parts[0] is second._parts[0]
-    assert first._parts[0] is rings.kept_ring(Zmod(first.n), DEFAULT_GUARDS)
+    assert first._parts[0] is rings.kept_ring(Zmod(first.spec.n), DEFAULT_GUARDS)
 
 
 def test_products_share_their_kept_factors(monkeypatch):
