@@ -21,12 +21,24 @@ the process, with what their tables determine (lattice, split, free
 modules, the residue field's SGP verdict).  Each request starts with
 ``rings.new_request()``, which drops the derived modules and Ext^1 results
 of the one before, so serving many presentations does not grow the process.
+
+A serving process must run the cyclic collector between requests, since
+rings keep their caches in reference cycles.  So the first
+``build_parser()`` call, which ``main`` makes before its first request,
+ends with ``gc.freeze()``: what the process holds by then (numpy, argparse,
+finring's modules, the parser) moves to the permanent generation, and no
+later collection walks it.  This happens once per process, never on
+``import finring`` and never per request, since a request's memos hold
+cycles that a freeze would keep for ever.  A host that calls ``main`` in
+process has its own live objects frozen with them at that first build: a
+reference cycle among those is never collected.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -375,7 +387,8 @@ def _add_common(parser, handler: str):
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The process's one parser, built on the first call and shared by every
-    later call and by ``main``: callers must treat it as read-only."""
+    later call and by ``main``: callers must treat it as read-only.  The
+    first call also freezes the start-up heap (``gc.freeze()``)."""
     parser = argparse.ArgumentParser(
         prog="finring",
         description="finite commutative rings: ideals, witnesses, classification",
@@ -415,6 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="negate one classifier route; the suite must then fail (self-test)",
     )
     _add_common(p, "_run_verify")
+    gc.freeze()  # once per process: see the module docstring
     return parser
 
 

@@ -25,7 +25,8 @@ ring.  A hom carries the target positions of its generator images; the one
 combination evaluator ``_combine`` turns them into the position of every
 source element (``ModuleHom.table``), checks them against the source
 relations, and finds a submodule's relations as the zero positions of the
-combinations of its generators over all of R^k.  The exhaustive searches
+combinations of its generators over all of R^k, whose values label the
+submodule's cosets.  The exhaustive searches
 over tuples of target elements take the one stream ``_accepted``: the
 tuples on which ``_combine`` of every relation column vanishes, a run of
 tuples at a time.  Each search first narrows the images of the source's
@@ -178,6 +179,14 @@ def _generators(m, target: np.ndarray) -> list:
     return picks
 
 
+def _by_least(least: np.ndarray):
+    """(rep, codes) from ``least``, the least code of every raw code's coset."""
+    codes = (least == np.arange(len(least))).nonzero()[0]
+    pos = np.empty(len(least), dtype=np.intp)
+    pos[codes] = np.arange(len(codes))
+    return pos[least], codes
+
+
 def _label_cosets(add, span: np.ndarray, weights, raw: int):
     """(rep, codes): the coset position of every raw code, and each coset's
     least code in ascending order.
@@ -200,10 +209,7 @@ def _label_cosets(add, span: np.ndarray, weights, raw: int):
                     len(acc), -1
                 )
             np.minimum(label, acc.min(axis=0), out=label)
-        codes = (label == np.arange(raw)).nonzero()[0]
-        pos = np.empty(raw, dtype=np.intp)
-        pos[codes] = np.arange(len(codes))
-        return pos[label], codes
+        return _by_least(label)
     # the least unlabelled code is the least element of its coset
     rep = np.full(raw, -1, dtype=np.intp)
     columns = np.ascontiguousarray(span.T)
@@ -230,24 +236,28 @@ class Module:
         self.presentation = presentation
 
     @classmethod
-    def _on(cls, ring: Ring, k: int, columns=(), span=None) -> Module:
+    def _on(cls, ring: Ring, k: int, columns=(), span=None, labels=None) -> Module:
         """R^k modulo the span of ``columns``, c rows of k ring positions: the
         build of every module the library derives, whose ``presentation``
         is derived on first read.  One module per presentation and ring,
         keyed by its relation columns: the ring keeps each free module R^k,
         and each other one for the request (``rings.request_memo``).
         A maker that already holds the span, a mask over the raw codes of
-        R^k, passes it as ``span``, and the build does not grow it again."""
+        R^k, passes it as ``span``, and the build does not grow it again.
+        A maker that holds a linear map on R^k whose kernel is the span
+        passes its value at every raw code as ``labels``: the cosets are
+        its fibers, each carried by its least code, and no coset is
+        labelled by ``_label_cosets``."""
         columns = np.array(columns, dtype=np.intp).reshape(len(columns), k)
         memo = request_memo(ring, "modules") if len(columns) else _free_modules(ring)
         key = k, len(columns), columns.tobytes()
         if key not in memo:
             m = object.__new__(cls)
-            m._build(ring, k, columns, span)
+            m._build(ring, k, columns, span, labels)
             memo[key] = m
         return memo[key]
 
-    def _build(self, ring: Ring, k: int, columns, span=None) -> None:
+    def _build(self, ring: Ring, k: int, columns, span=None, labels=None) -> None:
         n = ring.order
         raw = n**k
         if raw > ring.guards.max_module_raw:
@@ -265,21 +275,29 @@ class Module:
         # first R^k itself: every raw code is its own position, zero is code 0
         self._tables = ring.tables()
         self._weights = n ** np.arange(k - 1, -1, -1, dtype=np.intp)
-        self.rep = np.arange(raw)
-        self._digits = np.indices((n,) * k, dtype=np.intp).reshape(k, raw).T
-        # the span of the relation columns, as a mask over raw codes
-        if span is None:
-            span = np.zeros(raw, dtype=bool)
-            span[0] = True
-            for col in self.relation_columns:
-                if not span[col @ self._weights]:  # else R * col already lies in the span
-                    _grow(self, span, col)
-        self.span = span.nonzero()[0]
-        if len(self.span) > 1:
-            self.rep, codes = _label_cosets(
-                self._tables[0], self._digits[self.span], self._weights, raw
-            )
-            self._digits = self._digits[codes]
+        if labels is not None:
+            # each fiber of the map is a coset, carried by its least code
+            least = np.full(int(labels.max()) + 1, raw)
+            np.minimum.at(least, labels, np.arange(raw))
+            self.rep, codes = _by_least(least[labels])
+            self._digits = free_module(ring, k)._digits[codes]
+            self.span = (self.rep == 0).nonzero()[0]
+        else:
+            self.rep = np.arange(raw)
+            self._digits = np.indices((n,) * k, dtype=np.intp).reshape(k, raw).T
+            # the span of the relation columns, as a mask over raw codes
+            if span is None:
+                span = np.zeros(raw, dtype=bool)
+                span[0] = True
+                for col in self.relation_columns:
+                    if not span[col @ self._weights]:  # else R * col already lies in the span
+                        _grow(self, span, col)
+            self.span = span.nonzero()[0]
+            if len(self.span) > 1:
+                self.rep, codes = _label_cosets(
+                    self._tables[0], self._digits[self.span], self._weights, raw
+                )
+                self._digits = self._digits[codes]
         if len(self._digits) * len(self.span) != raw:
             raise ConsistencyError("coset count times span size misses |R|^k")
 
@@ -602,13 +620,15 @@ def submodule(ambient: Module, target: np.ndarray):
     coefficient vectors a in R^k with sum_j a_j * g_j = 0 are the zero
     positions of ``_combine`` over every element of the free module R^k,
     and form its relation submodule, presented by its own ``_generators``.
+    The same evaluation labels the cosets: two vectors lie in one coset
+    exactly when their combinations are one ambient position.
     """
     gens = _generators(ambient, target)
     coefficients = free_module(ambient.ring, len(gens))  # its guard bounds the scan of R^k
-    relations = _combine(ambient, gens, coefficients._digits) == 0
-    rel_gens = coefficients._rows(_generators(coefficients, relations))
-    # R^k is free, so its positions are raw codes and the mask is the span
-    mod = Module._on(ambient.ring, coefficients.k, rel_gens, relations)
+    values = _combine(ambient, gens, coefficients._digits)
+    # R^k is free, so its positions are raw codes: the zeros mark the span
+    rel_gens = coefficients._rows(_generators(coefficients, values == 0))
+    mod = Module._on(ambient.ring, coefficients.k, rel_gens, labels=values)
     if mod.cardinality != int(target.sum()):
         raise ConsistencyError("recovered presentation has the wrong cardinality")
     embedding = ModuleHom._at(mod, ambient, np.array(gens, dtype=np.intp))

@@ -280,6 +280,36 @@ def test_requests_do_not_import_numpy_ma():
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+def test_the_start_up_heap_is_frozen_once_per_process():
+    # importing the library leaves the host's collector alone; the first
+    # parser build freezes, and requests, whose memos hold cycles, do not
+    src = os.path.dirname(os.path.dirname(finring.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import gc, io, contextlib\n"
+        "import finring\n"
+        "from finring import cli\n"
+        "counts = [gc.get_freeze_count()]\n"
+        "cli.build_parser()\n"
+        "counts.append(gc.get_freeze_count())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    for argv in (['classify', 'Z/4'], {_Z8_SGP!r}):\n"
+        "        assert cli.main(argv) == 0\n"
+        "        counts.append(gc.get_freeze_count())\n"
+        "print(*counts)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, frozen, *after = map(int, proc.stdout.split())
+    assert before == 0 and frozen > 0
+    assert after == [frozen, frozen]
+
+
 def test_closed_stdout_pipe_exits_1_without_traceback():
     # the lattice of (Z/2)^7 prints about 80 KB, more than a pipe buffer
     src = os.path.dirname(os.path.dirname(finring.__file__))

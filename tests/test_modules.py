@@ -968,6 +968,44 @@ def test_submodules_and_homs_match_brute_force(pair, chunk, data):
     assert "_grow" in record.chunks or m1.cardinality == 1
 
 
+# the rings of the Ext^1 property in test_homology, a nonzero Ext among them
+_LABEL_RINGS = {
+    text: _ring(text)
+    for text in (
+        "Z/4", "Z/8", "Z/9", "GF(2)[x]/(x^2)", SQUARE_ZERO_PAIR, f"Z/2 x {SQUARE_ZERO_PAIR}"
+    )
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_LABEL_RINGS)), st.data())
+def test_submodules_labelled_from_their_map_match_the_presented_build(text, data):
+    # kernel and image label their cosets from the combinations that found
+    # their relations; Module(presentation) grows the span and labels it
+    ring = _LABEL_RINGS[text]
+    entry = st.integers(0, ring.order - 1)
+
+    def module():
+        k = data.draw(st.integers(0, 2 if ring.order < 16 else 1))
+        cols = data.draw(st.lists(st.tuples(*[entry] * k), max_size=2))
+        values = tuple(tuple(ring.elements[i] for i in c) for c in cols)
+        return Module(Presentation(ring, k, values))
+
+    m1, m2 = module(), module()
+    count = modules._hom_count(m1, m2)
+    pick = data.draw(st.integers(0, min(count, 512) - 1))
+    h = next(itertools.islice(iter_homs(m1, m2), pick, None))
+    with _chunked(None, ring) as record:
+        subs = [kernel(h)[0], image(h)[0]]
+    assert "_label_cosets" not in record.chunks
+    for sub in subs:
+        ref = Module(sub.presentation)
+        assert np.array_equal(sub.rep, ref.rep)
+        assert np.array_equal(sub._digits, ref._digits)
+        assert np.array_equal(sub.span, ref.span)
+        assert sub.cardinality == ref.cardinality
+
+
 # -- the annihilator-filtered hom search --------------------------------------
 
 
