@@ -40,7 +40,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import ConsistencyError, GuardExceeded, NonLocalRingError, ValidationError
+from .errors import ConsistencyError, GuardExceeded, NonLocalRingError
 from .rings import _CHUNK, ProductRing, Ring, kept, units_mask
 
 
@@ -197,11 +197,7 @@ def _ideal_of(ring: Ring, bits: int) -> Ideal:
 
 def ideal_generated(ring: Ring, gens) -> Ideal:
     """Smallest ideal containing ``gens`` (element values)."""
-    index = ring.index
-    for g in gens:
-        if g not in index:
-            raise ValidationError(f"{g!r} is not an element of {ring.describe()}")
-    gen_idx = tuple(index[g] for g in gens)
+    gen_idx = tuple(ring._position(g) for g in gens)
     return Ideal(ring, _span_bits(ring, gen_idx), gen_idx)
 
 
@@ -214,25 +210,21 @@ def _span_bits(ring: Ring, positions) -> int:
     return span
 
 
-def _strides(ring: ProductRing) -> list:
-    """The position weight of each digit of a product: t's is the order of the parts after t."""
-    return [prod(f.order for f in ring.factors[t + 1 :]) for t in range(len(ring.factors))]
-
-
 def _product_lattice(ring: ProductRing) -> list:
     """The ideals I_0 x ... x I_(k-1), from the parts' lattices (module docstring).
 
     Their canonical generators are the parts' in reverse digit order, g of
-    I_t at position g * stride_t, which is what the greedy rule picks.  While
-    digits t+1.. are spanned in full and digit t by J, a proper part of I_t,
-    the span is 0 x ... x J x I_(t+1) x ...; a position with a nonzero digit
+    I_t at position g * stride_t (the digit weight ``ring._weights[t]``),
+    which is what the greedy rule picks.  While digits t+1.. are spanned in
+    full and digit t by J, a proper part of I_t, the span is
+    0 x ... x J x I_(t+1) x ...; a position with a nonzero digit
     before t exceeds every position whose digits before t are zero, so the
     least position outside the span is g * stride_t for the least g of I_t
     outside J, the part's own greedy pick, and adjoining it adds gR_t in
     digit t.  The components of each ideal are kept, so an annihilator is
     the product of the parts' (:func:`annihilator`).
     """
-    strides = _strides(ring)
+    strides = ring._weights
     components, by_components, ideals = {}, {}, []
     for combo in itertools.product(*map(enumerate_ideals, ring.factors)):
         bits = combo[-1].bits
@@ -344,51 +336,42 @@ def jacobson_radical(ring: Ring) -> Ideal:
 
 
 class IdempotentFactorRing(Ring):
-    """The factor eR of a ring at an idempotent e, with unit e.
+    """The factor eR of a ring at an idempotent e, with unit e: a view of
+    three operation tables set when it is made, with no arithmetic of its own.
 
     The carrier is a subset of the parent's elements; the embedding back
     into the parent is the identity on values.  A position is an index into
-    the sorted parent positions of the carrier, and the arithmetic is the
-    parent's.  A ``mirror`` is a ring with the same operation tables on
-    positions, as a product's factor has its part's factor's: this ring then
-    shares its tables and ideal bitsets and copies its lattice.
+    the sorted parent positions of the carrier (``_pos`` maps a parent
+    position to it, -1 off the carrier).  The tables are a ``mirror``'s, a
+    ring with the same tables on positions, as a product's factor has its
+    part's factor's (this ring then also shares its ideal bitsets and copies
+    its lattice), or else the parent's ``+``, ``*`` and ``-`` on the
+    carrier, which must be closed under them.
     """
 
     def __init__(self, parent: Ring, e, mirror: Ring | None = None):
         super().__init__(parent.guards)
-        self.parent = parent
-        self.idempotent = e
-        sub = np.flatnonzero(np.bincount(parent._prod(parent.index[e], np.arange(parent.order))))
-        self._sub = sub
+        self.parent, self.idempotent, self.mirror = parent, e, mirror
+        sub = np.flatnonzero(np.bincount(parent._prod(parent._position(e), np.arange(parent.order))))
         self._pos = np.full(parent.order, -1, dtype=np.int64)
         self._pos[sub] = np.arange(len(sub))
         self.elements = [parent.elements[p] for p in sub.tolist()]
-        self.index = {x: i for i, x in enumerate(self.elements)}
         self.zero = parent.zero
         self.one = e
-        self.mirror = mirror
         if mirror is not None:
             if mirror.order != len(sub):
                 raise ConsistencyError("factor ring and its mirror differ in order")
             self._tables = mirror.tables()
+            return
+        grid = sub[:, None], sub
+        ops = parent._sum(*grid), parent._prod(*grid), parent._minus(sub)
+        tables = [self._pos[t] for t in ops]
+        if any(np.any(t < 0) for t in tables):
+            raise ConsistencyError("factor ring carrier is not closed under operations")
+        self._tables = tuple(t.astype(np.int32) for t in tables)
 
     def _describe(self):
         return f"factor of {self.parent.describe()} at idempotent {self.idempotent!r}"
-
-    def _back(self, parent_positions):
-        pos = self._pos[parent_positions]
-        if np.any(pos < 0):
-            raise ConsistencyError("factor ring carrier is not closed under operations")
-        return pos
-
-    def _add(self, i, j):
-        return self._back(self.parent._sum(self._sub[i], self._sub[j]))
-
-    def _mul(self, i, j):
-        return self._back(self.parent._prod(self._sub[i], self._sub[j]))
-
-    def _neg(self, i):
-        return self._back(self.parent._neg(self._sub[i]))
 
 
 @dataclass(frozen=True)
@@ -442,7 +425,7 @@ def _split_product(ring: ProductRing):
     ar = np.arange(ring.order)
     pieces = sorted(
         (part.index[e] * stride, part, stride, i)
-        for part, stride in zip(ring.factors, _strides(ring))
+        for part, stride in zip(ring.factors, ring._weights)
         for i, e in enumerate(idempotent_decomposition(part).idempotents)
     )
     atoms, factors, projections = [], [], []
@@ -473,10 +456,7 @@ def idempotent_decomposition(ring: Ring) -> IdempotentDecomposition:
     # laws: nonzero, pairwise orthogonal, summing to 1
     if zero in atoms:
         raise ConsistencyError("a primitive idempotent is zero")
-    total = ring.zero
-    for e in atoms:
-        total = ring.add(total, els[e])
-    if total != ring.one:
+    if functools.reduce(ring._sum, atoms, zero) != ring._one_pos:
         raise ConsistencyError("primitive idempotents do not sum to 1")
     for a, b in itertools.combinations(atoms, 2):
         if ring._prod(a, b) != zero:

@@ -484,7 +484,7 @@ class ModuleHom:
 
     def apply(self, el):
         """The image of ``el``, an element of the source."""
-        return self.target.elements[self.table[self.source.index[el]]]
+        return self.target.elements[self.table[self.source.ring._position(el, self.source)]]
 
     def is_injective(self) -> bool:
         return np.count_nonzero(self.image_mask()) == self.source.cardinality

@@ -23,13 +23,15 @@ An element's position is its index in that order, and it is a mixed-radix
 number with the first coordinate most significant: base-ring digits for a
 quotient, residues mod n for structure constants, factor positions for a
 product.  Those three share one carrier, the product of their parts'
-carriers, with ``+`` and ``-`` digitwise.  A quotient and a structure-constant
-algebra are one class, free over one base part, whose bilinear ``*`` is read
-from the products of its basis vectors (the reduced powers of x, or the
-table); a product multiplies digitwise.  Arithmetic is defined exactly once, as
-``_add``, ``_mul`` and ``_neg`` on positions, which may be Python ints or
-whole numpy arrays at once.  Value-level arithmetic, the operation tables
-and the axiom check are all derived from those three in :class:`Ring`.
+carriers, with one digit-weight rule and ``+`` and ``-`` digitwise.  A
+quotient and a structure-constant algebra are one class, free over one base
+part, whose bilinear ``*`` is read from the products of its basis vectors
+(the reduced powers of x, or the table); a product multiplies digitwise.
+Arithmetic is defined exactly once, as ``_add``, ``_mul`` and ``_neg`` on
+positions, which may be Python ints or whole numpy arrays at once; an
+idempotent factor ring is a view of tables set when it is made.  All else
+reads it through :class:`Ring`'s ``_sum``, ``_prod`` and ``_minus``, which
+look up the operation tables once they are built.
 
 The ring laws are checked once, where arithmetic is defined, by one of two
 rules: the axiom check runs on ``Z/n``, and a free algebra checks its laws
@@ -38,14 +40,14 @@ commutative ring and its ``*`` is bilinear over it.  A product acts
 digitwise on factors checked on their own, and a product of rings is a
 ring, so it is not checked again.
 
-Ring values are immutable after construction and operations are pure, so
-rings can be shared freely across threads.  ``kept_ring`` keeps rings up to
-order 64, bases and parts included, for the process.  What is derived from
-a ring or module is kept in one of two ways: a ``@kept(key)`` function
-keeps its value for the object's life (on ``table_owner(ring)``, the first
-live ring with equal tables and guards, for what the tables alone decide),
-and what a request derives lives in a ``request_memo`` until the next
-``new_request``.
+Element values are immutable; rings and modules are not, as they fill
+their caches on first use.  ``kept_ring`` keeps rings up to order 64, bases
+and parts included, for the process.  What is derived from a ring or module
+is kept in one of two ways: a ``@kept(key)`` function keeps its value for
+the object's life (on ``table_owner(ring)``, the first live ring with equal
+tables and guards, for what the tables alone decide), and what a request
+derives lives in a ``request_memo`` until the next ``new_request``, which
+drops every such memo in the process.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ import itertools
 import random
 import weakref
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -242,12 +244,13 @@ _CHUNK = 1 << 15
 class Ring:
     """A realized finite commutative ring.
 
-    Subclasses fill in ``elements`` (canonically sorted values), ``index``
-    (value -> position), ``zero`` and ``one``, and define the arithmetic
-    once, as ``_add``, ``_mul`` and ``_neg`` on element positions.  Those
-    take Python ints or numpy integer arrays that broadcast together, and
-    position 0 is always zero.  The base class derives the rest: the
-    value-level ``add``, ``mul``, ``neg`` and the cached index-level
+    Subclasses fill in ``elements`` (canonically sorted values), ``zero``
+    and ``one``, and define the arithmetic once, as ``_add``, ``_mul`` and
+    ``_neg`` on element positions, or set all three operation tables when
+    they are made.  The ops take Python ints or numpy integer arrays that
+    broadcast together, and position 0 is always zero.  The base class
+    derives the rest: ``index`` (value -> position), the value-level
+    ``add``, ``mul``, ``neg`` and ``sub``, and the cached index-level
     operation tables used by the exhaustive searches.
     """
 
@@ -265,6 +268,20 @@ class Ring:
     def order(self) -> int:
         return len(self.elements)
 
+    @functools.cached_property
+    def index(self) -> dict:
+        """Element value -> position."""
+        return {x: i for i, x in enumerate(self.elements)}
+
+    def _position(self, x, module=None) -> int:
+        """The position of ``x`` among the elements of the ring, or of
+        ``module`` over it; a ``ValidationError`` names ``x`` if it is none."""
+        try:
+            return (self if module is None else module).index[x]
+        except (KeyError, TypeError):
+            where = "" if module is None else "a module over "
+            raise ValidationError(f"{x!r} is not an element of {where}{self.describe()}") from None
+
     def describe(self) -> str:
         if self.spec is not None:
             return spec_text(self.spec)
@@ -281,24 +298,27 @@ class Ring:
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, x, y):
-        return self.elements[self._sum(self.index[x], self.index[y])]
+        return self.elements[self._sum(self._position(x), self._position(y))]
 
     def mul(self, x, y):
-        return self.elements[self._prod(self.index[x], self.index[y])]
+        return self.elements[self._prod(self._position(x), self._position(y))]
 
     def neg(self, x):
-        return self.elements[self._neg(self.index[x])]
+        return self.elements[self._minus(self._position(x))]
 
-    # ``+`` and ``*`` on positions as other code reads them: a lookup in the
-    # cached table once there is one, else the defining op (building nothing)
+    def sub(self, x, y):
+        return self.add(x, self.neg(y))
+
+    # ``+``, ``*`` and ``-`` on positions as other code reads them: the cached
+    # table once there is one, else the defining op (building nothing)
     def _sum(self, i, j):
         return self._add(i, j) if self._tables is None else self._tables[0][i, j]
 
     def _prod(self, i, j):
         return self._mul(i, j) if self._tables is None else self._tables[1][i, j]
 
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
+    def _minus(self, i):
+        return self._neg(i) if self._tables is None else self._tables[2][i]
 
     @property
     def char(self) -> int:
@@ -353,7 +373,6 @@ class ZmodRing(Ring):
         self.spec = spec
         self.n = spec.n
         self.elements = list(range(self.n))
-        self.index = {x: x for x in self.elements}
         self.zero = 0
         self.one = 1 % self.n
 
@@ -369,7 +388,8 @@ class ZmodRing(Ring):
 
 class _DigitRing(Ring):
     """Positions are digit strings, one position of ``_parts[t]`` per digit t,
-    the first digit most significant; addition and negation act digitwise.
+    the first digit most significant: digit t weighs ``_weights[t]``, the
+    order of the parts after it.  Addition and negation act digitwise.
     The carrier is the product of the parts' carriers.  Parts are shared,
     verified sub-rings (see :func:`build_ring`); the ops read their tables
     when built, and only a table build here builds them.
@@ -379,29 +399,23 @@ class _DigitRing(Ring):
         super().__init__(guards)
         self.spec = spec
         self._parts = tuple(parts)
+        orders = [p.order for p in self._parts]
+        self._weights = tuple(prod(orders[t + 1 :]) for t in range(len(orders)))
         self.elements = list(itertools.product(*(p.elements for p in self._parts)))
-        self.index = {x: i for i, x in enumerate(self.elements)}
         self.zero = tuple(p.zero for p in self._parts)
 
     def _split(self, p):
-        digits = []
-        for part in reversed(self._parts):
-            p, digit = divmod(p, part.order)
-            digits.append(digit)
-        return digits[::-1]
+        return [p // w % part.order for part, w in zip(self._parts, self._weights)]
 
     def _join(self, digits):
-        p = 0
-        for part, digit in zip(self._parts, digits):
-            p = p * part.order + digit
-        return p
+        return sum(digit * w for digit, w in zip(digits, self._weights))
 
     def _add(self, i, j):
         pairs = zip(self._parts, self._split(i), self._split(j))
         return self._join([f._sum(a, b) for f, a, b in pairs])
 
     def _neg(self, i):
-        return self._join([f._neg(a) for f, a in zip(self._parts, self._split(i))])
+        return self._join([f._minus(a) for f, a in zip(self._parts, self._split(i))])
 
 
 class StructureConstantRing(_DigitRing):
@@ -440,7 +454,7 @@ class StructureConstantRing(_DigitRing):
         # the base is a verified commutative ring and _mul is bilinear over it,
         # so these laws on basis pairs and triples hold on the whole ring, and
         # _add is digitwise, so distributivity holds for any table
-        basis = self.base._one_pos * self.base.order ** np.arange(self.dim - 1, -1, -1)
+        basis = self.base._one_pos * np.array(self._weights)
 
         def mul(a, b):  # a table with no nonzero constant multiplies to the scalar 0
             return np.broadcast_to(self._mul(a, b), np.broadcast(a, b).shape)
@@ -461,11 +475,11 @@ def _power_table(base: Ring, coeffs: tuple) -> list:
     ascending: ``table[s][t]`` holds the base positions of x^(s+t) reduced
     by x^d = -(f0 + ... + f_{d-1} x^{d-1})."""
     d = len(coeffs) - 1
-    xd = [base._neg(base.index[base.scalar_from_int(c)]) for c in coeffs[:-1]]
+    xd = [base._minus(base.index[base.scalar_from_int(c)]) for c in coeffs[:-1]]
     pows = [[base._one_pos if k == e else 0 for k in range(d)] for e in range(d)]
     for _ in range(d - 1):
         *low, top = pows[-1]
-        pows.append([base._add(s, base._mul(top, c)) for s, c in zip([0, *low], xd)])
+        pows.append([base._sum(s, base._prod(top, c)) for s, c in zip([0, *low], xd)])
     return [[pows[s + t] for t in range(d)] for s in range(d)]
 
 
@@ -656,8 +670,8 @@ def verify_ring_axioms(ring: Ring) -> None:
 
     Above order 64 no table is built: ``AXIOM_SAMPLE_COUNT`` triples
     drawn from ``Random(axiom_seed)`` (a, b, c per sample) go through the
-    ring's position ops, and so do the identity, zero and negation laws on
-    every element.
+    ring's ``_sum``, ``_prod`` and ``_minus`` (a factor ring's tables), and
+    so do the identity, zero and negation laws on every element.
     """
     n = ring.order
     if ring.zero not in ring.index or ring.one not in ring.index:
@@ -680,11 +694,9 @@ def verify_ring_axioms(ring: Ring) -> None:
         if all(np.all(lhs == rhs) for lhs, rhs in laws):
             return
         a, b, c = x[:, None, None], x[None, :, None], x[None, None, :]
-        ops = (lambda i, j: add[i, j], lambda i, j: mul[i, j], neg.__getitem__)
     else:
         a, b, c = _sample_draws(ring.guards, n).T
-        ops = (ring._add, ring._mul, ring._neg)
-    for message, lhs, rhs in _ring_laws(*ops, a, b, c, x, z, e):
+    for message, lhs, rhs in _ring_laws(ring._sum, ring._prod, ring._minus, a, b, c, x, z, e):
         if not np.all(lhs == rhs):
             raise AxiomViolation(message)
 
@@ -700,9 +712,10 @@ def unit_or_zero_divisor(ring: Ring, x) -> str:
     unit or zero divisor: if x has no inverse, multiplication by x is not
     injective and some nonzero element is killed.
     """
+    p = ring._position(x)
     if x == ring.zero:
         return "zero"
-    return "unit" if units_mask(ring)[ring.index[x]] else "zero_divisor"
+    return "unit" if units_mask(ring)[p] else "zero_divisor"
 
 
 @kept("units_mask")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from brute_force import ring_lists
 from finring.classify import SQUARE_ZERO_PAIR, catalog_specs
-from finring.errors import GuardExceeded
+from finring.errors import ConsistencyError, GuardExceeded
 from finring.guards import Guards
 from finring.ideals import (
     IdempotentFactorRing,
@@ -173,6 +173,13 @@ def test_factor_rings_behave_as_rings():
     assert factor.mul(9, 9) == 9
     assert is_local(factor)
     assert len(enumerate_ideals(factor)) == 3
+
+
+def test_a_factor_carrier_open_under_the_parent_sum_is_refused():
+    ring = _ring("Z/12")
+    ring._sum = lambda i, j: (i + j + 1) % 12  # leaves 4 * Z/12 = {0, 4, 8}
+    with pytest.raises(ConsistencyError, match="^factor ring carrier is not closed under operations$"):
+        IdempotentFactorRing(ring, 4)
 
 
 def test_idempotent_projections_are_ring_isomorphisms():

@@ -409,7 +409,7 @@ def test_hom_images_are_target_elements_read_back_as_int_tuples(images, error):
         return
     h = ModuleHom(source, q, images)
     assert h.images == ((1,),) and type(h.images[0][0]) is int
-    with pytest.raises(KeyError):
+    with pytest.raises(ValidationError, match=r"^\(5,\) is not an element of a module over Z/4$"):
         h.apply((5,))
 
 

@@ -13,7 +13,7 @@ from finring.classify import SQUARE_ZERO_PAIR, catalog_specs
 from finring.errors import AxiomViolation, GuardExceeded, ValidationError
 from finring import rings
 from finring.guards import DEFAULT_GUARDS, Guards
-from finring.ideals import idempotent_decomposition
+from finring.ideals import IdempotentFactorRing, ideal_generated, idempotent_decomposition
 from finring.parsing import parse_ring_spec
 from finring.rings import (
     PolyQuotient,
@@ -67,6 +67,23 @@ def test_unit_or_zero_divisor():
     assert (3 * 3) % 9 == 0  # oracle for the zero-divisor case
     assert unit_or_zero_divisor(z9, 3) == "zero_divisor"
     assert unit_or_zero_divisor(z9, 0) == "zero"
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        (lambda r: r.add(9, 1), "9"),
+        (lambda r: r.mul(1, 8), "8"),
+        (lambda r: r.neg(-1), "-1"),
+        (lambda r: r.sub(3, [1]), r"\[1\]"),
+        (lambda r: unit_or_zero_divisor(r, 8), "8"),
+        (lambda r: ideal_generated(r, [2, "2"]), "'2'"),
+    ],
+    ids=["add", "mul", "neg", "sub", "unit_or_zero_divisor", "ideal_generated"],
+)
+def test_a_value_that_is_not_an_element_is_a_validation_error(call, value):
+    with pytest.raises(ValidationError, match=f"^{value} is not an element of Z/8$"):
+        call(build_ring(Zmod(8)))
 
 
 def test_every_nonzero_element_is_unit_or_zero_divisor():
@@ -478,19 +495,49 @@ def test_digit_ring_carrier_is_the_product_of_its_parts(text):
 
 
 def test_idempotent_factor_matches_parent_reference():
-    text = "Z/4 x GF(2)[x]/(x^2)"
-    ring = build_ring(parse_ring_spec(text))
-    ref = reference(parse_ring_spec(text))
-    dec = idempotent_decomposition(ring)
-    assert len(dec.factor_rings) == 2
-    for factor in dec.factor_rings:
-        els, idx = factor.elements, factor.index
-        assert els == [x for x in ring.elements if ref.mul(factor.one, x) == x]
-        assert_matches_reference(factor, ref, list(itertools.product(els, repeat=2)))
-        add, mul, neg = factor.tables()
-        assert add.tolist() == [[idx[ref.add(x, y)] for y in els] for x in els]
-        assert mul.tolist() == [[idx[ref.mul(x, y)] for y in els] for x in els]
-        assert neg.tolist() == [idx[ref.neg(x)] for x in els]
+    for text in ("Z/4 x GF(2)[x]/(x^2)", "Z/12", "Z/36", "GF(2)[x]/(x^2+x)"):
+        ring = build_ring(parse_ring_spec(text))
+        ref = reference(parse_ring_spec(text))
+        dec = idempotent_decomposition(ring)
+        assert len(dec.factor_rings) == 2
+        # a product's split factors mirror its parts' factors; a factor made
+        # at the same idempotent with no mirror reads the parent's tables
+        assert all((f.mirror is not None) == (" x " in text) for f in dec.factor_rings)
+        fresh = [IdempotentFactorRing(ring, e) for e in dec.idempotents]
+        assert all(f._tables is not None and f.mirror is None for f in fresh)
+        for factor in [*dec.factor_rings, *fresh]:
+            els, idx = factor.elements, factor.index
+            assert els == [x for x in ring.elements if ref.mul(factor.one, x) == x]
+            assert_matches_reference(factor, ref, list(itertools.product(els, repeat=2)))
+            add, mul, neg = factor.tables()
+            assert add.dtype == mul.dtype == neg.dtype == np.int32
+            assert add.tolist() == [[idx[ref.add(x, y)] for y in els] for x in els]
+            assert mul.tolist() == [[idx[ref.mul(x, y)] for y in els] for x in els]
+            assert neg.tolist() == [idx[ref.neg(x)] for x in els]
+
+
+_DIGIT_SPECS = [
+    "Z/4 x GF(9) x Z/2",
+    "Z/2 x GF(2)[x]/(x^11)",
+    "GF(2)[x]/(x^2)[x]/(x^2+1)",
+    "Z/4[x]/(x^2+2)",
+    "GF(8)",
+    SQUARE_ZERO_PAIR,
+    f"Z/3 x {SQUARE_ZERO_PAIR}",
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_DIGIT_SPECS), st.data())
+def test_digit_weights_split_and_join_every_position(text, data):
+    for ring in _digit_rings(build_ring(parse_ring_spec(text))):
+        ar = np.arange(ring.order)
+        assert np.array_equal(ring._join(ring._split(ar)), ar)
+        p = data.draw(st.integers(0, ring.order - 1), label=f"position in {ring.describe()}")
+        digits = ring._split(p)
+        assert ring._join(digits) == p
+        parts = [part.elements[d] for part, d in zip(ring._parts, digits)]
+        assert parts == list(ring.elements[p])
 
 
 def test_large_quotient_matches_reference_without_tables():
@@ -556,6 +603,12 @@ def test_verify_ring_axioms_names_the_broken_law(n, message):
 def test_verify_ring_axioms_accepts_the_unbroken_ring():
     for n in (8, 128):
         verify_ring_axioms(_faulty_zmod(n))
+    # a factor ring above order 64 has no ops of its own: the sampled check
+    # reads its tables
+    dec = idempotent_decomposition(build_ring(parse_ring_spec("Z/128 x Z/3")))
+    (factor,) = [f for f in dec.factor_rings if f.order == 128]
+    assert isinstance(factor, IdempotentFactorRing)
+    verify_ring_axioms(factor)
 
 
 @pytest.mark.parametrize(
@@ -605,14 +658,19 @@ def _full_grid_message(add, mul, neg, z, e):
     return None
 
 
+def _table_view(tables, elements, one):
+    """A ring that is only its (add, mul, neg) tables, as a factor ring is:
+    ``verify_ring_axioms`` reads it through ``Ring``'s table lookups."""
+    ring = rings.Ring(DEFAULT_GUARDS)
+    ring.elements, ring.zero, ring.one, ring._tables = elements, elements[0], one, tables
+    return ring
+
+
 def _tables_ring(add, mul, one):
-    """Hand-written tables on positions 0..n-1 with zero at 0 and x + x = 0,
-    shaped as ``verify_ring_axioms`` reads a ring of order <= 64."""
+    """Hand-written tables on positions 0..n-1 with zero at 0 and x + x = 0."""
     n = len(add)
     tables = (np.array(add, dtype=np.int32), np.array(mul, dtype=np.int32), np.arange(n))
-    return SimpleNamespace(
-        order=n, zero=0, one=one, index={i: i for i in range(n)}, tables=lambda: tables
-    )
+    return _table_view(tables, list(range(n)), one)
 
 
 def test_laws_are_checked_at_every_generator():
@@ -648,9 +706,7 @@ def test_generator_check_agrees_with_the_full_grid(text, data):
     if data.draw(st.booleans(), label="symmetric"):
         table[j, i] = value
     z, e = ring.index[ring.zero], ring.index[ring.one]
-    broken = SimpleNamespace(
-        order=n, zero=ring.zero, one=ring.one, index=ring.index, tables=lambda: (add, mul, neg)
-    )
+    broken = _table_view((add, mul, neg), ring.elements, ring.one)
     want = _full_grid_message(add, mul, neg, z, e)
     with mock.patch.object(rings, "_ring_laws", wraps=rings._ring_laws) as grid:
         if want is None:
