@@ -26,14 +26,11 @@ class Guards:
     #: annihilator (and, in an injective search, by dropping zero for a
     #: nonzero element), counted for each hom search and each Ext^1 scan
     max_hom_candidates: int = 1_000_000
-    #: fixed seed for the sampled axiom check of a Z/n too big for an
-    #: exhaustive one; reports stay reproducible
-    axiom_seed: int = 1729
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name.startswith("max_") and value < 1:
+            if value < 1:
                 raise ValidationError(f"guard {f.name} must be at least 1, got {value}")
 
     def with_overrides(self, **kwargs) -> "Guards":

@@ -98,8 +98,7 @@ class Presentation:
             if len(col) != self.generators:
                 raise ValidationError("relation column length must equal generator count")
             for v in col:
-                if v not in self.ring.index:
-                    raise ValidationError(f"{v!r} is not an element of the ring")
+                self.ring._position(v)  # a ValidationError names v and the ring
 
 
 # ---------------------------------------------------------------------------

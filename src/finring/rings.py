@@ -33,12 +33,12 @@ idempotent factor ring is a view of tables set when it is made.  All else
 reads it through :class:`Ring`'s ``_sum``, ``_prod`` and ``_minus``, which
 look up the operation tables once they are built.
 
-The ring laws are checked once, where arithmetic is defined, by one of two
-rules: the axiom check runs on ``Z/n``, and a free algebra checks its laws
-on its basis, exhaustive at every order as its base is a verified
-commutative ring and its ``*`` is bilinear over it.  A product acts
-digitwise on factors checked on their own, and a product of rings is a
-ring, so it is not checked again.
+The ring laws of ``Z/n`` are theorems of integer arithmetic, so nothing
+checks them.  A free algebra checks its laws on its basis when it is made,
+exhaustive at every order as its base is a commutative ring and its ``*``
+is bilinear over it.  A product acts digitwise on its factors, and a
+product of rings is a ring, so it is not checked either.  The tests hold
+every ring class to :func:`verify_ring_axioms`, the reference check.
 
 Element values are immutable; rings and modules are not, as they fill
 their caches on first use.  ``kept_ring`` keeps rings up to order 64, bases
@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 import weakref
 from dataclasses import dataclass
 from math import gcd, lcm, prod
@@ -390,8 +389,8 @@ class _DigitRing(Ring):
     """Positions are digit strings, one position of ``_parts[t]`` per digit t,
     the first digit most significant: digit t weighs ``_weights[t]``, the
     order of the parts after it.  Addition and negation act digitwise.
-    The carrier is the product of the parts' carriers.  Parts are shared,
-    verified sub-rings (see :func:`build_ring`); the ops read their tables
+    The carrier is the product of the parts' carriers.  Parts are shared
+    sub-rings (see :func:`build_ring`); the ops read their tables
     when built, and only a table build here builds them.
     """
 
@@ -419,12 +418,14 @@ class _DigitRing(Ring):
 
 
 class StructureConstantRing(_DigitRing):
-    """A free algebra over one verified base part, ``base[x]/(f)`` on the
-    powers of x or a structure-constant algebra on b0..b{d-1}: elements are
+    """A free algebra over one base part, ``base[x]/(f)`` on the powers of
+    x or a structure-constant algebra on b0..b{d-1}: elements are
     coefficient tuples, positions one base digit per basis vector, the first
     most significant.  ``table[s][t]`` gives the base positions of the
     product of basis vectors s and t; ``_mul`` is the bilinear product it
-    defines.  The ring laws are checked on the basis when built."""
+    defines.  The ring laws are checked on the basis when built: the base
+    is a ring (``Z/n`` by arithmetic, a quotient level by its own basis
+    check), so basis pairs and triples decide them on the whole ring."""
 
     def __init__(self, spec: RingSpec, base: Ring, table, unit: tuple, guards: Guards):
         super().__init__(spec, (base,) * len(table), guards)
@@ -451,7 +452,7 @@ class StructureConstantRing(_DigitRing):
         return self._join(res)
 
     def _check_basis_laws(self):
-        # the base is a verified commutative ring and _mul is bilinear over it,
+        # the base is a commutative ring and _mul is bilinear over it,
         # so these laws on basis pairs and triples hold on the whole ring, and
         # _add is digitwise, so distributivity holds for any table
         basis = self.base._one_pos * np.array(self._weights)
@@ -560,10 +561,8 @@ def _construct(spec: RingSpec, guards: Guards) -> Ring:
             f"({guards.max_ring_order})",
             "max_ring_order", order, guards.max_ring_order,
         )
-    if isinstance(spec, Zmod):
-        ring = ZmodRing(spec, guards)
-        verify_ring_axioms(ring)
-        return ring
+    if isinstance(spec, Zmod):  # its laws are those of integer arithmetic
+        return ZmodRing(spec, guards)
     if isinstance(spec, Product):  # a product of rings is a ring
         return ProductRing(spec, [kept_ring(f, guards) for f in spec.factors], guards)
     if isinstance(spec, PolyQuotient):
@@ -578,24 +577,28 @@ def _construct(spec: RingSpec, guards: Guards) -> Ring:
     return StructureConstantRing(spec, base, table, unit, guards)
 
 
+#: the largest order of a ring that ``kept_ring`` keeps
+KEPT_ORDER = 64
+
 _kept = functools.lru_cache(maxsize=64)(_construct)
 
 
 def kept_ring(spec: RingSpec, guards: Guards) -> Ring:
-    """The one verified ring per spec and guards of order at most 64, the 64
+    """The one ring per spec and guards of order at most 64, the 64
     most recently used kept for the process; a larger ring is built anew."""
-    return (_construct if spec_order(spec) > EXHAUSTIVE_ORDER else _kept)(spec, guards)
+    return (_construct if spec_order(spec) > KEPT_ORDER else _kept)(spec, guards)
 
 
 def build_ring(spec: RingSpec, guards: Guards | None = None) -> Ring:
     """Realize a spec, its ring laws checked where its arithmetic is defined.
 
-    ``Z/n`` goes through :func:`verify_ring_axioms`, each quotient level
-    and structure-constant ring checks its laws on its basis, and a product
-    inherits its factors'.  Each call returns a new ring, distinct from every
-    other (modules over two builds do not mix), but its bases and factors
-    come from :func:`kept_ring`: up to order 64 they are verified once for
-    the process.
+    Each quotient level and structure-constant ring checks its laws on its
+    basis; ``Z/n`` is a ring by integer arithmetic, and a product by its
+    factors, so neither is checked, and ``Z/n`` builds no table until one
+    is read.  Each call returns a new ring, distinct from every other
+    (modules over two builds do not mix), but its bases and factors come
+    from :func:`kept_ring`: up to order 64 they are built once for the
+    process.
     """
     return _construct(spec, guards or DEFAULT_GUARDS)
 
@@ -616,86 +619,22 @@ def _ring_laws(add, mul, neg, a, b, c, x, z, e):
     )
 
 
-def _additive_generators(add, z) -> list[int]:
-    """Least-first positions, zero last, whose ``((g1 + g2) + ...)`` reach all."""
-    gens, cols, reached = [], [], {}  # an ordered set
-    for p in [*range(z), *range(z + 1, len(add)), z]:
-        if p not in reached:
-            gens.append(p)
-            cols.append(add[:, p].tolist())
-            stack = [p, *reached]  # what was reached needs + p too
-            reached[p] = None
-            while stack:
-                s = stack.pop()
-                for t in [col[s] for col in cols]:
-                    if t not in reached:
-                        reached[t] = None
-                        stack.append(t)
-    return gens
-
-
-#: the largest order whose ring laws are checked on the whole operation tables;
-#: above it they are sampled
-EXHAUSTIVE_ORDER = 64
-
-
-#: triples a, b, c a sampled axiom check draws
-AXIOM_SAMPLE_COUNT = 512
-
-
-def _sample_draws(guards: Guards, n: int) -> np.ndarray:
-    """``AXIOM_SAMPLE_COUNT`` triples a, b, c of fixed-seed draws below n,
-    from one ``Random(axiom_seed)`` in that order."""
-    rnd = random.Random(guards.axiom_seed)
-    draws = [rnd.randrange(n) for _ in range(3 * AXIOM_SAMPLE_COUNT)]
-    return np.array(draws, dtype=np.int64).reshape(AXIOM_SAMPLE_COUNT, 3)
-
-
 def verify_ring_axioms(ring: Ring) -> None:
-    """Check the ring laws on element positions.
+    """Check every ring law on every triple of elements: the reference check.
 
-    Construction runs it on ``Z/n`` alone (see :func:`build_ring`); on any
-    other ring it is the reference check.  Up to order 64 it is
-    exhaustive, via additive generators, on the operation tables.  The
-    commutativity laws are checked on every pair, the zero, negation and
-    one laws on every element, and each law in three variables only for its
-    middle or last variable g in a set G whose left-normed sums reach every
-    position (n²·|G| comparisons, not n³).
-    The g where a law holds are closed under +, so G proves it on all of R:
-    for (x + g) + y = x + (g + y) with no other law assumed (Light's
-    associativity test), for x(y + g) = xy + xg given + associative, and
-    for (xy)g = x(yg) given distributivity.  Every comparison is an
-    instance of a law, so a ring passes exactly when every triple does;
-    when one fails, all are checked in the order of ``_ring_laws``.
-
-    Above order 64 no table is built: ``AXIOM_SAMPLE_COUNT`` triples
-    drawn from ``Random(axiom_seed)`` (a, b, c per sample) go through the
-    ring's ``_sum``, ``_prod`` and ``_minus`` (a factor ring's tables), and
-    so do the identity, zero and negation laws on every element.
+    No construction path runs it.  ``Z/n`` needs none, as its ops are
+    integer arithmetic mod n; a free algebra checks its laws on its basis,
+    and a product is a ring when its factors are.  It builds the
+    operation tables and compares n³ entries per law in three variables,
+    so it is for tests and small rings; the first law to fail, in the
+    order of ``_ring_laws``, is the message.
     """
-    n = ring.order
     if ring.zero not in ring.index or ring.one not in ring.index:
         raise AxiomViolation("zero or one is not a canonical element")
+    ring.tables()  # the laws below then read tables, not the defining ops
+    x = np.arange(ring.order)
+    a, b, c = x[:, None, None], x[None, :, None], x[None, None, :]
     z, e = ring.index[ring.zero], ring.index[ring.one]
-    x = np.arange(n)
-    if n <= EXHAUSTIVE_ORDER:
-        add, mul, neg = ring.tables()
-        g = _additive_generators(add, z)
-        ag, mg = add[g], mul[g]  # [k, y] = g + y and g * y
-        sums, prods = add[ag], mul[mg]  # [k, x, y] = (g + x) + y and (g * x) * y
-        laws = (
-            (add, add.T), (mul, mul.T), (add[z], x), (add[x, neg], z), (mul[e], x),
-            # both tables symmetric: (x + g) + y = x + (g + y), x(y + g) = xy + xg
-            # and (xy)g = x(yg), each side indexed [k, x, y]
-            (sums, sums.transpose(0, 2, 1)),
-            (mul[ag].transpose(0, 2, 1), np.take(add, mg[:, :, None] * n + mul)),
-            (np.take(mg, mul, axis=1), prods.transpose(0, 2, 1)),
-        )
-        if all(np.all(lhs == rhs) for lhs, rhs in laws):
-            return
-        a, b, c = x[:, None, None], x[None, :, None], x[None, None, :]
-    else:
-        a, b, c = _sample_draws(ring.guards, n).T
     for message, lhs, rhs in _ring_laws(ring._sum, ring._prod, ring._minus, a, b, c, x, z, e):
         if not np.all(lhs == rhs):
             raise AxiomViolation(message)

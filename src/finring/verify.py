@@ -125,9 +125,9 @@ def _local(rings, max_order):
 
 @_check("ring-axioms")
 def check_ring_axioms(rings, _flags):
-    # construction checks the laws where arithmetic is defined (Z/n by the
-    # axiom check, each quotient level and structure-constant ring on its
-    # basis) and products inherit their factors'; arriving here means they held
+    # construction checks each quotient level and structure-constant ring on
+    # its basis; Z/n is a ring by integer arithmetic and a product by its
+    # factors; arriving here means every check held
     return f"{len(rings)} catalog rings built and verified"
 
 

@@ -619,7 +619,6 @@ def test_in_process_calls_stay_independent(monkeypatch):
         _Z8_SGP,
         ["ideals", "Z/8"],
         ["module", "sgp", "--ring", "Z/4 x Z/3", "--rel", "(2,0)"],
-        ["classify", "Z/128", "--seed", "5", "--json"],
         ["classify", "Z/128", "--json"],
         ["resolve", "--ring", "Z/8", "--rel", "2", "--length", "1"],
         ["classify", "Z/8", "--json"],
@@ -647,7 +646,7 @@ def test_in_process_calls_stay_independent(monkeypatch):
             )
             fresh[tuple(argv)] = (proc.returncode, proc.stdout, proc.stderr)
     results = [_call(argv) for argv in sequence]
-    assert [code for code, _, _ in results] == [3, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 3, 3] + [0] * 7
+    assert [code for code, _, _ in results] == [3, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 3, 3] + [0] * 7
     for argv, result in zip(sequence, results):
         assert result == fresh[tuple(argv)], argv
 
@@ -685,13 +684,20 @@ def test_a_kept_ring_is_built_once_per_spec_and_guards(monkeypatch):
 def test_each_guard_setting_keeps_its_own_ring(monkeypatch):
     spy = _BuildSpy(monkeypatch)
     for _ in range(2):
-        for extra in ([], ["--seed", "5"], ["--max-hom-enumeration", "2"]):
+        for extra in ([], ["--max-hom-enumeration", "2"]):
             _call(["classify", "Z/8", *extra])
     assert spy.built == [
         (Zmod(8), DEFAULT_GUARDS),
-        (Zmod(8), DEFAULT_GUARDS.with_overrides(axiom_seed=5)),
         (Zmod(8), DEFAULT_GUARDS.with_overrides(max_hom_candidates=2)),
     ]
+
+
+def test_only_verify_paper_takes_a_seed_and_it_changes_nothing():
+    # verify-paper has no seeded input: its --seed is accepted and ignored
+    argv = ["verify-paper", "--catalog", "quick", "--json"]
+    assert _call(argv + ["--seed", "5"]) == _call(argv)
+    code, out, err = _call(["classify", "Z/8", "--seed", "5"])
+    assert (code, out) == (2, "") and "unrecognized arguments: --seed 5" in err
 
 
 def test_a_ring_above_order_64_is_built_per_request(monkeypatch):

@@ -413,6 +413,13 @@ def test_hom_images_are_target_elements_read_back_as_int_tuples(images, error):
         h.apply((5,))
 
 
+@pytest.mark.parametrize("value, shown", [([1], r"\[1\]"), (9, "9")], ids=["unhashable", "nine"])
+def test_a_relation_entry_that_is_not_an_element_names_the_ring(value, shown):
+    # an unhashable entry is a ValidationError too, not a bare TypeError
+    with pytest.raises(ValidationError, match=f"^{shown} is not an element of Z/8$"):
+        Presentation(build_ring(Zmod(8)), 1, ((value,),))
+
+
 def test_split_complement_has_torsion_only():
     z4 = _ring("Z/4")
     mixed = direct_sum(direct_sum(free_module(z4, 1), _mod(z4, "2")), _mod(z4, "2"))
