@@ -8,6 +8,10 @@ Quick start::
     ring = build_ring(parse_ring_spec("Z/8"))
     report = classify(ring)
     assert report.quasi_frobenius and not report.sg_semisimple
+
+``finring.classify`` is that function, not the submodule of the same name,
+even after ``import finring.classify``; the submodule is
+``importlib.import_module("finring.classify")``.
 """
 
 from .classify import (

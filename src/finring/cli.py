@@ -13,7 +13,10 @@ Exit codes: 0 success, 1 property violation / negative verification (or
 an internal consistency failure, printed as one ``internal error:`` line),
 2 parse error, 3 guard exceeded.  ``--json`` switches every command to a
 stable JSON report (fixed key order, canonical element literals, so equal
-inputs give byte-identical output).
+inputs give byte-identical output).  Each handler builds its report once:
+``--json`` prints it, and text mode renders the same report through the
+command's ``_*_text`` renderer, apart from the module's size in the first
+line of ``module sgp`` and ``resolve``, which is no report key.
 
 ``main`` may serve many requests in one process, one at a time.  Its rings
 come from ``rings.kept_ring``: up to order 64 one per spec and guards for
@@ -70,11 +73,13 @@ EXT_NOTE = (
 )
 
 
-def _emit(args, payload: dict, text_lines: list) -> None:
+def _emit(args, report: dict, render, *context) -> None:
+    """Print ``report`` as JSON, or the text lines ``render(report, *context)``
+    makes of it; a ``--json`` request renders nothing."""
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(report, indent=2))
     else:
-        for line in text_lines:
+        for line in render(report, *context):
             print(line)
 
 
@@ -102,9 +107,13 @@ def _literals(ring, el) -> list:
     return [format_element(ring, ring.elements[c]) for c in el]
 
 
-def _fmt_free_element(free_module, el) -> str:
-    parts = _literals(free_module.ring, el)
-    return "(" + ",".join(parts) + ")" if len(parts) != 1 else parts[0]
+def _tuple_text(literals: list) -> str:
+    """A free-module element's text from its coordinate literals."""
+    return literals[0] if len(literals) == 1 else "(" + ",".join(literals) + ")"
+
+
+def _yes(flag) -> str:
+    return "yes" if flag else "no"
 
 
 def _ideal_summary(ideal) -> dict:
@@ -118,15 +127,11 @@ def _ideal_summary(ideal) -> dict:
 # classify
 
 
-def _classification_payload(report, radical_literal) -> dict:
-    certs = {
-        "semisimple": None,
-        "quasi_frobenius": None,
-        "sg_semisimple": None,
-    }
+def _classification_payload(ring, report) -> dict:
+    certs = {"semisimple": None, "quasi_frobenius": None, "sg_semisimple": None}
     if report.semisimple_certificate is not None:
         # certificate is a nonzero radical element of the ring itself
-        certs["semisimple"] = radical_literal
+        certs["semisimple"] = format_element(ring, report.semisimple_certificate)
     if report.qf_certificate is not None:
         certs["quasi_frobenius"] = {"ideal": _ideal_summary(report.qf_certificate)}
     if report.sg_certificate is not None:
@@ -148,48 +153,43 @@ def _classification_payload(report, radical_literal) -> dict:
     }
 
 
+def _classify_text(p: dict):
+    certs = p["certificates"]
+    ss, qf, sg = certs["semisimple"], certs["quasi_frobenius"], certs["sg_semisimple"]
+    yield f"ring {p['spec']} (order {p['order']})"
+    yield f"local: {_yes(p['local'])}"
+    yield "factors: " + "; ".join(
+        f"order {f['order']}, ideals {f['ideal_count']}, maximal ideal order {f['max_ideal_order']}"
+        for f in p["factors"]
+    )
+    yield f"semisimple: {_yes(p['semisimple'])}" + (f" (radical element {ss})" if ss else "")
+    yield f"quasi-Frobenius: {_yes(p['quasi_frobenius'])}" + (
+        f" (ideal ({', '.join(qf['ideal']['generators'])}) fails the double-annihilator test)"
+        if qf is not None
+        else ""
+    )
+    yield f"SG-semisimple: {_yes(p['sg_semisimple'])}" + (
+        f" (factor {sg['factor']} has nonzero proper ideals "
+        f"of orders {sg['ideals'][0]['order']} and {sg['ideals'][1]['order']})"
+        if sg is not None
+        else ""
+    )
+
+
 def _run_classify(args) -> int:
     ring = _ring(args.spec, _guards(args))
-    report = classify(ring)
-    literal = (
-        format_element(ring, report.semisimple_certificate)
-        if report.semisimple_certificate is not None
-        else None
-    )
-    payload = _classification_payload(report, literal)
-    qf_cert = payload["certificates"]["quasi_frobenius"]
-    lines = [
-        f"ring {report.spec} (order {report.order})",
-        f"local: {'yes' if report.is_local else 'no'}",
-        "factors: "
-        + "; ".join(
-            f"order {f.order}, ideals {f.ideal_count}, maximal ideal order {f.max_ideal_order}"
-            for f in report.factors
-        ),
-        f"semisimple: {'yes' if report.semisimple else 'no'}"
-        + (f" (radical element {literal})" if literal else ""),
-        f"quasi-Frobenius: {'yes' if report.quasi_frobenius else 'no'}"
-        + (
-            f" (ideal ({', '.join(qf_cert['ideal']['generators'])})"
-            f" fails the double-annihilator test)"
-            if qf_cert is not None
-            else ""
-        ),
-        f"SG-semisimple: {'yes' if report.sg_semisimple else 'no'}"
-        + (
-            f" (factor {report.sg_certificate.factor_index} has nonzero proper ideals "
-            f"of orders {report.sg_certificate.first.order} and "
-            f"{report.sg_certificate.second.order})"
-            if report.sg_certificate is not None
-            else ""
-        ),
-    ]
-    _emit(args, payload, lines)
+    _emit(args, _classification_payload(ring, classify(ring)), _classify_text)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # ideals / decompose
+
+
+def _ideals_text(p: dict):
+    yield f"ring {p['spec']} (order {p['order']}): {p['count']} ideals"
+    for ideal in p["ideals"]:
+        yield f"  order {ideal['order']}: ({', '.join(ideal['generators'])})"
 
 
 def _run_ideals(args) -> int:
@@ -208,35 +208,27 @@ def _run_ideals(args) -> int:
             for ideal in lattice
         ],
     }
-    lines = [f"ring {ring.describe()} (order {ring.order}): {len(lattice)} ideals"]
-    for ideal in lattice:
-        gens = ", ".join(format_element(ring, g) for g in ideal.generators)
-        lines.append(f"  order {ideal.order}: ({gens})")
-    _emit(args, payload, lines)
+    _emit(args, payload, _ideals_text)
     return 0
+
+
+def _decompose_text(p: dict):
+    yield f"ring {p['spec']} (order {p['order']}): {len(p['idempotents'])} local factor(s)"
+    for e, f in zip(p["idempotents"], p["factors"]):
+        yield f"  idempotent {e}: factor of order {f['order']}, {f['ideal_count']} ideals"
 
 
 def _run_decompose(args) -> int:
     ring = _ring(args.spec, _guards(args))
     dec = idempotent_decomposition(ring)
-    factors = [factor_summary(f) for f in dec.factor_rings]
     payload = {
         "schema_version": SCHEMA_VERSION,
         "spec": ring.describe(),
         "order": ring.order,
         "idempotents": [format_element(ring, e) for e in dec.idempotents],
-        "factors": [asdict(f) for f in factors],
+        "factors": [asdict(factor_summary(f)) for f in dec.factor_rings],
     }
-    lines = [
-        f"ring {ring.describe()} (order {ring.order}): "
-        f"{len(dec.idempotents)} local factor(s)"
-    ]
-    for e, f in zip(dec.idempotents, factors):
-        lines.append(
-            f"  idempotent {format_element(ring, e)}: factor of order {f.order}, "
-            f"{f.ideal_count} ideals"
-        )
-    _emit(args, payload, lines)
+    _emit(args, payload, _decompose_text)
     return 0
 
 
@@ -258,9 +250,7 @@ def _verdict_payload(verdict) -> dict:
     }
     if verdict.witness is not None:
         ring = verdict.module.ring
-        payload["embedding"] = [
-            _literals(ring, img) for img in verdict.witness.embedding.images
-        ]
+        payload["embedding"] = [_literals(ring, img) for img in verdict.witness.embedding.images]
         payload["resolution"] = {
             "rank": verdict.witness.rank,
             "map": [_literals(ring, img) for img in verdict.periodic.images],
@@ -272,47 +262,48 @@ def _verdict_payload(verdict) -> dict:
     return payload
 
 
+def _module_sgp_text(p: dict, module):
+    # the module's size, here and in resolve's first line, is no report key
+    yield f"ring {p['spec']}, module on {module.k} generator(s), {module.cardinality} elements"
+    yield f"strongly Gorenstein projective: {_yes(p['sgp'])}"
+    if p["embedding"] is not None:
+        images = ", ".join(f"g{j} -> {_tuple_text(img)}" for j, img in enumerate(p["embedding"]))
+        yield f"witness rank: {p['rank']}; embedding {images}"
+        yield f"Ext^1(M, R) order: {p['ext1_order']} ({p['ext1_note']})"
+        rep = p["resolution"]
+        yield (
+            f"periodic map on R^{rep['rank']}: image order {rep['image_order']} = "
+            f"kernel order {rep['kernel_order']}; dual exact: {_yes(rep['dual_exact'])}"
+        )
+    factors = p.get("factors")
+    if p["obstruction"] is not None:
+        # a product's verdict takes the obstruction of its first negative factor
+        where = "" if factors is None else f" (factor {[f['sgp'] for f in factors].index(False)})"
+        yield f"obstruction{where}: {p['obstruction']} -- {p['obstruction_detail']}"
+    for fi, f in enumerate(factors or ()):
+        rank = f", witness rank {f['rank']}" if f["rank"] is not None else ""
+        yield f"factor {fi}: sgp={_yes(f['sgp'])}{rank}"
+
+
 def _run_module_sgp(args) -> int:
     ring = _ring(args.ring, _guards(args))
     module = Module(parse_presentation(ring, args.rel))
-    verdict = is_strongly_gorenstein_projective(module)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "spec": ring.describe(),
         "presentation": args.rel,
-        **_verdict_payload(verdict),
+        **_verdict_payload(is_strongly_gorenstein_projective(module)),
     }
-    lines = [
-        f"ring {ring.describe()}, module on {module.k} generator(s), "
-        f"{module.cardinality} elements",
-        f"strongly Gorenstein projective: {'yes' if verdict.decision else 'no'}",
-    ]
-    if verdict.witness is not None:
-        w = verdict.witness
-        images = ", ".join(
-            f"g{j} -> {_fmt_free_element(w.embedding.target, img)}"
-            for j, img in enumerate(w.embedding.images)
-        )
-        lines.append(f"witness rank: {w.rank}; embedding {images}")
-        lines.append(f"Ext^1(M, R) order: {verdict.ext.order} ({EXT_NOTE})")
-        rep = payload["resolution"]
-        lines.append(
-            f"periodic map on R^{w.rank}: image order {rep['image_order']} = "
-            f"kernel order {rep['kernel_order']}; dual exact: "
-            f"{'yes' if rep['dual_exact'] else 'no'}"
-        )
-    if verdict.obstruction is not None:
-        obs = verdict.obstruction
-        where = f" (factor {obs.factor})" if obs.factor is not None else ""
-        lines.append(f"obstruction{where}: {obs.kind} -- {obs.detail}")
-    if verdict.components is not None:
-        for fi, sub in enumerate(verdict.components):
-            lines.append(
-                f"factor {fi}: sgp={'yes' if sub.decision else 'no'}"
-                + (f", witness rank {sub.witness.rank}" if sub.witness else "")
-            )
-    _emit(args, payload, lines)
+    _emit(args, payload, _module_sgp_text, module)
     return 0
+
+
+def _resolve_text(p: dict, module):
+    yield f"ring {p['spec']}, module with {module.cardinality} elements"
+    yield f"free resolution ranks: {', '.join(map(str, p['ranks']))}"
+    for i, d in enumerate(p["differentials"], start=1):
+        yield f"d{i} columns: {'; '.join(map(_tuple_text, d))}"
+    yield "exactness verified at every computed stage"
 
 
 def _run_resolve(args) -> int:
@@ -325,25 +316,25 @@ def _run_resolve(args) -> int:
         "presentation": args.rel,
         "length": res.length,
         "ranks": list(res.ranks),
-        "differentials": [
-            [_literals(ring, col) for col in d.images] for d in res.differentials
-        ],
+        "differentials": [[_literals(ring, col) for col in d.images] for d in res.differentials],
         "exact": True,
     }
-    lines = [
-        f"ring {ring.describe()}, module with {module.cardinality} elements",
-        f"free resolution ranks: {', '.join(map(str, res.ranks))}",
-    ]
-    for i, d in enumerate(res.differentials, start=1):
-        cols = "; ".join(_fmt_free_element(d.target, col) for col in d.images)
-        lines.append(f"d{i} columns: {cols}")
-    lines.append("exactness verified at every computed stage")
-    _emit(args, payload, lines)
+    _emit(args, payload, _resolve_text, module)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # verify-paper
+
+
+def _verify_text(p: dict):
+    checks = p["checks"]
+    for c in checks:
+        yield f"{'PASS' if c['passed'] else 'FAIL'} {c['name']} -- {c['detail']}"
+    yield (
+        f"{'all checks passed' if p['all_passed'] else 'verification FAILED'} "
+        f"({sum(c['passed'] for c in checks)}/{len(checks)})"
+    )
 
 
 def _run_verify(args) -> int:
@@ -360,12 +351,7 @@ def _run_verify(args) -> int:
             {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
         ],
     }
-    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name} -- {r.detail}" for r in results]
-    lines.append(
-        f"{'all checks passed' if all_passed else 'verification FAILED'} "
-        f"({sum(r.passed for r in results)}/{len(results)})"
-    )
-    _emit(args, payload, lines)
+    _emit(args, payload, _verify_text)
     return 0 if all_passed else 1
 
 

@@ -1,4 +1,5 @@
-import sys
+import importlib
+import inspect
 
 import pytest
 
@@ -152,8 +153,18 @@ def test_residue_memo_tells_rings_with_equal_mul_tables_apart():
     assert classify(z4).sg_semisimple and classify(dual_numbers).sg_semisimple
 
 
+def test_the_package_name_classify_is_the_function_and_import_module_gives_the_module():
+    import finring
+
+    module = importlib.import_module("finring.classify")
+    assert inspect.ismodule(module) and module.__name__ == "finring.classify"
+    # the package export, which README's quick start imports, is the function
+    assert finring.classify is module.classify is classify
+    assert inspect.isfunction(finring.classify)
+
+
 def test_the_residue_verdict_is_decided_once_per_owner(monkeypatch):
-    classify_module = sys.modules["finring.classify"]
+    classify_module = importlib.import_module("finring.classify")
     calls = []
     monkeypatch.setattr(
         classify_module, "residue_field_sgp", lambda r: calls.append(r) or residue_field_sgp(r)

@@ -245,6 +245,41 @@ def test_verify_paper_json(capsys):
     assert all(c["passed"] for c in payload["checks"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["module", "sgp", "--ring", "Z/8", "--rel", "2,0;0,4"],
+        ["module", "sgp", "--ring", "Z/8 x Z/3", "--rel", "(2,0)"],
+        ["resolve", "--ring", "GF(2)[x]/(x^4)", "--rel", "x,0;0,x^3"],
+        ["classify", SQUARE_ZERO_PAIR],
+        ["ideals", "Z/12"],
+        ["decompose", "GF(8) x Z/16"],
+        ["verify-paper", "--catalog", "quick"],
+    ],
+    ids=" ".join,
+)
+def test_a_json_request_renders_no_text(capsys, monkeypatch, argv):
+    from finring import cli
+
+    def refuse(*args):
+        raise AssertionError("a --json request rendered a text line")
+
+    # each command's text renderer, and the join of a free-module element's literals
+    for name in (
+        "_classify_text",
+        "_ideals_text",
+        "_decompose_text",
+        "_module_sgp_text",
+        "_resolve_text",
+        "_verify_text",
+        "_tuple_text",
+    ):
+        monkeypatch.setattr(cli, name, refuse)
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert json.loads(out)["schema_version"] == 1
+
+
 def test_console_entry_point_subprocess():
     # the child imports the same finring as this test, installed or not
     src = os.path.dirname(os.path.dirname(finring.__file__))

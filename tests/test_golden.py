@@ -154,9 +154,15 @@ GOLDEN = [
 ]
 
 
-# sha256 of the text (non-``--json``) output, recorded before the CLI took
-# its periodic-map line from the JSON payload and its factor lines from
-# ``classify.factor_summary``
+# sha256 of the text (non-``--json``) output: the first ten recorded before
+# the CLI took its periodic-map line from the JSON payload and its factor
+# lines from ``classify.factor_summary``, the nine added last before each
+# command rendered its text from its JSON report alone.  Those nine cover a
+# text shape no earlier entry covers: the ideal lattice, the verification
+# summary, classify with an SG certificate only, with none and with a
+# product's radical element, the cardinality obstruction, a product
+# obstruction with a factor that has no witness, the zero module's rank-0
+# witness, and a resolution with empty differential columns.
 GOLDEN_TEXT = [
     (
         ["module", "sgp", "--ring", "Z/8", "--rel", "2,0;0,4"],
@@ -197,6 +203,42 @@ GOLDEN_TEXT = [
     (
         ["module", "sgp", "--ring", "Z/8[x]/(x^2)", "--rel", "2,0;0,4"],
         "8e737dc28a29eb2205054c877c9845cf72f6192686aba01b92782ce1c57f45eb",
+    ),
+    (
+        ["ideals", "Z/12"],
+        "c0a27fef2959d813a56b31269760103d5ede87fa5c37a615ecd09ca1a9a18b84",
+    ),
+    (
+        ["verify-paper", "--catalog", "quick"],
+        "2d4d1bcaaef9879a103db506cdf8be808f42d4b6d6c073f83b23caf1101b4ada",
+    ),
+    (
+        ["classify", "Z/8"],
+        "8fc5da3eaead94b0a8a591daa27aeb2fc9d7f132b555daa7103d5646922f6a5d",
+    ),
+    (
+        ["classify", "Z/6"],
+        "894cdf6d2712fea08098da14f90a22167333aabf2bd1e2999bdd8259ad6b8ede",
+    ),
+    (
+        ["classify", "Z/4 x Z/3"],
+        "24329f519d05a758041a56716d96ded68bd041ed784d3621b6b70ac18f97f8ed",
+    ),
+    (
+        ["module", "sgp", "--ring", "Z/8", "--rel", "2"],
+        "bca1302c03182b5fcd9eeba6b197b5a9604c02a7292201401cbb76c2528f91fd",
+    ),
+    (
+        ["module", "sgp", "--ring", "Z/8 x Z/3", "--rel", "(2,0)"],
+        "70f995c3c7375de641e905ceb02fd68fcb185b1c3310c90a42ae447e4bfcadae",
+    ),
+    (
+        ["module", "sgp", "--ring", "Z/4", "--rel", ""],
+        "3b9d257f4bf0fb05130f1e97f2d69478f1e1195603959c733358f53da8cb283f",
+    ),
+    (
+        ["resolve", "--ring", "Z/4", "--rel", "0", "--length", "3"],
+        "def32c94771cb1dc35beae2b0a8019a4a1e70d97dce2fc1385d1805dc014851c",
     ),
 ]
 

@@ -327,7 +327,7 @@ def test_only_rings_that_compute_arithmetic_run_the_axiom_check(monkeypatch):
     assert all(r._tables is None for r in checked)  # the basis check builds no table
 
 
-def test_sampled_axiom_path_for_large_rings():
+def test_large_zmod_computes_without_a_table():
     ring = build_ring(Zmod(2048))
     assert ring.order == 2048
     assert ring.mul(1024, 2) == 0
@@ -453,7 +453,7 @@ REFERENCE_SPECS = [
     "GF(2)[x]/(x^2)[x]/(x^2+1)",
     SQUARE_ZERO_PAIR,
     "Z/4 x GF(4) x Z/3",
-    "Z/4 x GF(9) x Z/2",  # order 72: sampled check, table read from the factors'
+    "Z/4 x GF(9) x Z/2",  # order 72: no law check of its own, table read from the factors'
     # the bilinear quotient product on chain rings, a degree-1 modulus, a
     # non-unit constant term, a Galois ring and a tower
     "GF(2)[x]/(x^4)",
@@ -683,7 +683,7 @@ def test_every_one_entry_mutation_breaks_a_law(text, data):
 # shared sub-rings and tables read from part tables
 
 
-def test_sampled_product_builds_no_table_on_it_or_its_large_part():
+def test_large_product_builds_no_table_on_it_or_its_large_part():
     ring = build_ring(parse_ring_spec("Z/2 x GF(2)[x]/(x^11)"))
     small, large = ring.factors
     assert (ring.order, large.order) == (4096, 2048)
