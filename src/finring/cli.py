@@ -268,7 +268,7 @@ def _module_sgp_text(p: dict, module):
     yield f"strongly Gorenstein projective: {_yes(p['sgp'])}"
     if p["embedding"] is not None:
         images = ", ".join(f"g{j} -> {_tuple_text(img)}" for j, img in enumerate(p["embedding"]))
-        yield f"witness rank: {p['rank']}; embedding {images}"
+        yield f"witness rank: {p['rank']}; embedding {images}".rstrip()
         yield f"Ext^1(M, R) order: {p['ext1_order']} ({p['ext1_note']})"
         rep = p["resolution"]
         yield (
@@ -302,7 +302,7 @@ def _resolve_text(p: dict, module):
     yield f"ring {p['spec']}, module with {module.cardinality} elements"
     yield f"free resolution ranks: {', '.join(map(str, p['ranks']))}"
     for i, d in enumerate(p["differentials"], start=1):
-        yield f"d{i} columns: {'; '.join(map(_tuple_text, d))}"
+        yield f"d{i} columns: {'; '.join(map(_tuple_text, d))}".rstrip()
     yield "exactness verified at every computed stage"
 
 

@@ -24,19 +24,18 @@ finitely presented module commutes with finite direct sums in the second
 argument, and every projective is a direct summand of a free module of
 finite rank here.
 
-Over a product ring every decision is taken componentwise along the
-idempotent decomposition, and each local Ext^1 is kept on its factor's
-table owner for the request (see ``ext1``); a witness inside a free module
-of a single rank need not exist there (component ranks can differ), so
-product verdicts carry per-factor verdicts instead.  Each SGP verdict is
-kept on its module, which its ring keeps once per presentation, so a module
-is decided once a request (a free module R^k once for its ring).
+Over a product ring ``modules._per_factor``, the one product rule, takes every
+decision factor by factor, and each local Ext^1 is kept on its factor's table
+owner (see ``ext1``); a witness in a free module of one rank need not exist
+there (component ranks can differ), so a product verdict carries its factors'
+verdicts, a negative one its first negative factor's obstruction.  Each SGP
+verdict is kept on its module, which its ring keeps once per presentation, so
+a module is decided once a request (a free module R^k once for its ring).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import starmap
+from dataclasses import astuple, dataclass
 from math import prod
 
 import numpy as np
@@ -48,14 +47,14 @@ from .errors import (
     RingMismatchError,
     ValidationError,
 )
-from .ideals import idempotent_decomposition, is_local
+from .ideals import is_local
 from .modules import (
     Module,
     ModuleHom,
     _hom_count,
+    _per_factor,
     compose,
     cokernel,
-    decompose_over_product,
     free_cover,
     free_module,
     is_isomorphic,
@@ -178,10 +177,8 @@ def ext1(m: Module, q: Module) -> ExtGroup:
     """
     if m.ring is not q.ring:
         raise RingMismatchError("ext needs modules over the same ring")
-    if not idempotent_decomposition(m.ring).is_trivial:
-        pairs = zip(decompose_over_product(m), decompose_over_product(q))
-        parts = [(e.order, e.kernel_order, e.image_order) for e in starmap(ext1, pairs)]
-        return ExtGroup(*map(prod, zip(*parts)))
+    if (parts := _per_factor(ext1, m, q)) is not None:
+        return ExtGroup(*map(prod, zip(*map(astuple, parts))))
     memo = request_memo(table_owner(m.ring), "ext1")
     pair = m.relation_columns, q.relation_columns
     key = tuple(x for c in pair for x in (c.shape, c.tobytes()))
@@ -231,7 +228,6 @@ class SgpObstruction:
     #: one of "cardinality", "no_embedding_with_self_cokernel", "ext_nonzero"
     kind: str
     detail: str
-    factor: int | None = None
 
 
 @dataclass(frozen=True)
@@ -315,13 +311,9 @@ def is_strongly_gorenstein_projective(m: Module) -> SgpVerdict:
     periodic complex; componentwise over products.  A projective module
     whose search a guard stops takes the split witness instead.  The
     verdict is kept on the module; a search stopped by a guard keeps nothing."""
-    if not idempotent_decomposition(m.ring).is_trivial:
-        sub = tuple(is_strongly_gorenstein_projective(c) for c in decompose_over_product(m))
-        for fi, verdict in enumerate(sub):
-            if not verdict.decision:
-                obs = replace(verdict.obstruction, factor=fi)
-                return SgpVerdict(False, m, obstruction=obs, components=sub)
-        return SgpVerdict(True, m, components=sub)
+    if (parts := _per_factor(is_strongly_gorenstein_projective, m)) is not None:
+        failed = next((v.obstruction for v in parts if not v.decision), None)
+        return SgpVerdict(failed is None, m, obstruction=failed, components=parts)
     try:
         outcome = find_sgp_witness(m)
     except GuardExceeded:  # a projective module has a witness by construction

@@ -41,13 +41,13 @@ presentation and builds no hom.  Every module the library derives is built
 from positions by ``Module._on``, once per ring and request (R^k once per
 ring), keyed by its relation columns, and it keeps what it computes (kill
 counts, minimal generators, product components, SGP verdict);
-``Module(presentation)`` is new on every call.  ``quotient_by_ideal(I)``
-and ``ideal_as_module(I)`` take their ring from I, and
-``decompose_over_product(m)`` splits M along
-``idempotent_decomposition(m.ring)``.  Every hom is built by
+``Module(presentation)`` is new on every call.  ``quotient_by_ideal(I)`` and
+``ideal_as_module(I)`` take their ring from I, ``decompose_over_product(m)``
+splits M over its ring's local factors, and ``_per_factor``, the one product
+rule, decides a product factor by factor.  Every hom is built by
 ``ModuleHom._at``, with the public constructor's relation check unless
-``_accepted`` has made it.  Element values and index tuples appear only
-at the public edge: ``Module.elements``, ``index`` and ``presentation``
+``_accepted`` has made it.  Element values and index tuples appear only at
+the public edge: ``Module.elements``, ``index`` and ``presentation``
 (derived on first use), ``ModuleHom.images`` and ``ModuleHom.apply``.
 
 Everything here is immutable after construction and deterministic: every
@@ -690,8 +690,8 @@ def minimal_generators(m: Module):
 
 def is_projective(m: Module) -> bool:
     """Projective = free over a finite local ring; componentwise over products."""
-    if not idempotent_decomposition(m.ring).is_trivial:
-        return all(is_projective(c) for c in decompose_over_product(m))
+    if (parts := _per_factor(is_projective, m)) is not None:
+        return all(parts)
     # the minimal cover R^g -> M is onto, so it is bijective exactly when |M| = |R|^g
     return m.cardinality == m.ring.order ** minimal_generators(m)[0]
 
@@ -707,6 +707,13 @@ def free_cover(m: Module) -> ModuleHom:
 def decompose_over_product(m: Module) -> list:
     """Components e_i M over the local factors of m's ring; re-sum verified once."""
     return list(_components(m))
+
+
+def _per_factor(fn, m: Module, *others):
+    """The one product rule: None over a local ring, else ``fn`` on each factor's components."""
+    if idempotent_decomposition(m.ring).is_trivial:
+        return None
+    return tuple(map(fn, decompose_over_product(m), *map(decompose_over_product, others)))
 
 
 @kept("components")

@@ -234,11 +234,11 @@ GOLDEN_TEXT = [
     ),
     (
         ["module", "sgp", "--ring", "Z/4", "--rel", ""],
-        "3b9d257f4bf0fb05130f1e97f2d69478f1e1195603959c733358f53da8cb283f",
+        "77edace18f2e7e8d95a3eed751de2318de22b019248fd1222734fb3406029ddc",
     ),
     (
         ["resolve", "--ring", "Z/4", "--rel", "0", "--length", "3"],
-        "def32c94771cb1dc35beae2b0a8019a4a1e70d97dce2fc1385d1805dc014851c",
+        "0f30853a7781fdd79731cfce9f13b456a6b657039931f3644103c21794082513",
     ),
 ]
 

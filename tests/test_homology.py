@@ -1,5 +1,6 @@
 import gc
 import itertools
+import json
 import re
 import weakref
 from dataclasses import astuple, replace
@@ -324,8 +325,31 @@ def test_sgp_over_product_carries_components():
     prod = _ring("Z/8 x Z/3")
     bad = is_strongly_gorenstein_projective(_mod(prod, "(2,1)"))
     assert not bad.decision
+    # the Z/8 factor fails (canonical order puts Z/3 first), and the product's
+    # verdict carries that factor's own obstruction
+    assert [c.decision for c in bad.components] == [True, False]
+    assert bad.obstruction is bad.components[1].obstruction
     assert bad.obstruction.kind == "cardinality"
-    assert bad.obstruction.factor == 1  # the Z/8 factor; canonical order puts Z/3 first
+
+
+def test_a_witness_with_a_nonexact_dual_is_ext_nonzero(monkeypatch, capsys):
+    # no module within the guards has a witness whose dual complex is not
+    # exact, so the dual report of Z/4's witness for R/2R is made to read a
+    # dual quotient of order 2
+    real = homology.check_complete_resolution
+    monkeypatch.setattr(
+        homology, "check_complete_resolution", lambda f: replace(real(f), dual_image_order=1)
+    )
+    verdict = is_strongly_gorenstein_projective(_mod(_ring("Z/4"), "2"))
+    assert not verdict.decision
+    assert (verdict.obstruction.kind, verdict.obstruction.detail) == (
+        "ext_nonzero",
+        "Ext^1(M, R) has order 2",
+    )
+    assert verdict.ext.order == 2
+    assert cli.main(["module", "sgp", "--ring", "Z/4", "--rel", "2", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["obstruction"], report["ext1_order"]) == ("ext_nonzero", 2)
 
 
 def test_sgp_closed_under_sums_but_not_summands():

@@ -313,6 +313,34 @@ def test_is_projective_matches_the_free_cover_route(monkeypatch):
     assert answers == {True, False}
 
 
+def test_submodules_are_presented_on_their_unit_vectors():
+    # kernel, image and submodule present a module on minimal generators
+    # (Nakayama), and in canonical code order the unit vectors u*e_{k-1} <
+    # ... < u*e_0 come first, for u the ring's least unit (one, unless a
+    # field's order puts another unit first), so its own minimal generators
+    # are those unit vectors, last first
+    def units_last_first(m):
+        u = int(units_mask(m.ring).argmax())
+        units = [tuple(u if i == j else 0 for i in range(m.k)) for j in reversed(range(m.k))]
+        return minimal_generators(m) == (m.k, units)
+
+    checked = collections.Counter()
+    for label, ring in _catalog_rings_up_to(16):
+        if not is_local(ring):
+            continue
+        mods = [m for _, m in _sample_modules(ring, include_sums=True)]
+        for ideal in enumerate_ideals(ring):
+            sub, _ = ideal_as_module(ideal)
+            assert units_last_first(sub), (label, ideal)
+            checked["submodule"] += 1
+        for source, target in itertools.product(mods[:4], mods):
+            for h in hom_set(source, target):
+                for kind, (sub, _) in (("kernel", kernel(h)), ("image", image(h))):
+                    assert units_last_first(sub), (label, kind, h.images)
+                    checked[kind] += 1
+    assert set(checked) == {"submodule", "kernel", "image"}, checked
+
+
 def test_decomposition_projections_are_the_value_level_projections():
     kinds = set()
     for label, ring in _catalog_rings_up_to(64):
@@ -418,6 +446,16 @@ def test_a_relation_entry_that_is_not_an_element_names_the_ring(value, shown):
     # an unhashable entry is a ValidationError too, not a bare TypeError
     with pytest.raises(ValidationError, match=f"^{shown} is not an element of Z/8$"):
         Presentation(build_ring(Zmod(8)), 1, ((value,),))
+
+
+def test_a_negative_generator_count_is_refused():
+    with pytest.raises(ValidationError, match="^generator count must be >= 0$"):
+        Presentation(build_ring(Zmod(8)), -1, ())
+
+
+def test_a_relation_column_of_the_wrong_length_is_refused():
+    with pytest.raises(ValidationError, match="^relation column length must equal generator count$"):
+        Presentation(build_ring(Zmod(8)), 2, ((2, 0), (4,)))
 
 
 def test_split_complement_has_torsion_only():
